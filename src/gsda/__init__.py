@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveFit", "AdditiveProjector", "FitTrace", "FunctionalSpec",
     "GradientSet", "GsParams", "Lambda", "MinNormResult", "Objective",
-    "PotModel", "PotState", "QuantileModel", "additive_project",
+    "PotModel", "PotState", "QuantileModel", "SmootherSpec", "additive_project",
     "approx_subgradient", "approx_subgradient_theta", "armijo_search",
     "average_fallback", "bandwidth_for_df", "cell_factor_smooth",
     "effective_df", "fit_pot_additive", "fit_quantile_additive",

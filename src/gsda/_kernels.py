@@ -2,8 +2,10 @@
 
 The jitted path is the default whenever numba imports; set
 ``GSDA_DISABLE_NUMBA=1`` in the environment to force the numpy path.
-Both implementations of every kernel are kept in the ``IMPLS`` registry
-so the benchmark (and the equivalence tests) can compare them directly.
+Both implementations of every registered kernel are kept in the
+``IMPLS`` registry so the benchmark (and the equivalence tests) can
+compare them directly.  The qp-mode row kernel :func:`gpd_grad_rows` is
+numpy only.
 
 Layout conventions: sampled ball directions arrive as a ``(m, dim)``
 matrix ``U``; GPD parameters arrive as the pair ``(eta, kappa)`` with
@@ -47,13 +49,51 @@ def _pinball_sampled_grad_sum_np(q, y, alpha, eps, U):
     return np.where(resid > 0.0, -alpha, 1.0 - alpha).sum(axis=0)
 
 
+def _gpd_feasible(a):
+    """Support rule: a = 1 + kappa*y*exp(-eta) finite and positive everywhere.
+
+    Reduces over the last axis, so a (k, n) stack gives one flag per
+    row.  A non-finite a (exp overflow at an extreme trial point) is the
+    sigma -> 0 limit and lies off the support.
+    """
+    return np.all(np.isfinite(a) & (a > 0.0), axis=-1)
+
+
+def _gpd_grad_parts(kappa, z, a):
+    """Elementwise (d/d eta, d/d kappa) of the GPD log-likelihood.
+
+    Takes z = y*exp(-eta) and a = 1 + kappa*z of any common shape; the
+    second-order series replaces the exact kappa derivative only where
+    |kappa| < KAPPA_EPS, and is evaluated only when some entry needs it.
+    """
+    geta = -1.0 + (1.0 + kappa) * z / a
+    gkap = np.log1p(kappa * z) / (kappa * kappa) - (1.0 + 1.0 / kappa) * z / a
+    small = np.abs(kappa) < KAPPA_EPS
+    if small.any():
+        series = 0.5 * z * z - z + kappa * (z * z - 2.0 * z ** 3 / 3.0) \
+            + kappa * kappa * (0.75 * z ** 4 - z ** 3)
+        gkap = np.where(small, series, gkap)
+    return geta, gkap
+
+
+def _gpd_perturbed(eta, kappa, y, eps, U):
+    """Perturbed kappa, z, a and the support flags, one row per row u of U.
+
+    The perturbed point is (eta, kappa) + eps*u, with u's first half
+    moving eta and its second half kappa.
+    """
+    n = eta.shape[0]
+    pk = kappa[None, :] + eps * U[:, n:]
+    z = y[None, :] * np.exp(-(eta[None, :] + eps * U[:, :n]))
+    a = 1.0 + pk * z
+    return pk, z, a, _gpd_feasible(a)
+
+
 def _gpd_loglik_np(eta, kappa, y):
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
         a = 1.0 + kappa * z
-        # non-finite a (exp overflow at an extreme line-search trial) is
-        # the sigma -> 0 limit, where the log-likelihood diverges
-        if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+        if not _gpd_feasible(a):
             return -np.inf
         small = np.abs(kappa) < KAPPA_EPS
         exact = -eta - (1.0 + 1.0 / kappa) * np.log1p(kappa * z)
@@ -67,14 +107,7 @@ def _gpd_grad_np(eta, kappa, y):
     """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,)."""
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
-        a = 1.0 + kappa * z
-        geta = -1.0 + (1.0 + kappa) * z / a
-        small = np.abs(kappa) < KAPPA_EPS
-        exact = np.log1p(kappa * z) / (kappa * kappa) \
-            - (1.0 + 1.0 / kappa) * z / a
-        series = 0.5 * z * z - z + kappa * (z * z - 2.0 * z ** 3 / 3.0) \
-            + kappa * kappa * (0.75 * z ** 4 - z ** 3)
-        gkap = np.where(small, series, exact)
+        geta, gkap = _gpd_grad_parts(kappa, z, 1.0 + kappa * z)
     return np.concatenate([geta, gkap])
 
 
@@ -85,21 +118,24 @@ def _gpd_sampled_grad_sum_np(eta, kappa, y, eps, U):
     nothing; the returned mask marks the feasible rows so the caller can
     redraw the rest.
     """
-    n = eta.shape[0]
     with np.errstate(all="ignore"):
-        pe = eta[None, :] + eps * U[:, :n]
-        pk = kappa[None, :] + eps * U[:, n:]
-        z = y[None, :] * np.exp(-pe)
-        a = 1.0 + pk * z
-        feasible = np.all(np.isfinite(a) & (a > 0.0), axis=1)
-        pe, pk, z, a = pe[feasible], pk[feasible], z[feasible], a[feasible]
-        geta = (-1.0 + (1.0 + pk) * z / a).sum(axis=0)
-        small = np.abs(pk) < KAPPA_EPS
-        exact = np.log1p(pk * z) / (pk * pk) - (1.0 + 1.0 / pk) * z / a
-        series = 0.5 * z * z - z + pk * (z * z - 2.0 * z ** 3 / 3.0) \
-            + pk * pk * (0.75 * z ** 4 - z ** 3)
-        gkap = np.where(small, series, exact).sum(axis=0)
-    return np.concatenate([geta, gkap]), feasible
+        pk, z, a, feasible = _gpd_perturbed(eta, kappa, y, eps, U)
+        geta, gkap = _gpd_grad_parts(pk[feasible], z[feasible], a[feasible])
+    return np.concatenate([geta.sum(axis=0), gkap.sum(axis=0)]), feasible
+
+
+def gpd_grad_rows(eta, kappa, y, eps, U):
+    """GPD gradients at (eta, kappa) + eps*u, one stacked row per feasible u.
+
+    Returns ``(rows, feasible)``: ``rows`` is (feasible.sum(), 2n) in the
+    order of U, and ``feasible`` flags the rows of U that stay on the
+    support (the rule of :func:`gpd_sampled_grad_sum`).  numpy only: this
+    is the qp-mode row kernel, which has no numba twin.
+    """
+    with np.errstate(all="ignore"):
+        pk, z, a, feasible = _gpd_perturbed(eta, kappa, y, eps, U)
+        geta, gkap = _gpd_grad_parts(pk[feasible], z[feasible], a[feasible])
+    return np.hstack([geta, gkap]), feasible
 
 
 def _ll_weights_np(w, bandwidth, targets):

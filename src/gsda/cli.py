@@ -122,15 +122,23 @@ def read_config_file(path):
     return out
 
 
+def _number(text, what, kind=float):
+    """kind(text); a malformed number is an input error, not a traceback."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInput(f"{what}: {text!r} is not a valid number") from None
+
+
 def _coerce(key, value):
     if value is None or not isinstance(value, str):
         return value
     if key in _FLOAT_KEYS:
-        return float(value)
+        return _number(value, key)
     if key in _INT_KEYS:
-        return int(value)
+        return _number(value, key, int)
     if key == "levels":
-        return [float(v) for v in value.split(",") if v.strip()]
+        return [_number(v, key) for v in value.split(",") if v.strip()]
     return value
 
 
@@ -147,9 +155,9 @@ def parse_smoother(text):
         okey, _, oval = opt.partition("=")
         okey = okey.strip()
         if okey == "bw":
-            kwargs["bandwidth"] = float(oval)
+            kwargs["bandwidth"] = _number(oval, f"smoother {text!r} bw")
         elif okey == "df":
-            kwargs["target_df"] = float(oval)
+            kwargs["target_df"] = _number(oval, f"smoother {text!r} df")
         else:
             raise InvalidInput(f"unknown smoother option {okey!r} in {text!r}")
     return col, kwargs
@@ -429,7 +437,7 @@ def _run_gradcheck(config, out):
 
 def _run_minimize(config, out):
     name = config.objective
-    x0 = np.array([float(v) for v in str(config.x0).split(",")])
+    x0 = np.array([_number(v, "x0") for v in str(config.x0).split(",")])
     if name == "nsrosenbrock":
         obj = nonsmooth_rosenbrock()
     elif name == "l1":
@@ -476,8 +484,15 @@ def run(config):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InvalidInput (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsda",
         description="Sampling-based descent for nonsmooth fitting: additive "
                     "quantile regression, smooth POT models, and generic "
@@ -557,8 +572,8 @@ def resolve_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
         return run(config)
     except (InvalidInput, ParseError, MissingColumn, FileNotFoundError) as exc:

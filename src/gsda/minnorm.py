@@ -86,7 +86,8 @@ def min_norm_point(grad_set, tol=1e-10):
         raise InvalidInput("tol must be positive")
     z = grad_set.vectors
     count = z.shape[0]
-    uniq, first = np.unique(z, axis=0, return_index=True)
+    first = _distinct_rows(z)
+    uniq = z[first]
     if uniq.shape[0] == 1:
         weights = np.zeros(count)
         weights[first[0]] = 1.0
@@ -105,6 +106,26 @@ def min_norm_point(grad_set, tol=1e-10):
     if norm > bound + 1e-9 * (1.0 + bound):
         raise NumericalFailure("min-norm solution exceeds a feasible point's norm")
     return MinNormResult(point, weights, norm, "qp", kkt_residual=resid)
+
+
+def _distinct_rows(z):
+    """Index of each distinct row's first occurrence, in lexicographic row order.
+
+    The same indices, in the same order, as ``np.unique(z, axis=0,
+    return_index=True)[1]``, where rows equal up to the sign of zero count
+    as one, but without sorting every row.  Each float of ``z + 0.0``
+    (which folds -0.0 into 0.0) is mapped to the integer whose unsigned
+    big-endian bytes order like the float, so a row's bytes both
+    identify it in a hash table and sort it lexicographically; only the
+    distinct rows are sorted.
+    """
+    keys = (z + 0.0).view(np.int64)
+    keys ^= (keys >> 63) | np.int64(-2 ** 63)
+    keys = keys.astype(">i8", copy=False)
+    first = {}
+    for i, row in enumerate(keys):
+        first.setdefault(row.tobytes(), i)
+    return np.array([first[k] for k in sorted(first)], dtype=np.intp)
 
 
 def _affine_min(q):

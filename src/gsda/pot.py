@@ -31,6 +31,8 @@ from .minnorm import GradientSet, average_fallback, min_norm_point
 from .smoothing import AdditiveProjector
 
 _DET_TOL = 1e-12
+# draws per call of the qp-mode row kernel in _theta_grad_rows
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,14 +242,19 @@ def _blocks_apply(inv, v):
     ])
 
 
-def _blocks_apply_t(inv, g):
-    """Blockwise (J^T)^-1 g: maps a (eta, kappa) gradient to functional space."""
+def _blocks_apply_t(inv, g, out=None):
+    """Blockwise (J^T)^-1 g: maps (eta, kappa) gradients to functional space.
+
+    ``g`` is one stacked (2n,) gradient or a (k, 2n) stack of them; the
+    result is written to ``out`` when given.
+    """
     n = inv.shape[0]
-    g1, g2 = g[:n], g[n:]
-    return np.concatenate([
-        inv[:, 0, 0] * g1 + inv[:, 1, 0] * g2,
-        inv[:, 0, 1] * g1 + inv[:, 1, 1] * g2,
-    ])
+    g1, g2 = g[..., :n], g[..., n:]
+    if out is None:
+        out = np.empty(g.shape)
+    out[..., :n] = inv[:, 0, 0] * g1 + inv[:, 1, 0] * g2
+    out[..., n:] = inv[:, 0, 1] * g1 + inv[:, 1, 1] * g2
+    return out
 
 
 def negative_loglik_objective(y, spec):
@@ -352,28 +359,34 @@ def approx_subgradient_theta(state, y, eps, gs, rng, per_sample_jacobian=False):
 
 
 def _theta_grad_rows(state, y, eps, m, rng):
-    """Base + per-sample functional-space gradients as rows (for qp mode)."""
+    """Base + per-sample functional-space gradients as rows (for qp mode).
+
+    Row 0 is the gradient at the iterate; rows 1..m are the gradients at
+    the first m feasible ball draws, in draw order, each pulled back
+    through the iterate's blockwise (J^T)^-1.  Draws are evaluated in
+    blocks of ``_ROW_BLOCK`` so temporaries stay O(block * n).
+    Infeasible draws are redrawn, and more than 10*m of them raise
+    :class:`SamplingExhausted`.
+    """
     lam, inv = state.lam, state.jac_inverses
     n = lam.n
-    rows = [_blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))]
-    rejected = 0
-    cap = 10 * m
-    while len(rows) < m + 1:
-        u = sample_unit_ball(2 * n, m + 1 - len(rows), rng)
-        pe = lam.eta[None, :] + eps * u[:, :n]
-        pk = lam.kappa[None, :] + eps * u[:, n:]
-        feasible = np.all(1.0 + pk * (y[None, :] * np.exp(-pe)) > 0.0, axis=1)
-        for i in range(u.shape[0]):
-            if not feasible[i]:
-                rejected += 1
-                if rejected > cap:
-                    raise SamplingExhausted(
-                        f"more than {cap} infeasible draws at eps={eps:g}")
-                continue
-            rows.append(_blocks_apply_t(inv, _kernels.gpd_grad(pe[i], pk[i], y)))
-            if len(rows) == m + 1:
-                break
-    return np.array(rows)
+    rows = np.empty((m + 1, 2 * n))
+    _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y), out=rows[0])
+    got, rejected, cap = 1, 0, 10 * m
+    while got < m + 1:
+        # each batch draws only the rows still missing, so no draw is left
+        # over once the last row is filled
+        u = sample_unit_ball(2 * n, m + 1 - got, rng)
+        for start in range(0, u.shape[0], _ROW_BLOCK):
+            g, feasible = _kernels.gpd_grad_rows(
+                lam.eta, lam.kappa, y, eps, u[start:start + _ROW_BLOCK])
+            rejected += feasible.size - g.shape[0]
+            if rejected > cap:
+                raise SamplingExhausted(
+                    f"more than {cap} infeasible draws at eps={eps:g}")
+            _blocks_apply_t(inv, g, out=rows[got:got + g.shape[0]])
+            got += g.shape[0]
+    return rows
 
 
 def initial_lambda(y, spec):
@@ -430,10 +443,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0.0):
         raise InvalidInput("excesses must be strictly positive")
-    projector = AdditiveProjector(W, specs)
     n = y.size
-    if projector.k > 0 and projector.W.shape[0] != n:
-        raise InvalidInput("W must have one row per observation")
+    projector = AdditiveProjector(W, specs, n)
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
     m = gs.resolve_m(2 * n)
     rng = np.random.default_rng(gs.seed)

@@ -95,8 +95,8 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
         raise InvalidInput("y must be finite")
     if not (0.0 < alpha < 1.0):
         raise InvalidInput("alpha must lie in (0, 1)")
-    projector = AdditiveProjector(W, specs)
     n = y.size
+    projector = AdditiveProjector(W, specs, n)
     if n < projector.k + 2:
         raise InvalidInput("need at least k+2 observations")
     gs = gs if gs is not None else GsParams(subgradient_mode="average")

@@ -266,7 +266,12 @@ class AdditiveProjector:
     times (it sits inside the descent loop) at matrix-vector cost.
     """
 
-    def __init__(self, W, specs):
+    def __init__(self, W, specs, n=None):
+        """Check W and build one smoother per column.
+
+        ``n`` is the number of observations the projector will serve;
+        when given, W must have exactly that many rows.
+        """
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
             W = W[:, None]
@@ -275,6 +280,10 @@ class AdditiveProjector:
         k = len(self.specs)
         if k != W.shape[1] and not (k == 0 and W.size == 0):
             raise InvalidInput("need exactly one smoother spec per covariate column")
+        if k > 0 and n is not None and W.shape[0] != n:
+            raise InvalidInput("W must have one row per observation")
+        if not np.all(np.isfinite(W)):
+            raise InvalidInput("covariate values must be finite")
         seen = sorted(s.covariate_index for s in self.specs)
         if seen != list(range(k)):
             raise InvalidInput("smoother specs must cover each covariate exactly once")

@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the package.
 
-Everything here is deliberately brute force (grids, enumeration, finite
+Most of this is deliberately brute force (grids, enumeration, finite
 differences) and shares no code with the implementations under test.
+The two references at the end are the package's earlier, slower forms
+of a batched or hashed path, kept so the fast path can be held bitwise
+equal to them: they reuse the package's scalar kernels and Wolfe solver.
 """
 
 from functools import lru_cache
@@ -88,3 +91,61 @@ def theta_ref(sigma, kappa, c):
 
 def zeta_ref(sigma, kappa, c):
     return (theta_ref(sigma, kappa, c) + sigma) / (1.0 - kappa)
+
+
+def theta_grad_rows_loop(state, y, eps, m, rng):
+    """qp-mode functional-space gradient rows, one draw at a time.
+
+    Reference for ``gsda.pot._theta_grad_rows``: same draws, the same
+    support rule (a = 1 + kappa*y*exp(-eta) finite and positive), one
+    ``gpd_grad`` call and one pullback per feasible draw.
+    """
+    from gsda import _kernels
+    from gsda.engine import sample_unit_ball
+    from gsda.errors import SamplingExhausted
+    from gsda.pot import _blocks_apply_t
+
+    lam, inv = state.lam, state.jac_inverses
+    n = lam.n
+    rows = [_blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))]
+    rejected = 0
+    cap = 10 * m
+    while len(rows) < m + 1:
+        u = sample_unit_ball(2 * n, m + 1 - len(rows), rng)
+        pe = lam.eta[None, :] + eps * u[:, :n]
+        pk = lam.kappa[None, :] + eps * u[:, n:]
+        with np.errstate(all="ignore"):
+            a = 1.0 + pk * (y[None, :] * np.exp(-pe))
+        feasible = np.all(np.isfinite(a) & (a > 0.0), axis=1)
+        for i in range(u.shape[0]):
+            if not feasible[i]:
+                rejected += 1
+                if rejected > cap:
+                    raise SamplingExhausted(
+                        f"more than {cap} infeasible draws at eps={eps:g}")
+                continue
+            rows.append(_blocks_apply_t(inv, _kernels.gpd_grad(pe[i], pk[i], y)))
+            if len(rows) == m + 1:
+                break
+    return np.array(rows)
+
+
+def min_norm_point_unique(z, tol=1e-10):
+    """(point, weights) of ``min_norm_point`` with an ``np.unique`` dedupe.
+
+    Wolfe's solver sees the distinct rows in ``np.unique(axis=0)`` order;
+    weights go to each distinct row's first occurrence.
+    """
+    from gsda.minnorm import _wolfe
+
+    z = np.asarray(z, dtype=float)
+    count = z.shape[0]
+    uniq, first = np.unique(z, axis=0, return_index=True)
+    weights = np.zeros(count)
+    if uniq.shape[0] == 1:
+        weights[first[0]] = 1.0
+        return uniq[0].copy(), weights
+    point, w_uniq, _ = _wolfe(uniq, tol, cap=100 * count)
+    weights[first] = w_uniq
+    weights /= weights.sum()
+    return point, weights

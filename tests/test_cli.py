@@ -172,6 +172,39 @@ class TestErrorsAndConfig:
         assert main(["gradcheck", "--config", str(cfg),
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
 
+    def assert_input_error(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_bad_levels_number(self, tmp_path, capsys):
+        self.assert_input_error(capsys, [
+            "fit-pot", "--input", str(tmp_path / "data.csv"), "--levels", "abc",
+            "--exceed-prob", "0.1", "--output-dir", str(tmp_path / "x")])
+
+    def test_bad_flag_values(self, tmp_path, capsys):
+        # usage errors exit 3, not argparse's exit 2, which reads as
+        # non-convergence
+        for flag, value in (("--beta", "x"), ("--m", "1.5"), ("--seed", ""),
+                            ("--mode", "fast"), ("--warp", "9")):
+            self.assert_input_error(capsys, [
+                "gradcheck", flag, value, "--output-dir", str(tmp_path)])
+
+    def test_bad_number_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = x\n")
+        self.assert_input_error(capsys, [
+            "gradcheck", "--config", str(cfg), "--output-dir", str(tmp_path)])
+
+    def test_bad_smoother_bandwidth(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "hetero", "--n", "50", "--seed", "0",
+              "--output-dir", str(sim)])
+        capsys.readouterr()
+        self.assert_input_error(capsys, [
+            "fit-quantile", "--input", str(sim / "data.csv"),
+            "--smoother", "t=local_linear:bw=abc", "--output-dir", str(tmp_path / "x")])
+
     def test_cli_overrides_config_file(self, tmp_path):
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "hetero", "--n", "80", "--seed", "1",

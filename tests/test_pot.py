@@ -335,6 +335,21 @@ class TestFitConstantModel:
         assert np.isfinite(gpd_loglik(model.state.lam, y))
 
 
+class TestFitValidation:
+    def test_covariate_rows_must_match_y(self):
+        y = gpd_inverse_cdf(np.random.default_rng(5).random(50), 2.0, 0.2)
+        with pytest.raises(InvalidInput, match="one row per observation"):
+            fit_pot_additive(y, np.linspace(0.0, 1.0, 40)[:, None], VAR_ES,
+                             [SmootherSpec("local_linear", 0)])
+
+    def test_rejects_nonfinite_covariate(self):
+        y = gpd_inverse_cdf(np.random.default_rng(6).random(50), 2.0, 0.2)
+        w = np.linspace(0.0, 1.0, 50)
+        w[3] = np.inf
+        with pytest.raises(InvalidInput, match="finite"):
+            fit_pot_additive(y, w[:, None], VAR_ES, [SmootherSpec("linear", 0)])
+
+
 class TestFitTwoLevels:
     def test_levels_never_cross(self):
         spec = FunctionalSpec("var_var", (0.01, 0.002), 0.1)  # c = 0.1, 0.02

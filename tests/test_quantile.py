@@ -169,3 +169,17 @@ class TestValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             fit_quantile_additive(np.array([1.0, np.nan, 2.0]), None, 0.5, [])
+
+    def test_covariate_rows_must_match_y(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(InvalidInput, match="one row per observation"):
+            fit_quantile_additive(rng.normal(size=50), rng.random((40, 1)), 0.5,
+                                  [SmootherSpec("local_linear", 0)])
+
+    def test_rejects_nonfinite_covariate(self):
+        rng = np.random.default_rng(4)
+        w = rng.random(50)
+        w[7] = np.nan
+        with pytest.raises(InvalidInput, match="finite"):
+            fit_quantile_additive(rng.normal(size=50), w[:, None], 0.5,
+                                  [SmootherSpec("local_linear", 0)])
