@@ -45,8 +45,13 @@ def _pinball_grad_np(q, y, alpha):
 
 def _pinball_sampled_grad_sum_np(q, y, alpha, eps, U):
     """Sum of pinball gradients at q + eps*U[k] over all rows k."""
-    resid = y[None, :] - (q[None, :] + eps * U)
-    return np.where(resid > 0.0, -alpha, 1.0 - alpha).sum(axis=0)
+    buf = np.multiply(eps, U)
+    buf += q
+    np.subtract(y, buf, out=buf)  # the residuals y - (q + eps*U)
+    above = buf > 0.0
+    buf.fill(1.0 - alpha)
+    buf[above] = -alpha
+    return buf.sum(axis=0)
 
 
 def _gpd_feasible(a):

@@ -283,6 +283,8 @@ def _run_fit_quantile(config, out):
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
+        ("backfit_sweeps", model.trace.backfit_sweeps),
+        ("projections_unconverged", model.trace.projections_unconverged),
         ("final_objective", model.trace.final_f()),
         ("coverage", coverage),
     ]
@@ -333,6 +335,8 @@ def _run_fit_pot(config, out):
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
+        ("backfit_sweeps", model.trace.backfit_sweeps),
+        ("projections_unconverged", model.trace.projections_unconverged),
         ("final_negloglik", model.trace.final_f()),
         (f"mean_{fnames[0]}", float(th1.mean())),
         (f"mean_{fnames[1]}", float(th2.mean())),

@@ -108,6 +108,8 @@ class FitTrace:
     records: list = field(default_factory=list)
     converged: bool = False
     message: str = ""
+    backfit_sweeps: int = 0
+    projections_unconverged: int = 0
 
     COLUMNS = ("iter", "f", "gnorm", "eps", "tau", "t", "method", "backtracks", "event")
 
@@ -116,6 +118,12 @@ class FitTrace:
 
     def __len__(self):
         return len(self.records)
+
+    def record_projection(self, fit):
+        """Add an additive projection's sweeps to the run totals; returns fit."""
+        self.backfit_sweeps += fit.cycles
+        self.projections_unconverged += not fit.converged
+        return fit
 
     @property
     def accepted(self):
@@ -145,7 +153,8 @@ def sample_unit_ball(n, m, rng):
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     radius = rng.random(m) ** (1.0 / n)
-    return z * (radius / norms)[:, None]
+    z *= (radius / norms)[:, None]
+    return z
 
 
 def approx_subgradient(obj, x, eps, params, rng):

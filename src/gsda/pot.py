@@ -486,8 +486,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
         if gnorm <= tau:
             shrink(it, gnorm, method, 0, "shrink")
             continue
-        half1 = -projector.project(ghat[:n]).fitted
-        half2 = -projector.project(ghat[n:]).fitted
+        half1 = -trace.record_projection(projector.project(ghat[:n])).fitted
+        half2 = -trace.record_projection(projector.project(ghat[n:])).fitted
         dstar = np.concatenate([half1, half2])
         dnorm = float(np.linalg.norm(dstar))
         if dnorm < 1e-15:
@@ -513,5 +513,6 @@ def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
     else:
         trace.message = "max_iter reached"
 
-    decomps = tuple(projector.project(th) for th in state.theta_pair)
+    decomps = tuple(trace.record_projection(projector.project(th))
+                    for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

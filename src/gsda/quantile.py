@@ -119,7 +119,7 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
             tau *= gs.lam
             trace.add(it, f, gnorm, eps, tau, 0.0, method, 0, "shrink")
             continue
-        dstar = -projector.project(ghat).fitted
+        dstar = -trace.record_projection(projector.project(ghat)).fitted
         dnorm = float(np.linalg.norm(dstar))
         if dnorm < 1e-15:
             eps *= gs.mu
@@ -149,7 +149,7 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition
     # agree by construction
-    decomposition = projector.project(q)
+    decomposition = trace.record_projection(projector.project(q))
     return QuantileModel(alpha, decomposition.fitted.copy(), projector,
                          decomposition, trace)
 

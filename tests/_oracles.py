@@ -1,10 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Most of this is deliberately brute force (grids, enumeration, finite
-differences) and shares no code with the implementations under test.
-The two references at the end are the package's earlier, slower forms
-of a batched or hashed path, kept so the fast path can be held bitwise
-equal to them: they reuse the package's scalar kernels and Wolfe solver.
+differences, a dense linear solve) and shares no code with the
+implementations under test; the dense solve reads its matrices off the
+package's smoothers, not its backfitting.  The three references at the
+end are the package's earlier, slower forms of a batched, hashed or
+accelerated path, kept so the fast path can be held bitwise equal to
+them: they reuse the package's scalar kernels, smoothers and Wolfe
+solver.
 """
 
 from functools import lru_cache
@@ -91,6 +94,69 @@ def theta_ref(sigma, kappa, c):
 
 def zeta_ref(sigma, kappa, c):
     return (theta_ref(sigma, kappa, c) + sigma) / (1.0 - kappa)
+
+
+def backfit_fixed_point(projector, g):
+    """The exact backfitting fixed point by one dense k*n linear solve.
+
+    Each smoother's n x n matrix is read off by applying it to the unit
+    vectors, and centred.  The components f_j solve
+    f_j + C S_j sum_{l != j} f_l = C S_j (g - mean g).  The solve is least
+    squares, so a singular system (identical covariates) still yields
+    one of its fixed points; the fitted values are the same for all of
+    them.  Returns ``(components (k, n), fitted)``.
+    """
+    g = np.asarray(g, dtype=float)
+    n, k = g.size, projector.k
+    centre = np.eye(n) - 1.0 / n
+    hats = [centre @ np.column_stack([sm.apply(e) for e in np.eye(n)])
+            for sm in projector.smoothers]
+    system = np.eye(k * n)
+    rhs = np.empty(k * n)
+    for j in range(k):
+        for l in range(k):
+            if l != j:
+                system[j * n:(j + 1) * n, l * n:(l + 1) * n] = hats[j]
+        rhs[j * n:(j + 1) * n] = hats[j] @ (g - g.mean())
+    comps = np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(k, n)
+    return comps, g.mean() + comps.sum(axis=0)
+
+
+def backfit_loop(projector, g):
+    """``AdditiveProjector.project`` as a plain Gauss-Seidel loop.
+
+    Reference for the accelerated projection: sweeps until no component
+    moves by ``BACKFIT_TOL`` or ``BACKFIT_MAX_CYCLES`` sweeps have run.
+    """
+    from gsda.smoothing import BACKFIT_MAX_CYCLES, BACKFIT_TOL, AdditiveFit
+
+    g = np.asarray(g, dtype=float)
+    intercept = float(g.mean())
+    resid = g - intercept
+    k = projector.k
+    if k == 0:
+        return AdditiveFit(intercept, [], np.full(g.size, intercept))
+    comps = [np.zeros(g.size) for _ in range(k)]
+    targets = [None] * k
+    total = np.zeros(g.size)
+    converged = False
+    cycles = 0
+    for cycles in range(1, BACKFIT_MAX_CYCLES + 1):
+        delta = 0.0
+        for j, sm in enumerate(projector.smoothers):
+            partial = resid - (total - comps[j])
+            raw = sm.apply(partial)
+            new = raw - raw.mean()
+            delta = max(delta, float(np.max(np.abs(new - comps[j]))))
+            total += new - comps[j]
+            comps[j] = new
+            targets[j] = partial
+        if delta < BACKFIT_TOL:
+            converged = True
+            break
+    centers = [float(sm.apply(t).mean()) for sm, t in zip(projector.smoothers, targets)]
+    return AdditiveFit(intercept, comps, intercept + total, targets, centers,
+                       converged, cycles)
 
 
 def theta_grad_rows_loop(state, y, eps, m, rng):

@@ -62,8 +62,12 @@ class TestSimulateAndFitQuantile:
         header, rows = read_table(out / "fitted.csv")
         assert header == ["y", "day", "hour", "q0.9"]
         assert len(rows) == 140
-        # trace objective strictly decreasing across accepted steps
         theader, trows = read_table(out / "trace.csv")
+        # one cell_factor component: at most two sweeps per projection, and
+        # one projection per iteration plus the final decomposition
+        assert 0 < int(diag["backfit_sweeps"]) <= 2 * (len(trows) + 1)
+        assert diag["projections_unconverged"] == "0"
+        # trace objective strictly decreasing across accepted steps
         fcol, ecol = theader.index("f"), theader.index("event")
         accepted = [float(r[fcol]) for r in trows if r[ecol] == "step"]
         assert np.all(np.diff(accepted) < 0.0)
@@ -96,6 +100,9 @@ class TestFitPot:
         diag = read_diagnostics(out / "diagnostics.txt")
         assert diag["pair"] == "var_es"
         assert diag["scale_factors"] == "0.1"
+        # intercept only: projection takes the mean and sweeps nothing
+        assert diag["backfit_sweeps"] == "0"
+        assert diag["projections_unconverged"] == "0"
         header, _ = read_table(out / "fitted.csv")
         assert header[-2:] == ["return_level", "expected_shortfall"]
 

@@ -31,6 +31,17 @@ class TestSampleUnitBall:
         u = sample_unit_ball(1, 10_000, np.random.default_rng(7))
         assert abs(u.mean()) <= 3.0 / np.sqrt(3.0 * 10_000)
 
+    def test_matches_allocating_form(self):
+        # scaling the normals in place leaves every bit of the draw unchanged
+        for n, m in ((1, 5), (7, 3), (300, 301)):
+            u = sample_unit_ball(n, m, np.random.default_rng(n))
+            rng = np.random.default_rng(n)
+            z = rng.standard_normal((m, n))
+            norms = np.linalg.norm(z, axis=1)
+            norms[norms == 0.0] = 1.0
+            radius = rng.random(m) ** (1.0 / n)
+            assert u.tobytes() == (z * (radius / norms)[:, None]).tobytes()
+
     def test_radial_second_moment(self):
         # E||u||^2 = n/(n+2) for the uniform ball
         n = 3

@@ -350,6 +350,19 @@ class TestFitValidation:
             fit_pot_additive(y, w[:, None], VAR_ES, [SmootherSpec("linear", 0)])
 
 
+class TestProjectionCounters:
+    def test_trace_sums_sweeps_of_both_halves(self, projection_calls):
+        y = gpd_inverse_cdf(np.random.default_rng(7).random(60), 2.0, 0.2)
+        w = np.linspace(0.0, 1.0, 60)
+        model = fit_pot_additive(y, w[:, None], VAR_ES,
+                                 [SmootherSpec("local_linear", 0)],
+                                 GsParams(subgradient_mode="average",
+                                          max_iter=20, seed=1))
+        assert len(projection_calls) % 2 == 0 and len(projection_calls) > 2
+        assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
+        assert model.trace.projections_unconverged == 0
+
+
 class TestFitTwoLevels:
     def test_levels_never_cross(self):
         spec = FunctionalSpec("var_var", (0.01, 0.002), 0.1)  # c = 0.1, 0.02

@@ -9,12 +9,27 @@ from gsda import (
     pinball_loss,
     predict_quantile,
 )
+from gsda import _kernels
 from gsda.errors import ExtrapolationWarning, InvalidInput
 
 from _oracles import central_diff
 
 
 class TestPinball:
+    def test_sampled_sum_matches_allocating_form(self):
+        # one reused residual buffer leaves every bit of the sum unchanged
+        rng = np.random.default_rng(31)
+        for n, m, alpha in ((1, 1, 0.5), (40, 17, 0.8), (300, 301, 0.9)):
+            q, y = rng.normal(size=n), rng.normal(size=n)
+            u = rng.uniform(-1.0, 1.0, size=(m, n))
+            u[0, 0] = np.nan  # a NaN residual takes the 1 - alpha branch
+            before = u.copy()
+            got = _kernels.pinball_sampled_grad_sum(q, y, alpha, 0.05, u)
+            resid = y[None, :] - (q[None, :] + 0.05 * u)
+            want = np.where(resid > 0.0, -alpha, 1.0 - alpha).sum(axis=0)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(u, before, equal_nan=True)
+
     def test_loss_examples(self):
         assert pinball_loss(np.array([3.0]), np.array([5.0]), 0.9) \
             == pytest.approx(1.8)
@@ -134,6 +149,29 @@ class TestAdditiveFit:
         w, _, model = hetero_model
         with pytest.warns(ExtrapolationWarning):
             predict_quantile(model, np.array([[w.max() + 5.0]]))
+
+
+class TestProjectionCounters:
+    def test_trace_sums_sweeps_and_unconverged(self, monkeypatch, projection_calls):
+        import gsda.smoothing as smoothing_mod
+
+        rng = np.random.default_rng(41)
+        w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
+        W = np.column_stack([w1, w1 + 0.6 * rng.standard_normal(80)])
+        y = np.sin(w1) + rng.standard_normal(80)
+        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        gs = GsParams(subgradient_mode="average", max_iter=30, seed=2)
+        model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert len(projection_calls) > 1
+        assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
+        assert model.trace.projections_unconverged == 0
+        # a cap of 3 sweeps leaves concurvity projections unconverged
+        monkeypatch.setattr(smoothing_mod, "BACKFIT_MAX_CYCLES", 3)
+        projection_calls.clear()
+        model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
+        assert model.trace.projections_unconverged \
+            == sum(not ok for _, ok in projection_calls) > 0
 
 
 class TestPredictInterceptOnly:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from gsda import (
     effective_df,
     local_linear_smooth,
 )
-from gsda.errors import DegenerateDesignWarning, InvalidInput
+from gsda.errors import DegenerateDesignWarning, InvalidInput, NumericalFailure
+
+from _oracles import backfit_fixed_point, backfit_loop
 
 
 def kernel_fit_reference(w, g, bandwidth, targets):
@@ -218,3 +222,136 @@ class TestAdditiveProject:
         assert not fit.converged
         assert fit.cycles == 1
         assert np.all(np.isfinite(fit.fitted))
+
+
+def _fixed_point_designs():
+    """(name, W, specs, compare components) for the fixed-point test."""
+    rng = np.random.default_rng(11)
+    n = 300
+    w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    w2 = w1 + 0.6 * rng.standard_normal(n)  # the quantile-additive design
+    codes = rng.integers(0, 4, n).astype(float)
+    ll = SmootherSpec("local_linear", 0)
+    return [
+        ("correlated local_linear pair", np.column_stack([w1, w2]),
+         [ll, SmootherSpec("local_linear", 1)], True),
+        ("local_linear + cell_factor", np.column_stack([w1, codes]),
+         [ll, SmootherSpec("cell_factor", 1)], True),
+        ("identical covariates", np.column_stack([w1, w1]),
+         [ll, SmootherSpec("local_linear", 1)], False),
+    ]
+
+
+def _pinball_like(rng, n):
+    return np.where(rng.random(n) < 0.9, -0.9, 0.1) + 0.05 * rng.standard_normal(n)
+
+
+def _bits(fit):
+    return (np.array([fit.intercept, *fit.centers]).tobytes(), fit.fitted.tobytes(),
+            [c.tobytes() for c in fit.components],
+            [t.tobytes() for t in fit.targets], fit.converged, fit.cycles)
+
+
+class TestBackfitSolve:
+    @pytest.mark.parametrize("name,W,specs,components",
+                             _fixed_point_designs(),
+                             ids=[d[0] for d in _fixed_point_designs()])
+    def test_matches_dense_fixed_point(self, name, W, specs, components):
+        proj = AdditiveProjector(W, specs)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            g = _pinball_like(rng, W.shape[0])
+            fit = proj.project(g)
+            comps, fitted = backfit_fixed_point(proj, g)
+            assert fit.converged
+            assert np.max(np.abs(fit.fitted - fitted)) <= 1e-9
+            if components:
+                assert np.max(np.abs(np.array(fit.components) - comps)) <= 1e-9
+
+    def test_sweeps_stay_few_on_concurvity(self, monkeypatch):
+        # the plain loop needs the full 100-sweep cap on this design
+        name, W, specs, _ = _fixed_point_designs()[0]
+        proj = AdditiveProjector(W, specs)
+        g = _pinball_like(np.random.default_rng(13), W.shape[0])
+        assert backfit_loop(proj, g).cycles == 100
+        applied = []
+
+        def counted(apply):
+            def wrapper(v):
+                applied.append(v)
+                return apply(v)
+            return wrapper
+
+        for sm in proj.smoothers:
+            monkeypatch.setattr(sm, "apply", counted(sm.apply))
+        fit = proj.project(g)
+        assert fit.converged and fit.cycles <= 15
+        assert len(applied) == fit.cycles * proj.k  # cycles counts every sweep
+
+    def test_final_sweep_reports_predict_inputs(self):
+        # targets and centers come from the final sweep, and predict at the
+        # training covariates reproduces the fitted values
+        name, W, specs, _ = _fixed_point_designs()[1]
+        proj = AdditiveProjector(W, specs)
+        fit = proj.project(_pinball_like(np.random.default_rng(14), W.shape[0]))
+        for sm, t, c in zip(proj.smoothers, fit.targets, fit.centers):
+            assert c == float(sm.apply(t).mean())
+        assert np.max(np.abs(proj.predict(fit, W) - fit.fitted)) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 7])
+    def test_sweeps_never_exceed_the_cap(self, monkeypatch, cap):
+        import gsda.smoothing as smoothing_mod
+
+        monkeypatch.setattr(smoothing_mod, "BACKFIT_MAX_CYCLES", cap)
+        name, W, specs, _ = _fixed_point_designs()[0]
+        proj = AdditiveProjector(W, specs)
+        fit = proj.project(_pinball_like(np.random.default_rng(15), W.shape[0]))
+        assert fit.cycles <= cap
+        assert np.all(np.isfinite(fit.fitted))
+
+
+def _single_covariate_cases():
+    rng = np.random.default_rng(16)
+    n = 40
+    w = rng.uniform(size=n)
+    codes = rng.integers(0, 3, n).astype(float)
+    return [
+        ("local_linear", w, SmootherSpec("local_linear", 0)),
+        ("local_linear df", w, SmootherSpec("local_linear", 0, target_df=5.0)),
+        ("linear", w, SmootherSpec("linear", 0)),
+        ("cell_factor", codes, SmootherSpec("cell_factor", 0)),
+        ("constant local_linear", np.full(n, 0.5), SmootherSpec("local_linear", 0)),
+        ("constant linear", np.full(n, 0.5), SmootherSpec("linear", 0)),
+        ("one-level cell_factor", np.zeros(n), SmootherSpec("cell_factor", 0)),
+    ]
+
+
+class TestSmallKBitwise:
+    @pytest.mark.parametrize("name,w,spec", _single_covariate_cases(),
+                             ids=[c[0] for c in _single_covariate_cases()])
+    def test_one_covariate_equals_plain_loop(self, name, w, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDesignWarning)
+            proj = AdditiveProjector(w[:, None], [spec])
+        rng = np.random.default_rng(17)
+        for g in (rng.normal(size=w.size), _pinball_like(rng, w.size),
+                  np.full(w.size, 0.25), np.zeros(w.size)):
+            assert _bits(proj.project(g)) == _bits(backfit_loop(proj, g))
+
+    def test_intercept_only_equals_plain_loop(self):
+        proj = AdditiveProjector(None, [])
+        g = np.random.default_rng(18).normal(size=25)
+        assert _bits(proj.project(g)) == _bits(backfit_loop(proj, g))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_project_raises(self, bad, k):
+        rng = np.random.default_rng(19)
+        W = rng.uniform(size=(30, 2))[:, :k]
+        specs = [SmootherSpec("local_linear", j) for j in range(k)]
+        g = rng.normal(size=30)
+        g[7] = bad
+        with pytest.raises(NumericalFailure):
+            AdditiveProjector(W, specs).project(g)
