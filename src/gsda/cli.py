@@ -9,13 +9,14 @@ directory.  Exit codes: 0 converged/success, 2 non-convergence,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datasets
+from . import _kernels, datasets
 from .engine import GsParams, gsda_minimize, l1_norm, nonsmooth_rosenbrock, sum_of_squares
 from .errors import (
     GsdaError,
@@ -123,20 +124,28 @@ def read_config_file(path):
 
 
 def _number(text, what, kind=float):
-    """kind(text); a malformed number is an input error, not a traceback."""
+    """kind(text); a malformed or non-finite number is an input error."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise InvalidInput(f"{what}: {text!r} is not a valid number") from None
+    if not math.isfinite(value):
+        raise InvalidInput(f"{what}: {text!r} is not a finite number")
+    return value
 
 
 def _coerce(key, value):
-    if value is None or not isinstance(value, str):
+    """Parse one option from a flag (already typed) or a config-file string."""
+    if value is None:
         return value
     if key in _FLOAT_KEYS:
         return _number(value, key)
     if key in _INT_KEYS:
-        return _number(value, key, int)
+        value = _number(value, key, int)
+        low = 0 if key == "seed" else 1
+        if value < low:
+            raise InvalidInput(f"{key} must be >= {low}, got {value}")
+        return value
     if key == "levels":
         return [_number(v, key) for v in value.split(",") if v.strip()]
     return value
@@ -228,6 +237,18 @@ def _write_diagnostics(path, entries):
             fh.write(f"{key}={_fmt(value)}\n")
 
 
+def _run_entries(gs, trace):
+    """The resolved hyperparameters of a fit and the kernel path it ran on."""
+    return [
+        ("subgradient_mode", gs.subgradient_mode), ("m", trace.m),
+        ("beta", gs.beta), ("mu", gs.mu), ("lambda", gs.lam),
+        ("eps0", gs.eps0), ("tau0", gs.tau0),
+        ("eps_min", gs.eps_min), ("tau_min", gs.tau_min),
+        ("max_iter", gs.max_iter), ("max_backtracks", gs.max_backtracks),
+        ("kernel_path", _kernels.ACTIVE),
+    ]
+
+
 def _input_columns(dataset):
     header = [dataset.response]
     columns = [dataset.y]
@@ -267,7 +288,8 @@ def _run_fit_quantile(config, out):
         factor_columns_needed(config.smoothers, config.factors))
     W, specs, names, level_maps = build_design(data, config.smoothers)
     alpha = config.alpha
-    model = fit_quantile_additive(data.y, W, alpha, specs, config.gs_params())
+    gs = config.gs_params()
+    model = fit_quantile_additive(data.y, W, alpha, specs, gs)
 
     header, columns = _input_columns(data)
     _write_table(os.path.join(out, "fitted.csv"),
@@ -280,11 +302,13 @@ def _run_fit_quantile(config, out):
     entries = [
         ("task", "fit-quantile"), ("alpha", alpha), ("n", data.n),
         ("dropped_rows", data.n_dropped), ("seed", config.seed),
+        *_run_entries(gs, model.trace),
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
         ("backfit_sweeps", model.trace.backfit_sweeps),
         ("projections_unconverged", model.trace.projections_unconverged),
+        ("ball_coordinates", model.trace.ball_coordinates),
         ("final_objective", model.trace.final_f()),
         ("coverage", coverage),
     ]
@@ -315,7 +339,8 @@ def _run_fit_pot(config, out):
         config.input, config.response,
         factor_columns_needed(config.smoothers, config.factors))
     W, specs, names, _ = build_design(data, config.smoothers)
-    model = fit_pot_additive(data.y, W, fspec, specs, config.gs_params())
+    gs = config.gs_params()
+    model = fit_pot_additive(data.y, W, fspec, specs, gs)
 
     header, columns = _input_columns(data)
     fnames = list(model.functional_names)
@@ -332,6 +357,7 @@ def _run_fit_pot(config, out):
         ("exceed_prob", fspec.exceed_prob),
         ("scale_factors", ",".join(f"{c:g}" for c in fspec.c_values)),
         ("n", data.n), ("dropped_rows", data.n_dropped), ("seed", config.seed),
+        *_run_entries(gs, model.trace),
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
@@ -580,7 +606,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
         return run(config)
-    except (InvalidInput, ParseError, MissingColumn, FileNotFoundError) as exc:
+    except (InvalidInput, ParseError, MissingColumn, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalFailure, SingularBlock, SamplingExhausted) as exc:

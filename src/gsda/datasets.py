@@ -175,8 +175,10 @@ def simulate_gpd(n, sigma_fn, kappa_fn, seed):
     t = np.linspace(0.0, 1.0, n)
     sigma = np.asarray(_as_fn(sigma_fn)(t), dtype=float)
     kappa = np.asarray(_as_fn(kappa_fn)(t), dtype=float)
-    if np.any(sigma <= 0.0):
-        raise InvalidInput("sigma must be positive")
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise InvalidInput("sigma must be positive and finite")
+    if not np.all(np.isfinite(kappa)):
+        raise InvalidInput("kappa must be finite")
     y = gpd_inverse_cdf(rng.random(n), sigma, kappa)
     return Dataset(y, t[:, None].copy(), ["t"], ["numeric"])
 

@@ -103,13 +103,21 @@ class TraceRecord:
 
 @dataclass
 class FitTrace:
-    """Per-iteration log of a descent run."""
+    """Per-iteration log of a descent run, with the run's totals.
+
+    ``m`` is the resolved sample size, set by the additive fitters, and
+    ``ball_coordinates`` sums the ball coordinates the pinball fitter
+    drew per point over its iterations (n per iteration would be the
+    whole ball).
+    """
 
     records: list = field(default_factory=list)
     converged: bool = False
     message: str = ""
+    m: int | None = None
     backfit_sweeps: int = 0
     projections_unconverged: int = 0
+    ball_coordinates: int = 0
 
     COLUMNS = ("iter", "f", "gnorm", "eps", "tau", "t", "method", "backtracks", "event")
 
@@ -145,14 +153,32 @@ class FitTrace:
         ]
 
 
-def sample_unit_ball(n, m, rng):
-    """m points uniform on the solid unit ball in R^n, as an (m, n) array."""
+def sample_unit_ball(n, m, rng, dim=None):
+    """m points uniform on the solid unit ball in R^dim, first n coordinates.
+
+    Returns an (m, n) array; ``dim`` defaults to n, the whole point.  A
+    uniform point is ``U^(1/dim) z/||z||`` with z standard normal in
+    R^dim, and its first n coordinates need only those n normals: the
+    dim - n left out enter through their squared norm, which is
+    chi-squared with dim - n degrees of freedom, that is
+    ``2 * standard_gamma((dim - n)/2)``.  So the marginal law is exact
+    at O(m*n) cost.  The draw order is the m*n normals, then (when
+    dim > n) the m gammas, then the m radii.
+    """
     if n < 1 or m < 1:
         raise InvalidInput("n and m must be >= 1")
+    if dim is None:
+        dim = n
+    elif dim < n:
+        raise InvalidInput(f"dim={dim} must be >= n={n}")
     z = rng.standard_normal((m, n))
-    norms = np.linalg.norm(z, axis=1)
+    if dim > n:
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z)
+                        + 2.0 * rng.standard_gamma(0.5 * (dim - n), m))
+    else:
+        norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    radius = rng.random(m) ** (1.0 / n)
+    radius = rng.random(m) ** (1.0 / dim)
     z *= (radius / norms)[:, None]
     return z
 

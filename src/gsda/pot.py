@@ -76,7 +76,8 @@ class FunctionalSpec:
 
     ``levels`` holds one tail probability (``var_es``) or two
     (``var_var``); each is scaled by the threshold exceedance
-    probability into c = level / exceed_prob.
+    probability into c = level / exceed_prob, so a level must lie in
+    (0, exceed_prob] for c to lie in (0, 1].
     """
 
     pair: str
@@ -90,8 +91,8 @@ class FunctionalSpec:
         object.__setattr__(self, "levels", levels)
         if not (0.0 < self.exceed_prob < 1.0):
             raise InvalidInput("exceed_prob must lie in (0, 1)")
-        if any(a <= 0.0 for a in levels):
-            raise InvalidInput("tail levels must be positive")
+        if not all(0.0 < a <= self.exceed_prob for a in levels):
+            raise InvalidInput("tail levels must lie in (0, exceed_prob]")
         want = 1 if self.pair == "var_es" else 2
         if len(levels) != want:
             raise InvalidInput(f"{self.pair} needs exactly {want} level(s)")
@@ -456,7 +457,7 @@ def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
     if not np.isfinite(f):
         raise NumericalFailure("method-of-moments start is infeasible")
     eps, tau = gs.eps0, gs.tau0
-    trace = FitTrace()
+    trace = FitTrace(m=m)
 
     def shrink(it, gnorm, method, backtracks, event):
         nonlocal eps, tau

@@ -7,6 +7,17 @@ on the pinball risk controls the move.  The sampling radius eps and the
 stationarity tolerance tau halve whenever the subgradient norm drops
 below tau or no acceptable step exists, and the run stops when both
 reach their floors.
+
+The pinball gradient is ``-alpha`` or ``1 - alpha`` in each coordinate,
+by the sign of the residual y_i - q_i.  A point of the eps-ball moves
+each q_i by at most eps, so the sampled gradients can differ from the
+gradient at q only in the kink set A = {i : |y_i - q_i| <= 2*eps}; the
+factor 2 leaves room for the rounding of y - (q + eps*u).  The ball is
+therefore drawn in the coordinates of A alone, with the exact marginal
+law of a point uniform on the n-dimensional ball (see
+:func:`~gsda.engine.sample_unit_ball`), and every other coordinate
+keeps its base gradient.  An iteration costs O(m*a) sampling and kernel
+work for a = |A|, typically a few percent of n near the fit.
 """
 
 from dataclasses import dataclass
@@ -59,21 +70,32 @@ class QuantileModel:
 
 
 def _sampled_subgradient(q, y, alpha, eps, m, mode, rng):
-    """Average (or min-norm) of pinball gradients over the eps-ball sample."""
-    u = sample_unit_ball(q.size, m, rng)
+    """Average (or min-norm) of pinball gradients over the eps-ball sample.
+
+    Returns ``(g, gnorm, method, a)``.  Only the a = |A| kink coordinates
+    are drawn (module docstring); with A empty every sampled gradient is
+    the base gradient and nothing is drawn.
+    """
     base = _kernels.pinball_grad(q, y, alpha)
+    kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
+    if kink.size:
+        u = sample_unit_ball(kink.size, m, rng, dim=q.size)
     if mode == "qp":
         rows = np.empty((m + 1, q.size))
-        rows[0] = base
-        resid = y[None, :] - (q[None, :] + eps * u)
-        rows[1:] = np.where(resid > 0.0, -alpha, 1.0 - alpha)
+        rows[:] = base
+        if kink.size:
+            resid = y[kink] - (q[kink] + eps * u)
+            rows[1:, kink] = np.where(resid > 0.0, -alpha, 1.0 - alpha)
         try:
             res = min_norm_point(GradientSet(rows))
         except NumericalFailure:
             res = average_fallback(GradientSet(rows))
-        return res.point, res.norm, res.method
-    g = (base + _kernels.pinball_sampled_grad_sum(q, y, alpha, eps, u)) / (m + 1)
-    return g, float(np.linalg.norm(g)), "average"
+        return res.point, res.norm, res.method, kink.size
+    g = base.copy()
+    if kink.size:
+        sampled = _kernels.pinball_sampled_grad_sum(q[kink], y[kink], alpha, eps, u)
+        g[kink] = (base[kink] + sampled) / (m + 1)
+    return g, float(np.linalg.norm(g)), "average", kink.size
 
 
 def fit_quantile_additive(y, W, alpha, specs, gs=None):
@@ -106,14 +128,15 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     q = np.full(n, float(np.quantile(y, alpha)))
     f = _kernels.pinball_loss(q, y, alpha)
     eps, tau = gs.eps0, gs.tau0
-    trace = FitTrace()
+    trace = FitTrace(m=m)
 
     for it in range(gs.max_iter):
         if eps <= gs.eps_min and tau <= gs.tau_min:
             trace.converged = True
             break
-        ghat, gnorm, method = _sampled_subgradient(
+        ghat, gnorm, method, drawn = _sampled_subgradient(
             q, y, alpha, eps, m, gs.subgradient_mode, rng)
+        trace.ball_coordinates += drawn
         if gnorm <= tau:
             eps *= gs.mu
             tau *= gs.lam

@@ -3,11 +3,11 @@
 Most of this is deliberately brute force (grids, enumeration, finite
 differences, a dense linear solve) and shares no code with the
 implementations under test; the dense solve reads its matrices off the
-package's smoothers, not its backfitting.  The three references at the
-end are the package's earlier, slower forms of a batched, hashed or
-accelerated path, kept so the fast path can be held bitwise equal to
-them: they reuse the package's scalar kernels, smoothers and Wolfe
-solver.
+package's smoothers, not its backfitting.  The references at the end
+are the package's earlier, slower forms of a batched, hashed,
+accelerated or kink-only path, kept so the fast path can be held
+bitwise equal to them: they reuse the package's scalar kernels,
+sampler, smoothers and Wolfe solver.
 """
 
 from functools import lru_cache
@@ -215,3 +215,40 @@ def min_norm_point_unique(z, tol=1e-10):
     weights[first] = w_uniq
     weights /= weights.sum()
     return point, weights
+
+
+
+def pinball_rows_full_ball(q, y, alpha, eps, u):
+    """Pinball gradient rows at q and at q + eps*u for every row u of u."""
+    from gsda import _kernels
+
+    rows = np.empty((u.shape[0] + 1, q.size))
+    rows[0] = _kernels.pinball_grad(q, y, alpha)
+    resid = y[None, :] - (q[None, :] + eps * u)
+    rows[1:] = np.where(resid > 0.0, -alpha, 1.0 - alpha)
+    return rows
+
+
+def pinball_subgradient_full_ball(q, y, alpha, eps, m, mode, rng):
+    """``gsda.quantile._sampled_subgradient`` drawing the whole ball.
+
+    Reference for the kink-coordinate path: m points uniform on the
+    n-dimensional eps-ball, a pinball gradient row at each, reduced to
+    ``(g, gnorm, method)`` as the fitter reduces them.
+    """
+    from gsda import _kernels
+    from gsda.engine import sample_unit_ball
+    from gsda.errors import NumericalFailure
+    from gsda.minnorm import GradientSet, average_fallback, min_norm_point
+
+    u = sample_unit_ball(q.size, m, rng)
+    if mode == "qp":
+        rows = pinball_rows_full_ball(q, y, alpha, eps, u)
+        try:
+            res = min_norm_point(GradientSet(rows))
+        except NumericalFailure:
+            res = average_fallback(GradientSet(rows))
+        return res.point, res.norm, res.method
+    base = _kernels.pinball_grad(q, y, alpha)
+    g = (base + _kernels.pinball_sampled_grad_sum(q, y, alpha, eps, u)) / (m + 1)
+    return g, float(np.linalg.norm(g)), "average"

@@ -2,6 +2,7 @@ import numpy as np
 
 from gsda.cli import (
     EXIT_INPUT,
+    EXIT_NONCONVERGED,
     EXIT_NUMERIC,
     EXIT_OK,
     main,
@@ -84,6 +85,55 @@ class TestSimulateAndFitQuantile:
         for name in ("fitted.csv", "decomposition.csv", "trace.csv",
                      "diagnostics.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+RUN_KEYS = ("subgradient_mode", "m", "beta", "mu", "lambda", "eps0", "tau0",
+            "eps_min", "tau_min", "max_iter", "max_backtracks", "kernel_path")
+
+
+class TestRunDiagnostics:
+    """diagnostics.txt names the resolved settings a fit ran with."""
+
+    def test_fit_quantile(self, tmp_path):
+        from gsda import _kernels
+
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "hetero", "--n", "80", "--seed", "1",
+              "--output-dir", str(sim)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 0.25\neps-min = 1e-5\n")
+        out = tmp_path / "fit"
+        code = main(["fit-quantile", "--input", str(sim / "data.csv"),
+                     "--config", str(cfg), "--smoother", "w=local_linear",
+                     "--lambda", "0.4", "--max-iter", "150", "--seed", "2",
+                     "--output-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        diag = read_diagnostics(out / "diagnostics.txt")
+        want = {"subgradient_mode": "average", "m": 81, "beta": 0.1, "mu": 0.25,
+                "lambda": 0.4, "eps0": 0.1, "tau0": 0.01, "eps_min": 1e-5,
+                "tau_min": 1e-6, "max_iter": 150, "max_backtracks": 30,
+                "kernel_path": _kernels.ACTIVE}
+        assert set(want) == set(RUN_KEYS)
+        assert {k: type(v)(diag[k]) for k, v in want.items()} == want
+        # a few kink coordinates per iteration, never the whole ball
+        _, trows = read_table(out / "trace.csv")
+        assert 0 < int(diag["ball_coordinates"]) < 80 * len(trows)
+
+    def test_fit_pot(self, tmp_path):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "gpd", "--n", "60", "--seed", "4",
+              "--output-dir", str(sim)])
+        args = ["fit-pot", "--input", str(sim / "data.csv"), "--levels", "0.01",
+                "--exceed-prob", "0.1", "--max-iter", "20", "--seed", "1"]
+        for tag, extra in (("a", ["--mode", "qp", "--m", "200"]), ("b", [])):
+            code = main(args + extra + ["--output-dir", str(tmp_path / tag)])
+            assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        qp = read_diagnostics(tmp_path / "a" / "diagnostics.txt")
+        avg = read_diagnostics(tmp_path / "b" / "diagnostics.txt")
+        assert (qp["subgradient_mode"], qp["m"]) == ("qp", "200")
+        assert (avg["subgradient_mode"], avg["m"]) == ("average", "121")  # 2n+1
+        assert set(RUN_KEYS) <= set(avg)
+        assert "ball_coordinates" not in avg
 
 
 class TestFitPot:

@@ -42,6 +42,34 @@ class TestSampleUnitBall:
             radius = rng.random(m) ** (1.0 / n)
             assert u.tobytes() == (z * (radius / norms)[:, None]).tobytes()
 
+    def test_marginal_second_moment(self):
+        # each coordinate of the uniform ball in R^n has E u_i^2 = 1/(n+2)
+        for n, a in ((50, 5), (7, 3), (3, 1), (4, 4)):
+            u = sample_unit_ball(a, 40_000, np.random.default_rng(n + a), dim=n)
+            assert u.shape == (40_000, a)
+            sq = np.sum(u * u, axis=1)
+            assert np.all(sq <= 1.0)
+            se = sq.std() / np.sqrt(sq.size)
+            assert abs(sq.mean() - a / (n + 2)) <= 4.0 * se
+
+    def test_marginal_matches_full_ball(self):
+        from scipy.stats import ks_2samp
+
+        for n, a in ((40, 3), (6, 2), (5, 1)):
+            part = sample_unit_ball(a, 20_000, np.random.default_rng(1), dim=n)
+            full = sample_unit_ball(n, 20_000, np.random.default_rng(2))[:, :a]
+            for stat in (lambda v: v[:, 0], lambda v: np.sum(v * v, axis=1)):
+                assert ks_2samp(stat(part), stat(full)).pvalue > 0.01
+
+    def test_dim_equal_to_n_is_the_whole_ball(self):
+        a = sample_unit_ball(5, 9, np.random.default_rng(4), dim=5)
+        b = sample_unit_ball(5, 9, np.random.default_rng(4))
+        assert a.tobytes() == b.tobytes()
+
+    def test_dim_below_n_rejected(self):
+        with pytest.raises(InvalidInput):
+            sample_unit_ball(5, 3, np.random.default_rng(0), dim=4)
+
     def test_radial_second_moment(self):
         # E||u||^2 = n/(n+2) for the uniform ball
         n = 3

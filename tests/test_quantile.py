@@ -9,10 +9,11 @@ from gsda import (
     pinball_loss,
     predict_quantile,
 )
-from gsda import _kernels
+from gsda import _kernels, quantile
+from gsda.engine import sample_unit_ball
 from gsda.errors import ExtrapolationWarning, InvalidInput
 
-from _oracles import central_diff
+from _oracles import central_diff, pinball_rows_full_ball, pinball_subgradient_full_ball
 
 
 class TestPinball:
@@ -74,6 +75,121 @@ class TestPinball:
             pinball_loss(np.zeros(3), np.zeros(4), 0.5)
         with pytest.raises(InvalidInput):
             pinball_loss(np.zeros(3), np.zeros(3), 1.0)
+
+
+EPS = 0.125  # dyadic, so every residual below is exact
+# residuals in units of EPS: ties, the ball's edge, the kink set's edge
+# (+-2), inside the ball where draws can flip the sign, and outside
+EDGE_UNITS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.5, 0.75, -0.9375,
+              1.5, -1.75, 2.0625, -2.5, 8.0, -40.0)
+
+
+def residual_design(units, seed):
+    """(q, y) with y - q exactly EPS * units, q of mixed sign and size."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(-4096, 4096, len(units)) / 64.0
+    return q, q + EPS * np.asarray(units, dtype=float)
+
+
+def kink_path(monkeypatch, q, y, alpha, mode, u_full):
+    """The fitter's subgradient on the kink columns of one full-ball draw.
+
+    Returns ``(result, rows)``: ``rows`` is the gradient set handed to
+    Wolfe (qp mode) or None.  The patched sampler checks that the fitter
+    asks for exactly the columns |y - q| <= 2*EPS of the n-dimensional
+    ball.
+    """
+    n, m = q.size, u_full.shape[0]
+    kink = np.flatnonzero(np.abs(y - q) <= 2.0 * EPS)
+
+    def sampler(a, count, rng, dim=None):
+        assert (a, count, dim) == (kink.size, m, n)
+        return u_full[:, kink].copy()
+
+    seen = []
+    wolfe = quantile.min_norm_point
+
+    def spy(gset):
+        seen.append(gset.vectors.copy())
+        return wolfe(gset)
+
+    monkeypatch.setattr(quantile, "sample_unit_ball", sampler)
+    monkeypatch.setattr(quantile, "min_norm_point", spy)
+    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, mode, None)
+    assert out[3] == kink.size
+    return out, (seen[0] if seen else None)
+
+
+class TestKinkCoordinates:
+    DESIGNS = {
+        "mixed": EDGE_UNITS,
+        "empty": (2.0625, -2.5, 3.0, -8.0, 40.0, -2.0000001),
+        "all": (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.25, 1.999),
+    }
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_matches_full_ball_on_shared_draw(self, monkeypatch, design, alpha):
+        units = self.DESIGNS[design]
+        for seed, reps in ((0, 1), (1, 6)):
+            q, y = residual_design(units * reps, seed)
+            n = q.size
+            for m in (n + 1, 3):
+                u_full = sample_unit_ball(n, m, np.random.default_rng(seed))
+                want_rows = pinball_rows_full_ball(q, y, alpha, EPS, u_full)
+                for mode in ("qp", "average"):
+                    want = pinball_subgradient_full_ball(
+                        q, y, alpha, EPS, m, mode, np.random.default_rng(seed))
+                    (g, gnorm, method, _), rows = kink_path(
+                        monkeypatch, q, y, alpha, mode, u_full)
+                    monkeypatch.undo()
+                    assert method == want[2]
+                    if mode == "qp":
+                        assert rows.tobytes() == want_rows.tobytes()
+                        assert g.tobytes() == want[0].tobytes()
+                        assert gnorm == want[1]
+                    else:
+                        assert np.max(np.abs(g - want[0])) <= 1e-12
+                        assert abs(gnorm - want[1]) <= 1e-12
+
+    def test_draws_flip_signs_inside_the_ball(self):
+        # the shared-draw test is only as strong as its draws: some sampled
+        # rows must differ from the base gradient on this design
+        q, y = residual_design(EDGE_UNITS, 0)
+        u = sample_unit_ball(q.size, q.size + 1, np.random.default_rng(0))
+        rows = pinball_rows_full_ball(q, y, 0.5, EPS, u)
+        flipped = np.any(rows[1:] != rows[0], axis=0)
+        assert flipped.any()
+        assert np.all(np.abs((y - q)[flipped]) < EPS)
+
+    def test_empty_kink_set_draws_nothing(self):
+        q, y = residual_design(self.DESIGNS["empty"], 2)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for mode in ("qp", "average"):
+            g, gnorm, _, drawn = quantile._sampled_subgradient(
+                q, y, 0.7, EPS, q.size + 1, mode, rng)
+            assert drawn == 0
+            assert g.tobytes() == pinball_grad(q, y, 0.7).tobytes()
+        assert rng.bit_generator.state == state
+
+    def test_fit_counts_drawn_coordinates(self, monkeypatch):
+        drawn = []
+        real = quantile.sample_unit_ball
+
+        def spy(a, m, rng, dim=None):
+            drawn.append(a)
+            return real(a, m, rng, dim=dim)
+
+        monkeypatch.setattr(quantile, "sample_unit_ball", spy)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(60)
+        model = fit_quantile_additive(
+            y, None, 0.8, [], GsParams(seed=1, subgradient_mode="average"))
+        assert model.trace.ball_coordinates == sum(drawn) > 0
+        assert model.trace.m == 61
+        # far fewer than n coordinates per iteration once q is near y
+        assert model.trace.ball_coordinates < 0.5 * 60 * len(model.trace)
 
 
 def intercept_only_fit(y, alpha, seed):
