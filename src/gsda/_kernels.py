@@ -1,11 +1,7 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy twins.
+"""The numeric kernels: pinball and GPD losses and gradients, local-linear weights.
 
-The jitted path is the default whenever numba imports; set
-``GSDA_DISABLE_NUMBA=1`` in the environment to force the numpy path.
-Both implementations of every registered kernel are kept in the
-``IMPLS`` registry so the benchmark (and the equivalence tests) can
-compare them directly.  The qp-mode row kernel :func:`gpd_grad_rows` is
-numpy only.
+Every kernel is plain numpy.  ``ACTIVE`` names the kernel path and is
+written to ``diagnostics.txt`` as ``kernel_path``.
 
 Layout conventions: sampled ball directions arrive as a ``(m, dim)``
 matrix ``U``; GPD parameters arrive as the pair ``(eta, kappa)`` with
@@ -13,37 +9,26 @@ matrix ``U``; GPD parameters arrive as the pair ``(eta, kappa)`` with
 kappa block.
 """
 
-import math
-import os
-
 import numpy as np
+
+ACTIVE = "numpy"
 
 # Below this |kappa| the GPD formulas switch to second-order series in
 # kappa to avoid cancellation in (c^-k - 1)/k style expressions.
 KAPPA_EPS = 1e-8
 
 
-def _env_disabled():
-    return os.environ.get("GSDA_DISABLE_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _pinball_loss_np(q, y, alpha):
+def pinball_loss(q, y, alpha):
     r = y - q
     return float(np.sum(np.where(r > 0.0, alpha * r, (alpha - 1.0) * r)))
 
 
-def _pinball_grad_np(q, y, alpha):
+def pinball_grad(q, y, alpha):
     # tie convention: y == q takes the (1 - alpha) branch
     return np.where(y - q > 0.0, -alpha, 1.0 - alpha)
 
 
-def _pinball_sampled_grad_sum_np(q, y, alpha, eps, U):
+def pinball_sampled_grad_sum(q, y, alpha, eps, U):
     """Sum of pinball gradients at q + eps*U[k] over all rows k."""
     buf = np.multiply(eps, U)
     buf += q
@@ -94,7 +79,7 @@ def _gpd_perturbed(eta, kappa, y, eps, U):
     return pk, z, a, _gpd_feasible(a)
 
 
-def _gpd_loglik_np(eta, kappa, y):
+def gpd_loglik(eta, kappa, y):
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
         a = 1.0 + kappa * z
@@ -108,7 +93,7 @@ def _gpd_loglik_np(eta, kappa, y):
     return total if np.isfinite(total) else -np.inf
 
 
-def _gpd_grad_np(eta, kappa, y):
+def gpd_grad(eta, kappa, y):
     """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,)."""
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
@@ -116,7 +101,7 @@ def _gpd_grad_np(eta, kappa, y):
     return np.concatenate([geta, gkap])
 
 
-def _gpd_sampled_grad_sum_np(eta, kappa, y, eps, U):
+def gpd_sampled_grad_sum(eta, kappa, y, eps, U):
     """Accumulate GPD gradients at (eta, kappa) + eps*u over the rows of U.
 
     Rows whose perturbed parameters leave the GPD support contribute
@@ -134,8 +119,8 @@ def gpd_grad_rows(eta, kappa, y, eps, U):
 
     Returns ``(rows, feasible)``: ``rows`` is (feasible.sum(), 2n) in the
     order of U, and ``feasible`` flags the rows of U that stay on the
-    support (the rule of :func:`gpd_sampled_grad_sum`).  numpy only: this
-    is the qp-mode row kernel, which has no numba twin.
+    support (the rule of :func:`gpd_sampled_grad_sum`).  This is the
+    qp-mode row kernel.
     """
     with np.errstate(all="ignore"):
         pk, z, a, feasible = _gpd_perturbed(eta, kappa, y, eps, U)
@@ -143,7 +128,7 @@ def gpd_grad_rows(eta, kappa, y, eps, U):
     return np.hstack([geta, gkap]), feasible
 
 
-def _ll_weights_np(w, bandwidth, targets):
+def ll_weights(w, bandwidth, targets):
     """Local-linear (Gaussian kernel) weight rows, one per target point.
 
     Falls back to local-constant weights where the degree-1 system is
@@ -170,182 +155,3 @@ def _ll_weights_np(w, bandwidth, targets):
             sub[np.nonzero(dead)[0], nearest] = 1.0
             rows[bad] = sub
     return rows
-
-
-# ---------------------------------------------------------------------------
-# loop forms (compiled by numba; never executed uncompiled)
-# ---------------------------------------------------------------------------
-
-def _pinball_loss_loops(q, y, alpha):
-    s = 0.0
-    for i in range(q.shape[0]):
-        r = y[i] - q[i]
-        s += alpha * r if r > 0.0 else (alpha - 1.0) * r
-    return s
-
-
-def _pinball_grad_loops(q, y, alpha):
-    n = q.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = -alpha if y[i] - q[i] > 0.0 else 1.0 - alpha
-    return out
-
-
-def _pinball_sampled_grad_sum_loops(q, y, alpha, eps, U):
-    m, n = U.shape
-    out = np.zeros(n)
-    for k in range(m):
-        for i in range(n):
-            if y[i] - (q[i] + eps * U[k, i]) > 0.0:
-                out[i] -= alpha
-            else:
-                out[i] += 1.0 - alpha
-    return out
-
-
-def _gpd_loglik_loops(eta, kappa, y):
-    n = eta.shape[0]
-    s = 0.0
-    for i in range(n):
-        z = y[i] * math.exp(-eta[i])
-        kp = kappa[i]
-        a = 1.0 + kp * z
-        if not (math.isfinite(a) and a > 0.0):
-            return -np.inf
-        if abs(kp) < KAPPA_EPS:
-            s += -eta[i] - z - kp * (z - 0.5 * z * z) \
-                - kp * kp * (z ** 3 / 3.0 - 0.5 * z * z)
-        else:
-            s += -eta[i] - (1.0 + 1.0 / kp) * math.log1p(kp * z)
-    return s if math.isfinite(s) else -np.inf
-
-
-def _gpd_grad_loops(eta, kappa, y):
-    n = eta.shape[0]
-    out = np.empty(2 * n)
-    for i in range(n):
-        z = y[i] * math.exp(-eta[i])
-        kp = kappa[i]
-        a = 1.0 + kp * z
-        out[i] = -1.0 + (1.0 + kp) * z / a
-        if abs(kp) < KAPPA_EPS:
-            out[n + i] = 0.5 * z * z - z + kp * (z * z - 2.0 * z ** 3 / 3.0) \
-                + kp * kp * (0.75 * z ** 4 - z ** 3)
-        else:
-            out[n + i] = math.log1p(kp * z) / (kp * kp) - (1.0 + 1.0 / kp) * z / a
-    return out
-
-
-def _gpd_sampled_grad_sum_loops(eta, kappa, y, eps, U):
-    m = U.shape[0]
-    n = eta.shape[0]
-    gsum = np.zeros(2 * n)
-    feasible = np.zeros(m, dtype=np.bool_)
-    ge = np.empty(n)
-    gk = np.empty(n)
-    for k in range(m):
-        ok = True
-        for i in range(n):
-            e = eta[i] + eps * U[k, i]
-            kp = kappa[i] + eps * U[k, n + i]
-            z = y[i] * math.exp(-e)
-            a = 1.0 + kp * z
-            if not (math.isfinite(a) and a > 0.0):
-                ok = False
-                break
-            ge[i] = -1.0 + (1.0 + kp) * z / a
-            if abs(kp) < KAPPA_EPS:
-                gk[i] = 0.5 * z * z - z + kp * (z * z - 2.0 * z ** 3 / 3.0) \
-                    + kp * kp * (0.75 * z ** 4 - z ** 3)
-            else:
-                gk[i] = math.log1p(kp * z) / (kp * kp) - (1.0 + 1.0 / kp) * z / a
-        feasible[k] = ok
-        if ok:
-            for i in range(n):
-                gsum[i] += ge[i]
-                gsum[n + i] += gk[i]
-    return gsum, feasible
-
-
-def _ll_weights_loops(w, bandwidth, targets):
-    n = w.shape[0]
-    nt = targets.shape[0]
-    rows = np.zeros((nt, n))
-    k = np.empty(n)
-    for t in range(nt):
-        s0 = 0.0
-        s1 = 0.0
-        s2 = 0.0
-        for j in range(n):
-            d = w[j] - targets[t]
-            kj = math.exp(-0.5 * (d / bandwidth) ** 2)
-            k[j] = kj
-            s0 += kj
-            s1 += kj * d
-            s2 += kj * d * d
-        det = s0 * s2 - s1 * s1
-        if det > 1e-12 * s0 * s2 + 1e-300:
-            for j in range(n):
-                rows[t, j] = k[j] * (s2 - (w[j] - targets[t]) * s1) / det
-        elif s0 > 0.0:
-            for j in range(n):
-                rows[t, j] = k[j] / s0
-        else:
-            best = 0
-            bestd = abs(w[0] - targets[t])
-            for j in range(1, n):
-                dj = abs(w[j] - targets[t])
-                if dj < bestd:
-                    bestd = dj
-                    best = j
-            rows[t, best] = 1.0
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-IMPLS = {
-    "numpy": {
-        "pinball_loss": _pinball_loss_np,
-        "pinball_grad": _pinball_grad_np,
-        "pinball_sampled_grad_sum": _pinball_sampled_grad_sum_np,
-        "gpd_loglik": _gpd_loglik_np,
-        "gpd_grad": _gpd_grad_np,
-        "gpd_sampled_grad_sum": _gpd_sampled_grad_sum_np,
-        "ll_weights": _ll_weights_np,
-    }
-}
-
-NUMBA_AVAILABLE = False
-if not _env_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-if NUMBA_AVAILABLE:
-    _jit = lambda f: njit(cache=True)(f)  # noqa: E731
-    IMPLS["numba"] = {
-        "pinball_loss": _jit(_pinball_loss_loops),
-        "pinball_grad": _jit(_pinball_grad_loops),
-        "pinball_sampled_grad_sum": _jit(_pinball_sampled_grad_sum_loops),
-        "gpd_loglik": _jit(_gpd_loglik_loops),
-        "gpd_grad": _jit(_gpd_grad_loops),
-        "gpd_sampled_grad_sum": _jit(_gpd_sampled_grad_sum_loops),
-        "ll_weights": _jit(_ll_weights_loops),
-    }
-
-ACTIVE = "numba" if NUMBA_AVAILABLE else "numpy"
-
-pinball_loss = IMPLS[ACTIVE]["pinball_loss"]
-pinball_grad = IMPLS[ACTIVE]["pinball_grad"]
-pinball_sampled_grad_sum = IMPLS[ACTIVE]["pinball_sampled_grad_sum"]
-gpd_loglik = IMPLS[ACTIVE]["gpd_loglik"]
-gpd_grad = IMPLS[ACTIVE]["gpd_grad"]
-gpd_sampled_grad_sum = IMPLS[ACTIVE]["gpd_sampled_grad_sum"]
-ll_weights = IMPLS[ACTIVE]["ll_weights"]

@@ -65,20 +65,19 @@ _DEFAULTS = {
     "max_backtracks": 30,
     "kind": "gpd",
     "n": 1000,
-    "sigma": 2.0,
+    "sigma": None,  # simulate --kind gpd only; 2.0 there when not given
     "kappa": 0.2,
     "days": 28,
     "hours_per_day": 17,
     "objective": "nsrosenbrock",
     "x0": "-1,1",
-    "dim": 2,
     "points": 100,
 }
 
 _FLOAT_KEYS = ("alpha", "exceed_prob", "beta", "mu", "lam", "eps0", "tau0",
                "eps_min", "tau_min", "sigma", "kappa")
 _INT_KEYS = ("seed", "m", "max_iter", "max_backtracks", "n", "days",
-             "hours_per_day", "dim", "points")
+             "hours_per_day", "points")
 
 
 @dataclass
@@ -378,8 +377,12 @@ def _run_fit_pot(config, out):
 def _run_simulate(config, out):
     kind = config.kind
     if kind == "gpd":
-        data = datasets.simulate_gpd(config.n, config.sigma, config.kappa, config.seed)
+        sigma = 2.0 if config.sigma is None else config.sigma
+        data = datasets.simulate_gpd(config.n, sigma, config.kappa, config.seed)
     elif kind == "gpd-sites":
+        if config.sigma is not None:
+            raise InvalidInput("simulate --kind gpd-sites has no scale parameter; "
+                               "drop sigma")
         data = datasets.simulate_gpd_sites(config.n, config.seed, kappa=config.kappa)
     elif kind == "sales":
         data = datasets.simulate_sales(config.days, config.hours_per_day, config.seed)

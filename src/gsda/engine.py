@@ -7,6 +7,11 @@ approximates the generalized subgradient.  Its negative drives a
 backtracking line search; when its norm falls below the tolerance tau,
 both eps and tau are shrunk.  The run stops once eps and tau reach
 their floors, which certifies approximate stationarity at that scale.
+
+One loop, :func:`descend`, runs this schedule for every problem.  A
+problem supplies its objective, a sampled-gradient estimate and a
+direction map; :func:`gsda_minimize`, the quantile fitter and the POT
+fitter are three thin adapters around it.
 """
 
 import warnings
@@ -237,6 +242,8 @@ def armijo_search(obj, x, d, g_norm, beta, max_backtracks):
     driver treats as a stationarity signal at the current scale.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim == 0:
+        d = float(d)  # a search along a ray: scalar trial points stay cheap
     if abs(np.linalg.norm(d) - 1.0) > 1e-10:
         raise InvalidInput("search direction must have unit norm")
     if g_norm <= 0.0:
@@ -251,6 +258,66 @@ def armijo_search(obj, x, d, g_norm, beta, max_backtracks):
     return None
 
 
+def unit_direction(d):
+    """d / ||d||, or None when ||d|| < 1e-15 (no usable direction)."""
+    dnorm = float(np.linalg.norm(d))
+    return d / dnorm if dnorm >= 1e-15 else None
+
+
+def descend(objective, x, f, estimate, direction, params, trace):
+    """The sampling descent loop shared by every problem; returns the last x.
+
+    ``objective(x)`` is the value to decrease (+inf off the domain) and
+    ``f`` its finite value at the start ``x``.  Each iteration asks
+    ``estimate(x, eps)`` for ``(g, gnorm, method)``, the sampled
+    gradient estimate and its norm, and shrinks eps and tau when gnorm
+    is at most tau.  Otherwise ``direction(x, g, gnorm)`` returns the
+    step vector v, or None to shrink, and :func:`armijo_search` looks
+    along the ray t -> objective(x + t*v) for a step with the decrease
+    beta*t*gnorm; a failed search also shrinks.  An estimate that raises
+    :class:`SamplingExhausted` shrinks too.  A non-finite gnorm or v
+    raises :class:`NumericalFailure`.  Every iteration adds one record
+    to ``trace``.  An accepted step replaces x by a new array and never
+    changes it in place, so a problem may key data of the iterate on
+    its identity.
+    """
+    eps, tau = params.eps0, params.tau0
+    for it in range(params.max_iter):
+        if eps <= params.eps_min and tau <= params.tau_min:
+            trace.converged = True
+            break
+        try:
+            g, gnorm, method = estimate(x, eps)
+        except SamplingExhausted:
+            gnorm, method, event, v = np.nan, "none", "sampling_exhausted", None
+        else:
+            if not np.isfinite(gnorm):
+                raise NumericalFailure(f"non-finite gradient norm at iteration {it}")
+            event = "shrink"
+            v = direction(x, g, gnorm) if gnorm > tau else None
+        hit = None
+        if v is not None:
+            if not np.all(np.isfinite(v)):
+                raise NumericalFailure(f"non-finite step vector at iteration {it}")
+            # the search runs from 0 along 1 on the ray, so its trial
+            # points are t exactly and the iterates are x + t*v; its value
+            # at 0 is objective(x), which f already holds
+            ray = Objective(lambda t: objective(x + t * v) if t else f, None, 1)
+            hit = armijo_search(ray, 0.0, 1.0, gnorm, params.beta, params.max_backtracks)
+        if hit is None:
+            eps *= params.mu
+            tau *= params.lam
+            backtracks = 0 if v is None else params.max_backtracks + 1
+            trace.add(it, f, gnorm, eps, tau, 0.0, method, backtracks, event)
+            continue
+        t, backtracks, f = hit
+        x = x + t * v
+        trace.add(it, f, gnorm, eps, tau, t, method, backtracks, "step")
+    else:
+        trace.message = "max_iter reached"
+    return x
+
+
 def gsda_minimize(obj, x0, params=None):
     """Run the sampling descent loop from x0; returns (x, trace)."""
     params = params if params is not None else GsParams()
@@ -261,37 +328,13 @@ def gsda_minimize(obj, x0, params=None):
     if not np.isfinite(f):
         raise InvalidInput("objective must be finite at x0")
     rng = np.random.default_rng(params.seed)
-    eps, tau = params.eps0, params.tau0
+
+    def estimate(x, eps):
+        res = approx_subgradient(obj, x, eps, params, rng)
+        return res.point, res.norm, res.method
+
     trace = FitTrace()
-    for it in range(params.max_iter):
-        if eps <= params.eps_min and tau <= params.tau_min:
-            trace.converged = True
-            break
-        try:
-            res = approx_subgradient(obj, x, eps, params, rng)
-        except SamplingExhausted:
-            eps *= params.mu
-            tau *= params.lam
-            trace.add(it, f, np.nan, eps, tau, 0.0, "none", 0, "sampling_exhausted")
-            continue
-        if res.norm <= tau:
-            eps *= params.mu
-            tau *= params.lam
-            trace.add(it, f, res.norm, eps, tau, 0.0, res.method, 0, "shrink")
-            continue
-        d = -res.point / res.norm
-        hit = armijo_search(obj, x, d, res.norm, params.beta, params.max_backtracks)
-        if hit is None:
-            eps *= params.mu
-            tau *= params.lam
-            trace.add(it, f, res.norm, eps, tau, 0.0, res.method,
-                      params.max_backtracks + 1, "shrink")
-            continue
-        t, backtracks, f = hit[0], hit[1], hit[2]
-        x = x + t * d
-        trace.add(it, f, res.norm, eps, tau, t, res.method, backtracks, "step")
-    else:
-        trace.message = "max_iter reached"
+    x = descend(obj.eval, x, f, estimate, lambda x, g, gnorm: -g / gnorm, params, trace)
     return x, trace
 
 

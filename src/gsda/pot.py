@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KAPPA_EPS
-from .engine import FitTrace, GsParams, sample_unit_ball
+from .engine import FitTrace, GsParams, descend, sample_unit_ball, unit_direction
 from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
@@ -305,56 +305,17 @@ def _averaged_lambda_grad(lam, y, eps, m, rng):
     return total / (m + 1)
 
 
-def _per_sample_theta_grad(state, y, eps, m, rng):
-    """Unsimplified sampled gradient: fresh Jacobian at every sample."""
-    lam, spec, inv = state.lam, state.spec, state.jac_inverses
-    total = _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))
-    base = lam.as_vector()
-    n = lam.n
-    got = 0
-    rejected = 0
-    cap = 10 * m
-    while got < m:
-        u = sample_unit_ball(2 * n, m - got, rng)
-        for row in u:
-            v = base + eps * _blocks_apply(inv, row)
-            pert = Lambda(v[:n], v[n:])
-            ok = np.isfinite(_kernels.gpd_loglik(pert.eta, pert.kappa, y))
-            if ok and spec.pair == "var_es":
-                ok = bool(np.all(pert.kappa < 1.0))
-            if ok:
-                try:
-                    _, pinv = jacobian_blocks(pert, spec)
-                except SingularBlock:
-                    ok = False
-            if not ok:
-                rejected += 1
-                if rejected > cap:
-                    raise SamplingExhausted(
-                        f"more than {cap} infeasible draws at eps={eps:g}")
-                continue
-            total += _blocks_apply_t(pinv, _kernels.gpd_grad(pert.eta, pert.kappa, y))
-            got += 1
-            if got == m:
-                break
-    return total / (m + 1)
-
-
-def approx_subgradient_theta(state, y, eps, gs, rng, per_sample_jacobian=False):
+def approx_subgradient_theta(state, y, eps, gs, rng):
     """Sampled log-likelihood gradient in functional space.
 
     Averages the (eta, kappa) gradient over the base point and m
     feasible ball perturbations, then pulls the average back through
-    the blockwise inverse-transpose Jacobian.  With
-    ``per_sample_jacobian`` the pullback instead uses a Jacobian
-    recomputed at every sampled point (slower; kept for comparison).
+    the blockwise inverse-transpose Jacobian of the iterate.
     """
     y = _check_excesses(state.lam, y)
     if not np.isfinite(_kernels.gpd_loglik(state.lam.eta, state.lam.kappa, y)):
         raise InfeasiblePoint("subgradient requested at an infeasible point")
     m = gs.resolve_m(2 * state.n)
-    if per_sample_jacobian:
-        return _per_sample_theta_grad(state, y, eps, m, rng)
     avg = _averaged_lambda_grad(state.lam, y, eps, m, rng)
     return _blocks_apply_t(state.jac_inverses, avg)
 
@@ -426,7 +387,7 @@ class PotModel:
         return self.state.spec.names
 
 
-def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
+def fit_pot_additive(y, W, spec, specs, gs=None):
     """Fit GPD excesses with additivity imposed on the functional pair.
 
     Each iteration: build the Jacobian blocks at the current
@@ -452,68 +413,46 @@ def fit_pot_additive(y, W, spec, specs, gs=None, per_sample_jacobian=False):
     objective = negative_loglik_objective(y, spec)
 
     lam = initial_lambda(y, spec)
+    x0 = state_x = lam.as_vector()
     state = PotState.from_lambda(lam, spec)
-    f = objective.eval(lam.as_vector())
+    f = objective.eval(x0)
     if not np.isfinite(f):
         raise NumericalFailure("method-of-moments start is infeasible")
-    eps, tau = gs.eps0, gs.tau0
+
+    def state_at(x):
+        # one PotState per accepted step: descend hands every new iterate
+        # over as a new array
+        nonlocal state, state_x
+        if x is not state_x:
+            state, state_x = PotState.from_lambda(Lambda.from_vector(x), spec), x
+        return state
+
+    rows = None
+
+    def estimate(x, eps):
+        # the qp rows stay referenced until the next estimate: a block
+        # freed between iterations lets malloc trim the heap, and the
+        # next iterations fault their pages in again (40% more page
+        # faults on pot-qp-sized fits)
+        nonlocal rows
+        if gs.subgradient_mode == "qp":
+            rows = -_theta_grad_rows(state_at(x), y, eps, m, rng)
+            try:
+                res = min_norm_point(GradientSet(rows))
+            except NumericalFailure:
+                res = average_fallback(GradientSet(rows))
+            return res.point, res.norm, res.method
+        g = -approx_subgradient_theta(state_at(x), y, eps, gs, rng)
+        return g, float(np.linalg.norm(g)), "average"
+
+    def direction(x, g, gnorm):
+        halves = [-trace.record_projection(projector.project(h)).fitted
+                  for h in (g[:n], g[n:])]
+        d = unit_direction(np.concatenate(halves))
+        return None if d is None else _blocks_apply(state_at(x).jac_inverses, d)
+
     trace = FitTrace(m=m)
-
-    def shrink(it, gnorm, method, backtracks, event):
-        nonlocal eps, tau
-        eps *= gs.mu
-        tau *= gs.lam
-        trace.add(it, f, gnorm, eps, tau, 0.0, method, backtracks, event)
-
-    for it in range(gs.max_iter):
-        if eps <= gs.eps_min and tau <= gs.tau_min:
-            trace.converged = True
-            break
-        try:
-            if gs.subgradient_mode == "qp":
-                rows = -_theta_grad_rows(state, y, eps, m, rng)
-                try:
-                    res = min_norm_point(GradientSet(rows))
-                except NumericalFailure:
-                    res = average_fallback(GradientSet(rows))
-                ghat, gnorm, method = res.point, res.norm, res.method
-            else:
-                ghat = -approx_subgradient_theta(
-                    state, y, eps, gs, rng, per_sample_jacobian)
-                gnorm, method = float(np.linalg.norm(ghat)), "average"
-        except SamplingExhausted:
-            shrink(it, np.nan, "none", 0, "sampling_exhausted")
-            continue
-        if gnorm <= tau:
-            shrink(it, gnorm, method, 0, "shrink")
-            continue
-        half1 = -trace.record_projection(projector.project(ghat[:n])).fitted
-        half2 = -trace.record_projection(projector.project(ghat[n:])).fitted
-        dstar = np.concatenate([half1, half2])
-        dnorm = float(np.linalg.norm(dstar))
-        if dnorm < 1e-15:
-            shrink(it, gnorm, method, 0, "shrink")
-            continue
-        d = dstar / dnorm
-        v = _blocks_apply(state.jac_inverses, d)
-        base = lam.as_vector()
-        t, accepted, backtracks = 1.0, None, 0
-        for b in range(gs.max_backtracks + 1):
-            ft = objective.eval(base + t * v)
-            if np.isfinite(ft) and ft < f - gs.beta * t * gnorm:
-                accepted, backtracks = ft, b
-                break
-            t *= 0.5
-        if accepted is None:
-            shrink(it, gnorm, method, gs.max_backtracks + 1, "shrink")
-            continue
-        lam = Lambda.from_vector(base + t * v)
-        state = PotState.from_lambda(lam, spec)
-        f = accepted
-        trace.add(it, f, gnorm, eps, tau, t, method, backtracks, "step")
-    else:
-        trace.message = "max_iter reached"
-
+    state = state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace))
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .engine import FitTrace, GsParams, sample_unit_ball
+from .engine import FitTrace, GsParams, descend, sample_unit_ball, unit_direction
 from .errors import InvalidInput, NumericalFailure
 from .minnorm import GradientSet, average_fallback, min_norm_point
 from .smoothing import AdditiveProjector
@@ -125,49 +125,21 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     m = gs.resolve_m(n)
     rng = np.random.default_rng(gs.seed)
 
-    q = np.full(n, float(np.quantile(y, alpha)))
-    f = _kernels.pinball_loss(q, y, alpha)
-    eps, tau = gs.eps0, gs.tau0
-    trace = FitTrace(m=m)
-
-    for it in range(gs.max_iter):
-        if eps <= gs.eps_min and tau <= gs.tau_min:
-            trace.converged = True
-            break
-        ghat, gnorm, method, drawn = _sampled_subgradient(
+    def estimate(q, eps):
+        g, gnorm, method, drawn = _sampled_subgradient(
             q, y, alpha, eps, m, gs.subgradient_mode, rng)
         trace.ball_coordinates += drawn
-        if gnorm <= tau:
-            eps *= gs.mu
-            tau *= gs.lam
-            trace.add(it, f, gnorm, eps, tau, 0.0, method, 0, "shrink")
-            continue
-        dstar = -trace.record_projection(projector.project(ghat)).fitted
-        dnorm = float(np.linalg.norm(dstar))
-        if dnorm < 1e-15:
-            eps *= gs.mu
-            tau *= gs.lam
-            trace.add(it, f, gnorm, eps, tau, 0.0, method, 0, "shrink")
-            continue
-        d = dstar / dnorm
-        t, accepted_f, backtracks = 1.0, None, 0
-        for b in range(gs.max_backtracks + 1):
-            ft = _kernels.pinball_loss(q + t * d, y, alpha)
-            if ft < f - gs.beta * t * gnorm:
-                accepted_f, backtracks = ft, b
-                break
-            t *= 0.5
-        if accepted_f is None:
-            eps *= gs.mu
-            tau *= gs.lam
-            trace.add(it, f, gnorm, eps, tau, 0.0, method,
-                      gs.max_backtracks + 1, "shrink")
-            continue
-        q = q + t * d
-        f = accepted_f
-        trace.add(it, f, gnorm, eps, tau, t, method, backtracks, "step")
-    else:
-        trace.message = "max_iter reached"
+        return g, gnorm, method
+
+    def direction(q, g, gnorm):
+        return unit_direction(-trace.record_projection(projector.project(g)).fitted)
+
+    def risk(q):
+        return _kernels.pinball_loss(q, y, alpha)
+
+    q = np.full(n, float(np.quantile(y, alpha)))
+    trace = FitTrace(m=m)
+    q = descend(risk, q, risk(q), estimate, direction, gs, trace)
 
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition

@@ -7,7 +7,9 @@ package's smoothers, not its backfitting.  The references at the end
 are the package's earlier, slower forms of a batched, hashed,
 accelerated or kink-only path, kept so the fast path can be held
 bitwise equal to them: they reuse the package's scalar kernels,
-sampler, smoothers and Wolfe solver.
+sampler, smoothers and Wolfe solver.  ``per_sample_theta_grad`` is the
+unsimplified POT gradient (a Jacobian at every sample), which the
+package's single-Jacobian pullback must approach as eps -> 0.
 """
 
 from functools import lru_cache
@@ -194,6 +196,56 @@ def theta_grad_rows_loop(state, y, eps, m, rng):
             if len(rows) == m + 1:
                 break
     return np.array(rows)
+
+
+def per_sample_theta_grad(state, y, eps, m, rng):
+    """Averaged functional-space gradient with a fresh Jacobian per sample.
+
+    Reference for ``gsda.pot.approx_subgradient_theta``, which pulls the
+    averaged (eta, kappa) gradient back through the iterate's Jacobian
+    alone.  Here each of the m feasible draws is taken in functional
+    space, mapped to (eta, kappa) through the iterate's ``J^-1``, and its
+    gradient pulled back through the Jacobian at that point; draws off
+    the support (or, under var_es, at kappa >= 1, or at a singular
+    block) are redrawn, more than 10*m of them raising
+    ``SamplingExhausted``.  The two agree as eps -> 0.
+    """
+    from gsda import _kernels
+    from gsda.engine import sample_unit_ball
+    from gsda.errors import SamplingExhausted, SingularBlock
+    from gsda.pot import Lambda, _blocks_apply, _blocks_apply_t, jacobian_blocks
+
+    lam, spec, inv = state.lam, state.spec, state.jac_inverses
+    total = _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))
+    base = lam.as_vector()
+    n = lam.n
+    got = 0
+    rejected = 0
+    cap = 10 * m
+    while got < m:
+        u = sample_unit_ball(2 * n, m - got, rng)
+        for row in u:
+            v = base + eps * _blocks_apply(inv, row)
+            pert = Lambda(v[:n], v[n:])
+            ok = np.isfinite(_kernels.gpd_loglik(pert.eta, pert.kappa, y))
+            if ok and spec.pair == "var_es":
+                ok = bool(np.all(pert.kappa < 1.0))
+            if ok:
+                try:
+                    _, pinv = jacobian_blocks(pert, spec)
+                except SingularBlock:
+                    ok = False
+            if not ok:
+                rejected += 1
+                if rejected > cap:
+                    raise SamplingExhausted(
+                        f"more than {cap} infeasible draws at eps={eps:g}")
+                continue
+            total += _blocks_apply_t(pinv, _kernels.gpd_grad(pert.eta, pert.kappa, y))
+            got += 1
+            if got == m:
+                break
+    return total / (m + 1)
 
 
 def min_norm_point_unique(z, tol=1e-10):

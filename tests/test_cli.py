@@ -262,6 +262,22 @@ class TestErrorsAndConfig:
             "fit-quantile", "--input", str(sim / "data.csv"),
             "--smoother", "t=local_linear:bw=abc", "--output-dir", str(tmp_path / "x")])
 
+    def test_dim_is_not_a_config_key(self, tmp_path, capsys):
+        # nothing reads a dimension: an objective fixes its own
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim = 3\n")
+        assert main(["minimize", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown config key 'dim'\n"
+
+    def test_sigma_rejected_for_gpd_sites(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 3\n")
+        base = ["simulate", "--kind", "gpd-sites", "--n", "20", "--seed", "0"]
+        for extra in (["--sigma", "-1"], ["--sigma", "3"], ["--config", str(cfg)]):
+            self.assert_input_error(capsys, base + extra + ["--output-dir", str(tmp_path / "x")])
+        assert main(base + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
+
     def test_cli_overrides_config_file(self, tmp_path):
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "hetero", "--n", "80", "--seed", "1",

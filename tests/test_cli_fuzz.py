@@ -55,7 +55,6 @@ def cases(root):
         "n": (["simulate", "--kind", "hetero"], BAD_INT),
         "days": (["simulate", "--kind", "sales"], BAD_INT),
         "hours_per_day": (["simulate", "--kind", "sales"], BAD_INT),
-        "dim": (descent, BAD_INT),
         "points": (["gradcheck"], BAD_INT),
         "x0": (descent, ("abc", "", "1,,2", "nan,1", "inf,0", "1", "1,2,3")),
         "smoother": (quantile, ("w=warp", "w=local_linear:bw=abc",
@@ -113,8 +112,6 @@ def test_every_option_is_covered(inputs):
 def test_malformed_values_exit_3(inputs, tmp_path, capsys, via):
     count = 0
     for key, (argv, values) in cases(inputs).items():
-        if via is through_flag and key == "dim":
-            continue  # config-file only
         for value in values:
             count += 1
             out = tmp_path / f"run{count}"
@@ -144,8 +141,7 @@ def test_junk_numbers_exit_3(inputs, tmp_path, capsys, value, seed):
     rng = np.random.default_rng(seed)
     for key in rng.choice(numeric, size=4, replace=False):
         argv = table[key][0]
-        vias = [through_config] if key == "dim" else [through_flag, through_config]
-        for via in vias:
+        for via in (through_flag, through_config):
             out = tmp_path / f"{key}-{via.__name__}-{seed}"
             code, err = run(via(key, argv, value.strip(), out), capsys)
             assert_input_error(code, err, (via.__name__, key, value))

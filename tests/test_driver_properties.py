@@ -1,15 +1,31 @@
 """Property tests of the descent driver over seeds, starts and objectives.
 
-Whatever the draw, ``gsda_minimize`` must only accept steps that lower
-f by the Armijo margin, never grow eps or tau, and report convergence
-only with a finite point and value.
+Whatever the draw, the driver must only accept steps that lower f by
+the Armijo margin, never grow eps or tau, move f only on steps, and
+report convergence only with a finite point and value.  It is checked
+through all three of its adapters: ``gsda_minimize`` and small
+quantile and POT fits in both subgradient modes.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsda import GsParams, Objective, gsda_minimize, l1_norm, nonsmooth_rosenbrock
+from gsda import (
+    FunctionalSpec,
+    GsParams,
+    Objective,
+    SmootherSpec,
+    fit_pot_additive,
+    fit_quantile_additive,
+    gsda_minimize,
+    l1_norm,
+    negative_loglik_objective,
+    nonsmooth_rosenbrock,
+    pinball_loss,
+)
+from gsda.datasets import gpd_inverse_cdf
+from gsda.pot import initial_lambda
 
 
 def walled_l1(dim):
@@ -34,9 +50,8 @@ OBJECTIVES = {
 }
 
 
-def check_run(obj, x0, gs):
-    x, trace = gsda_minimize(obj, x0, gs)
-    f = obj.eval(np.asarray(x0, dtype=float))
+def check_trace(trace, f, gs):
+    """Check a run's records against its start value f; returns the last f."""
     eps, tau = gs.eps0, gs.tau0
     for rec in trace.records:
         assert rec.eps <= eps and rec.tau <= tau, "eps or tau grew"
@@ -47,16 +62,27 @@ def check_run(obj, x0, gs):
             f = rec.f
         else:
             assert rec.f == f, "f moved without a step"
+    if trace.converged:
+        assert np.isfinite(f)
+        assert eps <= gs.eps_min and tau <= gs.tau_min
+    return f
+
+
+def check_run(obj, x0, gs):
+    x, trace = gsda_minimize(obj, x0, gs)
+    f = check_trace(trace, obj.eval(np.asarray(x0, dtype=float)), gs)
     assert obj.eval(x) == f, "reported f is not f at the returned x"
     if trace.converged:
-        assert np.all(np.isfinite(x)) and np.isfinite(f)
-        assert eps <= gs.eps_min and tau <= gs.tau_min
+        assert np.all(np.isfinite(x))
     return trace
 
 
 starts = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 seeds = st.integers(0, 2**32 - 1)
 modes = st.sampled_from(["qp", "average"])
+# a small beta lets the fits step: their Armijo margin uses the norm of
+# the unprojected gradient estimate
+betas = st.sampled_from([0.1, 1e-2, 1e-4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,3 +104,43 @@ def test_wall_hugging_runs_converge_feasibly(x0, seed):
     obj = walled_l1(1)
     trace = check_run(obj, np.array([x0]), GsParams(seed=seed, m=4, max_iter=400))
     assert trace.converged
+
+
+def fit_inputs(seed, n, covariate):
+    """(y, W, specs): a heteroscedastic sample with or without one smoother."""
+    rng = np.random.default_rng(seed)
+    w = np.sort(rng.uniform(0.0, 1.0, n))
+    y = np.sin(3.0 * w) + (0.5 + w) * rng.standard_normal(n)
+    if covariate:
+        return y, w[:, None], [SmootherSpec("local_linear", 0, target_df=4)]
+    return y, None, []
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, n=st.integers(20, 60), alpha=st.floats(0.1, 0.9),
+       covariate=st.booleans(), mode=modes, beta=betas)
+def test_quantile_fit_invariants(seed, n, alpha, covariate, mode, beta):
+    y, W, specs = fit_inputs(seed % 1000, n, covariate)
+    gs = GsParams(seed=seed, beta=beta, max_iter=150, subgradient_mode=mode)
+    model = fit_quantile_additive(y, W, alpha, specs, gs)
+    q0 = np.full(n, float(np.quantile(y, alpha)))
+    check_trace(model.trace, pinball_loss(q0, y, alpha), gs)
+    if model.trace.converged:
+        assert np.all(np.isfinite(model.q))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, n=st.integers(20, 60), covariate=st.booleans(), mode=modes,
+       beta=betas)
+def test_pot_fit_invariants(seed, n, covariate, mode, beta):
+    spec = FunctionalSpec("var_es", (0.01,), 0.1)
+    y = gpd_inverse_cdf(np.random.default_rng(seed % 1000).random(n), 2.0, 0.2)
+    _, W, specs = fit_inputs(seed % 1000, n, covariate)
+    gs = GsParams(seed=seed, beta=beta, max_iter=150, subgradient_mode=mode)
+    model = fit_pot_additive(y, W, spec, specs, gs)
+    objective = negative_loglik_objective(y, spec)
+    f = check_trace(model.trace, objective.eval(initial_lambda(y, spec).as_vector()), gs)
+    assert objective.eval(model.state.lam.as_vector()) == f, \
+        "reported f is not f at the returned (eta, kappa)"
+    if model.trace.converged:
+        assert all(np.all(np.isfinite(th)) for th in model.state.theta_pair)

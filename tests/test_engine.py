@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsda import (
+    FitTrace,
     GsParams,
     Objective,
     approx_subgradient,
@@ -12,7 +13,8 @@ from gsda import (
     sample_unit_ball,
     sum_of_squares,
 )
-from gsda.errors import InvalidInput, SampleSizeWarning, SamplingExhausted
+from gsda.engine import descend
+from gsda.errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingExhausted
 
 
 class TestSampleUnitBall:
@@ -231,6 +233,54 @@ class TestGsdaMinimize:
 
         with pytest.raises(InvalidInput):
             gsda_minimize(Objective(f, lambda x: x, 1), [0.0], GsParams())
+
+
+    def test_overflowing_gradient_norm_is_a_numerical_failure(self):
+        # every gradient entry is +-1e308, so the norm of any estimate
+        # overflows to inf; that is a numerical failure, not bad input
+        obj = Objective(lambda x: 1e308 * float(np.sum(np.abs(x))),
+                        lambda x: 1e308 * np.sign(x), 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="gradient norm"):
+                gsda_minimize(obj, 1e-300 * np.ones(4))
+
+
+class TestDescend:
+    obj = sum_of_squares([1.0])
+
+    def run(self, estimate, direction):
+        x = np.zeros(1)
+        return descend(self.obj.eval, x, self.obj.eval(x), estimate, direction,
+                       GsParams(max_iter=50), FitTrace())
+
+    @pytest.mark.parametrize("gnorm", [np.nan, np.inf])
+    def test_non_finite_gradient_norm(self, gnorm):
+        with pytest.raises(NumericalFailure, match="gradient norm"):
+            self.run(lambda x, eps: (self.obj.grad(x), gnorm, "test"),
+                     lambda x, g, gnorm: -g / gnorm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_step_vector(self, bad):
+        with pytest.raises(NumericalFailure, match="step vector"):
+            self.run(lambda x, eps: (self.obj.grad(x), 2.0, "test"),
+                     lambda x, g, gnorm: np.array([bad]))
+
+    def test_failed_line_search_shrinks_with_every_backtrack(self):
+        trace = FitTrace()
+        x = descend(self.obj.eval, np.zeros(1), 1.0,
+                    lambda x, eps: (self.obj.grad(x), 2.0, "test"),
+                    lambda x, g, gnorm: g / gnorm,  # uphill
+                    GsParams(max_iter=50, max_backtracks=7), trace)
+        assert x.tolist() == [0.0] and trace.converged
+        assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 8, 0.0)}
+
+    def test_no_direction_shrinks_without_a_line_search(self):
+        trace = FitTrace()
+        x = descend(self.obj.eval, np.zeros(1), 1.0,
+                    lambda x, eps: (np.ones(1), 1.0, "test"), lambda x, g, gnorm: None,
+                    GsParams(max_iter=50), trace)
+        assert x.tolist() == [0.0] and trace.converged
+        assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
 
 
 class TestGsParamsValidation:

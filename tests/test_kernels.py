@@ -1,17 +1,12 @@
-"""The jitted kernels must agree with their pure-numpy twins."""
+"""The numpy kernels: GPD series branch, support rule, sampled sums, weights."""
 
 import numpy as np
 import pytest
 
 from gsda import _kernels
+from gsda._kernels import KAPPA_EPS
 
-pytestmark = pytest.mark.skipif(
-    "numba" not in _kernels.IMPLS,
-    reason="numba unavailable or disabled via GSDA_DISABLE_NUMBA")
-
-
-def impls(name):
-    return _kernels.IMPLS["numpy"][name], _kernels.IMPLS["numba"][name]
+from _oracles import gpd_loglik_ref
 
 
 @pytest.fixture
@@ -19,95 +14,87 @@ def rng():
     return np.random.default_rng(99)
 
 
-def test_active_path_matches_environment():
-    assert _kernels.ACTIVE in _kernels.IMPLS
+def constant(value, n):
+    return np.full(n, float(value))
 
 
-def test_pinball_loss_and_grad(rng):
-    for _ in range(10):
-        n = int(rng.integers(1, 50))
-        q, y = rng.normal(size=n), rng.normal(size=n)
-        alpha = float(rng.uniform(0.05, 0.95))
-        np_loss, nb_loss = impls("pinball_loss")
-        assert np_loss(q, y, alpha) == pytest.approx(nb_loss(q, y, alpha),
-                                                     rel=1e-12, abs=1e-12)
-        np_grad, nb_grad = impls("pinball_grad")
-        assert np.array_equal(np_grad(q, y, alpha), nb_grad(q, y, alpha))
+class TestGpdLoglik:
+    def test_series_branch_against_reference(self, rng):
+        # at kappa = 0 the series is the exponential log-likelihood the
+        # reference evaluates; just inside |kappa| < KAPPA_EPS the
+        # reference's log(1 + kappa*z)/kappa loses about 1e-8 to
+        # cancellation, which bounds the tolerance there
+        sigma, n = 1.7, 12
+        y = rng.uniform(0.05, 3.0, n) * sigma
+        eta = constant(np.log(sigma), n)
+        for kappa, rel in ((0.0, 1e-14), (3e-9, 1e-7), (-7e-9, 1e-7)):
+            assert abs(kappa) < KAPPA_EPS
+            got = _kernels.gpd_loglik(eta, constant(kappa, n), y)
+            assert got == pytest.approx(gpd_loglik_ref(sigma, kappa, y), rel=rel)
+
+    def test_branches_meet_at_the_switch(self, rng):
+        y = rng.uniform(0.05, 3.0, 12)
+        eta = rng.normal(size=12) * 0.3
+        for sign in (1.0, -1.0):
+            edge = sign * KAPPA_EPS  # the first |kappa| of the exact branch
+            inside = _kernels.gpd_loglik(eta, constant(np.nextafter(edge, 0.0), 12), y)
+            outside = _kernels.gpd_loglik(eta, constant(edge, 12), y)
+            assert inside == pytest.approx(outside, rel=1e-12)
+
+    def test_exact_branch_against_reference(self, rng):
+        for sigma, kappa in ((1.5, 0.3), (0.8, -0.2)):
+            y = rng.uniform(0.05, 2.0, 12) * sigma
+            got = _kernels.gpd_loglik(constant(np.log(sigma), 12), constant(kappa, 12), y)
+            assert got == pytest.approx(gpd_loglik_ref(sigma, kappa, y), rel=1e-12)
+
+    def test_infeasible_point_is_minus_inf(self):
+        # 1 + kappa*y/sigma = 1 - 0.5*3 < 0 for the first observation
+        eta, kappa, y = np.zeros(2), np.array([-0.5, 0.1]), np.array([3.0, 1.0])
+        assert _kernels.gpd_loglik(eta, kappa, y) == -np.inf
+        assert gpd_loglik_ref(1.0, -0.5, y[:1]) == -np.inf
+
+    @pytest.mark.parametrize("eta0, kappa0", [
+        (-800.0, 0.3), (-800.0, 0.0), (-800.0, -0.2), (-240.0, 1e-9), (800.0, 0.3)])
+    def test_extreme_trial_points_never_nan(self, eta0, kappa0):
+        # exp overflow or underflow at an absurd line-search trial reads
+        # as off the support (-inf) or as a finite value, never nan
+        value = _kernels.gpd_loglik(constant(eta0, 2), constant(kappa0, 2),
+                                    np.array([1.0, 2.0]))
+        assert value == -np.inf or np.isfinite(value)
 
 
-def test_pinball_sampled_grad_sum(rng):
-    n, m = 40, 17
-    q, y = rng.normal(size=n), rng.normal(size=n)
-    u = rng.uniform(-1.0, 1.0, size=(m, n))
-    a, b = impls("pinball_sampled_grad_sum")
-    assert np.allclose(a(q, y, 0.8, 0.05, u), b(q, y, 0.8, 0.05, u),
-                       rtol=1e-12, atol=1e-12)
+class TestGpdSampledGradSum:
+    def test_masks_and_sums(self, rng):
+        n, m, eps = 15, 30, 0.4
+        eta = rng.normal(size=n) * 0.2
+        kappa = rng.uniform(-0.22, 0.5, n)
+        kappa[:2] = [0.0, 4e-9]  # series entries
+        y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
+        u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
+        gsum, feasible = _kernels.gpd_sampled_grad_sum(eta, kappa, y, eps, u)
+        points = [(eta + eps * r[:n], kappa + eps * r[n:]) for r in u]
+        expect = [np.isfinite(_kernels.gpd_loglik(e, k, y)) for e, k in points]
+        assert feasible.tolist() == expect
+        assert 0 < feasible.sum() < m  # both kinds of rows are exercised
+        total = sum(_kernels.gpd_grad(e, k, y) for (e, k), ok in zip(points, feasible) if ok)
+        assert np.allclose(gsum, total, rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_rows_are_masked(self):
+        # rows that send eta to -800 overflow exp(-eta); they are dropped,
+        # and the sum over the rest stays finite
+        eta, kappa, y = np.zeros(2), np.full(2, 0.2), np.array([1.0, 2.0])
+        u = np.array([[-1.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, 0.1], [0.0, -1.0, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            gsum, feasible = _kernels.gpd_sampled_grad_sum(eta, kappa, y, 800.0, u)
+        assert feasible.tolist() == [False, True, False]
+        assert np.all(np.isfinite(gsum))
 
 
-def test_gpd_loglik_including_series_branch(rng):
-    a, b = impls("gpd_loglik")
-    for kappa0 in (0.3, -0.2, 0.0, 1e-9, 5e-9):
-        n = 12
-        eta = rng.normal(size=n) * 0.3
-        kappa = np.full(n, kappa0) + rng.normal(size=n) * abs(kappa0) * 0.1
-        y = rng.uniform(0.05, 2.0, n) * np.exp(eta)
-        assert a(eta, kappa, y) == pytest.approx(b(eta, kappa, y), rel=1e-12)
-
-
-def test_gpd_loglik_infeasible_agrees():
-    a, b = impls("gpd_loglik")
-    eta = np.zeros(2)
-    kappa = np.array([-0.5, 0.1])
-    y = np.array([3.0, 1.0])
-    assert a(eta, kappa, y) == -np.inf
-    assert b(eta, kappa, y) == -np.inf
-
-
-def test_gpd_loglik_extreme_trial_points_never_nan():
-    # exp underflow/overflow at absurd line-search trials must read as
-    # off-support (-inf), not nan
-    a, b = impls("gpd_loglik")
-    y = np.array([1.0, 2.0])
-    for eta0, kappa0 in ((-800.0, 0.3), (-800.0, 0.0), (-800.0, -0.2),
-                         (-240.0, 1e-9), (800.0, 0.3)):
-        eta = np.full(2, eta0)
-        kappa = np.full(2, kappa0)
-        va, vb = a(eta, kappa, y), b(eta, kappa, y)
-        assert not np.isnan(va) and not np.isnan(vb)
-        assert va == vb or np.isclose(va, vb, rtol=1e-12)
-
-
-def test_gpd_grad(rng):
-    a, b = impls("gpd_grad")
-    for _ in range(8):
-        n = int(rng.integers(1, 20))
-        eta = rng.normal(size=n) * 0.4
-        kappa = rng.uniform(-0.2, 0.8, n)
-        y = rng.uniform(0.05, 2.0, n) * np.exp(eta)
-        assert np.allclose(a(eta, kappa, y), b(eta, kappa, y),
-                           rtol=1e-12, atol=1e-12)
-
-
-def test_gpd_sampled_grad_sum_masks_and_sums(rng):
-    a, b = impls("gpd_sampled_grad_sum")
-    n, m = 15, 30
-    eta = rng.normal(size=n) * 0.2
-    kappa = rng.uniform(-0.22, 0.5, n)
-    y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
-    u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
-    ga, fa = a(eta, kappa, y, 0.4, u)
-    gb, fb = b(eta, kappa, y, 0.4, u)
-    assert np.array_equal(fa, fb)
-    assert 0 < fa.sum() < m  # exercise both feasible and infeasible rows
-    assert np.allclose(ga, gb, rtol=1e-11, atol=1e-11)
-
-
-def test_ll_weights(rng):
-    a, b = impls("ll_weights")
+def test_ll_weights_rows_are_local_linear(rng):
     w = np.sort(rng.uniform(0.0, 1.0, 60))
     targets = rng.uniform(-0.2, 1.2, 25)
     for bw in (0.5, 0.05, 1e-4):
-        wa = a(w, bw, targets)
-        wb = b(w, bw, targets)
-        assert np.allclose(wa, wb, rtol=1e-10, atol=1e-12)
-        assert np.allclose(wa.sum(axis=1), 1.0)
+        rows = _kernels.ll_weights(w, bw, targets)
+        assert np.allclose(rows.sum(axis=1), 1.0)
+        if bw >= 0.05:  # no fallback rows: the fit reproduces lines exactly
+            assert np.allclose(rows @ w, targets, atol=1e-10)

@@ -25,7 +25,7 @@ from gsda.errors import (
     SingularBlock,
 )
 
-from _oracles import central_diff, gpd_mle_oracle, theta_ref, zeta_ref
+from _oracles import central_diff, gpd_mle_oracle, per_sample_theta_grad, theta_ref, zeta_ref
 
 VAR_ES = FunctionalSpec("var_es", (0.01,), 0.1)  # scale factor c = 0.1
 
@@ -257,9 +257,7 @@ class TestApproxSubgradientTheta:
         state = PotState.from_lambda(lam, VAR_ES)
         a = approx_subgradient_theta(state, y, 1e-9, GsParams(m=9, seed=0),
                                      np.random.default_rng(3))
-        b = approx_subgradient_theta(state, y, 1e-9, GsParams(m=9, seed=0),
-                                     np.random.default_rng(3),
-                                     per_sample_jacobian=True)
+        b = per_sample_theta_grad(state, y, 1e-9, 9, np.random.default_rng(3))
         assert np.max(np.abs(a - b)) <= 1e-6
 
     def test_sampling_exhausted_near_support_boundary(self):

@@ -54,7 +54,7 @@ class TestRowKernel:
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
         for eps in (0.4, 1e-10):  # infeasible draws; series entries kept
             rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u)
-            expect = [_kernels._gpd_grad_np(eta + eps * r[:n], kappa + eps * r[n:], y)
+            expect = [_kernels.gpd_grad(eta + eps * r[:n], kappa + eps * r[n:], y)
                       for r in u[feasible]]
             assert np.array_equal(bits(rows), bits(expect))
             assert 0 < feasible.sum() < m if eps > 0.1 else feasible.all()
