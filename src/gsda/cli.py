@@ -64,14 +64,23 @@ _DEFAULTS = {
     "max_iter": 5000,
     "max_backtracks": 30,
     "kind": "gpd",
-    "n": 1000,
-    "sigma": None,  # simulate --kind gpd only; 2.0 there when not given
-    "kappa": 0.2,
-    "days": 28,
-    "hours_per_day": 17,
+    "n": None,  # n, sigma, kappa, days, hours_per_day: see _SIMULATE_OPTIONS
+    "sigma": None,
+    "kappa": None,
+    "days": None,
+    "hours_per_day": None,
     "objective": "nsrosenbrock",
     "x0": "-1,1",
     "points": 100,
+}
+
+# the options each simulate kind reads, with their defaults; giving one
+# that the kind does not read is an input error
+_SIMULATE_OPTIONS = {
+    "gpd": {"n": 1000, "sigma": 2.0, "kappa": 0.2},
+    "gpd-sites": {"n": 1000, "kappa": 0.2},
+    "sales": {"days": 28, "hours_per_day": 17},
+    "hetero": {"n": 1000},
 }
 
 _FLOAT_KEYS = ("alpha", "exceed_prob", "beta", "mu", "lam", "eps0", "tau0",
@@ -248,6 +257,13 @@ def _run_entries(gs, trace):
     ]
 
 
+def _minnorm_fallbacks(gs, trace):
+    """qp-mode iterations whose min-norm solve fell back to the average."""
+    if gs.subgradient_mode != "qp":
+        return 0
+    return sum(r.method == "average" for r in trace.records)
+
+
 def _input_columns(dataset):
     header = [dataset.response]
     columns = [dataset.y]
@@ -305,6 +321,7 @@ def _run_fit_quantile(config, out):
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
+        ("minnorm_fallbacks", _minnorm_fallbacks(gs, model.trace)),
         ("backfit_sweeps", model.trace.backfit_sweeps),
         ("projections_unconverged", model.trace.projections_unconverged),
         ("ball_coordinates", model.trace.ball_coordinates),
@@ -360,6 +377,7 @@ def _run_fit_pot(config, out):
         ("converged", model.trace.converged),
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
+        ("minnorm_fallbacks", _minnorm_fallbacks(gs, model.trace)),
         ("backfit_sweeps", model.trace.backfit_sweeps),
         ("projections_unconverged", model.trace.projections_unconverged),
         ("final_negloglik", model.trace.final_f()),
@@ -376,20 +394,23 @@ def _run_fit_pot(config, out):
 
 def _run_simulate(config, out):
     kind = config.kind
-    if kind == "gpd":
-        sigma = 2.0 if config.sigma is None else config.sigma
-        data = datasets.simulate_gpd(config.n, sigma, config.kappa, config.seed)
-    elif kind == "gpd-sites":
-        if config.sigma is not None:
-            raise InvalidInput("simulate --kind gpd-sites has no scale parameter; "
-                               "drop sigma")
-        data = datasets.simulate_gpd_sites(config.n, config.seed, kappa=config.kappa)
-    elif kind == "sales":
-        data = datasets.simulate_sales(config.days, config.hours_per_day, config.seed)
-    elif kind == "hetero":
-        data = datasets.simulate_hetero(config.n, config.seed)
-    else:
+    if kind not in _SIMULATE_OPTIONS:
         raise InvalidInput(f"unknown simulate kind {kind!r}")
+    reads = _SIMULATE_OPTIONS[kind]
+    unread = [key for key in ("n", "sigma", "kappa", "days", "hours_per_day")
+              if key not in reads and config.options[key] is not None]
+    if unread:
+        raise InvalidInput(f"simulate --kind {kind} does not read {', '.join(unread)}")
+    o = {key: default if config.options[key] is None else config.options[key]
+         for key, default in reads.items()}
+    if kind == "gpd":
+        data = datasets.simulate_gpd(o["n"], o["sigma"], o["kappa"], config.seed)
+    elif kind == "gpd-sites":
+        data = datasets.simulate_gpd_sites(o["n"], config.seed, kappa=o["kappa"])
+    elif kind == "sales":
+        data = datasets.simulate_sales(o["days"], o["hours_per_day"], config.seed)
+    else:
+        data = datasets.simulate_hetero(o["n"], config.seed)
     datasets.write_csv(data, os.path.join(out, "data.csv"))
     _write_diagnostics(os.path.join(out, "diagnostics.txt"), [
         ("task", "simulate"), ("kind", kind), ("n", data.n), ("seed", config.seed),
@@ -482,11 +503,13 @@ def _run_minimize(config, out):
                            "choose nsrosenbrock, l1, or sumsq")
     if x0.size != obj.dim:
         raise InvalidInput(f"objective {name!r} expects dimension {obj.dim}")
-    x, trace = gsda_minimize(obj, x0, config.gs_params())
+    gs = config.gs_params()
+    x, trace = gsda_minimize(obj, x0, gs)
     _write_trace(os.path.join(out, "trace.csv"), trace)
     entries = [
         ("task", "minimize"), ("objective", name), ("seed", config.seed),
         ("converged", trace.converged), ("iterations", len(trace)),
+        ("minnorm_fallbacks", _minnorm_fallbacks(gs, trace)),
         ("final_f", obj.eval(x)),
         ("final_x", ",".join(f"{v:.17g}" for v in x)),
     ]

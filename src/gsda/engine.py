@@ -32,6 +32,11 @@ class GsParams:
 
     ``m`` of ``None`` resolves to dimension+1 at run time; an explicit
     smaller value is accepted with a warning (theory wants m >= n+1).
+
+    Default mode: ``GsParams()`` means ``subgradient_mode="qp"``, and
+    :func:`gsda_minimize` uses it when given no params.  The additive
+    fitters, given ``gs=None``, use ``GsParams(subgradient_mode="average")``
+    instead; an explicit ``GsParams()`` passed to them runs qp.
     """
 
     m: int | None = None

@@ -10,20 +10,27 @@ component per covariate.  Three component smoothers are supported:
 * ``linear`` -- ordinary least squares on {1, w};
 * ``cell_factor`` -- one free effect per factor level (per-cell means).
 
-All three are linear operators in the response, so each smoother is
-materialized once per design and reapplied as a matrix-vector product.
+Each smoother is a linear operator held as factors ``S = u @ vt`` of
+rank r: exact ones for ``linear`` (mean and centred slope), for
+``cell_factor`` (level indicators and per-level averages) and for a
+covariate with no spread (the mean); for ``local_linear`` a truncated
+factor of its hat matrix from a seeded randomized range finder
+(``_low_rank``), r about 30-60 at the default bandwidth.
 
 Backfitting (Buja, Hastie & Tibshirani 1989) defines the components as
 the fixed point of a Gauss-Seidel sweep: each component becomes the
 centred smooth of its partial residual, the response less every other
-component.  The sweep is affine, ``sweep(x) = T x + b``.  ``project``
-runs one sweep from zero and a second one; if the second moves no
-component by ``BACKFIT_TOL`` (always so for one covariate) it returns.
-Otherwise it solves ``(I - T) e = sweep(x) - x`` by GMRES (Saad & Schultz
-1986), each iteration one sweep with a zero residual, and finishes with
-one real sweep from ``x + e``.  Under concurvity that takes about ten
-sweeps where the plain loop stops at its 100-sweep cap short of the
-fixed point.  At most ``BACKFIT_MAX_CYCLES`` sweeps run in all.
+component.  With two or more covariates that fixed point is solved
+once at build time, in the factor bases (a system of size sum r_j), for
+a coefficient map from residual to components.  ``project`` applies the
+map and then sweeps, at most twice: the sweep supplies the partial
+residuals ``predict`` needs and confirms the fixed point, and a second
+sweep runs only when the first still moved a component by
+``BACKFIT_TOL``.  With one covariate the sweeps start from zero.
+
+Building a local_linear factor costs O(n^2 r) time with one transient
+n x n hat; the factors and the map take O(n sum r_j) memory, and a
+projection O(n sum r_j) time.
 """
 
 import warnings
@@ -42,11 +49,6 @@ from .errors import (
 SMOOTHER_KINDS = ("local_linear", "linear", "cell_factor")
 
 BACKFIT_TOL = 1e-8
-BACKFIT_MAX_CYCLES = 100
-# GMRES stops once its residual, the fixed-point residual sweep(x) - x,
-# has 2-norm below this; the final sweep then moves far less than
-# BACKFIT_TOL.
-_KRYLOV_TOL = 1e-3 * BACKFIT_TOL
 
 
 @dataclass
@@ -184,102 +186,83 @@ def cell_factor_smooth(levels, g):
 # component smoothers as linear operators
 # ---------------------------------------------------------------------------
 
-class _LocalLinear:
-    kind = "local_linear"
+def _low_rank(hat):
+    """Factors ``(u, vt)`` of a square hat matrix, ``u @ vt`` close to it.
 
-    def __init__(self, w, bandwidth):
-        self.w = w
-        self.bandwidth = bandwidth
-        self.degenerate = np.ptp(w) == 0.0
-        if self.degenerate:
-            warnings.warn("local_linear component on a constant covariate",
-                          DegenerateDesignWarning, stacklevel=4)
-            self.hat = None
-        else:
-            self.hat = _kernels.ll_weights(w, float(bandwidth), w)
-
-    def apply(self, v):
-        if self.degenerate:
-            return np.full(v.size, v.mean())
-        return self.hat @ v
-
-    def apply_at(self, v, w_new):
-        if self.degenerate:
-            return np.full(w_new.size, v.mean())
-        return _kernels.ll_weights(self.w, float(self.bandwidth), w_new) @ v
-
-    def check_range(self, w_new):
-        lo, hi = self.w.min(), self.w.max()
-        if np.any(w_new < lo) or np.any(w_new > hi):
-            warnings.warn("prediction outside the training covariate range",
-                          ExtrapolationWarning, stacklevel=4)
+    A seeded Gaussian sketch (Halko, Martinsson & Tropp 2011, SIAM
+    Review 53) is doubled until its orthonormal range basis Q leaves
+    ``||hat - Q Q^T hat||_F <= 1e-13 ||hat||_F``; an SVD of the small
+    ``Q^T hat`` then drops the singular values that ``matrix_rank``
+    treats as zero (below s_max * n * eps).  The fixed seed gives a
+    design the same factors in every run.
+    """
+    n = hat.shape[0]
+    rng = np.random.default_rng(0)
+    size = min(64, n)
+    bound = 1e-13 * np.linalg.norm(hat)
+    while True:
+        q, _ = np.linalg.qr(hat @ rng.standard_normal((n, size)))
+        b = q.T @ hat
+        if size == n or np.linalg.norm(hat - q @ b) <= bound:
+            break
+        size = min(2 * size, n)
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * n * np.finfo(float).eps))
+    return q @ (ub[:, :r] * s[:r]), vt[:r]
 
 
-class _Linear:
-    kind = "linear"
+class _Smoother:
+    """One component smoother on the covariate w, held as factors.
 
-    def __init__(self, w):
-        self.w = w
-        self.mean = float(w.mean())
-        self.centered = w - self.mean
-        ss = float(self.centered @ self.centered)
-        self.degenerate = ss == 0.0
-        if self.degenerate:
-            warnings.warn("linear component on a constant covariate",
-                          DegenerateDesignWarning, stacklevel=4)
-        self.ss = ss if ss > 0.0 else 1.0
+    ``apply(v) = u @ (vt @ v)`` with u (n, r) and vt (r, n);
+    ``evaluate(v, w_new)`` is the smooth of v at new covariate values.
+    """
 
-    def _slope(self, v):
-        if self.degenerate:
-            return 0.0
-        return float(self.centered @ v) / self.ss
+    def __init__(self, w, u, vt, evaluate):
+        self.w, self.u, self.vt, self.evaluate = w, u, vt, evaluate
 
     def apply(self, v):
-        return v.mean() + self._slope(v) * self.centered
-
-    def apply_at(self, v, w_new):
-        return v.mean() + self._slope(v) * (w_new - self.mean)
-
-    check_range = _LocalLinear.check_range
+        return self.u @ (self.vt @ v)
 
 
-class _CellFactor:
-    kind = "cell_factor"
+def _least_squares(w, basis):
+    """Least squares on the mutually orthogonal columns of ``basis(w)``.
 
-    def __init__(self, codes):
-        self.codes = codes.astype(int)
-        self.n_levels = int(self.codes.max()) + 1
-        self.counts = np.bincount(self.codes, minlength=self.n_levels)
-        if np.any(self.counts == 0):
-            raise InvalidInput("every factor level must occur at least once")
-
-    def _effects(self, v):
-        return np.bincount(self.codes, weights=v, minlength=self.n_levels) / self.counts
-
-    def apply(self, v):
-        return self._effects(v)[self.codes]
-
-    def apply_at(self, v, codes_new):
-        codes_new = codes_new.astype(int)
-        if np.any(codes_new < 0) or np.any(codes_new >= self.n_levels):
-            raise InvalidInput("prediction factor level unseen in training data")
-        return self._effects(v)[codes_new]
-
-    def check_range(self, codes_new):
-        pass
+    Its exact factors are ``u = basis(w)`` and ``u^T`` with each row
+    divided by that column's squared norm.
+    """
+    u = basis(w)
+    vt = u.T / np.einsum("ij,ij->j", u, u)[:, None]
+    return _Smoother(w, u, vt, lambda v, w_new: basis(w_new) @ (vt @ v))
 
 
 def _build_smoother(column, spec):
     if spec.kind == "cell_factor":
-        return _CellFactor(column)
-    if spec.kind == "linear":
-        return _Linear(column)
+        levels = np.arange(int(column.max()) + 1)
+        if np.any(np.bincount(column.astype(int), minlength=levels.size) == 0):
+            raise InvalidInput("every factor level must occur at least once")
+
+        def indicators(codes):
+            codes = codes.astype(int)
+            if np.any(codes < 0) or np.any(codes > levels[-1]):
+                raise InvalidInput("prediction factor level unseen in training data")
+            return (codes[:, None] == levels).astype(float)
+
+        return _least_squares(column, indicators)
     bw = spec.bandwidth
     if bw is None and spec.target_df is not None:
         bw = bandwidth_for_df(column, spec.target_df)
-    if bw is None:
-        bw = rule_of_thumb_bandwidth(column)
-    return _LocalLinear(column, float(bw))
+    if np.ptp(column) == 0.0:
+        warnings.warn(f"{spec.kind} component on a constant covariate",
+                      DegenerateDesignWarning, stacklevel=3)
+        return _least_squares(column, lambda w: np.ones((w.size, 1)))
+    if spec.kind == "linear":
+        mean = column.mean()
+        return _least_squares(column,
+                              lambda w: np.column_stack([np.ones(w.size), w - mean]))
+    bw = float(rule_of_thumb_bandwidth(column) if bw is None else bw)
+    return _Smoother(column, *_low_rank(_kernels.ll_weights(column, bw, column)),
+                     lambda v, w_new: _kernels.ll_weights(column, bw, w_new) @ v)
 
 
 class AdditiveProjector:
@@ -312,12 +295,36 @@ class AdditiveProjector:
             raise InvalidInput("smoother specs must cover each covariate exactly once")
         if k > 0 and W.shape[0] < k + 1:
             raise InvalidInput("need at least k+1 observations for k covariates")
-        ordered = sorted(self.specs, key=lambda s: s.covariate_index)
-        self.smoothers = [_build_smoother(W[:, s.covariate_index], s) for s in ordered]
+        self._ordered = sorted(self.specs, key=lambda s: s.covariate_index)
+        self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
+                          for s in self._ordered]
+        if k >= 2:
+            self._build_coefficient_map()
 
     @property
     def k(self):
         return len(self.smoothers)
+
+    def _build_coefficient_map(self):
+        """Solve the backfitting fixed point once, in the smoothers' factor bases.
+
+        With ``S_j = u_j vt_j`` and ``C`` the centring, every component
+        is ``f_j = C u_j c_j`` for ``c_j = vt_j`` applied to its partial
+        residual, so the fixed point solves the reduced system
+        ``c_j + sum_{l != j} vt_j C u_l c_l = vt_j resid`` of size
+        ``sum_j r_j``.  Its pseudo-inverse solution map ``coef`` (one of
+        the fixed points when the system is singular, as for identical
+        covariates) turns a residual into every ``c_j`` at once.
+        """
+        self._centred = [sm.u - sm.u.mean(axis=0) for sm in self.smoothers]
+        vt = np.vstack([sm.vt for sm in self.smoothers])
+        system = vt @ np.hstack(self._centred)
+        self._splits = np.cumsum([u.shape[1] for u in self._centred])[:-1]
+        for rows in np.split(np.arange(system.shape[0]), self._splits):
+            system[np.ix_(rows, rows)] = 0.0
+        system += np.eye(system.shape[0])
+        rcond = system.shape[0] * np.finfo(float).eps
+        self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
 
     def project(self, g):
         """Backfit g onto the additive space (see the module docstring).
@@ -332,20 +339,16 @@ class AdditiveProjector:
         k = self.k
         if k == 0:
             return AdditiveFit(intercept, [], np.full(g.size, intercept))
-        comps = np.zeros((k, g.size))
-        total = np.zeros(g.size)
-        for cycles in range(1, min(2, BACKFIT_MAX_CYCLES) + 1):
-            start = comps.copy()
+        if k == 1:
+            comps = np.zeros((1, g.size))
+        else:
+            c = np.split(self.coef @ resid, self._splits)
+            comps = np.array([u @ cj for u, cj in zip(self._centred, c)])
+        total = comps.sum(axis=0)
+        for cycles in (1, 2):
             targets, centers, delta = self._sweep(resid, comps, total)
             if delta < BACKFIT_TOL:
                 break
-        if delta >= BACKFIT_TOL and BACKFIT_MAX_CYCLES > 2:
-            # comps = sweep(start); solve (I - T)(x - start) = comps - start
-            step, iters = self._krylov_solve(comps - start, BACKFIT_MAX_CYCLES - 3)
-            comps = start + step
-            total = comps.sum(axis=0)
-            targets, centers, delta = self._sweep(resid, comps, total)
-            cycles += iters + 1
         return AdditiveFit(intercept, list(comps), intercept + total, targets, centers,
                            delta < BACKFIT_TOL, cycles)
 
@@ -370,44 +373,6 @@ class AdditiveProjector:
             centers.append(float(center))
         return targets, centers, delta
 
-    def _krylov_solve(self, rhs, max_iter):
-        """GMRES for (I - T) e = rhs, T the sweep's linear part.
-
-        Returns ``(e, iterations)``; each iteration is one sweep.  Givens
-        rotations keep the Hessenberg matrix triangular, so the residual
-        norm is known after every iteration at no extra cost.
-        """
-        beta = float(np.linalg.norm(rhs))
-        basis = [rhs.ravel() / beta]
-        cols, rotations, res = [], [], [beta]
-        while len(cols) < max_iter:
-            v = basis[-1].reshape(rhs.shape)
-            tv = v.copy()
-            self._sweep(0.0, tv, tv.sum(axis=0))
-            w = (v - tv).ravel()
-            V = np.array(basis)
-            h = V @ w
-            w -= h @ V
-            col = np.append(h, np.linalg.norm(w))
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            r = float(np.hypot(col[-2], col[-1]))
-            if r == 0.0:
-                break
-            c, s = col[-2] / r, col[-1] / r
-            rotations.append((c, s))
-            cols.append(np.append(col[:-2], r))
-            res.append(-s * res[-1])
-            res[-2] *= c
-            if abs(res[-1]) <= _KRYLOV_TOL or col[-1] == 0.0:
-                break
-            basis.append(w / col[-1])
-        it = len(cols)
-        y = np.zeros(it)
-        for i in range(it - 1, -1, -1):
-            y[i] = (res[i] - sum(cols[j][i] * y[j] for j in range(i + 1, it))) / cols[i][i]
-        return (y @ np.array(basis[:it]).reshape(it, rhs.size)).reshape(rhs.shape), it
-
     def predict(self, fit, W_new):
         """Evaluate an AdditiveFit at new covariate values."""
         if self.k == 0:
@@ -419,10 +384,13 @@ class AdditiveProjector:
         if W_new.shape[1] != self.k:
             raise InvalidInput(f"expected {self.k} covariate columns")
         out = np.full(W_new.shape[0], fit.intercept)
-        for j, sm in enumerate(self.smoothers):
+        for j, (sm, spec) in enumerate(zip(self.smoothers, self._ordered)):
             col = W_new[:, j]
-            sm.check_range(col)
-            out += sm.apply_at(fit.targets[j], col) - fit.centers[j]
+            if spec.kind != "cell_factor" and (np.any(col < sm.w.min())
+                                               or np.any(col > sm.w.max())):
+                warnings.warn("prediction outside the training covariate range",
+                              ExtrapolationWarning, stacklevel=3)
+            out += sm.evaluate(fit.targets[j], col) - fit.centers[j]
         return out
 
 

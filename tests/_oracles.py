@@ -124,13 +124,34 @@ def backfit_fixed_point(projector, g):
     return comps, g.mean() + comps.sum(axis=0)
 
 
-def backfit_loop(projector, g):
-    """``AdditiveProjector.project`` as a plain Gauss-Seidel loop.
+def backfit_sweep(projector, resid, comps):
+    """One plain Gauss-Seidel backfitting sweep from ``comps`` (k, n).
 
-    Reference for the accelerated projection: sweeps until no component
-    moves by ``BACKFIT_TOL`` or ``BACKFIT_MAX_CYCLES`` sweeps have run.
+    Returns the new components, each smoother's partial residual and the
+    largest change of any component.
     """
-    from gsda.smoothing import BACKFIT_MAX_CYCLES, BACKFIT_TOL, AdditiveFit
+    comps = [np.array(c, dtype=float) for c in comps]
+    total = np.sum(comps, axis=0)
+    targets = []
+    delta = 0.0
+    for j, sm in enumerate(projector.smoothers):
+        partial = resid - (total - comps[j])
+        raw = sm.apply(partial)
+        new = raw - raw.mean()
+        delta = max(delta, float(np.max(np.abs(new - comps[j]))))
+        total += new - comps[j]
+        comps[j] = new
+        targets.append(partial)
+    return comps, targets, delta
+
+
+def backfit_loop(projector, g, max_cycles=100):
+    """``AdditiveProjector.project`` as a plain Gauss-Seidel loop from zero.
+
+    Reference for the projection: sweeps until no component moves by
+    ``BACKFIT_TOL`` or ``max_cycles`` sweeps have run.
+    """
+    from gsda.smoothing import BACKFIT_TOL, AdditiveFit
 
     g = np.asarray(g, dtype=float)
     intercept = float(g.mean())
@@ -139,26 +160,16 @@ def backfit_loop(projector, g):
     if k == 0:
         return AdditiveFit(intercept, [], np.full(g.size, intercept))
     comps = [np.zeros(g.size) for _ in range(k)]
-    targets = [None] * k
-    total = np.zeros(g.size)
     converged = False
     cycles = 0
-    for cycles in range(1, BACKFIT_MAX_CYCLES + 1):
-        delta = 0.0
-        for j, sm in enumerate(projector.smoothers):
-            partial = resid - (total - comps[j])
-            raw = sm.apply(partial)
-            new = raw - raw.mean()
-            delta = max(delta, float(np.max(np.abs(new - comps[j]))))
-            total += new - comps[j]
-            comps[j] = new
-            targets[j] = partial
+    for cycles in range(1, max_cycles + 1):
+        comps, targets, delta = backfit_sweep(projector, resid, comps)
         if delta < BACKFIT_TOL:
             converged = True
             break
     centers = [float(sm.apply(t).mean()) for sm, t in zip(projector.smoothers, targets)]
-    return AdditiveFit(intercept, comps, intercept + total, targets, centers,
-                       converged, cycles)
+    return AdditiveFit(intercept, comps, intercept + np.sum(comps, axis=0), targets,
+                       centers, converged, cycles)
 
 
 def theta_grad_rows_loop(state, y, eps, m, rng):

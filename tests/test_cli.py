@@ -135,6 +135,44 @@ class TestRunDiagnostics:
         assert set(RUN_KEYS) <= set(avg)
         assert "ball_coordinates" not in avg
 
+    def test_minnorm_fallbacks_counted(self, tmp_path, monkeypatch):
+        import gsda.engine
+        import gsda.pot
+        import gsda.quantile
+        from gsda.errors import NumericalFailure
+
+        calls = []  # True for each solve forced to fail
+
+        def every_third_fails(solve):
+            def wrapper(*args):
+                calls.append(len(calls) % 3 == 0)
+                if calls[-1]:
+                    raise NumericalFailure("forced")
+                return solve(*args)
+            return wrapper
+
+        for mod in (gsda.engine, gsda.pot, gsda.quantile):
+            monkeypatch.setattr(mod, "min_norm_point", every_third_fails(mod.min_norm_point))
+        for kind in ("hetero", "gpd"):
+            main(["simulate", "--kind", kind, "--n", "50", "--seed", "1",
+                  "--output-dir", str(tmp_path / kind)])
+        runs = {
+            "minimize": ["minimize", "--max-iter", "40"],
+            "quantile": ["fit-quantile", "--input", str(tmp_path / "hetero" / "data.csv"),
+                         "--smoother", "w=local_linear", "--max-iter", "40"],
+            "pot": ["fit-pot", "--input", str(tmp_path / "gpd" / "data.csv"),
+                    "--levels", "0.01", "--exceed-prob", "0.1", "--max-iter", "40"],
+        }
+        for name, argv in runs.items():
+            for mode in ("qp", "average"):
+                calls.clear()
+                out = tmp_path / f"{name}-{mode}"
+                main(argv + ["--mode", mode, "--output-dir", str(out)])
+                fallbacks = int(read_diagnostics(out / "diagnostics.txt")["minnorm_fallbacks"])
+                raised = sum(calls)
+                assert fallbacks == raised, (name, mode)
+                assert (raised > 0) == (mode == "qp"), (name, mode)
+
 
 class TestFitPot:
     def test_var_es_run(self, tmp_path):
@@ -277,6 +315,25 @@ class TestErrorsAndConfig:
         for extra in (["--sigma", "-1"], ["--sigma", "3"], ["--config", str(cfg)]):
             self.assert_input_error(capsys, base + extra + ["--output-dir", str(tmp_path / "x")])
         assert main(base + ["--output-dir", str(tmp_path / "ok")]) == EXIT_OK
+
+    def test_simulate_rejects_options_its_kind_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("days = 99\n")
+        cases = [
+            (["--kind", "sales"], ["--sigma", "-1"]),
+            (["--kind", "sales", "--days", "7"], ["--kappa", "5"]),
+            (["--kind", "sales"], ["--n", "50"]),
+            (["--kind", "hetero", "--n", "50"], ["--days", "99"]),
+            (["--kind", "hetero", "--n", "50"], ["--config", str(cfg)]),
+            (["--kind", "hetero", "--n", "50"], ["--kappa", "0.3"]),
+            (["--kind", "gpd", "--n", "50"], ["--hours-per-day", "3"]),
+            (["--kind", "gpd-sites", "--n", "20"], ["--days", "3"]),
+        ]
+        for i, (base, extra) in enumerate(cases):
+            base = ["simulate", *base, "--seed", "0"]
+            self.assert_input_error(capsys, base + extra
+                                    + ["--output-dir", str(tmp_path / f"x{i}")])
+            assert main(base + ["--output-dir", str(tmp_path / f"ok{i}")]) == EXIT_OK
 
     def test_cli_overrides_config_file(self, tmp_path):
         sim = tmp_path / "sim"

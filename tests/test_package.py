@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gsda
@@ -12,3 +15,23 @@ def test_all_lists_every_public_import():
     public = {name for name in imported if not name.startswith("_")}
     assert sorted(gsda.__all__) == sorted(public)
     assert len(set(gsda.__all__)) == len(gsda.__all__)
+
+
+def test_import_and_projector_build_leave_scipy_unloaded():
+    # importing scipy alone costs more memory than a whole additive fit
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gsda\n"
+        "w = np.linspace(0.0, 1.0, 200)\n"
+        "W = np.column_stack([w, np.sin(6.0 * w)])\n"
+        "gsda.AdditiveProjector(W, [gsda.SmootherSpec('local_linear', 0),\n"
+        "                           gsda.SmootherSpec('local_linear', 1)])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(gsda.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

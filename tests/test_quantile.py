@@ -279,12 +279,22 @@ class TestProjectionCounters:
         gs = GsParams(subgradient_mode="average", max_iter=30, seed=2)
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
         assert len(projection_calls) > 1
+        assert {c for c, _ in projection_calls} == {1}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
-        # a cap of 3 sweeps leaves concurvity projections unconverged
-        monkeypatch.setattr(smoothing_mod, "BACKFIT_MAX_CYCLES", 3)
+        # with the coefficient map zeroed, two sweeps from zero leave the
+        # concurvity projections unconverged
+        build = smoothing_mod.AdditiveProjector._build_coefficient_map
+
+        def zeroed(self):
+            build(self)
+            self.coef[:] = 0.0
+
+        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "_build_coefficient_map",
+                            zeroed)
         projection_calls.clear()
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert {c for c, _ in projection_calls} == {2}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged \
             == sum(not ok for _, ok in projection_calls) > 0

@@ -12,9 +12,10 @@ from gsda import (
     effective_df,
     local_linear_smooth,
 )
+from gsda import _kernels
 from gsda.errors import DegenerateDesignWarning, InvalidInput, NumericalFailure
 
-from _oracles import backfit_fixed_point, backfit_loop
+from _oracles import backfit_fixed_point, backfit_loop, backfit_sweep
 
 
 def kernel_fit_reference(w, g, bandwidth, targets):
@@ -64,6 +65,18 @@ class TestLocalLinear:
         lhs = local_linear_smooth(w, a * g1 + b * g2, 0.2)
         rhs = a * local_linear_smooth(w, g1, 0.2) + b * local_linear_smooth(w, g2, 0.2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+    @pytest.mark.parametrize("df,ranks", [(15.0, (64, 160)), (40.0, (150, 300))],
+                             ids=["df15", "df40"])
+    def test_factors_reproduce_hat_at_small_bandwidth(self, df, ranks):
+        # at df=15 a factor good only to 1e-6 would have rank about 60, and
+        # the first 64-column sketch would stop there
+        w = np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 300))
+        bw = bandwidth_for_df(w, df)
+        proj = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0, bandwidth=bw)])
+        sm = proj.smoothers[0]
+        assert ranks[0] <= sm.u.shape[1] < ranks[1]
+        assert np.max(np.abs(sm.u @ sm.vt - _kernels.ll_weights(w, bw, w))) <= 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInput):
@@ -209,25 +222,24 @@ class TestAdditiveProject:
         assert fit.intercept == pytest.approx(3.0)
         assert np.allclose(fit.fitted, 3.0)
 
-    def test_cycle_cap_sets_nonconvergence_flag(self, monkeypatch):
-        import gsda.smoothing as smoothing_mod
-
-        monkeypatch.setattr(smoothing_mod, "BACKFIT_MAX_CYCLES", 1)
+    def test_zeroed_map_sets_nonconvergence_flag(self):
+        # from zero, two sweeps on a near-collinear design stay far from
+        # the fixed point, and the flag says so
         rng = np.random.default_rng(8)
         w = rng.uniform(size=(60, 2))
         W = np.column_stack([w[:, 0], w[:, 0] + 0.01 * w[:, 1]])  # near-collinear
-        fit = additive_project(rng.normal(size=60), W,
-                               [SmootherSpec("local_linear", 0),
-                                SmootherSpec("local_linear", 1)])
+        proj = AdditiveProjector(W, [SmootherSpec("local_linear", 0),
+                                     SmootherSpec("local_linear", 1)])
+        proj.coef[:] = 0.0
+        fit = proj.project(rng.normal(size=60))
         assert not fit.converged
-        assert fit.cycles == 1
+        assert fit.cycles == 2
         assert np.all(np.isfinite(fit.fitted))
 
 
-def _fixed_point_designs():
+def _fixed_point_designs(n=300):
     """(name, W, specs, compare components) for the fixed-point test."""
     rng = np.random.default_rng(11)
-    n = 300
     w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
     w2 = w1 + 0.6 * rng.standard_normal(n)  # the quantile-additive design
     codes = rng.integers(0, 4, n).astype(float)
@@ -252,6 +264,21 @@ def _bits(fit):
             [t.tobytes() for t in fit.targets], fit.converged, fit.cycles)
 
 
+def _count_applies(monkeypatch, proj):
+    """A list that gets one entry per smoother application of proj."""
+    applied = []
+
+    def counted(apply):
+        def wrapper(v):
+            applied.append(v)
+            return apply(v)
+        return wrapper
+
+    for sm in proj.smoothers:
+        monkeypatch.setattr(sm, "apply", counted(sm.apply))
+    return applied
+
+
 class TestBackfitSolve:
     @pytest.mark.parametrize("name,W,specs,components",
                              _fixed_point_designs(),
@@ -264,9 +291,9 @@ class TestBackfitSolve:
             fit = proj.project(g)
             comps, fitted = backfit_fixed_point(proj, g)
             assert fit.converged
-            assert np.max(np.abs(fit.fitted - fitted)) <= 1e-9
+            assert np.max(np.abs(fit.fitted - fitted)) <= 1e-10
             if components:
-                assert np.max(np.abs(np.array(fit.components) - comps)) <= 1e-9
+                assert np.max(np.abs(np.array(fit.components) - comps)) <= 1e-10
 
     def test_sweeps_stay_few_on_concurvity(self, monkeypatch):
         # the plain loop needs the full 100-sweep cap on this design
@@ -274,16 +301,7 @@ class TestBackfitSolve:
         proj = AdditiveProjector(W, specs)
         g = _pinball_like(np.random.default_rng(13), W.shape[0])
         assert backfit_loop(proj, g).cycles == 100
-        applied = []
-
-        def counted(apply):
-            def wrapper(v):
-                applied.append(v)
-                return apply(v)
-            return wrapper
-
-        for sm in proj.smoothers:
-            monkeypatch.setattr(sm, "apply", counted(sm.apply))
+        applied = _count_applies(monkeypatch, proj)
         fit = proj.project(g)
         assert fit.converged and fit.cycles <= 15
         assert len(applied) == fit.cycles * proj.k  # cycles counts every sweep
@@ -298,16 +316,24 @@ class TestBackfitSolve:
             assert c == float(sm.apply(t).mean())
         assert np.max(np.abs(proj.predict(fit, W) - fit.fitted)) <= 1e-12
 
-    @pytest.mark.parametrize("cap", [2, 3, 4, 7])
-    def test_sweeps_never_exceed_the_cap(self, monkeypatch, cap):
-        import gsda.smoothing as smoothing_mod
-
-        monkeypatch.setattr(smoothing_mod, "BACKFIT_MAX_CYCLES", cap)
-        name, W, specs, _ = _fixed_point_designs()[0]
+    @pytest.mark.parametrize("name,W,specs,components",
+                             _fixed_point_designs(),
+                             ids=[d[0] for d in _fixed_point_designs()])
+    def test_applies_each_smoother_once(self, monkeypatch, name, W, specs, components):
+        # the coefficient map lands on the fixed point, so one sweep confirms it
         proj = AdditiveProjector(W, specs)
+        applied = _count_applies(monkeypatch, proj)
         fit = proj.project(_pinball_like(np.random.default_rng(15), W.shape[0]))
-        assert fit.cycles <= cap
-        assert np.all(np.isfinite(fit.fitted))
+        assert fit.converged and fit.cycles == 1
+        assert len(applied) == proj.k
+
+    def test_one_sweep_moves_nothing_at_n2000(self):
+        name, W, specs, _ = _fixed_point_designs(n=2000)[0]
+        proj = AdditiveProjector(W, specs)
+        g = _pinball_like(np.random.default_rng(20), W.shape[0])
+        fit = proj.project(g)
+        comps, _, _ = backfit_sweep(proj, g - g.mean(), fit.components)
+        assert np.max(np.abs(np.array(comps) - fit.components)) <= 1e-10
 
 
 def _single_covariate_cases():
