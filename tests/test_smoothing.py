@@ -327,6 +327,26 @@ class TestBackfitSolve:
         assert fit.converged and fit.cycles == 1
         assert len(applied) == proj.k
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_sweeps_never_exceed_the_cap(self, monkeypatch, k):
+        # with the coefficient map zeroed, project sweeps from zero on k
+        # correlated covariates, where the plain loop needs more than two
+        # sweeps; project stops at two
+        rng = np.random.default_rng(15)
+        n = 120
+        w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        W = np.column_stack([w1 + 0.6 * rng.standard_normal(n) * (j > 0)
+                             for j in range(k)])
+        proj = AdditiveProjector(W, [SmootherSpec("local_linear", j) for j in range(k)])
+        g = _pinball_like(rng, n)
+        assert backfit_loop(proj, g).cycles > 2
+        proj.coef[:] = 0.0
+        applied = _count_applies(monkeypatch, proj)
+        fit = proj.project(g)
+        assert fit.cycles == 2 and not fit.converged
+        assert len(applied) == fit.cycles * k
+        assert np.all(np.isfinite(fit.fitted))
+
     def test_one_sweep_moves_nothing_at_n2000(self):
         name, W, specs, _ = _fixed_point_designs(n=2000)[0]
         proj = AdditiveProjector(W, specs)
