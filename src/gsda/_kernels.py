@@ -66,19 +66,6 @@ def _gpd_grad_parts(kappa, z, a):
     return geta, gkap
 
 
-def _gpd_perturbed(eta, kappa, y, eps, U):
-    """Perturbed kappa, z, a and the support flags, one row per row u of U.
-
-    The perturbed point is (eta, kappa) + eps*u, with u's first half
-    moving eta and its second half kappa.
-    """
-    n = eta.shape[0]
-    pk = kappa[None, :] + eps * U[:, n:]
-    z = y[None, :] * np.exp(-(eta[None, :] + eps * U[:, :n]))
-    a = 1.0 + pk * z
-    return pk, z, a, _gpd_feasible(a)
-
-
 def gpd_loglik(eta, kappa, y):
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
@@ -101,29 +88,20 @@ def gpd_grad(eta, kappa, y):
     return np.concatenate([geta, gkap])
 
 
-def gpd_sampled_grad_sum(eta, kappa, y, eps, U):
-    """Accumulate GPD gradients at (eta, kappa) + eps*u over the rows of U.
-
-    Rows whose perturbed parameters leave the GPD support contribute
-    nothing; the returned mask marks the feasible rows so the caller can
-    redraw the rest.
-    """
-    with np.errstate(all="ignore"):
-        pk, z, a, feasible = _gpd_perturbed(eta, kappa, y, eps, U)
-        geta, gkap = _gpd_grad_parts(pk[feasible], z[feasible], a[feasible])
-    return np.concatenate([geta.sum(axis=0), gkap.sum(axis=0)]), feasible
-
-
 def gpd_grad_rows(eta, kappa, y, eps, U):
     """GPD gradients at (eta, kappa) + eps*u, one stacked row per feasible u.
 
-    Returns ``(rows, feasible)``: ``rows`` is (feasible.sum(), 2n) in the
-    order of U, and ``feasible`` flags the rows of U that stay on the
-    support (the rule of :func:`gpd_sampled_grad_sum`).  This is the
-    qp-mode row kernel.
+    The perturbed point moves eta by u's first half and kappa by its
+    second half.  Returns ``(rows, feasible)``: ``feasible`` flags the
+    rows of U that stay on the support (:func:`_gpd_feasible`), and
+    ``rows`` is (feasible.sum(), 2n), in the order of U.
     """
+    n = eta.shape[0]
     with np.errstate(all="ignore"):
-        pk, z, a, feasible = _gpd_perturbed(eta, kappa, y, eps, U)
+        pk = kappa[None, :] + eps * U[:, n:]
+        z = y[None, :] * np.exp(-(eta[None, :] + eps * U[:, :n]))
+        a = 1.0 + pk * z
+        feasible = _gpd_feasible(a)
         geta, gkap = _gpd_grad_parts(pk[feasible], z[feasible], a[feasible])
     return np.hstack([geta, gkap]), feasible
 

@@ -1,7 +1,9 @@
 """Command-line interface: fit-quantile, fit-pot, simulate, gradcheck, minimize.
 
 Configuration precedence is CLI flag > config-file entry > built-in
-default; config files are flat ``key = value`` text.  Every run writes
+default; config files are flat ``key = value`` text.  Each task reads
+only its own options (``_TASK_OPTIONS``), and any other is an input
+error.  Every run writes
 its artifacts (fitted values, additive decomposition, iteration trace,
 diagnostics) as plain comma-separated / key=value text into the output
 directory.  Exit codes: 0 converged/success, 2 non-convergence,
@@ -44,14 +46,12 @@ EXIT_NONCONVERGED = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
-TASKS = ("fit-quantile", "fit-pot", "simulate", "gradcheck", "minimize")
-
 _DEFAULTS = {
     "response": "y",
     "alpha": 0.9,
     "exceed_prob": None,
     "levels": None,
-    "mode": None,  # per task: qp for minimize/gradcheck, average for the fits
+    "mode": None,  # per task: qp for minimize, average for the fits
     "seed": 0,
     "m": None,
     "beta": 0.1,
@@ -81,6 +81,20 @@ _SIMULATE_OPTIONS = {
     "gpd-sites": {"n": 1000, "kappa": 0.2},
     "sales": {"days": 28, "hours_per_day": 17},
     "hetero": {"n": 1000},
+}
+
+# the options each task reads, as flags and as config-file keys; every
+# task also reads --config and output_dir, and giving an option the task
+# does not read is an input error
+_GS_OPTIONS = ("m", "beta", "mu", "lam", "eps0", "tau0", "eps_min", "tau_min",
+               "max_iter", "max_backtracks", "mode", "seed")
+_DATA_OPTIONS = ("input", "response", "smoother", "factor")
+_TASK_OPTIONS = {
+    "fit-quantile": (*_DATA_OPTIONS, "alpha", *_GS_OPTIONS),
+    "fit-pot": (*_DATA_OPTIONS, "levels", "exceed_prob", *_GS_OPTIONS),
+    "simulate": ("kind", "seed", "n", "sigma", "kappa", "days", "hours_per_day"),
+    "gradcheck": ("alpha", "seed", "points"),
+    "minimize": ("objective", "x0", *_GS_OPTIONS),
 }
 
 _FLOAT_KEYS = ("alpha", "exceed_prob", "beta", "mu", "lam", "eps0", "tau0",
@@ -378,6 +392,7 @@ def _run_fit_pot(config, out):
         ("iterations", len(model.trace)),
         ("accepted_steps", len(model.trace.accepted)),
         ("minnorm_fallbacks", _minnorm_fallbacks(gs, model.trace)),
+        ("rejected_draws", model.trace.rejected_draws),
         ("backfit_sweeps", model.trace.backfit_sweeps),
         ("projections_unconverged", model.trace.projections_unconverged),
         ("final_negloglik", model.trace.final_f()),
@@ -510,6 +525,7 @@ def _run_minimize(config, out):
         ("task", "minimize"), ("objective", name), ("seed", config.seed),
         ("converged", trace.converged), ("iterations", len(trace)),
         ("minnorm_fallbacks", _minnorm_fallbacks(gs, trace)),
+        ("rejected_draws", trace.rejected_draws),
         ("final_f", obj.eval(x)),
         ("final_x", ",".join(f"{v:.17g}" for v in x)),
     ]
@@ -547,6 +563,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
+def _flag(key):
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
 def build_parser():
     parser = _Parser(
         prog="gsda",
@@ -554,77 +574,45 @@ def build_parser():
                     "quantile regression, smooth POT models, and generic "
                     "nonsmooth minimization.")
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
+    for task, keys in _TASK_OPTIONS.items():
         p = sub.add_parser(task)
-        p.add_argument("--input")
-        p.add_argument("--output-dir", default=None)
         p.add_argument("--config")
-        p.add_argument("--response")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--levels")
-        p.add_argument("--exceed-prob", type=float, dest="exceed_prob")
-        p.add_argument("--smoother", action="append", default=None,
-                       metavar="COL=KIND[:bw=..|df=..]")
-        p.add_argument("--factor", action="append", default=None)
-        p.add_argument("--m", type=int)
-        p.add_argument("--eps0", type=float)
-        p.add_argument("--tau0", type=float)
-        p.add_argument("--eps-min", type=float, dest="eps_min")
-        p.add_argument("--tau-min", type=float, dest="tau_min")
-        p.add_argument("--mu", type=float)
-        p.add_argument("--lambda", type=float, dest="lam")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--max-backtracks", type=int, dest="max_backtracks")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["qp", "average"])
-        p.add_argument("--kind")
-        p.add_argument("--n", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--days", type=int)
-        p.add_argument("--hours-per-day", type=int, dest="hours_per_day")
-        p.add_argument("--objective")
-        p.add_argument("--x0")
-        p.add_argument("--points", type=int)
+        p.add_argument("--output-dir", dest="output_dir")
+        for key in keys:
+            # values stay text here and are parsed by _coerce, as config
+            # entries are
+            if key in ("smoother", "factor"):
+                p.add_argument(_flag(key), dest=key, action="append")
+            else:
+                p.add_argument(_flag(key), dest=key)
     return parser
 
 
 def resolve_config(args):
+    reads = ("output_dir", *_TASK_OPTIONS[args.task])
     options = dict(_DEFAULTS)
-    file_cfg = {}
-    smoothers = []
-    factors = []
-    output_dir = "."
-    input_path = None
+    given = {}
     if args.config:
-        file_cfg = read_config_file(args.config)
-        smoothers = [s.strip() for s in file_cfg.pop("smoother", "").split(",")
-                     if s.strip()]
-        factors = [s.strip() for s in file_cfg.pop("factor", "").split(",")
-                   if s.strip()]
-        output_dir = file_cfg.pop("output_dir", output_dir)
-        input_path = file_cfg.pop("input", input_path)
-        for key, value in file_cfg.items():
-            if key not in options:
+        given = read_config_file(args.config)
+        for key in given:
+            if key not in options and key not in ("output_dir", *_DATA_OPTIONS):
                 raise InvalidInput(f"unknown config key {key!r}")
-            options[key] = _coerce(key, value)
+            if key not in reads:
+                raise InvalidInput(f"{args.task} does not read config key {key!r}")
+        for key in ("smoother", "factor"):
+            if key in given:
+                given[key] = [s.strip() for s in given[key].split(",") if s.strip()]
+    given.update((key, getattr(args, key)) for key in reads
+                 if getattr(args, key) is not None)
     for key in options:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            options[key] = _coerce(key, cli_value)
-    if args.smoother is not None:
-        smoothers = args.smoother
-    if args.factor is not None:
-        factors = args.factor
-    if args.output_dir is not None:
-        output_dir = args.output_dir
-    if args.input is not None:
-        input_path = args.input
+        if key in given:
+            options[key] = _coerce(key, given[key])
     if options["mode"] is None:
         options["mode"] = "average" if args.task in ("fit-quantile", "fit-pot") else "qp"
-    return RunConfig(task=args.task, input=input_path, output_dir=output_dir,
-                     smoothers=smoothers, factors=factors, options=options)
+    return RunConfig(task=args.task, input=given.get("input"),
+                     output_dir=given.get("output_dir", "."),
+                     smoothers=given.get("smoother", []),
+                     factors=given.get("factor", []), options=options)
 
 
 def main(argv=None):

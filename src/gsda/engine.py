@@ -12,6 +12,13 @@ One loop, :func:`descend`, runs this schedule for every problem.  A
 problem supplies its objective, a sampled-gradient estimate and a
 direction map; :func:`gsda_minimize`, the quantile fitter and the POT
 fitter are three thin adapters around it.
+
+One sampler, :func:`sample_rows`, draws the ball points, rejects those
+outside the domain and redraws them, up to 10*m rejections per
+estimate.  :func:`approx_subgradient` and the POT fitter build their
+m+1 gradient rows with it; the mode then picks only the reduction of
+those rows (Wolfe's min-norm point or their mean).  The pinball
+fitter's kink draw never leaves the domain and bypasses it.
 """
 
 import warnings
@@ -24,6 +31,8 @@ from .errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingE
 from .minnorm import GradientSet, average_fallback, min_norm_point
 
 SUBGRADIENT_MODES = ("qp", "average")
+# draws per evaluate call in sample_rows
+_ROW_BLOCK = 32
 
 
 @dataclass
@@ -118,7 +127,9 @@ class FitTrace:
     ``m`` is the resolved sample size, set by the additive fitters, and
     ``ball_coordinates`` sums the ball coordinates the pinball fitter
     drew per point over its iterations (n per iteration would be the
-    whole ball).
+    whole ball).  ``rejected_draws`` sums the infeasible draws
+    :func:`sample_rows` rejected, 10*m + 1 for each estimate that ended
+    in :class:`SamplingExhausted` included.
     """
 
     records: list = field(default_factory=list)
@@ -128,6 +139,7 @@ class FitTrace:
     backfit_sweeps: int = 0
     projections_unconverged: int = 0
     ball_coordinates: int = 0
+    rejected_draws: int = 0
 
     COLUMNS = ("iter", "f", "gnorm", "eps", "tau", "t", "method", "backtracks", "event")
 
@@ -193,13 +205,47 @@ def sample_unit_ball(n, m, rng, dim=None):
     return z
 
 
-def approx_subgradient(obj, x, eps, params, rng):
+def sample_rows(first, m, eps, draw, evaluate):
+    """The gradient at the iterate and at m feasible ball draws, as rows.
+
+    This is the one feasible-draw sampler.  Row 0 is ``first``, the
+    gradient at the iterate; rows 1..m are the gradients at the first m
+    feasible draws, in draw order.  ``draw(k)`` returns k unit-ball
+    points as a (k, d) array, and ``evaluate(u)`` the gradients at the
+    feasible ones among the rows of u, in order.  Each round draws only
+    the rows still missing, so no draw is left over once the last row
+    is filled, and hands them to ``evaluate`` in blocks of
+    ``_ROW_BLOCK`` so temporaries stay O(block * d).
+
+    Returns ``(rows, rejected)``, rejected counting the infeasible
+    draws.  The draw that takes the rejections past 10*m raises
+    :class:`SamplingExhausted`, whose ``rejected`` is then 10*m + 1.
+    """
+    rows = np.empty((m + 1, first.size))
+    rows[0] = first
+    got, rejected, cap = 1, 0, 10 * m
+    while got < m + 1:
+        u = draw(m + 1 - got)
+        for start in range(0, u.shape[0], _ROW_BLOCK):
+            block = u[start:start + _ROW_BLOCK]
+            g = evaluate(block)
+            rejected += block.shape[0] - g.shape[0]
+            if rejected > cap:
+                raise SamplingExhausted(
+                    f"more than {cap} infeasible draws at eps={eps:g}", cap + 1)
+            rows[got:got + g.shape[0]] = g
+            got += g.shape[0]
+    return rows, rejected
+
+
+def approx_subgradient(obj, x, eps, params, rng, trace=None):
     """Sampled approximation of the generalized subgradient at x.
 
     Draws m ball points, rejects any that land outside the domain
-    (eval +inf or non-finite gradient) and redraws them, then reduces
-    the m+1 gradients by the configured mode.  Rejections beyond 10*m
-    raise :class:`SamplingExhausted`.
+    (eval +inf or non-finite gradient) and redraws them through
+    :func:`sample_rows`, then reduces the m+1 gradients by the
+    configured mode.  The rejected draws are added to
+    ``trace.rejected_draws`` when a trace is given.
     """
     x = np.asarray(x, dtype=float)
     fx = obj.eval(x)
@@ -209,27 +255,22 @@ def approx_subgradient(obj, x, eps, params, rng):
     if not np.all(np.isfinite(g0)):
         raise InvalidInput("gradient at the base point is not finite")
     m = params.resolve_m(obj.dim)
-    rows = [g0]
-    rejected = 0
-    cap = 10 * m
-    while len(rows) < m + 1:
-        batch = sample_unit_ball(obj.dim, m + 1 - len(rows), rng)
-        for u in batch:
-            xt = x + eps * u
-            ft = obj.eval(xt)
-            ok = np.isfinite(ft)
-            if ok:
+
+    def evaluate(u):
+        rows = []
+        for ut in u:
+            xt = x + eps * ut
+            if np.isfinite(obj.eval(xt)):
                 gt = np.asarray(obj.grad(xt), dtype=float)
-                ok = bool(np.all(np.isfinite(gt)))
-            if ok:
-                rows.append(gt)
-            else:
-                rejected += 1
-                if rejected > cap:
-                    raise SamplingExhausted(
-                        f"more than {cap} infeasible draws at eps={eps:g}"
-                    )
-    grad_set = GradientSet(np.array(rows))
+                if np.all(np.isfinite(gt)):
+                    rows.append(gt)
+        return np.reshape(rows, (-1, obj.dim))
+
+    rows, rejected = sample_rows(
+        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate)
+    if trace is not None:
+        trace.rejected_draws += rejected
+    grad_set = GradientSet(rows)
     if params.subgradient_mode == "average":
         return average_fallback(grad_set)
     try:
@@ -280,7 +321,8 @@ def descend(objective, x, f, estimate, direction, params, trace):
     step vector v, or None to shrink, and :func:`armijo_search` looks
     along the ray t -> objective(x + t*v) for a step with the decrease
     beta*t*gnorm; a failed search also shrinks.  An estimate that raises
-    :class:`SamplingExhausted` shrinks too.  A non-finite gnorm or v
+    :class:`SamplingExhausted` shrinks too, and its rejected draws are
+    added to ``trace.rejected_draws``.  A non-finite gnorm or v
     raises :class:`NumericalFailure`.  Every iteration adds one record
     to ``trace``.  An accepted step replaces x by a new array and never
     changes it in place, so a problem may key data of the iterate on
@@ -293,7 +335,8 @@ def descend(objective, x, f, estimate, direction, params, trace):
             break
         try:
             g, gnorm, method = estimate(x, eps)
-        except SamplingExhausted:
+        except SamplingExhausted as exc:
+            trace.rejected_draws += exc.rejected
             gnorm, method, event, v = np.nan, "none", "sampling_exhausted", None
         else:
             if not np.isfinite(gnorm):
@@ -335,7 +378,7 @@ def gsda_minimize(obj, x0, params=None):
     rng = np.random.default_rng(params.seed)
 
     def estimate(x, eps):
-        res = approx_subgradient(obj, x, eps, params, rng)
+        res = approx_subgradient(obj, x, eps, params, rng, trace)
         return res.point, res.norm, res.method
 
     trace = FitTrace()

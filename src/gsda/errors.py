@@ -18,7 +18,12 @@ class SamplingExhausted(GsdaError):
 
     Signals that the current sampling radius is too large for the
     feasible neighbourhood of the iterate; callers shrink the radius.
+    ``rejected`` is the number of draws rejected before giving up.
     """
+
+    def __init__(self, message, rejected=0):
+        super().__init__(message)
+        self.rejected = rejected
 
 
 class FunctionalUndefined(GsdaError):
@@ -55,7 +60,3 @@ class ExtrapolationWarning(UserWarning):
 
 class SampleSizeWarning(UserWarning):
     """Sampling size below the dimension+1 theory requirement."""
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative fit stopped before meeting its tolerance."""

@@ -42,10 +42,6 @@ class GradientSet:
     def n(self):
         return self.vectors.shape[1]
 
-    @property
-    def m_plus_1(self):
-        return self.vectors.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MinNormResult:

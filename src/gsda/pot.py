@@ -18,21 +18,25 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KAPPA_EPS
-from .engine import FitTrace, GsParams, descend, sample_unit_ball, unit_direction
+from .engine import (
+    FitTrace,
+    GsParams,
+    descend,
+    sample_rows,
+    sample_unit_ball,
+    unit_direction,
+)
 from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
     InvalidInput,
     NumericalFailure,
-    SamplingExhausted,
     SingularBlock,
 )
 from .minnorm import GradientSet, average_fallback, min_norm_point
 from .smoothing import AdditiveProjector
 
 _DET_TOL = 1e-12
-# draws per call of the qp-mode row kernel in _theta_grad_rows
-_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,19 +247,15 @@ def _blocks_apply(inv, v):
     ])
 
 
-def _blocks_apply_t(inv, g, out=None):
+def _blocks_apply_t(inv, g):
     """Blockwise (J^T)^-1 g: maps (eta, kappa) gradients to functional space.
 
-    ``g`` is one stacked (2n,) gradient or a (k, 2n) stack of them; the
-    result is written to ``out`` when given.
+    ``g`` is one stacked (2n,) gradient or a (k, 2n) stack of them.
     """
     n = inv.shape[0]
     g1, g2 = g[..., :n], g[..., n:]
-    if out is None:
-        out = np.empty(g.shape)
-    out[..., :n] = inv[:, 0, 0] * g1 + inv[:, 1, 0] * g2
-    out[..., n:] = inv[:, 0, 1] * g1 + inv[:, 1, 1] * g2
-    return out
+    return np.concatenate([inv[:, 0, 0] * g1 + inv[:, 1, 0] * g2,
+                           inv[:, 0, 1] * g1 + inv[:, 1, 1] * g2], axis=-1)
 
 
 def negative_loglik_objective(y, spec):
@@ -285,69 +285,43 @@ def negative_loglik_objective(y, spec):
     return Objective(f, g, 2 * n)
 
 
-def _averaged_lambda_grad(lam, y, eps, m, rng):
-    """(grad at lam + sum of grads at feasible perturbations) / (m+1)."""
-    base = _kernels.gpd_grad(lam.eta, lam.kappa, y)
-    total = base.copy()
-    got = 0
-    rejected = 0
-    cap = 10 * m
-    while got < m:
-        u = sample_unit_ball(2 * lam.n, m - got, rng)
-        gsum, feasible = _kernels.gpd_sampled_grad_sum(lam.eta, lam.kappa, y, eps, u)
-        total += gsum
-        ok = int(feasible.sum())
-        got += ok
-        rejected += u.shape[0] - ok
-        if rejected > cap:
-            raise SamplingExhausted(
-                f"more than {cap} infeasible draws at eps={eps:g}")
-    return total / (m + 1)
-
-
 def approx_subgradient_theta(state, y, eps, gs, rng):
     """Sampled log-likelihood gradient in functional space.
 
-    Averages the (eta, kappa) gradient over the base point and m
-    feasible ball perturbations, then pulls the average back through
-    the blockwise inverse-transpose Jacobian of the iterate.
+    The mean of the :func:`_theta_grad_rows` rows: the (eta, kappa)
+    gradients at the base point and at m feasible ball perturbations,
+    each pulled back through the blockwise inverse-transpose Jacobian
+    of the iterate.
     """
     y = _check_excesses(state.lam, y)
     if not np.isfinite(_kernels.gpd_loglik(state.lam.eta, state.lam.kappa, y)):
         raise InfeasiblePoint("subgradient requested at an infeasible point")
     m = gs.resolve_m(2 * state.n)
-    avg = _averaged_lambda_grad(state.lam, y, eps, m, rng)
-    return _blocks_apply_t(state.jac_inverses, avg)
+    return _theta_grad_rows(state, y, eps, m, rng).mean(axis=0)
 
 
-def _theta_grad_rows(state, y, eps, m, rng):
-    """Base + per-sample functional-space gradients as rows (for qp mode).
+def _theta_grad_rows(state, y, eps, m, rng, trace=None):
+    """Base + per-sample functional-space gradients as rows.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
     the first m feasible ball draws, in draw order, each pulled back
-    through the iterate's blockwise (J^T)^-1.  Draws are evaluated in
-    blocks of ``_ROW_BLOCK`` so temporaries stay O(block * n).
-    Infeasible draws are redrawn, and more than 10*m of them raise
-    :class:`SamplingExhausted`.
+    through the iterate's blockwise (J^T)^-1.  The draws come from
+    :func:`~gsda.engine.sample_rows`, which redraws infeasible ones and
+    raises :class:`SamplingExhausted` past 10*m of them; the rejected
+    draws are added to ``trace.rejected_draws`` when a trace is given.
     """
     lam, inv = state.lam, state.jac_inverses
     n = lam.n
-    rows = np.empty((m + 1, 2 * n))
-    _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y), out=rows[0])
-    got, rejected, cap = 1, 0, 10 * m
-    while got < m + 1:
-        # each batch draws only the rows still missing, so no draw is left
-        # over once the last row is filled
-        u = sample_unit_ball(2 * n, m + 1 - got, rng)
-        for start in range(0, u.shape[0], _ROW_BLOCK):
-            g, feasible = _kernels.gpd_grad_rows(
-                lam.eta, lam.kappa, y, eps, u[start:start + _ROW_BLOCK])
-            rejected += feasible.size - g.shape[0]
-            if rejected > cap:
-                raise SamplingExhausted(
-                    f"more than {cap} infeasible draws at eps={eps:g}")
-            _blocks_apply_t(inv, g, out=rows[got:got + g.shape[0]])
-            got += g.shape[0]
+
+    def evaluate(u):
+        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, u)
+        return _blocks_apply_t(inv, g)
+
+    rows, rejected = sample_rows(
+        _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y)), m, eps,
+        lambda k: sample_unit_ball(2 * n, k, rng), evaluate)
+    if trace is not None:
+        trace.rejected_draws += rejected
     return rows
 
 
@@ -430,20 +404,20 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     rows = None
 
     def estimate(x, eps):
-        # the qp rows stay referenced until the next estimate: a block
-        # freed between iterations lets malloc trim the heap, and the
-        # next iterations fault their pages in again (40% more page
-        # faults on pot-qp-sized fits)
+        # both modes reduce one row set; the rows stay referenced until
+        # the next estimate: a block freed between iterations lets malloc
+        # trim the heap, and the next iterations fault their pages in
+        # again (40% more page faults on pot-qp-sized fits)
         nonlocal rows
-        if gs.subgradient_mode == "qp":
-            rows = -_theta_grad_rows(state_at(x), y, eps, m, rng)
-            try:
-                res = min_norm_point(GradientSet(rows))
-            except NumericalFailure:
-                res = average_fallback(GradientSet(rows))
-            return res.point, res.norm, res.method
-        g = -approx_subgradient_theta(state_at(x), y, eps, gs, rng)
-        return g, float(np.linalg.norm(g)), "average"
+        rows = -_theta_grad_rows(state_at(x), y, eps, m, rng, trace)
+        if gs.subgradient_mode == "average":
+            g = rows.mean(axis=0)
+            return g, float(np.linalg.norm(g)), "average"
+        try:
+            res = min_norm_point(GradientSet(rows))
+        except NumericalFailure:
+            res = average_fallback(GradientSet(rows))
+        return res.point, res.norm, res.method
 
     def direction(x, g, gnorm):
         halves = [-trace.record_projection(projector.project(h)).fitted

@@ -134,6 +134,7 @@ class TestRunDiagnostics:
         assert (avg["subgradient_mode"], avg["m"]) == ("average", "121")  # 2n+1
         assert set(RUN_KEYS) <= set(avg)
         assert "ball_coordinates" not in avg
+        assert int(qp["rejected_draws"]) >= 0 and int(avg["rejected_draws"]) >= 0
 
     def test_minnorm_fallbacks_counted(self, tmp_path, monkeypatch):
         import gsda.engine
@@ -213,6 +214,7 @@ class TestMinimize:
                      "--seed", "0", "--output-dir", str(out)]) == EXIT_OK
         diag = read_diagnostics(out / "diagnostics.txt")
         assert float(diag["distance_to_minimum"]) <= 1e-2
+        assert diag["rejected_draws"] == "0"  # the whole plane is the domain
 
     def test_unknown_objective(self, tmp_path):
         assert main(["minimize", "--objective", "mystery",
@@ -334,6 +336,51 @@ class TestErrorsAndConfig:
             self.assert_input_error(capsys, base + extra
                                     + ["--output-dir", str(tmp_path / f"x{i}")])
             assert main(base + ["--output-dir", str(tmp_path / f"ok{i}")]) == EXIT_OK
+
+    def test_tasks_reject_options_they_do_not_read(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "gpd", "--n", "40", "--seed", "0",
+              "--output-dir", str(sim)])
+        data = str(sim / "data.csv")
+        fit_pot = ["fit-pot", "--input", data, "--levels", "0.01",
+                   "--exceed-prob", "0.1", "--max-iter", "3"]
+        fit_quantile = ["fit-quantile", "--input", data, "--max-iter", "3"]
+        cases = [
+            (["minimize", "--max-iter", "3"],
+             ["--alpha", "0.3", "--levels", "0.1", "--smoother", "x=linear",
+              "--kind", "sales"]),
+            (["minimize", "--max-iter", "3"], ["--input", data]),
+            (["gradcheck", "--points", "2"], ["--m", "5", "--mode", "average",
+                                              "--x0", "1,2"]),
+            (["gradcheck", "--points", "2"], ["--beta", "0.3"]),
+            (["simulate", "--kind", "gpd", "--n", "20"], ["--mode", "qp"]),
+            (["simulate", "--kind", "gpd", "--n", "20"], ["--alpha", "0.5"]),
+            (fit_quantile, ["--levels", "0.01"]),
+            (fit_quantile, ["--x0", "1,2"]),
+            (fit_pot, ["--alpha", "0.5"]),
+            (fit_pot, ["--points", "3"]),
+        ]
+        for i, (base, extra) in enumerate(cases):
+            self.assert_input_error(capsys, base + extra
+                                    + ["--output-dir", str(tmp_path / f"x{i}")])
+            code = main(base + ["--output-dir", str(tmp_path / f"ok{i}")])
+            assert code in (EXIT_OK, EXIT_NONCONVERGED), base
+            capsys.readouterr()
+
+    def test_config_keys_a_task_does_not_read(self, tmp_path, capsys):
+        for i, (task, line) in enumerate([
+                (["minimize", "--max-iter", "3"], "alpha = 0.3"),
+                (["minimize", "--max-iter", "3"], "smoother = w=linear"),
+                (["gradcheck", "--points", "2"], "mode = qp"),
+                (["gradcheck", "--points", "2"], "input = data.csv"),
+                (["simulate", "--kind", "hetero", "--n", "20"], "max-iter = 9")]):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(line + "\n")
+            key = line.split("=")[0].strip().replace("-", "_")
+            assert main(task + ["--config", str(cfg),
+                                "--output-dir", str(tmp_path / f"x{i}")]) == EXIT_INPUT
+            assert capsys.readouterr().err \
+                == f"error: {task[0]} does not read config key {key!r}\n"
 
     def test_cli_overrides_config_file(self, tmp_path):
         sim = tmp_path / "sim"

@@ -108,6 +108,11 @@ def test_every_option_is_covered(inputs):
     assert numeric <= config_keys == set(cases(inputs))
 
 
+def test_every_case_runs_a_task_that_reads_its_option(inputs):
+    for key, (argv, _) in cases(inputs).items():
+        assert key == "output_dir" or key in cli._TASK_OPTIONS[argv[0]], key
+
+
 @pytest.mark.parametrize("via", [through_flag, through_config])
 def test_malformed_values_exit_3(inputs, tmp_path, capsys, via):
     count = 0

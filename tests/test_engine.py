@@ -13,7 +13,7 @@ from gsda import (
     sample_unit_ball,
     sum_of_squares,
 )
-from gsda.engine import descend
+from gsda.engine import descend, sample_rows
 from gsda.errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingExhausted
 
 
@@ -132,6 +132,121 @@ class TestApproxSubgradient:
         with pytest.warns(SampleSizeWarning):
             approx_subgradient(obj, np.zeros(3) + 1.0, 1e-3, GsParams(m=2),
                                np.random.default_rng(0))
+
+
+def scripted_draws(values):
+    """draw(k) handing out the next k entries of values as (k, 1) rows."""
+    queue = list(values)
+
+    def draw(k):
+        out, queue[:k] = queue[:k], []
+        return np.array(out, dtype=float).reshape(-1, 1)
+    return draw
+
+
+def keep_positive(u):
+    """The sampler's evaluate: draws with u > 0 are feasible, gradient 2u."""
+    return 2.0 * u[u[:, 0] > 0.0]
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65])
+    def test_rows_match_one_draw_at_a_time(self, m):
+        # blocks of 32 around their edges: the rows, the rejections and
+        # the draws consumed equal those of a loop over single draws
+        for seed in range(4):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            first = np.array([7.0, -7.0])
+            blocks = []
+
+            def evaluate(u):
+                blocks.append(u.shape[0])
+                return 2.0 * u[u[:, 0] > -0.4]
+
+            rows, rejected = sample_rows(
+                first, m, 0.1, lambda k: sample_unit_ball(2, k, rng_a), evaluate)
+            want, want_rejected = [first], 0
+            while len(want) < m + 1:
+                for u in sample_unit_ball(2, m + 1 - len(want), rng_b):
+                    if u[0] > -0.4:
+                        want.append(2.0 * u)
+                    else:
+                        want_rejected += 1
+            assert np.array_equal(rows, np.array(want))
+            assert rejected == want_rejected
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert max(blocks) <= 32 and sum(blocks) == m + rejected
+
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    def test_ten_m_rejections_pass(self, m):
+        draw = scripted_draws([-1.0] * (10 * m) + [0.5] * m)
+        rows, rejected = sample_rows(np.zeros(1), m, 0.1, draw, keep_positive)
+        assert rejected == 10 * m
+        assert np.array_equal(rows[1:, 0], np.full(m, 1.0))
+
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    def test_one_more_rejection_raises(self, m):
+        draw = scripted_draws([-1.0] * (10 * m + 1) + [0.5] * m)
+        with pytest.raises(SamplingExhausted) as info:
+            sample_rows(np.zeros(1), m, 0.1, draw, keep_positive)
+        assert info.value.rejected == 10 * m + 1
+        assert str(info.value) == f"more than {10 * m} infeasible draws at eps=0.1"
+
+
+def sampled_infeasible_evals(monkeypatch, obj):
+    """obj whose +inf values at sampled points are tallied per estimate.
+
+    Returns (obj, tally); each approx_subgradient call appends its count
+    of infeasible draws, capped at 10*m + 1: the sampler stops at the
+    draw that breaks the cap, though its block may evaluate a few more.
+    """
+    import gsda.engine
+
+    tally, inside = [], [False]
+    estimate = gsda.engine.approx_subgradient
+
+    def counted(*args):
+        inside[0] = True
+        tally.append(0)
+        try:
+            return estimate(*args)
+        finally:
+            inside[0] = False
+            tally[-1] = min(tally[-1], 10 * (args[3].m or args[0].dim + 1) + 1)
+
+    def f(x):
+        value = obj.eval(x)
+        if inside[0] and not np.isfinite(value):
+            tally[-1] += 1
+        return value
+
+    monkeypatch.setattr(gsda.engine, "approx_subgradient", counted)
+    return Objective(f, obj.grad, obj.dim), tally
+
+
+class TestRejectedDraws:
+    def test_half_space(self, monkeypatch):
+        # minimum on the wall of the domain x0 >= 0: about half the draws
+        # near it fall outside
+        half = Objective(lambda x: float(x[0] + abs(x[1])) if x[0] >= 0.0 else np.inf,
+                         lambda x: np.array([1.0, np.sign(x[1])]), 2)
+        obj, tally = sampled_infeasible_evals(monkeypatch, half)
+        for seed in range(3):
+            tally.clear()
+            _, trace = gsda_minimize(obj, [0.3, 0.5], GsParams(seed=seed, max_iter=300))
+            assert trace.rejected_draws == sum(tally) > 0
+
+    def test_slab_counts_exhausted_estimates(self, monkeypatch):
+        # a slab of width 2e-4: draws at eps=0.1 nearly all fall outside,
+        # so early estimates end in SamplingExhausted, and they count too
+        slab = Objective(lambda x: float(x[0] ** 2 + abs(x[1])) if abs(x[0]) <= 1e-4 else np.inf,
+                         lambda x: np.array([2.0 * x[0], np.sign(x[1])]), 2)
+        obj, tally = sampled_infeasible_evals(monkeypatch, slab)
+        _, trace = gsda_minimize(obj, [0.0, 0.5], GsParams(seed=0, max_iter=300))
+        exhausted = sum(r.event == "sampling_exhausted" for r in trace.records)
+        assert exhausted > 0
+        assert trace.rejected_draws == sum(tally)
+        assert sum(t == 31 for t in tally) == exhausted
 
 
 class TestArmijoSearch:

@@ -63,31 +63,31 @@ class TestGpdLoglik:
         assert value == -np.inf or np.isfinite(value)
 
 
-class TestGpdSampledGradSum:
-    def test_masks_and_sums(self, rng):
+class TestGpdGradRows:
+    def test_mask_is_loglik_finiteness(self, rng):
         n, m, eps = 15, 30, 0.4
         eta = rng.normal(size=n) * 0.2
         kappa = rng.uniform(-0.22, 0.5, n)
         kappa[:2] = [0.0, 4e-9]  # series entries
         y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
-        gsum, feasible = _kernels.gpd_sampled_grad_sum(eta, kappa, y, eps, u)
+        rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u)
         points = [(eta + eps * r[:n], kappa + eps * r[n:]) for r in u]
         expect = [np.isfinite(_kernels.gpd_loglik(e, k, y)) for e, k in points]
         assert feasible.tolist() == expect
         assert 0 < feasible.sum() < m  # both kinds of rows are exercised
-        total = sum(_kernels.gpd_grad(e, k, y) for (e, k), ok in zip(points, feasible) if ok)
-        assert np.allclose(gsum, total, rtol=1e-12, atol=1e-12)
+        want = [_kernels.gpd_grad(e, k, y) for (e, k), ok in zip(points, feasible) if ok]
+        assert np.allclose(rows, want, rtol=1e-12, atol=1e-12)
 
     def test_overflowing_rows_are_masked(self):
         # rows that send eta to -800 overflow exp(-eta); they are dropped,
-        # and the sum over the rest stays finite
+        # and the rows of the rest stay finite
         eta, kappa, y = np.zeros(2), np.full(2, 0.2), np.array([1.0, 2.0])
         u = np.array([[-1.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, 0.1], [0.0, -1.0, 0.0, 0.0]])
         with np.errstate(over="ignore"):
-            gsum, feasible = _kernels.gpd_sampled_grad_sum(eta, kappa, y, 800.0, u)
+            rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, 800.0, u)
         assert feasible.tolist() == [False, True, False]
-        assert np.all(np.isfinite(gsum))
+        assert rows.shape == (1, 4) and np.all(np.isfinite(rows))
 
 
 def test_ll_weights_rows_are_local_linear(rng):

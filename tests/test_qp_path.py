@@ -7,7 +7,7 @@ give bitwise-equal results, so a fit's trace does not move.
 import numpy as np
 import pytest
 
-from gsda import GradientSet, min_norm_point
+from gsda import FitTrace, GradientSet, GsParams, approx_subgradient_theta, min_norm_point
 from gsda import _kernels
 from gsda.datasets import gpd_inverse_cdf
 from gsda.engine import sample_unit_ball
@@ -35,14 +35,12 @@ def outcome(fn, *args):
 class TestRowKernel:
     def test_rejects_overflowing_draw(self):
         # the first draw overflows exp(-eta): a = inf passes a bare a > 0
-        # test and would give a nan row; both kernels must reject it
+        # test and would give a nan row; the kernel must reject it
         eta, kappa, y = np.array([-705.0]), np.array([0.2]), np.array([1.0])
         u = np.array([[-0.9, 0.0], [0.0, 0.05], [0.3, -0.01]])
         rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, 10.0, u)
         assert feasible.tolist() == [False, True, True]
         assert rows.shape == (2, 2) and np.all(np.isfinite(rows))
-        _, feasible_avg = _kernels.gpd_sampled_grad_sum(eta, kappa, y, 10.0, u)
-        assert np.array_equal(feasible, feasible_avg)
 
     def test_rows_are_per_draw_gradients(self):
         rng = np.random.default_rng(5)
@@ -98,6 +96,57 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
                 redrawn += one_batch.bit_generator.state != rng_a.bit_generator.state
     if boundary:  # infeasible draws both redrawn and reaching the 10*m cap
         assert redrawn > 0 and exhausted > 0
+
+
+def test_average_mode_is_the_mean_of_the_rows():
+    # one row set for both modes: the average is the rows' mean, bit for
+    # bit, and it consumes the same draws
+    for seed in range(6):
+        state, y = pot_state(seed, 3 + 5 * seed, boundary=False)
+        m = 2 * state.n + 1
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = approx_subgradient_theta(state, y, 0.05, GsParams(), rng_a)
+        want = _theta_grad_rows(state, y, 0.05, m, rng_b).mean(axis=0)
+        assert np.array_equal(bits(got), bits(want))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def infeasible_draws_one_at_a_time(state, y, eps, m, rng):
+    """Rejected draws of one estimate, by the log-likelihood's finiteness.
+
+    Replays the sampler's draws one at a time and stops at the draw that
+    takes the rejections past 10*m.
+    """
+    lam, n = state.lam, state.n
+    got, rejected = 0, 0
+    while got < m:
+        for u in sample_unit_ball(2 * n, m - got, rng):
+            ll = _kernels.gpd_loglik(lam.eta + eps * u[:n], lam.kappa + eps * u[n:], y)
+            if np.isfinite(ll):
+                got += 1
+            else:
+                rejected += 1
+                if rejected > 10 * m:
+                    return rejected
+    return rejected
+
+
+def test_rejected_draws_match_a_loop_over_single_draws():
+    trace, want, exhausted = FitTrace(), 0, 0
+    for seed in range(12):
+        state, y = pot_state(seed, 1 + 7 * seed % 40, boundary=True)
+        for eps in (1e-3, 0.1, 0.3):
+            for m in (1, 31, 33, 90):
+                want += infeasible_draws_one_at_a_time(
+                    state, y, eps, m, np.random.default_rng(seed))
+                try:
+                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), trace)
+                except SamplingExhausted as exc:
+                    # the fit's descent loop adds these, as here
+                    trace.rejected_draws += exc.rejected
+                    exhausted += 1
+    assert exhausted > 0
+    assert trace.rejected_draws == want > 0
 
 
 def min_norm_cases():
