@@ -42,6 +42,7 @@ from .quantile import (
 from .smoothing import (
     AdditiveFit,
     AdditiveProjector,
+    CoordinateMap,
     SmootherSpec,
     additive_project,
     bandwidth_for_df,
@@ -53,7 +54,7 @@ from .smoothing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveFit", "AdditiveProjector", "FitTrace", "FunctionalSpec",
+    "AdditiveFit", "AdditiveProjector", "CoordinateMap", "FitTrace", "FunctionalSpec",
     "GradientSet", "GsParams", "Lambda", "MinNormResult", "Objective",
     "PotModel", "PotState", "QuantileModel", "SmootherSpec", "additive_project",
     "approx_subgradient", "approx_subgradient_theta", "armijo_search",

@@ -102,7 +102,11 @@ def gpd_grad_rows(eta, kappa, y, eps, U):
         z = y[None, :] * np.exp(-(eta[None, :] + eps * U[:, :n]))
         a = 1.0 + pk * z
         feasible = _gpd_feasible(a)
-        geta, gkap = _gpd_grad_parts(pk[feasible], z[feasible], a[feasible])
+        # most blocks are all feasible; three copies per call there cost
+        # 3/4 of pot-qp's page faults, as malloc trims the freed heap
+        if not feasible.all():
+            pk, z, a = pk[feasible], z[feasible], a[feasible]
+        geta, gkap = _gpd_grad_parts(pk, z, a)
     return np.hstack([geta, gkap]), feasible
 
 
@@ -111,17 +115,27 @@ def ll_weights(w, bandwidth, targets):
 
     Falls back to local-constant weights where the degree-1 system is
     numerically singular, and to a nearest-neighbour point mass if every
-    kernel weight underflows.
+    kernel weight underflows.  Three (targets, w) arrays are live at
+    most: the offsets d, the kernel k and one scratch buffer, which is
+    reused in place and returned as the weights.
     """
     d = w[None, :] - targets[:, None]
-    k = np.exp(-0.5 * (d / bandwidth) ** 2)
+    k = np.divide(d, bandwidth)
+    np.square(k, out=k)
+    np.multiply(-0.5, k, out=k)
+    np.exp(k, out=k)
     s0 = k.sum(axis=1)
-    s1 = (k * d).sum(axis=1)
-    s2 = (k * d * d).sum(axis=1)
+    rows = np.multiply(k, d)
+    s1 = rows.sum(axis=1)
+    rows *= d
+    s2 = rows.sum(axis=1)
     det = s0 * s2 - s1 * s1
     bad = det <= 1e-12 * s0 * s2 + 1e-300
     safe_det = np.where(bad, 1.0, det)
-    rows = k * (s2[:, None] - d * s1[:, None]) / safe_det[:, None]
+    np.multiply(d, s1[:, None], out=rows)
+    np.subtract(s2[:, None], rows, out=rows)
+    rows *= k
+    rows /= safe_det[:, None]
     if np.any(bad):
         s0_safe = np.where(s0[bad] > 0.0, s0[bad], 1.0)
         rows[bad] = k[bad] / s0_safe[:, None]

@@ -260,9 +260,14 @@ def _write_diagnostics(path, entries):
 
 
 def _run_entries(gs, trace):
-    """The resolved hyperparameters of a fit and the kernel path it ran on."""
+    """The resolved hyperparameters of a fit and the kernel path it ran on.
+
+    qp mode adds ``subspace_dim``, the length of the rows Wolfe's solver
+    reduces (r for fit-quantile, 2r for fit-pot).
+    """
+    subspace = [] if trace.subspace_dim is None else [("subspace_dim", trace.subspace_dim)]
     return [
-        ("subgradient_mode", gs.subgradient_mode), ("m", trace.m),
+        ("subgradient_mode", gs.subgradient_mode), ("m", trace.m), *subspace,
         ("beta", gs.beta), ("mu", gs.mu), ("lambda", gs.lam),
         ("eps0", gs.eps0), ("tau0", gs.tau0),
         ("eps_min", gs.eps_min), ("tau_min", gs.tau_min),

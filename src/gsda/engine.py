@@ -39,8 +39,14 @@ _ROW_BLOCK = 32
 class GsParams:
     """Hyperparameters of the sampling descent loop.
 
-    ``m`` of ``None`` resolves to dimension+1 at run time; an explicit
-    smaller value is accepted with a warning (theory wants m >= n+1).
+    ``m`` is the number of ball draws per estimate, besides the iterate.
+    ``None`` resolves at run time to d+1, where d is the dimension of the
+    space searched: the point's for :func:`gsda_minimize` and for the
+    fitters' average mode (n for quantile, 2n for POT), and the additive
+    subspace's in their qp mode (r for quantile, 2r for POT, r = the
+    dimension of range(P)).  An explicit m is honoured; one below d+1
+    raises :class:`SampleSizeWarning`, since the convergence theory of
+    gradient sampling assumes m >= d+1.
 
     Default mode: ``GsParams()`` means ``subgradient_mode="qp"``, and
     :func:`gsda_minimize` uses it when given no params.  The additive
@@ -87,7 +93,8 @@ class GsParams:
         if self.m < dim + 1:
             warnings.warn(
                 f"sampling size m={self.m} is below dimension+1={dim + 1}; "
-                "the stationarity theory assumes m >= n+1",
+                "the stationarity theory assumes m >= d+1 for the d-dimensional "
+                "space searched",
                 SampleSizeWarning,
                 stacklevel=3,
             )
@@ -124,18 +131,21 @@ class TraceRecord:
 class FitTrace:
     """Per-iteration log of a descent run, with the run's totals.
 
-    ``m`` is the resolved sample size, set by the additive fitters, and
-    ``ball_coordinates`` sums the ball coordinates the pinball fitter
-    drew per point over its iterations (n per iteration would be the
-    whole ball).  ``rejected_draws`` sums the infeasible draws
-    :func:`sample_rows` rejected, 10*m + 1 for each estimate that ended
-    in :class:`SamplingExhausted` included.
+    ``m`` is the resolved sample size and ``subspace_dim`` the length of
+    the rows Wolfe's solver reduces in qp mode (r or 2r; None in average
+    mode), both set by the additive fitters.  ``ball_coordinates`` sums
+    the ball coordinates the pinball fitter drew per point over its
+    iterations (n per iteration would be the whole n-ball).
+    ``rejected_draws`` sums the infeasible draws :func:`sample_rows`
+    rejected, 10*m + 1 for each estimate that ended in
+    :class:`SamplingExhausted` included.
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
     message: str = ""
     m: int | None = None
+    subspace_dim: int | None = None
     backfit_sweeps: int = 0
     projections_unconverged: int = 0
     ball_coordinates: int = 0

@@ -10,6 +10,22 @@ through the per-observation 2x2 Jacobian blocks of the functional map,
 which are inverted blockwise; steps are taken in (eta, kappa) space
 where the likelihood is cheap, along the pullback of the smoothed
 descent direction.
+
+Average mode samples the whole 2n-dimensional ball in (eta, kappa),
+averages the m+1 functional-space gradients, smooths each half with the
+additive projection and pulls the unit direction back through J^-1.
+
+qp mode runs gradient sampling on the problem restricted to the space
+the step can move in.  With the :class:`~gsda.smoothing.CoordinateMap`
+(P g = B (M g), B orthonormal n x r), that space is the range of
+L = J^-1 blockdiag(B, B) in (eta, kappa).  Each draw is eps*Q*u, with Q
+an orthonormal basis of range(L) and u uniform in the 2r-ball.  Wolfe's
+solver receives the (m+1) x 2r coordinate rows ``g @ K``, where
+K = J^-1 blockdiag(M^T, M^T) maps an (eta, kappa) gradient g straight
+to the coordinates of its projected functional-space halves.  The step
+is -L c*/||c*|| for the min-norm point c*, and ||c*|| is the
+stationarity and Armijo measure.  The default m is 2r+1, and an
+iteration costs O(m*n*r), not O(m*n^2).
 """
 
 from dataclasses import dataclass
@@ -300,26 +316,47 @@ def approx_subgradient_theta(state, y, eps, gs, rng):
     return _theta_grad_rows(state, y, eps, m, rng).mean(axis=0)
 
 
-def _theta_grad_rows(state, y, eps, m, rng, trace=None):
-    """Base + per-sample functional-space gradients as rows.
+def _lift(inv, a):
+    """J^-1 blockdiag(a, a), (2n, 2r), for an (n, r) matrix a."""
+    n, r = a.shape
+    return (inv.transpose(1, 0, 2)[..., None] * a[:, None, :]).reshape(2 * n, 2 * r)
+
+
+def _theta_grad_rows(state, y, eps, m, rng, trace=None, coords=None):
+    """Base + per-sample gradients as rows, in functional space or in coordinates.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
-    the first m feasible ball draws, in draw order, each pulled back
-    through the iterate's blockwise (J^T)^-1.  The draws come from
-    :func:`~gsda.engine.sample_rows`, which redraws infeasible ones and
-    raises :class:`SamplingExhausted` past 10*m of them; the rejected
-    draws are added to ``trace.rejected_draws`` when a trace is given.
+    the first m feasible ball draws, in draw order.  Without a
+    :class:`~gsda.smoothing.CoordinateMap` the draws fill the 2n-ball in
+    (eta, kappa) and each row is pulled back through the iterate's
+    blockwise (J^T)^-1 (average mode).  With one the draws are ``Q u``
+    for u in the 2r-ball, Q an orthonormal basis of
+    J^-1 blockdiag(B, B), and each row is ``g @ K`` for
+    K = J^-1 blockdiag(M^T, M^T), 2r long (qp mode).  The draws come
+    from :func:`~gsda.engine.sample_rows`, which redraws infeasible ones
+    and raises :class:`SamplingExhausted` past 10*m of them; the
+    rejected draws are added to ``trace.rejected_draws`` when a trace is
+    given.
     """
     lam, inv = state.lam, state.jac_inverses
-    n = lam.n
+    if coords is None:
+        dim = 2 * lam.n
+    else:
+        dim = 2 * coords.dim
+        draws = np.linalg.qr(_lift(inv, coords.basis))[0]
+        pullback = _lift(inv, coords.coef.T)
+
+    def rows_of(g):
+        return _blocks_apply_t(inv, g) if coords is None else g @ pullback
 
     def evaluate(u):
-        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, u)
-        return _blocks_apply_t(inv, g)
+        points = u if coords is None else u @ draws.T
+        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, points)
+        return rows_of(g)
 
     rows, rejected = sample_rows(
-        _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y)), m, eps,
-        lambda k: sample_unit_ball(2 * n, k, rng), evaluate)
+        rows_of(_kernels.gpd_grad(lam.eta, lam.kappa, y)), m, eps,
+        lambda k: sample_unit_ball(dim, k, rng), evaluate)
     if trace is not None:
         trace.rejected_draws += rejected
     return rows
@@ -369,7 +406,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     functional space; smooth each functional half onto the additive
     space; normalize the concatenated direction; pull it back to
     (eta, kappa) and Armijo-search the negative log-likelihood along
-    it, rejecting any step that leaves the support.  eps and tau shrink
+    it, rejecting any step that leaves the support.  qp mode does the
+    smoothing in coordinates (module docstring).  eps and tau shrink
     whenever the gradient norm drops below tau or no step is accepted.
 
     Returns a :class:`PotModel`; the reported functional vectors are
@@ -382,7 +420,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     n = y.size
     projector = AdditiveProjector(W, specs, n)
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
-    m = gs.resolve_m(2 * n)
+    coords = projector.coordinate_map() if gs.subgradient_mode == "qp" else None
+    m = gs.resolve_m(2 * (n if coords is None else coords.dim))
     rng = np.random.default_rng(gs.seed)
     objective = negative_loglik_objective(y, spec)
 
@@ -409,8 +448,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
         # trim the heap, and the next iterations fault their pages in
         # again (40% more page faults on pot-qp-sized fits)
         nonlocal rows
-        rows = -_theta_grad_rows(state_at(x), y, eps, m, rng, trace)
-        if gs.subgradient_mode == "average":
+        rows = -_theta_grad_rows(state_at(x), y, eps, m, rng, trace, coords)
+        if coords is None:
             g = rows.mean(axis=0)
             return g, float(np.linalg.norm(g)), "average"
         try:
@@ -420,12 +459,15 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
         return res.point, res.norm, res.method
 
     def direction(x, g, gnorm):
-        halves = [-trace.record_projection(projector.project(h)).fitted
-                  for h in (g[:n], g[n:])]
-        d = unit_direction(np.concatenate(halves))
+        if coords is not None:  # g holds both halves' coordinates
+            d = np.concatenate([coords.basis @ c for c in np.split(-g / gnorm, 2)])
+        else:
+            halves = [-trace.record_projection(projector.project(h)).fitted
+                      for h in (g[:n], g[n:])]
+            d = unit_direction(np.concatenate(halves))
         return None if d is None else _blocks_apply(state_at(x).jac_inverses, d)
 
-    trace = FitTrace(m=m)
+    trace = FitTrace(m=m, subspace_dim=None if coords is None else 2 * coords.dim)
     state = state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace))
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)

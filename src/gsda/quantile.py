@@ -9,15 +9,27 @@ below tau or no acceptable step exists, and the run stops when both
 reach their floors.
 
 The pinball gradient is ``-alpha`` or ``1 - alpha`` in each coordinate,
-by the sign of the residual y_i - q_i.  A point of the eps-ball moves
-each q_i by at most eps, so the sampled gradients can differ from the
-gradient at q only in the kink set A = {i : |y_i - q_i| <= 2*eps}; the
-factor 2 leaves room for the rounding of y - (q + eps*u).  The ball is
-therefore drawn in the coordinates of A alone, with the exact marginal
-law of a point uniform on the n-dimensional ball (see
-:func:`~gsda.engine.sample_unit_ball`), and every other coordinate
-keeps its base gradient.  An iteration costs O(m*a) sampling and kernel
-work for a = |A|, typically a few percent of n near the fit.
+by the sign of the residual y_i - q_i, so a sampled gradient can differ
+from the gradient at q only where a draw moves q_i across y_i.
+
+Average mode draws the n-dimensional eps-ball.  A ball point moves each
+q_i by at most eps, so only the kink set A = {i : |y_i - q_i| <= 2*eps}
+is drawn; the factor 2 leaves room for the rounding of y - (q + eps*u).
+The coordinates of A get the exact marginal law of a point uniform on
+the n-dimensional ball (see :func:`~gsda.engine.sample_unit_ball`), and
+every other coordinate keeps its base gradient.  The estimate is the
+average of the m+1 gradients and its raw norm, and the step is its
+additive projection.
+
+qp mode runs gradient sampling on the problem restricted to the additive
+space, in the coordinates of its :class:`~gsda.smoothing.CoordinateMap`
+(P g = B (M g), B orthonormal n x r).  Each draw is eps*B*u with u
+uniform in the r-ball; it moves q_i by at most eps*||B_i||, so the kink
+set is {i : |y_i - q_i| <= 2*eps*||B_i||}.  Wolfe's solver receives the
+(m+1) x r coordinate rows M g, its min-norm point c* = M g_hat gives the
+step -B c*/||c*||, and ||c*|| = ||P g_hat|| is the stationarity and
+Armijo measure.  The default m is r+1.  An iteration costs O(m*a*r) for
+a = |A|, typically a few percent of n near the fit.
 """
 
 from dataclasses import dataclass
@@ -69,30 +81,36 @@ class QuantileModel:
     trace: FitTrace
 
 
-def _sampled_subgradient(q, y, alpha, eps, m, mode, rng):
-    """Average (or min-norm) of pinball gradients over the eps-ball sample.
+def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords=None):
+    """Average of pinball gradients over the eps-ball sample, or their min-norm point.
 
-    Returns ``(g, gnorm, method, a)``.  Only the a = |A| kink coordinates
-    are drawn (module docstring); with A empty every sampled gradient is
-    the base gradient and nothing is drawn.
+    Returns ``(g, gnorm, method, drawn)``; ``drawn`` is the ball
+    coordinates drawn per point (module docstring).  Average mode draws
+    the a = |A| kink coordinates of the n-ball and returns an n-vector.
+    qp mode takes the :class:`~gsda.smoothing.CoordinateMap` ``coords``,
+    draws the r-ball and returns the min-norm point of the coordinate
+    rows, an r-vector.  With A empty every sampled gradient is the base
+    gradient and nothing is drawn.
     """
     base = _kernels.pinball_grad(q, y, alpha)
-    kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
-    if kink.size:
-        u = sample_unit_ball(kink.size, m, rng, dim=q.size)
     if mode == "qp":
-        rows = np.empty((m + 1, q.size))
-        rows[:] = base
+        B, M = coords.basis, coords.coef
+        kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps * coords.row_norms)
+        rows = np.empty((m + 1, coords.dim))
+        rows[:] = M @ base
         if kink.size:
-            resid = y[kink] - (q[kink] + eps * u)
-            rows[1:, kink] = np.where(resid > 0.0, -alpha, 1.0 - alpha)
+            u = sample_unit_ball(coords.dim, m, rng)
+            moved = _kernels.pinball_grad(q[kink] + eps * (u @ B[kink].T), y[kink], alpha)
+            rows[1:] += (moved - base[kink]) @ M[:, kink].T
         try:
             res = min_norm_point(GradientSet(rows))
         except NumericalFailure:
             res = average_fallback(GradientSet(rows))
-        return res.point, res.norm, res.method, kink.size
+        return res.point, res.norm, res.method, coords.dim if kink.size else 0
+    kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
     g = base.copy()
     if kink.size:
+        u = sample_unit_ball(kink.size, m, rng, dim=q.size)
         sampled = _kernels.pinball_sampled_grad_sum(q[kink], y[kink], alpha, eps, u)
         g[kink] = (base[kink] + sampled) / (m + 1)
     return g, float(np.linalg.norm(g)), "average", kink.size
@@ -110,7 +128,8 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     specs : one SmootherSpec per covariate column
     gs : GsParams; defaults to the standard parameters with the plain
         averaged subgradient (the min-norm mode is available via
-        ``subgradient_mode="qp"``)
+        ``subgradient_mode="qp"``, which searches the r coordinates of the
+        additive space; see the module docstring)
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -122,23 +141,26 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     if n < projector.k + 2:
         raise InvalidInput("need at least k+2 observations")
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
-    m = gs.resolve_m(n)
+    coords = projector.coordinate_map() if gs.subgradient_mode == "qp" else None
+    m = gs.resolve_m(n if coords is None else coords.dim)
     rng = np.random.default_rng(gs.seed)
 
     def estimate(q, eps):
         g, gnorm, method, drawn = _sampled_subgradient(
-            q, y, alpha, eps, m, gs.subgradient_mode, rng)
+            q, y, alpha, eps, m, gs.subgradient_mode, rng, coords)
         trace.ball_coordinates += drawn
         return g, gnorm, method
 
     def direction(q, g, gnorm):
+        if coords is not None:
+            return coords.basis @ (-g / gnorm)
         return unit_direction(-trace.record_projection(projector.project(g)).fitted)
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)
 
     q = np.full(n, float(np.quantile(y, alpha)))
-    trace = FitTrace(m=m)
+    trace = FitTrace(m=m, subspace_dim=None if coords is None else coords.dim)
     q = descend(risk, q, risk(q), estimate, direction, gs, trace)
 
     # report the additive decomposition of the final iterate; its fitted

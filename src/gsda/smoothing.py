@@ -31,6 +31,12 @@ sweep runs only when the first still moved a component by
 Building a local_linear factor costs O(n^2 r) time with one transient
 n x n hat; the factors and the map take O(n sum r_j) memory, and a
 projection O(n sum r_j) time.
+
+The projection is one linear map P with range spanned by the intercept
+and the centred factors ``C u_j``.  :meth:`AdditiveProjector.coordinate_map`
+factors it as ``P g = B (M g)``, with B an orthonormal basis of range(P)
+(n x r, r = 1 + sum r_j up to rank) and M = B^T P (r x n); the qp-mode
+fitters search in those r coordinates.  It is built on first use only.
 """
 
 import warnings
@@ -72,6 +78,27 @@ class SmootherSpec:
                 raise InvalidInput("target_df must be positive")
         elif self.bandwidth is not None or self.target_df is not None:
             raise InvalidInput(f"{self.kind} smoothers take no bandwidth/target_df")
+
+
+@dataclass(eq=False)
+class CoordinateMap:
+    """The additive space in coordinates: ``P g = basis @ (coef @ g)``.
+
+    ``basis`` is B, an orthonormal (n, r) basis of range(P); ``coef`` is
+    M = B^T P, (r, n); ``row_norms`` holds ||B_i||, the most a unit
+    coordinate step can move observation i.
+    """
+
+    basis: np.ndarray
+    coef: np.ndarray
+    row_norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.row_norms = np.linalg.norm(self.basis, axis=1)
+
+    @property
+    def dim(self):
+        return self.basis.shape[1]
 
 
 @dataclass
@@ -265,6 +292,11 @@ def _build_smoother(column, spec):
                      lambda v, w_new: _kernels.ll_weights(column, bw, w_new) @ v)
 
 
+def _centred(smoothers):
+    """Each smoother's left factor u_j with its column means removed."""
+    return [sm.u - sm.u.mean(axis=0) for sm in smoothers]
+
+
 class AdditiveProjector:
     """The projection step: smooth a vector onto the additive space.
 
@@ -276,7 +308,8 @@ class AdditiveProjector:
         """Check W and build one smoother per column.
 
         ``n`` is the number of observations the projector will serve;
-        when given, W must have exactly that many rows.
+        when given, W must have exactly that many rows.  An intercept-only
+        projector needs it for :meth:`coordinate_map`.
         """
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
@@ -295,11 +328,13 @@ class AdditiveProjector:
             raise InvalidInput("smoother specs must cover each covariate exactly once")
         if k > 0 and W.shape[0] < k + 1:
             raise InvalidInput("need at least k+1 observations for k covariates")
+        self.n = W.shape[0] if k > 0 else n
         self._ordered = sorted(self.specs, key=lambda s: s.covariate_index)
         self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
                           for s in self._ordered]
         if k >= 2:
             self._build_coefficient_map()
+        self._coordinates = None
 
     @property
     def k(self):
@@ -316,7 +351,7 @@ class AdditiveProjector:
         the fixed points when the system is singular, as for identical
         covariates) turns a residual into every ``c_j`` at once.
         """
-        self._centred = [sm.u - sm.u.mean(axis=0) for sm in self.smoothers]
+        self._centred = _centred(self.smoothers)
         vt = np.vstack([sm.vt for sm in self.smoothers])
         system = vt @ np.hstack(self._centred)
         self._splits = np.cumsum([u.shape[1] for u in self._centred])[:-1]
@@ -325,6 +360,33 @@ class AdditiveProjector:
         system += np.eye(system.shape[0])
         rcond = system.shape[0] * np.finfo(float).eps
         self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
+
+    def coordinate_map(self):
+        """The :class:`CoordinateMap` of P, built on the first call and kept.
+
+        P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``
+        (``vt_1`` in place of ``coef`` for one covariate), so P = U A for
+        ``U = [1, C u_1, ..., C u_k]`` and A the matching (1 + sum r_j, n)
+        coefficient rows.  An SVD of U, truncated where ``matrix_rank``
+        would (centred ``linear`` and ``cell_factor`` columns are
+        dependent), gives ``U = B S V^T``; then M = S V^T A.
+        """
+        if self._coordinates is None:
+            if self.n is None:
+                raise InvalidInput("an intercept-only projector needs n for coordinates")
+            n = self.n
+            if self.k >= 2:
+                maps, centred = self.coef, self._centred
+            else:
+                maps = self.smoothers[0].vt if self.k == 1 else np.zeros((0, n))
+                centred = _centred(self.smoothers)
+            U = np.hstack([np.ones((n, 1)), *centred])
+            A = np.vstack([np.full((1, n), 1.0 / n),
+                           maps - maps.mean(axis=1, keepdims=True)])
+            b, s, vt = np.linalg.svd(U, full_matrices=False)
+            r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
+            self._coordinates = CoordinateMap(b[:, :r], (s[:r, None] * vt[:r]) @ A)
+        return self._coordinates
 
     def project(self, g):
         """Backfit g onto the additive space (see the module docstring).

@@ -292,26 +292,26 @@ def pinball_rows_full_ball(q, y, alpha, eps, u):
     return rows
 
 
-def pinball_subgradient_full_ball(q, y, alpha, eps, m, mode, rng):
-    """``gsda.quantile._sampled_subgradient`` drawing the whole ball.
+def pinball_subgradient_full_ball(q, y, alpha, eps, m, rng):
+    """Average-mode ``gsda.quantile._sampled_subgradient`` drawing the whole ball.
 
     Reference for the kink-coordinate path: m points uniform on the
-    n-dimensional eps-ball, a pinball gradient row at each, reduced to
-    ``(g, gnorm, method)`` as the fitter reduces them.
+    n-dimensional eps-ball, the average of the pinball gradients at q
+    and at each, as ``(g, gnorm)``.
     """
     from gsda import _kernels
     from gsda.engine import sample_unit_ball
-    from gsda.errors import NumericalFailure
-    from gsda.minnorm import GradientSet, average_fallback, min_norm_point
 
     u = sample_unit_ball(q.size, m, rng)
-    if mode == "qp":
-        rows = pinball_rows_full_ball(q, y, alpha, eps, u)
-        try:
-            res = min_norm_point(GradientSet(rows))
-        except NumericalFailure:
-            res = average_fallback(GradientSet(rows))
-        return res.point, res.norm, res.method
     base = _kernels.pinball_grad(q, y, alpha)
     g = (base + _kernels.pinball_sampled_grad_sum(q, y, alpha, eps, u)) / (m + 1)
-    return g, float(np.linalg.norm(g)), "average"
+    return g, float(np.linalg.norm(g))
+
+
+def pinball_coordinate_rows(q, y, alpha, eps, u, coords):
+    """qp-mode coordinate rows M g at q and at q + eps*B*u, every coordinate evaluated.
+
+    Reference for ``gsda.quantile._sampled_subgradient`` in qp mode,
+    which evaluates only the kink coordinates.
+    """
+    return pinball_rows_full_ball(q, y, alpha, eps, u @ coords.basis.T) @ coords.coef.T

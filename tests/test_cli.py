@@ -119,6 +119,24 @@ class TestRunDiagnostics:
         _, trows = read_table(out / "trace.csv")
         assert 0 < int(diag["ball_coordinates"]) < 80 * len(trows)
 
+    def test_fit_quantile_qp_subspace(self, tmp_path):
+        from gsda import AdditiveProjector, SmootherSpec
+        from gsda.datasets import load_csv
+
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "hetero", "--n", "80", "--seed", "1",
+              "--output-dir", str(sim)])
+        out = tmp_path / "fit"
+        code = main(["fit-quantile", "--input", str(sim / "data.csv"), "--mode", "qp",
+                     "--smoother", "w=local_linear", "--max-iter", "100", "--seed", "2",
+                     "--output-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        diag = read_diagnostics(out / "diagnostics.txt")
+        w = load_csv(sim / "data.csv").column("w")
+        r = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0)]).coordinate_map().dim
+        assert 1 < r < 80
+        assert (diag["subspace_dim"], diag["m"]) == (str(r), str(r + 1))
+
     def test_fit_pot(self, tmp_path):
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "gpd", "--n", "60", "--seed", "4",
@@ -132,6 +150,8 @@ class TestRunDiagnostics:
         avg = read_diagnostics(tmp_path / "b" / "diagnostics.txt")
         assert (qp["subgradient_mode"], qp["m"]) == ("qp", "200")
         assert (avg["subgradient_mode"], avg["m"]) == ("average", "121")  # 2n+1
+        # Wolfe's rows: one coordinate per functional half, not 2n = 120
+        assert qp["subspace_dim"] == "2" and "subspace_dim" not in avg
         assert set(RUN_KEYS) <= set(avg)
         assert "ball_coordinates" not in avg
         assert int(qp["rejected_draws"]) >= 0 and int(avg["rejected_draws"]) >= 0

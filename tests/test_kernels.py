@@ -98,3 +98,21 @@ def test_ll_weights_rows_are_local_linear(rng):
         assert np.allclose(rows.sum(axis=1), 1.0)
         if bw >= 0.05:  # no fallback rows: the fit reproduces lines exactly
             assert np.allclose(rows @ w, targets, atol=1e-10)
+
+
+def test_ll_weights_peaks_at_three_hats():
+    # the offsets, the kernel and one scratch buffer that becomes the
+    # weights; everything else the kernel keeps is O(n)
+    import tracemalloc
+
+    n = 1000
+    w = np.random.default_rng(7).uniform(size=n)
+    hat = 8 * n * n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _kernels.ll_weights(w, 0.05, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * hat + 64 * 8 * n

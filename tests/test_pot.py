@@ -16,6 +16,8 @@ from gsda import (
     jacobian_blocks,
     negative_loglik_objective,
 )
+from gsda import _kernels, pot
+from gsda.smoothing import AdditiveProjector
 from gsda.datasets import gpd_inverse_cdf
 from gsda.errors import (
     FunctionalUndefined,
@@ -313,6 +315,19 @@ class TestFitConstantModel:
         assert abs(ze[0] - ze_o) / ze_o <= 0.05
         assert model.trace.converged
 
+    def test_default_beta_takes_steps_to_the_mle(self):
+        # qp mode measures stationarity and the Armijo margin by the norm
+        # of the projected coordinates; with the raw 2n-row norm this fit
+        # took no step at the default beta and stopped at the start
+        y = gpd_inverse_cdf(np.random.default_rng(3).random(40), 2.0, 0.2)
+        sig, kap = gpd_mle_oracle(y)
+        model = fit_pot_additive(y, None, VAR_ES, [],
+                                 GsParams(subgradient_mode="qp", seed=1))
+        assert len(model.trace.accepted) >= 1
+        th, ze = model.state.theta_pair
+        assert abs(th[0] - theta_ref(sig, kap, 0.1)) / theta_ref(sig, kap, 0.1) <= 0.01
+        assert abs(ze[0] - zeta_ref(sig, kap, 0.1)) / zeta_ref(sig, kap, 0.1) <= 0.01
+
     @pytest.mark.filterwarnings("ignore::gsda.errors.SampleSizeWarning")
     def test_exponential_data(self):
         rng = np.random.default_rng(17)
@@ -376,3 +391,71 @@ class TestFitTwoLevels:
             for comp in decomp.components:
                 assert abs(comp.mean()) <= 1e-6
         assert model.functional_names == ("return_level_1", "return_level_2")
+
+
+def dense_inverse(state):
+    """The (2n, 2n) J^-1 of a state, eta rows before kappa rows."""
+    inv = state.jac_inverses
+    return np.block([[np.diag(inv[:, 0, 0]), np.diag(inv[:, 0, 1])],
+                     [np.diag(inv[:, 1, 0]), np.diag(inv[:, 1, 1])]])
+
+
+def blockdiag(a):
+    z = np.zeros_like(a)
+    return np.block([[a, z], [z, a]])
+
+
+class TestQpSubspace:
+    def design(self, n=60, seed=7):
+        y = gpd_inverse_cdf(np.random.default_rng(seed).random(n), 2.0, 0.2)
+        W = np.linspace(0.0, 1.0, n)[:, None]
+        specs = [SmootherSpec("local_linear", 0)]
+        return y, W, specs, AdditiveProjector(W, specs).coordinate_map()
+
+    def test_rows_are_projected_functional_rows(self):
+        # g @ K is the coordinate pair (M h1, M h2) of the functional-space
+        # row h = J^-T g, for the draws Q u of the 2r-ball
+        y, W, specs, coords = self.design()
+        lam = Lambda(np.log(2.0) + 0.1 * np.sin(np.arange(y.size)),
+                     np.full(y.size, 0.2))
+        state = PotState.from_lambda(lam, VAR_ES)
+        n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
+        got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8), coords=coords)
+        u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
+        span, _ = np.linalg.qr(dense_inverse(state) @ blockdiag(coords.basis))
+        points = np.vstack([np.zeros(2 * n), eps * u @ span.T])
+        want = []
+        for p in points:
+            g = gpd_loglik_grad(Lambda(lam.eta + p[:n], lam.kappa + p[n:]), y)
+            h = dense_inverse(state).T @ g
+            want.append(np.concatenate([coords.coef @ h[:n], coords.coef @ h[n:]]))
+        assert got.shape == (m + 1, 2 * r)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-10 * np.max(np.abs(want))
+
+    def test_fit_draws_and_rows_live_in_the_subspace(self, monkeypatch):
+        y, W, specs, coords = self.design()
+        r = coords.dim
+        widths, draws = [], []
+        real_wolfe, real_rows = pot.min_norm_point, _kernels.gpd_grad_rows
+
+        def wolfe(gset):
+            widths.append(gset.vectors.shape)
+            return real_wolfe(gset)
+
+        def grad_rows(eta, kappa, yy, eps, u):
+            draws.append((eta.copy(), kappa.copy(), u.copy()))
+            return real_rows(eta, kappa, yy, eps, u)
+
+        monkeypatch.setattr(pot, "min_norm_point", wolfe)
+        monkeypatch.setattr(_kernels, "gpd_grad_rows", grad_rows)
+        model = fit_pot_additive(y, W, VAR_ES, specs,
+                                 GsParams(subgradient_mode="qp", seed=3, max_iter=25))
+        assert model.trace.subspace_dim == 2 * r and model.trace.m == 2 * r + 1
+        assert set(widths) == {(2 * r + 2, 2 * r)}
+        assert len(draws) >= 25 and len(model.trace.accepted) > 0
+        for eta, kappa, u in draws:
+            # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
+            assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
+            state = PotState.from_lambda(Lambda(eta, kappa), VAR_ES)
+            span, _ = np.linalg.qr(dense_inverse(state) @ blockdiag(coords.basis))
+            assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12

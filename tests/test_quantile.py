@@ -12,8 +12,14 @@ from gsda import (
 from gsda import _kernels, quantile
 from gsda.engine import sample_unit_ball
 from gsda.errors import ExtrapolationWarning, InvalidInput
+from gsda.smoothing import AdditiveProjector
 
-from _oracles import central_diff, pinball_rows_full_ball, pinball_subgradient_full_ball
+from _oracles import (
+    central_diff,
+    pinball_coordinate_rows,
+    pinball_rows_full_ball,
+    pinball_subgradient_full_ball,
+)
 
 
 class TestPinball:
@@ -91,13 +97,11 @@ def residual_design(units, seed):
     return q, q + EPS * np.asarray(units, dtype=float)
 
 
-def kink_path(monkeypatch, q, y, alpha, mode, u_full):
-    """The fitter's subgradient on the kink columns of one full-ball draw.
+def kink_path(monkeypatch, q, y, alpha, u_full):
+    """The average-mode subgradient on the kink columns of one full-ball draw.
 
-    Returns ``(result, rows)``: ``rows`` is the gradient set handed to
-    Wolfe (qp mode) or None.  The patched sampler checks that the fitter
-    asks for exactly the columns |y - q| <= 2*EPS of the n-dimensional
-    ball.
+    The patched sampler checks that the fitter asks for exactly the
+    columns |y - q| <= 2*EPS of the n-dimensional ball.
     """
     n, m = q.size, u_full.shape[0]
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * EPS)
@@ -106,18 +110,10 @@ def kink_path(monkeypatch, q, y, alpha, mode, u_full):
         assert (a, count, dim) == (kink.size, m, n)
         return u_full[:, kink].copy()
 
-    seen = []
-    wolfe = quantile.min_norm_point
-
-    def spy(gset):
-        seen.append(gset.vectors.copy())
-        return wolfe(gset)
-
     monkeypatch.setattr(quantile, "sample_unit_ball", sampler)
-    monkeypatch.setattr(quantile, "min_norm_point", spy)
-    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, mode, None)
+    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, "average", None)
     assert out[3] == kink.size
-    return out, (seen[0] if seen else None)
+    return out
 
 
 class TestKinkCoordinates:
@@ -136,21 +132,13 @@ class TestKinkCoordinates:
             n = q.size
             for m in (n + 1, 3):
                 u_full = sample_unit_ball(n, m, np.random.default_rng(seed))
-                want_rows = pinball_rows_full_ball(q, y, alpha, EPS, u_full)
-                for mode in ("qp", "average"):
-                    want = pinball_subgradient_full_ball(
-                        q, y, alpha, EPS, m, mode, np.random.default_rng(seed))
-                    (g, gnorm, method, _), rows = kink_path(
-                        monkeypatch, q, y, alpha, mode, u_full)
-                    monkeypatch.undo()
-                    assert method == want[2]
-                    if mode == "qp":
-                        assert rows.tobytes() == want_rows.tobytes()
-                        assert g.tobytes() == want[0].tobytes()
-                        assert gnorm == want[1]
-                    else:
-                        assert np.max(np.abs(g - want[0])) <= 1e-12
-                        assert abs(gnorm - want[1]) <= 1e-12
+                want = pinball_subgradient_full_ball(
+                    q, y, alpha, EPS, m, np.random.default_rng(seed))
+                g, gnorm, method, _ = kink_path(monkeypatch, q, y, alpha, u_full)
+                monkeypatch.undo()
+                assert method == "average"
+                assert np.max(np.abs(g - want[0])) <= 1e-12
+                assert abs(gnorm - want[1]) <= 1e-12
 
     def test_draws_flip_signs_inside_the_ball(self):
         # the shared-draw test is only as strong as its draws: some sampled
@@ -164,13 +152,15 @@ class TestKinkCoordinates:
 
     def test_empty_kink_set_draws_nothing(self):
         q, y = residual_design(self.DESIGNS["empty"], 2)
+        coords = AdditiveProjector(None, [], q.size).coordinate_map()
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        for mode in ("qp", "average"):
+        base = pinball_grad(q, y, 0.7)
+        for mode, want in (("qp", coords.coef @ base), ("average", base)):
             g, gnorm, _, drawn = quantile._sampled_subgradient(
-                q, y, 0.7, EPS, q.size + 1, mode, rng)
+                q, y, 0.7, EPS, q.size + 1, mode, rng, coords)
             assert drawn == 0
-            assert g.tobytes() == pinball_grad(q, y, 0.7).tobytes()
+            assert g.tobytes() == want.tobytes()
         assert rng.bit_generator.state == state
 
     def test_fit_counts_drawn_coordinates(self, monkeypatch):
@@ -309,7 +299,94 @@ class TestPredictInterceptOnly:
         assert np.allclose(pred, model.q[0])
 
 
+def one_smoother_design(n, seed):
+    rng = np.random.default_rng(seed)
+    w = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    y = np.sin(w) + (0.5 + 0.2 * w) * rng.standard_normal(n)
+    return y, w[:, None], [SmootherSpec("local_linear", 0)]
+
+
 class TestQpMode:
+    def test_rows_match_every_coordinate_evaluated(self, monkeypatch):
+        # the kink test |y - q| <= 2*eps*||B_i|| must keep every coordinate
+        # a draw eps*B*u can flip: rows built from the kink coordinates
+        # equal M g with all n coordinates of g evaluated
+        y, W, specs = one_smoother_design(200, 3)
+        proj = AdditiveProjector(W, specs)
+        coords, q = proj.coordinate_map(), proj.project(y).fitted
+        r = coords.dim
+        drawn, seen = [], []
+        real_ball, real_wolfe = quantile.sample_unit_ball, quantile.min_norm_point
+
+        def ball(*args, **kwargs):
+            drawn.append(real_ball(*args, **kwargs))
+            return drawn[-1]
+
+        def wolfe(gset):
+            seen.append(gset.vectors.copy())
+            return real_wolfe(gset)
+
+        monkeypatch.setattr(quantile, "sample_unit_ball", ball)
+        monkeypatch.setattr(quantile, "min_norm_point", wolfe)
+        flipped = 0
+        for eps in (0.02, 0.1, 0.5):
+            rng = np.random.default_rng(4)
+            drawn.clear()
+            seen.clear()
+            g, gnorm, method, count = quantile._sampled_subgradient(
+                q, y, 0.8, eps, r + 1, "qp", rng, coords)
+            (u,), (rows,) = drawn, seen
+            assert u.shape == (r + 1, r) and count == r
+            want = pinball_coordinate_rows(q, y, 0.8, eps, u, coords)
+            assert rows.shape == want.shape == (r + 2, r)
+            assert np.max(np.abs(rows - want)) <= 1e-12
+            assert g.shape == (r,) and gnorm == pytest.approx(np.linalg.norm(g))
+            flipped += int(np.any(rows[1:] != rows[0]))
+        assert flipped == 3
+
+    def test_draws_handed_to_the_kernel_lie_in_the_subspace(self, monkeypatch):
+        # each sampled point the kernel sees is q + eps*B*u, |u| <= 1, on
+        # the kink coordinates, and Wolfe's rows are r long
+        y, W, specs = one_smoother_design(120, 5)
+        coords = AdditiveProjector(W, specs).coordinate_map()
+        B, r = coords.basis, coords.dim
+        draws, calls, widths, current = [], [], [], []
+        real_ball, real_grad = quantile.sample_unit_ball, _kernels.pinball_grad
+        real_estimate, real_wolfe = quantile._sampled_subgradient, quantile.min_norm_point
+
+        def ball(*args, **kwargs):
+            draws.append(real_ball(*args, **kwargs))
+            return draws[-1]
+
+        def grad(q, yy, alpha):
+            if np.ndim(q) == 2:  # the sampled points
+                calls.append((*current[-1], q.copy(), yy.copy(), draws[-1]))
+            return real_grad(q, yy, alpha)
+
+        def estimate(q, *args):
+            current.append((q, args[2]))  # (iterate, eps)
+            return real_estimate(q, *args)
+
+        def wolfe(gset):
+            widths.append(gset.vectors.shape)
+            return real_wolfe(gset)
+
+        monkeypatch.setattr(quantile, "sample_unit_ball", ball)
+        monkeypatch.setattr(_kernels, "pinball_grad", grad)
+        monkeypatch.setattr(quantile, "_sampled_subgradient", estimate)
+        monkeypatch.setattr(quantile, "min_norm_point", wolfe)
+        model = fit_quantile_additive(y, W, 0.7, specs,
+                                      GsParams(seed=2, subgradient_mode="qp", max_iter=60))
+        assert model.trace.subspace_dim == r and model.trace.m == r + 1 < y.size
+        assert set(widths) == {(r + 2, r)}
+        assert len(calls) == len(draws) > 10
+        for q, eps, points, yk, u in calls:
+            assert u.shape == (r + 1, r) and np.all(np.linalg.norm(u, axis=1) <= 1.0)
+            kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps * coords.row_norms)
+            assert np.array_equal(yk, y[kink])
+            assert np.max(np.abs(points - q[kink] - eps * (u @ B[kink].T))) <= 1e-15
+            assert np.all(np.linalg.norm(eps * (u @ B.T), axis=1) <= eps * (1 + 1e-12))
+
     def test_qp_mode_runs_and_descends(self):
         rng = np.random.default_rng(11)
         y = rng.random(40)

@@ -401,3 +401,62 @@ class TestNonFiniteInput:
         g[7] = bad
         with pytest.raises(NumericalFailure):
             AdditiveProjector(W, specs).project(g)
+
+
+def _coordinate_designs():
+    """(name, W, specs, n) for the coordinate-map tests."""
+    single = {c[0]: c for c in _single_covariate_cases()}
+    cases = [("intercept only", None, [], 50)]
+    for name in ("linear", "cell_factor", "local_linear"):
+        _, w, spec = single[name]
+        cases.append((name, w[:, None], [spec], None))
+    _, W, specs, _ = _fixed_point_designs(n=2000)[0]
+    cases.append(("concurvity pair n=2000", W, specs, None))
+    return cases
+
+
+class TestCoordinateMap:
+    @pytest.mark.parametrize("name,W,specs,n", _coordinate_designs(),
+                             ids=[d[0] for d in _coordinate_designs()])
+    def test_basis_is_orthonormal_and_reproduces_project(self, name, W, specs, n):
+        proj = AdditiveProjector(W, specs, n)
+        coords = proj.coordinate_map()
+        B, M = coords.basis, coords.coef
+        size = B.shape[0]
+        assert M.shape == (coords.dim, size) and coords.dim < size
+        assert np.max(np.abs(B.T @ B - np.eye(coords.dim))) <= 1e-12
+        assert np.array_equal(coords.row_norms, np.linalg.norm(B, axis=1))
+        rng = np.random.default_rng(21)
+        for g in (_pinball_like(rng, size), rng.normal(size=size)):
+            assert np.max(np.abs(B @ (M @ g) - proj.project(g).fitted)) <= 1e-10
+        assert proj.coordinate_map() is coords
+
+    def test_rank_counts_independent_directions(self):
+        # intercept, one centred slope, and levels - 1 centred cell effects
+        rng = np.random.default_rng(22)
+        w, codes = rng.uniform(size=40), rng.integers(0, 3, 40).astype(float)
+        ranks = [AdditiveProjector(W, specs).coordinate_map().dim for W, specs in (
+            (w[:, None], [SmootherSpec("linear", 0)]),
+            (codes[:, None], [SmootherSpec("cell_factor", 0)]),
+            (np.column_stack([w, codes]),
+             [SmootherSpec("linear", 0), SmootherSpec("cell_factor", 1)]))]
+        assert ranks == [2, 3, 4]
+
+    def test_intercept_only_needs_n(self):
+        with pytest.raises(InvalidInput):
+            AdditiveProjector(None, []).coordinate_map()
+
+    def test_average_mode_fits_never_build_it(self, monkeypatch):
+        from gsda import FunctionalSpec, GsParams, fit_pot_additive, fit_quantile_additive
+        from gsda.datasets import gpd_inverse_cdf
+
+        def refuse(self):
+            raise AssertionError("coordinate map built in average mode")
+
+        monkeypatch.setattr(AdditiveProjector, "coordinate_map", refuse)
+        rng = np.random.default_rng(23)
+        W, specs = rng.uniform(size=(40, 1)), [SmootherSpec("local_linear", 0)]
+        gs = GsParams(subgradient_mode="average", max_iter=10, seed=0)
+        fit_quantile_additive(rng.normal(size=40), W, 0.5, specs, gs)
+        fit_pot_additive(gpd_inverse_cdf(rng.random(40), 2.0, 0.2), W,
+                         FunctionalSpec("var_es", (0.01,), 0.1), specs, gs)
