@@ -24,7 +24,6 @@ from .pot import (
     Lambda,
     PotModel,
     PotState,
-    approx_subgradient_theta,
     fit_pot_additive,
     functional_map,
     gpd_loglik,
@@ -57,7 +56,7 @@ __all__ = [
     "AdditiveFit", "AdditiveProjector", "CoordinateMap", "FitTrace", "FunctionalSpec",
     "GradientSet", "GsParams", "Lambda", "MinNormResult", "Objective",
     "PotModel", "PotState", "QuantileModel", "SmootherSpec", "additive_project",
-    "approx_subgradient", "approx_subgradient_theta", "armijo_search",
+    "approx_subgradient", "armijo_search",
     "average_fallback", "bandwidth_for_df", "cell_factor_smooth",
     "effective_df", "fit_pot_additive", "fit_quantile_additive",
     "functional_map", "gpd_loglik", "gpd_loglik_grad", "gsda_minimize",

@@ -262,8 +262,9 @@ def _write_diagnostics(path, entries):
 def _run_entries(gs, trace):
     """The resolved hyperparameters of a fit and the kernel path it ran on.
 
-    qp mode adds ``subspace_dim``, the length of the rows Wolfe's solver
-    reduces (r for fit-quantile, 2r for fit-pot).
+    ``subspace_dim`` is the length of the coordinate rows the estimate
+    reduces: 2r for fit-pot, r for fit-quantile in qp mode (absent in its
+    average mode).
     """
     subspace = [] if trace.subspace_dim is None else [("subspace_dim", trace.subspace_dim)]
     return [

@@ -42,11 +42,11 @@ class GsParams:
     ``m`` is the number of ball draws per estimate, besides the iterate.
     ``None`` resolves at run time to d+1, where d is the dimension of the
     space searched: the point's for :func:`gsda_minimize` and for the
-    fitters' average mode (n for quantile, 2n for POT), and the additive
-    subspace's in their qp mode (r for quantile, 2r for POT, r = the
-    dimension of range(P)).  An explicit m is honoured; one below d+1
-    raises :class:`SampleSizeWarning`, since the convergence theory of
-    gradient sampling assumes m >= d+1.
+    quantile fitter's average mode (n), and the additive subspace's for
+    the quantile fitter's qp mode (r, the dimension of range(P)) and for
+    the POT fitter in both modes (2r).  An explicit m is honoured; one
+    below d+1 raises :class:`SampleSizeWarning`, since the convergence
+    theory of gradient sampling assumes m >= d+1.
 
     Default mode: ``GsParams()`` means ``subgradient_mode="qp"``, and
     :func:`gsda_minimize` uses it when given no params.  The additive
@@ -132,8 +132,9 @@ class FitTrace:
     """Per-iteration log of a descent run, with the run's totals.
 
     ``m`` is the resolved sample size and ``subspace_dim`` the length of
-    the rows Wolfe's solver reduces in qp mode (r or 2r; None in average
-    mode), both set by the additive fitters.  ``ball_coordinates`` sums
+    the coordinate rows the estimate reduces (2r for the POT fitter, r
+    for the quantile fitter's qp mode; None for its average mode), both
+    set by the additive fitters.  ``ball_coordinates`` sums
     the ball coordinates the pinball fitter drew per point over its
     iterations (n per iteration would be the whole n-ball).
     ``rejected_draws`` sums the infeasible draws :func:`sample_rows`

@@ -6,8 +6,9 @@ implementations under test; the dense solve reads its matrices off the
 package's smoothers, not its backfitting.  The references at the end
 are the package's earlier, slower forms of a batched, hashed,
 accelerated or kink-only path, kept so the fast path can be held
-bitwise equal to them: they reuse the package's scalar kernels,
-sampler, smoothers and Wolfe solver.  ``per_sample_theta_grad`` is the
+bitwise equal to them (the POT coordinate rows: to rounding, since the
+loop projects each row separately): they reuse the package's scalar
+kernels, sampler, smoothers and Wolfe solver.  ``per_sample_theta_grad`` is the
 unsimplified POT gradient (a Jacobian at every sample), which the
 package's single-Jacobian pullback must approach as eps -> 0.
 """
@@ -172,72 +173,101 @@ def backfit_loop(projector, g, max_cycles=100):
                        centers, converged, cycles)
 
 
-def theta_grad_rows_loop(state, y, eps, m, rng):
-    """qp-mode functional-space gradient rows, one draw at a time.
+def blocks_apply_t(inv, g):
+    """Blockwise (J^T)^-1 g: maps (eta, kappa) gradients to functional space.
 
-    Reference for ``gsda.pot._theta_grad_rows``: same draws, the same
-    support rule (a = 1 + kappa*y*exp(-eta) finite and positive), one
-    ``gpd_grad`` call and one pullback per feasible draw.
+    ``g`` is one stacked (2n,) gradient or a (k, 2n) stack of them.
+    """
+    n = inv.shape[0]
+    g1, g2 = g[..., :n], g[..., n:]
+    return np.concatenate([inv[:, 0, 0] * g1 + inv[:, 1, 0] * g2,
+                           inv[:, 0, 1] * g1 + inv[:, 1, 1] * g2], axis=-1)
+
+
+def dense_inverse(inv):
+    """The (2n, 2n) J^-1 of blocks ``inv``, eta rows before kappa rows."""
+    return np.block([[np.diag(inv[:, 0, 0]), np.diag(inv[:, 0, 1])],
+                     [np.diag(inv[:, 1, 0]), np.diag(inv[:, 1, 1])]])
+
+
+def blockdiag(a):
+    z = np.zeros_like(a)
+    return np.block([[a, z], [z, a]])
+
+
+def draw_frame(inv, coords):
+    """Q: an orthonormal basis of J^-1 blockdiag(B, B), from dense matrices."""
+    return np.linalg.qr(dense_inverse(inv) @ blockdiag(coords.basis))[0]
+
+
+def coordinate_row(inv, g, coords):
+    """(M h_1, M h_2) of the functional-space gradient h = (J^T)^-1 g."""
+    h = blocks_apply_t(inv, g)
+    n = inv.shape[0]
+    return np.concatenate([coords.coef @ h[:n], coords.coef @ h[n:]])
+
+
+def theta_grad_rows_loop(state, y, eps, m, rng, coords):
+    """POT coordinate rows, one draw at a time.
+
+    Reference for ``gsda.pot._theta_grad_rows``: the same draws
+    ``eps * Q u`` for u in the 2r-ball, the same support rule
+    (a = 1 + kappa*y*exp(-eta) finite and positive), and per feasible
+    draw one ``gpd_grad`` call, one functional-space pullback and one
+    projection to coordinates.
     """
     from gsda import _kernels
     from gsda.engine import sample_unit_ball
     from gsda.errors import SamplingExhausted
-    from gsda.pot import _blocks_apply_t
 
     lam, inv = state.lam, state.jac_inverses
     n = lam.n
-    rows = [_blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))]
+    frame = draw_frame(inv, coords)
+    rows = [coordinate_row(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y), coords)]
     rejected = 0
     cap = 10 * m
     while len(rows) < m + 1:
-        u = sample_unit_ball(2 * n, m + 1 - len(rows), rng)
-        pe = lam.eta[None, :] + eps * u[:, :n]
-        pk = lam.kappa[None, :] + eps * u[:, n:]
-        with np.errstate(all="ignore"):
-            a = 1.0 + pk * (y[None, :] * np.exp(-pe))
-        feasible = np.all(np.isfinite(a) & (a > 0.0), axis=1)
-        for i in range(u.shape[0]):
-            if not feasible[i]:
+        for u in sample_unit_ball(2 * coords.dim, m + 1 - len(rows), rng):
+            p = frame @ u
+            pe, pk = lam.eta + eps * p[:n], lam.kappa + eps * p[n:]
+            with np.errstate(all="ignore"):
+                a = 1.0 + pk * (y * np.exp(-pe))
+            if not np.all(np.isfinite(a) & (a > 0.0)):
                 rejected += 1
                 if rejected > cap:
                     raise SamplingExhausted(
                         f"more than {cap} infeasible draws at eps={eps:g}")
                 continue
-            rows.append(_blocks_apply_t(inv, _kernels.gpd_grad(pe[i], pk[i], y)))
-            if len(rows) == m + 1:
-                break
+            rows.append(coordinate_row(inv, _kernels.gpd_grad(pe, pk, y), coords))
     return np.array(rows)
 
 
-def per_sample_theta_grad(state, y, eps, m, rng):
-    """Averaged functional-space gradient with a fresh Jacobian per sample.
+def per_sample_theta_grad(state, y, eps, m, rng, coords):
+    """Mean POT coordinate row with a fresh Jacobian per sample.
 
-    Reference for ``gsda.pot.approx_subgradient_theta``, which pulls the
-    averaged (eta, kappa) gradient back through the iterate's Jacobian
-    alone.  Here each of the m feasible draws is taken in functional
-    space, mapped to (eta, kappa) through the iterate's ``J^-1``, and its
-    gradient pulled back through the Jacobian at that point; draws off
-    the support (or, under var_es, at kappa >= 1, or at a singular
+    Reference for the mean of ``gsda.pot._theta_grad_rows``, which pulls
+    every sampled (eta, kappa) gradient back through the iterate's
+    Jacobian alone.  Here each of the m feasible draws ``eps * Q u`` has
+    its gradient pulled back through the Jacobian at that point; draws
+    off the support (or, under var_es, at kappa >= 1, or at a singular
     block) are redrawn, more than 10*m of them raising
     ``SamplingExhausted``.  The two agree as eps -> 0.
     """
     from gsda import _kernels
     from gsda.engine import sample_unit_ball
     from gsda.errors import SamplingExhausted, SingularBlock
-    from gsda.pot import Lambda, _blocks_apply, _blocks_apply_t, jacobian_blocks
+    from gsda.pot import Lambda, jacobian_blocks
 
     lam, spec, inv = state.lam, state.spec, state.jac_inverses
-    total = _blocks_apply_t(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y))
+    frame = draw_frame(inv, coords)
+    total = coordinate_row(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y), coords)
     base = lam.as_vector()
-    n = lam.n
     got = 0
     rejected = 0
     cap = 10 * m
     while got < m:
-        u = sample_unit_ball(2 * n, m - got, rng)
-        for row in u:
-            v = base + eps * _blocks_apply(inv, row)
-            pert = Lambda(v[:n], v[n:])
+        for u in sample_unit_ball(2 * coords.dim, m - got, rng):
+            pert = Lambda.from_vector(base + eps * (frame @ u))
             ok = np.isfinite(_kernels.gpd_loglik(pert.eta, pert.kappa, y))
             if ok and spec.pair == "var_es":
                 ok = bool(np.all(pert.kappa < 1.0))
@@ -252,10 +282,8 @@ def per_sample_theta_grad(state, y, eps, m, rng):
                     raise SamplingExhausted(
                         f"more than {cap} infeasible draws at eps={eps:g}")
                 continue
-            total += _blocks_apply_t(pinv, _kernels.gpd_grad(pert.eta, pert.kappa, y))
+            total += coordinate_row(pinv, _kernels.gpd_grad(pert.eta, pert.kappa, y), coords)
             got += 1
-            if got == m:
-                break
     return total / (m + 1)
 
 

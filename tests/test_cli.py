@@ -149,9 +149,9 @@ class TestRunDiagnostics:
         qp = read_diagnostics(tmp_path / "a" / "diagnostics.txt")
         avg = read_diagnostics(tmp_path / "b" / "diagnostics.txt")
         assert (qp["subgradient_mode"], qp["m"]) == ("qp", "200")
-        assert (avg["subgradient_mode"], avg["m"]) == ("average", "121")  # 2n+1
-        # Wolfe's rows: one coordinate per functional half, not 2n = 120
-        assert qp["subspace_dim"] == "2" and "subspace_dim" not in avg
+        assert (avg["subgradient_mode"], avg["m"]) == ("average", "3")  # 2r+1
+        # both modes' rows: one coordinate per functional half, not 2n = 120
+        assert qp["subspace_dim"] == avg["subspace_dim"] == "2"
         assert set(RUN_KEYS) <= set(avg)
         assert "ball_coordinates" not in avg
         assert int(qp["rejected_draws"]) >= 0 and int(avg["rejected_draws"]) >= 0

@@ -8,7 +8,6 @@ from gsda import (
     Lambda,
     PotState,
     SmootherSpec,
-    approx_subgradient_theta,
     fit_pot_additive,
     functional_map,
     gpd_loglik,
@@ -27,7 +26,15 @@ from gsda.errors import (
     SingularBlock,
 )
 
-from _oracles import central_diff, gpd_mle_oracle, per_sample_theta_grad, theta_ref, zeta_ref
+from _oracles import (
+    blockdiag,
+    central_diff,
+    dense_inverse,
+    gpd_mle_oracle,
+    per_sample_theta_grad,
+    theta_ref,
+    zeta_ref,
+)
 
 VAR_ES = FunctionalSpec("var_es", (0.01,), 0.1)  # scale factor c = 0.1
 
@@ -193,34 +200,42 @@ class TestJacobianBlocks:
             jacobian_blocks(const_lambda(1.0, 0.3), spec)
 
 
+def sampled_theta_grad(state, y, eps, m, seed, coords=None):
+    """Mean of the POT fitter's coordinate rows (intercept-only by default).
+
+    With one observation B = M = 1, so each row is the functional-space
+    gradient J^-T g itself.
+    """
+    if coords is None:
+        coords = AdditiveProjector(None, [], state.n).coordinate_map()
+    rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), coords)
+    return rows.mean(axis=0)
+
+
 class TestApproxSubgradientTheta:
     def test_zero_radius_limit_matches_chain_rule(self):
-        rng = np.random.default_rng(7)
-        lam = const_lambda(2.0, 0.25, 5)
-        y = gpd_inverse_cdf(rng.random(5), 2.0, 0.25)
-        state = PotState.from_lambda(lam, VAR_ES)
-        got = approx_subgradient_theta(state, y, 1e-12, GsParams(m=11),
-                                       np.random.default_rng(0))
-        _, inv = jacobian_blocks(lam, VAR_ES)
-        g = gpd_loglik_grad(lam, y)
-        expect = np.concatenate([
-            inv[:, 0, 0] * g[:5] + inv[:, 1, 0] * g[5:],
-            inv[:, 0, 1] * g[:5] + inv[:, 1, 1] * g[5:],
-        ])
-        assert np.max(np.abs(got - expect)) <= 1e-6
+        for i, y in enumerate([0.3, 1.7, 6.0]):
+            lam = const_lambda(2.0, 0.25 - 0.1 * i)
+            state = PotState.from_lambda(lam, VAR_ES)
+            got = sampled_theta_grad(state, np.array([y]), 1e-12, 11, 0)
+            _, inv = jacobian_blocks(lam, VAR_ES)
+            g = gpd_loglik_grad(lam, np.array([y]))
+            expect = np.array([inv[0, 0, 0] * g[0] + inv[0, 1, 0] * g[1],
+                               inv[0, 0, 1] * g[0] + inv[0, 1, 1] * g[1]])
+            assert np.max(np.abs(got - expect)) <= 1e-6
 
     def test_small_norm_at_oracle_mle(self):
         # per-observation gradients do not vanish at the MLE, only their
-        # average does, so the stacked norm grows like sqrt(n) and sits
-        # well under the 1e-2 * n yardstick for large samples
+        # sum does, and the intercept coordinates are those sums over
+        # sqrt(n): the mean row is the O(eps) change the draws make
         rng = np.random.default_rng(8)
         n = 2000
         y = gpd_inverse_cdf(rng.random(n), 2.0, 0.2)
         sig, kap = gpd_mle_oracle(y)
         state = PotState.from_lambda(const_lambda(sig, kap, n), VAR_ES)
-        g = approx_subgradient_theta(state, y, 1e-4, GsParams(),
-                                     np.random.default_rng(1))
-        assert np.linalg.norm(g) <= 1e-2 * n
+        assert np.linalg.norm(sampled_theta_grad(state, y, 1e-4, 3, 1)) <= 1e-3
+        state = PotState.from_lambda(const_lambda(1.1 * sig, kap, n), VAR_ES)
+        assert np.linalg.norm(sampled_theta_grad(state, y, 1e-4, 3, 1)) >= 0.1
 
     def test_chain_rule_against_numerical_functional_inverse(self):
         # single observation: perturb the two functional coordinates,
@@ -228,8 +243,7 @@ class TestApproxSubgradientTheta:
         lam = const_lambda(1.4, 0.3)
         y = np.array([1.1])
         state = PotState.from_lambda(lam, VAR_ES)
-        analytic = approx_subgradient_theta(state, y, 1e-13, GsParams(m=3),
-                                            np.random.default_rng(2))
+        analytic = sampled_theta_grad(state, y, 1e-13, 3, 2)
 
         def lambda_of_theta(target):
             def residual(v):
@@ -254,25 +268,29 @@ class TestApproxSubgradientTheta:
 
     def test_per_sample_jacobian_variant_agrees_for_small_eps(self):
         rng = np.random.default_rng(9)
-        lam = const_lambda(1.5, 0.2, 4)
-        y = gpd_inverse_cdf(rng.random(4), 1.5, 0.2)
+        n = 12
+        lam = Lambda(np.log(1.5) + 0.1 * rng.normal(size=n), 0.2 + 0.05 * rng.normal(size=n))
+        y = gpd_inverse_cdf(rng.random(n), 1.5, 0.2)
         state = PotState.from_lambda(lam, VAR_ES)
-        a = approx_subgradient_theta(state, y, 1e-9, GsParams(m=9, seed=0),
-                                     np.random.default_rng(3))
-        b = per_sample_theta_grad(state, y, 1e-9, 9, np.random.default_rng(3))
+        coords = AdditiveProjector(np.linspace(0.0, 1.0, n)[:, None],
+                                   [SmootherSpec("linear", 0)]).coordinate_map()
+        a = sampled_theta_grad(state, y, 1e-9, 9, 3, coords)
+        b = per_sample_theta_grad(state, y, 1e-9, 9, np.random.default_rng(3), coords)
         assert np.max(np.abs(a - b)) <= 1e-6
 
     def test_sampling_exhausted_near_support_boundary(self):
         # one tight constraint only halves the feasible draws (the support
-        # is locally a half-space in each kappa_i), so pin every
-        # observation against the boundary to starve the sampler
+        # is locally a half-space), so pin every observation against the
+        # boundary and give each its own cell: a draw must then keep all
+        # eight inside at once
         y = np.full(8, 4.0)
         lam = const_lambda(1.0, -0.25 + 1e-7, 8)
         assert np.isfinite(gpd_loglik(lam, y))
         state = PotState.from_lambda(lam, VAR_ES)
+        coords = AdditiveProjector(np.arange(8.0)[:, None],
+                                   [SmootherSpec("cell_factor", 0)]).coordinate_map()
         with pytest.raises(SamplingExhausted):
-            approx_subgradient_theta(state, y, 0.3, GsParams(m=40),
-                                     np.random.default_rng(0))
+            sampled_theta_grad(state, y, 0.3, 40, 0, coords)
 
 
 class TestNegativeLoglikObjective:
@@ -315,14 +333,15 @@ class TestFitConstantModel:
         assert abs(ze[0] - ze_o) / ze_o <= 0.05
         assert model.trace.converged
 
-    def test_default_beta_takes_steps_to_the_mle(self):
-        # qp mode measures stationarity and the Armijo margin by the norm
+    @pytest.mark.parametrize("mode", ["qp", "average"])
+    def test_default_beta_takes_steps_to_the_mle(self, mode):
+        # both modes measure stationarity and the Armijo margin by the norm
         # of the projected coordinates; with the raw 2n-row norm this fit
         # took no step at the default beta and stopped at the start
         y = gpd_inverse_cdf(np.random.default_rng(3).random(40), 2.0, 0.2)
         sig, kap = gpd_mle_oracle(y)
         model = fit_pot_additive(y, None, VAR_ES, [],
-                                 GsParams(subgradient_mode="qp", seed=1))
+                                 GsParams(subgradient_mode=mode, seed=1))
         assert len(model.trace.accepted) >= 1
         th, ze = model.state.theta_pair
         assert abs(th[0] - theta_ref(sig, kap, 0.1)) / theta_ref(sig, kap, 0.1) <= 0.01
@@ -371,7 +390,9 @@ class TestProjectionCounters:
                                  [SmootherSpec("local_linear", 0)],
                                  GsParams(subgradient_mode="average",
                                           max_iter=20, seed=1))
-        assert len(projection_calls) % 2 == 0 and len(projection_calls) > 2
+        # steps move in coordinates, so only the two reported
+        # decompositions project
+        assert len(projection_calls) == 2
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
 
@@ -393,18 +414,6 @@ class TestFitTwoLevels:
         assert model.functional_names == ("return_level_1", "return_level_2")
 
 
-def dense_inverse(state):
-    """The (2n, 2n) J^-1 of a state, eta rows before kappa rows."""
-    inv = state.jac_inverses
-    return np.block([[np.diag(inv[:, 0, 0]), np.diag(inv[:, 0, 1])],
-                     [np.diag(inv[:, 1, 0]), np.diag(inv[:, 1, 1])]])
-
-
-def blockdiag(a):
-    z = np.zeros_like(a)
-    return np.block([[a, z], [z, a]])
-
-
 class TestQpSubspace:
     def design(self, n=60, seed=7):
         y = gpd_inverse_cdf(np.random.default_rng(seed).random(n), 2.0, 0.2)
@@ -422,12 +431,12 @@ class TestQpSubspace:
         n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
         got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8), coords=coords)
         u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
-        span, _ = np.linalg.qr(dense_inverse(state) @ blockdiag(coords.basis))
+        span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
         points = np.vstack([np.zeros(2 * n), eps * u @ span.T])
         want = []
         for p in points:
             g = gpd_loglik_grad(Lambda(lam.eta + p[:n], lam.kappa + p[n:]), y)
-            h = dense_inverse(state).T @ g
+            h = dense_inverse(state.jac_inverses).T @ g
             want.append(np.concatenate([coords.coef @ h[:n], coords.coef @ h[n:]]))
         assert got.shape == (m + 1, 2 * r)
         assert np.max(np.abs(got - np.array(want))) <= 1e-10 * np.max(np.abs(want))
@@ -457,5 +466,5 @@ class TestQpSubspace:
             # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
             assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
             state = PotState.from_lambda(Lambda(eta, kappa), VAR_ES)
-            span, _ = np.linalg.qr(dense_inverse(state) @ blockdiag(coords.basis))
+            span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
             assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12

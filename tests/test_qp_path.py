@@ -1,21 +1,39 @@
-"""The qp-mode path: batched gradient rows and the min-norm dedupe.
+"""The POT row path and the min-norm dedupe.
 
-Both are faster forms of a simpler loop kept in ``_oracles``; they must
-give bitwise-equal results, so a fit's trace does not move.
+Both are faster forms of a simpler loop kept in ``_oracles``.  The
+dedupe must give bitwise-equal results, so a fit's trace does not move;
+the batched POT coordinate rows must consume the same draws and agree
+to rounding.
 """
 
 import numpy as np
 import pytest
 
-from gsda import FitTrace, GradientSet, GsParams, approx_subgradient_theta, min_norm_point
+from gsda import (
+    AdditiveProjector,
+    FitTrace,
+    GradientSet,
+    GsParams,
+    SmootherSpec,
+    average_fallback,
+    fit_pot_additive,
+    min_norm_point,
+)
 from gsda import _kernels
 from gsda.datasets import gpd_inverse_cdf
 from gsda.engine import sample_unit_ball
 from gsda.errors import NumericalFailure, SamplingExhausted
 from gsda.minnorm import _distinct_rows
-from gsda.pot import FunctionalSpec, Lambda, PotState, _theta_grad_rows
+from gsda.pot import (
+    FunctionalSpec,
+    Lambda,
+    PotState,
+    _blocks_apply,
+    _theta_grad_rows,
+    initial_lambda,
+)
 
-from _oracles import min_norm_point_unique, theta_grad_rows_loop
+from _oracles import draw_frame, min_norm_point_unique, theta_grad_rows_loop
 
 VAR_ES = FunctionalSpec("var_es", (0.01,), 0.1)
 
@@ -59,7 +77,13 @@ class TestRowKernel:
 
 
 def pot_state(seed, n, boundary):
-    """A var_es state; with ``boundary`` some kappa sit on the support edge."""
+    """A var_es state, its excesses and a coordinate map.
+
+    With ``boundary`` some kappa sit on the support edge.  From n = 6 on
+    the map is that of a 6-level cell_factor covariate (r = 6), so a draw
+    must keep the tight observations of every cell inside the support:
+    about 1 in 40 does, and small m reach the 10*m cap.
+    """
     rng = np.random.default_rng(seed)
     if boundary:
         y = np.full(n, 4.0)
@@ -69,7 +93,12 @@ def pot_state(seed, n, boundary):
         y = gpd_inverse_cdf(rng.random(n), 2.0, 0.2)
         lam = Lambda(np.log(2.0) + 0.1 * rng.normal(size=n),
                      0.2 + 0.05 * rng.normal(size=n))
-    return PotState.from_lambda(lam, VAR_ES), y
+    if n < 6:
+        projector = AdditiveProjector(None, [], n)
+    else:
+        projector = AdditiveProjector((np.arange(n) % 6.0)[:, None],
+                                      [SmootherSpec("cell_factor", 0)])
+    return PotState.from_lambda(lam, VAR_ES), y, projector.coordinate_map()
 
 
 @pytest.mark.parametrize("boundary", [False, True])
@@ -77,51 +106,67 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
     exhausted = redrawn = 0
     for seed in range(12):
         n = 1 + 7 * seed % 40
-        state, y = pot_state(seed, n, boundary)
+        state, y, coords = pot_state(seed, n, boundary)
         for eps in (1e-3, 0.1, 0.3):
             for m in (1, 31, 33, 90):
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a)
-                want = outcome(theta_grad_rows_loop, state, y, eps, m, rng_b)
+                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a, coords)
+                want = outcome(theta_grad_rows_loop, state, y, eps, m, rng_b, coords)
                 # same draws consumed, so the fit's next iteration agrees too
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
                 if isinstance(want, tuple):
                     assert got == want  # SamplingExhausted at the same call
                     exhausted += 1
                     continue
-                assert got.shape == (m + 1, 2 * n)
-                assert np.array_equal(bits(got), bits(want))
+                assert got.shape == (m + 1, 2 * coords.dim)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
                 one_batch = np.random.default_rng(seed)
-                sample_unit_ball(2 * n, m, one_batch)
+                sample_unit_ball(2 * coords.dim, m, one_batch)
                 redrawn += one_batch.bit_generator.state != rng_a.bit_generator.state
     if boundary:  # infeasible draws both redrawn and reaching the 10*m cap
         assert redrawn > 0 and exhausted > 0
 
 
 def test_average_mode_is_the_mean_of_the_rows():
-    # one row set for both modes: the average is the rows' mean, bit for
-    # bit, and it consumes the same draws
-    for seed in range(6):
-        state, y = pot_state(seed, 3 + 5 * seed, boundary=False)
-        m = 2 * state.n + 1
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = approx_subgradient_theta(state, y, 0.05, GsParams(), rng_a)
-        want = _theta_grad_rows(state, y, 0.05, m, rng_b).mean(axis=0)
-        assert np.array_equal(bits(got), bits(want))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # both modes reduce one row set: average mode's estimate is the rows'
+    # mean, bit for bit, and each mode steps along -J^-1 blockdiag(B, B) c
+    # for its c, so one iteration of a fit lands on that point exactly
+    n = 50
+    W = np.linspace(0.0, 1.0, n)[:, None]
+    specs = [SmootherSpec("local_linear", 0)]
+    coords = AdditiveProjector(W, specs).coordinate_map()
+    for seed, mode in enumerate(["average", "qp"] * 3):
+        y = gpd_inverse_cdf(np.random.default_rng(seed).random(n), 2.0, 0.2)
+        gs = GsParams(subgradient_mode=mode, max_iter=1, seed=seed)
+        model = fit_pot_additive(y, W, VAR_ES, specs, gs)
+        state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES)
+        rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
+                                             np.random.default_rng(seed), coords))
+        reduce = average_fallback if mode == "average" else min_norm_point
+        c = reduce(rows).point
+        record = model.trace.records[0]
+        assert (record.method, record.event) == (mode, "step")
+        assert record.gnorm == np.linalg.norm(c)
+        v = _blocks_apply(state.jac_inverses,
+                          np.concatenate([coords.basis @ h
+                                          for h in np.split(-c / record.gnorm, 2)]))
+        x = state.lam.as_vector() + record.t * v
+        assert np.array_equal(bits(model.state.lam.as_vector()), bits(x))
 
 
-def infeasible_draws_one_at_a_time(state, y, eps, m, rng):
+def infeasible_draws_one_at_a_time(state, y, eps, m, rng, coords):
     """Rejected draws of one estimate, by the log-likelihood's finiteness.
 
-    Replays the sampler's draws one at a time and stops at the draw that
-    takes the rejections past 10*m.
+    Replays the sampler's draws eps*Q*u one at a time and stops at the
+    draw that takes the rejections past 10*m.
     """
     lam, n = state.lam, state.n
+    frame = draw_frame(state.jac_inverses, coords)
     got, rejected = 0, 0
     while got < m:
-        for u in sample_unit_ball(2 * n, m - got, rng):
-            ll = _kernels.gpd_loglik(lam.eta + eps * u[:n], lam.kappa + eps * u[n:], y)
+        for u in sample_unit_ball(2 * coords.dim, m - got, rng):
+            p = frame @ u
+            ll = _kernels.gpd_loglik(lam.eta + eps * p[:n], lam.kappa + eps * p[n:], y)
             if np.isfinite(ll):
                 got += 1
             else:
@@ -134,13 +179,14 @@ def infeasible_draws_one_at_a_time(state, y, eps, m, rng):
 def test_rejected_draws_match_a_loop_over_single_draws():
     trace, want, exhausted = FitTrace(), 0, 0
     for seed in range(12):
-        state, y = pot_state(seed, 1 + 7 * seed % 40, boundary=True)
+        state, y, coords = pot_state(seed, 1 + 7 * seed % 40, boundary=True)
         for eps in (1e-3, 0.1, 0.3):
             for m in (1, 31, 33, 90):
                 want += infeasible_draws_one_at_a_time(
-                    state, y, eps, m, np.random.default_rng(seed))
+                    state, y, eps, m, np.random.default_rng(seed), coords)
                 try:
-                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), trace)
+                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed),
+                                     coords, trace)
                 except SamplingExhausted as exc:
                     # the fit's descent loop adds these, as here
                     trace.rejected_draws += exc.rejected

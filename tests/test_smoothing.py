@@ -447,8 +447,9 @@ class TestCoordinateMap:
             AdditiveProjector(None, []).coordinate_map()
 
     def test_average_mode_fits_never_build_it(self, monkeypatch):
-        from gsda import FunctionalSpec, GsParams, fit_pot_additive, fit_quantile_additive
-        from gsda.datasets import gpd_inverse_cdf
+        # the quantile fitter's average mode; the POT fitter reduces
+        # coordinate rows in both modes and always builds the map
+        from gsda import GsParams, fit_quantile_additive
 
         def refuse(self):
             raise AssertionError("coordinate map built in average mode")
@@ -458,5 +459,3 @@ class TestCoordinateMap:
         W, specs = rng.uniform(size=(40, 1)), [SmootherSpec("local_linear", 0)]
         gs = GsParams(subgradient_mode="average", max_iter=10, seed=0)
         fit_quantile_additive(rng.normal(size=40), W, 0.5, specs, gs)
-        fit_pot_additive(gpd_inverse_cdf(rng.random(40), 2.0, 0.2), W,
-                         FunctionalSpec("var_es", (0.01,), 0.1), specs, gs)
