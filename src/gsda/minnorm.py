@@ -69,7 +69,8 @@ def min_norm_point(grad_set, tol=1e-10):
     grad_set : GradientSet
     tol : float
         Bound on the KKT residual max_j (||g||^2 - g.z_j)+ at the
-        returned point, relative to 1 + ||g||^2.
+        returned point, relative to min(1, max_j ||z_j||^2) + ||g||^2,
+        so that rows scaled below unit norm scale the point with them.
 
     Raises
     ------
@@ -146,6 +147,9 @@ def _affine_min(q):
 def _wolfe(p, tol, cap):
     """Wolfe's min-norm-point algorithm over the rows of p (all distinct)."""
     norms2 = np.einsum("ij,ij->i", p, p)
+    # the residual scales with the rows; an absolute floor of tol would
+    # stop short on small rows
+    floor = min(1.0, float(norms2.max()))
     active = [int(np.argmin(norms2))]
     w = np.array([1.0])
     iterations = 0
@@ -155,7 +159,7 @@ def _wolfe(p, tol, cap):
         dots = p @ x
         j = int(np.argmin(dots))
         resid = max(0.0, xx - dots[j])
-        if resid <= tol * (1.0 + xx):
+        if resid <= tol * (floor + xx):
             break
         if j in active:
             raise NumericalFailure("active-set iteration stalled")

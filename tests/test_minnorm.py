@@ -112,3 +112,18 @@ class TestAverageFallback:
         res = average_fallback(mk([[1.0], [2.0], [3.0]]))
         assert res.method == "average"
         assert np.allclose(res.weights, [1 / 3] * 3)
+
+
+class TestScaleEquivariance:
+    @pytest.mark.parametrize("k, d, spread", [(2, 2, 0.01), (9, 3, 0.03), (121, 2, 0.1)])
+    def test_scaled_rows_scale_the_point(self, k, d, spread):
+        # rows clustered near a unit vector, as sampled gradients are at a
+        # smooth point; Wolfe's stopping test must scale with the rows, or
+        # small rows stop at a point short of the minimizer, or one past a
+        # feasible point's norm (NumericalFailure)
+        for seed in range(10):
+            z = np.eye(d)[0] + spread * np.random.default_rng(seed).normal(size=(k, d))
+            ref = min_norm_point(GradientSet(z)).point
+            for s in (1.0, 1e-3, 1e-6):
+                got = min_norm_point(GradientSet(s * z)).point / s
+                assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
