@@ -49,21 +49,34 @@ def _gpd_feasible(a):
     return np.all(np.isfinite(a) & (a > 0.0), axis=-1)
 
 
-def _gpd_grad_parts(kappa, z, a):
-    """Elementwise (d/d eta, d/d kappa) of the GPD log-likelihood.
+def _gpd_grad_parts(kappa, z, a, geta, gkap, t):
+    """Elementwise (d/d eta, d/d kappa) of the GPD log-likelihood, into geta and gkap.
 
-    Takes z = y*exp(-eta) and a = 1 + kappa*z of any common shape; the
-    second-order series replaces the exact kappa derivative only where
-    |kappa| < KAPPA_EPS, and is evaluated only when some entry needs it.
+    Takes z = y*exp(-eta) and a = 1 + kappa*z of any common shape, and
+    t, scratch of that shape; the second-order series replaces the exact
+    kappa derivative only where |kappa| < KAPPA_EPS, and is evaluated
+    only when some entry needs it.
     """
-    geta = -1.0 + (1.0 + kappa) * z / a
-    gkap = np.log1p(kappa * z) / (kappa * kappa) - (1.0 + 1.0 / kappa) * z / a
-    small = np.abs(kappa) < KAPPA_EPS
+    # geta = -1 + (1 + kappa)*z/a
+    np.add(1.0, kappa, out=geta)
+    geta *= z
+    geta /= a
+    np.add(-1.0, geta, out=geta)
+    # gkap = log1p(kappa*z)/(kappa*kappa) - (1 + 1/kappa)*z/a
+    np.multiply(kappa, z, out=gkap)
+    np.log1p(gkap, out=gkap)
+    np.multiply(kappa, kappa, out=t)
+    gkap /= t
+    np.divide(1.0, kappa, out=t)
+    np.add(1.0, t, out=t)
+    t *= z
+    t /= a
+    gkap -= t
+    small = np.abs(kappa, out=t) < KAPPA_EPS
     if small.any():
         series = 0.5 * z * z - z + kappa * (z * z - 2.0 * z ** 3 / 3.0) \
             + kappa * kappa * (0.75 * z ** 4 - z ** 3)
-        gkap = np.where(small, series, gkap)
-    return geta, gkap
+        np.copyto(gkap, series, where=small)
 
 
 def gpd_loglik(eta, kappa, y):
@@ -82,32 +95,62 @@ def gpd_loglik(eta, kappa, y):
 
 def gpd_grad(eta, kappa, y):
     """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,)."""
+    n = eta.shape[0]
+    grad = np.empty(2 * n)
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
-        geta, gkap = _gpd_grad_parts(kappa, z, 1.0 + kappa * z)
-    return np.concatenate([geta, gkap])
+        _gpd_grad_parts(kappa, z, 1.0 + kappa * z, grad[:n], grad[n:], np.empty(n))
+    return grad
 
 
-def gpd_grad_rows(eta, kappa, y, eps, U):
+class RowScratch:
+    """Arrays for :func:`gpd_grad_rows` on blocks of up to k draws of n observations.
+
+    A POT estimate evaluates a few blocks of draws, each with several
+    (k, n) temporaries.  Allocated afresh, they let glibc hand the freed
+    top of the heap back to the OS and fault it in again on every block,
+    in some processes and not others (fitbench pot-qp ran 35,000 page
+    faults and 40% more time per fit in one checkout than in a
+    byte-identical other).  A fit that reuses one set keeps its heap
+    still.  ``points`` holds the block's perturbations for the caller.
+    """
+
+    def __init__(self, k, n):
+        self.points = np.empty((k, 2 * n))
+        self.rows = np.empty((k, 2 * n))
+        self.tmp = np.empty((4, k, n))
+
+
+def gpd_grad_rows(eta, kappa, y, eps, U, scratch=None):
     """GPD gradients at (eta, kappa) + eps*u, one stacked row per feasible u.
 
     The perturbed point moves eta by u's first half and kappa by its
     second half.  Returns ``(rows, feasible)``: ``feasible`` flags the
     rows of U that stay on the support (:func:`_gpd_feasible`), and
-    ``rows`` is (feasible.sum(), 2n), in the order of U.
+    ``rows`` is (feasible.sum(), 2n), in the order of U.  Given a
+    :class:`RowScratch`, the work and ``rows`` live in it, so ``rows``
+    is valid until its next use.
     """
-    n = eta.shape[0]
+    n, k = eta.shape[0], U.shape[0]
+    if scratch is None:
+        scratch = RowScratch(k, n)
+    pk, z, a, t = scratch.tmp[:, :k]
     with np.errstate(all="ignore"):
-        pk = kappa[None, :] + eps * U[:, n:]
-        z = y[None, :] * np.exp(-(eta[None, :] + eps * U[:, :n]))
-        a = 1.0 + pk * z
+        np.multiply(eps, U[:, n:], out=pk)
+        np.add(kappa, pk, out=pk)
+        np.multiply(eps, U[:, :n], out=z)
+        np.add(eta, z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.multiply(y, z, out=z)
+        np.multiply(pk, z, out=a)
+        np.add(1.0, a, out=a)
         feasible = _gpd_feasible(a)
-        # most blocks are all feasible; three copies per call there cost
-        # 3/4 of pot-qp's page faults, as malloc trims the freed heap
         if not feasible.all():
             pk, z, a = pk[feasible], z[feasible], a[feasible]
-        geta, gkap = _gpd_grad_parts(pk, z, a)
-    return np.hstack([geta, gkap]), feasible
+        rows = scratch.rows[:pk.shape[0]]
+        _gpd_grad_parts(pk, z, a, rows[:, :n], rows[:, n:], t[:pk.shape[0]])
+    return rows, feasible
 
 
 def ll_weights(w, bandwidth, targets):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KAPPA_EPS
-from .engine import FitTrace, GsParams, descend, sample_rows, sample_unit_ball
+from .engine import _ROW_BLOCK, FitTrace, GsParams, descend, sample_rows, sample_unit_ball
 from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
@@ -286,7 +286,7 @@ def _lift(inv, a):
     return (inv.transpose(1, 0, 2)[..., None] * a[:, None, :]).reshape(2 * n, 2 * r)
 
 
-def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None):
+def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
     """Base + per-sample log-likelihood gradients as coordinate rows.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
@@ -298,13 +298,17 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None):
     :func:`~gsda.engine.sample_rows`, which redraws infeasible ones and
     raises :class:`SamplingExhausted` past 10*m of them; the rejected
     draws are added to ``trace.rejected_draws`` when a trace is given.
+    A fit passes one :class:`~gsda._kernels.RowScratch` to every call.
     """
     lam, inv = state.lam, state.jac_inverses
+    if scratch is None:
+        scratch = _kernels.RowScratch(_ROW_BLOCK, lam.n)
     draws = np.linalg.qr(_lift(inv, coords.basis))[0]
     pullback = _lift(inv, coords.coef.T)
 
     def evaluate(u):
-        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, u @ draws.T)
+        points = np.matmul(u, draws.T, out=scratch.points[:u.shape[0]])
+        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, points, scratch)
         return g @ pullback
 
     rows, rejected = sample_rows(
@@ -392,15 +396,11 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
             state, state_x = PotState.from_lambda(Lambda.from_vector(x), spec), x
         return state
 
-    rows = None
+    scratch = _kernels.RowScratch(_ROW_BLOCK, y.size)
 
     def estimate(x, eps):
-        # the rows stay referenced until the next estimate: a block freed
-        # between iterations lets malloc trim the heap, and the next
-        # iterations fault their pages in again (fitbench pot-qp fit_s
-        # 0.15 s with the reference kept, 0.22 s without)
-        nonlocal rows
-        rows = GradientSet(-_theta_grad_rows(state_at(x), y, eps, m, rng, coords, trace))
+        rows = GradientSet(
+            -_theta_grad_rows(state_at(x), y, eps, m, rng, coords, trace, scratch))
         if gs.subgradient_mode == "average":
             res = average_fallback(rows)
         else:

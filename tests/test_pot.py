@@ -451,9 +451,9 @@ class TestQpSubspace:
             widths.append(gset.vectors.shape)
             return real_wolfe(gset)
 
-        def grad_rows(eta, kappa, yy, eps, u):
+        def grad_rows(eta, kappa, yy, eps, u, *scratch):
             draws.append((eta.copy(), kappa.copy(), u.copy()))
-            return real_rows(eta, kappa, yy, eps, u)
+            return real_rows(eta, kappa, yy, eps, u, *scratch)
 
         monkeypatch.setattr(pot, "min_norm_point", wolfe)
         monkeypatch.setattr(_kernels, "gpd_grad_rows", grad_rows)

@@ -68,12 +68,33 @@ class TestRowKernel:
         kappa[:3] = [0.0, 3e-9, -4e-9]  # series branch
         y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
+        scratch = _kernels.RowScratch(m, n)  # reused: no stale entries leak
         for eps in (0.4, 1e-10):  # infeasible draws; series entries kept
-            rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u)
-            expect = [_kernels.gpd_grad(eta + eps * r[:n], kappa + eps * r[n:], y)
-                      for r in u[feasible]]
-            assert np.array_equal(bits(rows), bits(expect))
-            assert 0 < feasible.sum() < m if eps > 0.1 else feasible.all()
+            for work in (None, scratch):
+                rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u, work)
+                expect = [_kernels.gpd_grad(eta + eps * r[:n], kappa + eps * r[n:], y)
+                          for r in u[feasible]]
+                assert np.array_equal(bits(rows), bits(expect))
+                assert 0 < feasible.sum() < m if eps > 0.1 else feasible.all()
+
+    def test_estimate_allocates_no_block_arrays(self):
+        # a fit hands every estimate one RowScratch, so the kernel's (k, n)
+        # temporaries are never allocated and freed block by block (the
+        # intercept-only frame keeps the per-estimate (2n, 2r) lifts small)
+        import tracemalloc
+
+        state, y, _ = pot_state(3, 2000, boundary=False)
+        coords = AdditiveProjector(None, [], state.n).coordinate_map()
+        scratch = _kernels.RowScratch(32, state.n)
+        block = scratch.tmp[0].nbytes
+        tracemalloc.start()
+        try:
+            _theta_grad_rows(state, y, 1e-3, 64, np.random.default_rng(0), coords,
+                             None, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
 
 
 def pot_state(seed, n, boundary):
