@@ -110,9 +110,9 @@ class RowScratch:
     (k, n) temporaries.  Allocated afresh, they let glibc hand the freed
     top of the heap back to the OS and fault it in again on every block,
     in some processes and not others (fitbench pot-qp ran 35,000 page
-    faults and 40% more time per fit in one checkout than in a
-    byte-identical other).  A fit that reuses one set keeps its heap
-    still.  ``points`` holds the block's perturbations for the caller.
+    faults and 40% more time per fit in one checkout than in another of
+    the same code).  A fit that reuses one set keeps its heap still.
+    ``points`` holds the block's perturbations for the caller.
     """
 
     def __init__(self, k, n):
