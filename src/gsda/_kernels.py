@@ -6,16 +6,30 @@ written to ``diagnostics.txt`` as ``kernel_path``.
 Layout conventions: sampled ball directions arrive as a ``(m, dim)``
 matrix ``U``; GPD parameters arrive as the pair ``(eta, kappa)`` with
 ``sigma = exp(eta)``, and 2n-vectors stack the eta block before the
-kappa block.
+kappa block.  The GPD row kernel takes a block of k points as two
+contiguous (k, n) arrays and returns the two gradient halves as a
+(2, k, n) stack: the same passes over strided halves of (k, 2n) rows
+took twice as long.
+
+The GPD gradient is one formula for a single point (:func:`gpd_grad`)
+and for a block (:func:`gpd_grad_rows`): both halves come from the
+shared h = (1 + kappa)*z/a, so a block of 13 elementwise passes gives
+each row bitwise what ``gpd_grad`` gives at its point.  The series that
+replace cancelling kappa -> 0 forms are evaluated only at the entries
+that need them.
 """
 
 import numpy as np
 
 ACTIVE = "numpy"
 
-# Below this |kappa| the GPD formulas switch to second-order series in
-# kappa to avoid cancellation in (c^-k - 1)/k style expressions.
+# Below this |kappa| the GPD log-likelihood and the return level switch
+# to series in kappa: their exact forms divide by kappa.
 KAPPA_EPS = 1e-8
+# Where |kappa| and |kappa*z| both fall below this (|kappa*log c| for
+# the return level's Jacobian), the kappa derivatives switch to series:
+# their exact forms cancel to a relative error of about 1e-16/|kappa|.
+SERIES_EPS = 1e-2
 
 
 def pinball_loss(q, y, alpha):
@@ -44,52 +58,68 @@ def _gpd_feasible(a):
 
     Reduces over the last axis, so a (k, n) stack gives one flag per
     row.  A non-finite a (exp overflow at an extreme trial point) is the
-    sigma -> 0 limit and lies off the support.
+    sigma -> 0 limit and lies off the support; a nan fails the min test.
     """
-    return np.all(np.isfinite(a) & (a > 0.0), axis=-1)
+    return (a.min(axis=-1, initial=1.0) > 0.0) & (a.max(axis=-1, initial=1.0) < np.inf)
 
 
-def _gpd_grad_parts(kappa, z, a, geta, gkap, t):
+def _gpd_grad_parts(kappa, z, kz, a, geta, gkap):
     """Elementwise (d/d eta, d/d kappa) of the GPD log-likelihood, into geta and gkap.
 
-    Takes z = y*exp(-eta) and a = 1 + kappa*z of any common shape, and
-    t, scratch of that shape; the second-order series replaces the exact
-    kappa derivative only where |kappa| < KAPPA_EPS, and is evaluated
-    only when some entry needs it.
+    Takes z = y*exp(-eta), kz = kappa*z and a = 1 + kz of any common
+    shape.  Both halves come from h = (1 + kappa)*z/a:
+    geta = h - 1 and gkap = (log1p(kappa*z)/kappa - h)/kappa.  Where
+    |kappa| and |kappa*z| are below SERIES_EPS the exact gkap cancels,
+    and a series in kappa*z replaces it, evaluated only at those
+    entries; the mask is built only when the range of kappa meets
+    (-SERIES_EPS, SERIES_EPS).
     """
-    # geta = -1 + (1 + kappa)*z/a
+    # h, in geta
     np.add(1.0, kappa, out=geta)
     geta *= z
     geta /= a
-    np.add(-1.0, geta, out=geta)
-    # gkap = log1p(kappa*z)/(kappa*kappa) - (1 + 1/kappa)*z/a
-    np.multiply(kappa, z, out=gkap)
-    np.log1p(gkap, out=gkap)
-    np.multiply(kappa, kappa, out=t)
-    gkap /= t
-    np.divide(1.0, kappa, out=t)
-    np.add(1.0, t, out=t)
-    t *= z
-    t /= a
-    gkap -= t
-    small = np.abs(kappa, out=t) < KAPPA_EPS
-    if small.any():
-        series = 0.5 * z * z - z + kappa * (z * z - 2.0 * z ** 3 / 3.0) \
-            + kappa * kappa * (0.75 * z ** 4 - z ** 3)
-        np.copyto(gkap, series, where=small)
+    np.log1p(kz, out=gkap)
+    gkap /= kappa
+    gkap -= geta
+    gkap /= kappa
+    geta -= 1.0
+    if kappa.min(initial=SERIES_EPS) < SERIES_EPS and kappa.max() > -SERIES_EPS:
+        small = (np.abs(kappa) < SERIES_EPS) & (np.abs(kz) < SERIES_EPS)
+        gkap[small] = _gkap_series(kz[small], z[small])
+
+
+def _gkap_series(kz, z):
+    """gkap = -z * sum_j (-kappa*z)^(j-1) * (1 - j*z/(j+1)), j = 1..9.
+
+    The first term, z^2/2 - z, is the kappa -> 0 limit.  It vanishes at
+    z = 2, where the sum is of the order of its second term, so the
+    tail is kept to (kappa*z)^8 to stay accurate to rounding there.
+    """
+    acc = 1.0 - z * 0.9
+    for j in range(8, 0, -1):
+        acc = (1.0 - z * (j / (j + 1.0))) - kz * acc
+    return -z * acc
 
 
 def gpd_loglik(eta, kappa, y):
+    """GPD log-likelihood summed over the observations; -inf off the support.
+
+    The kappa -> 0 series is evaluated only when some |kappa| is below
+    KAPPA_EPS.
+    """
     with np.errstate(all="ignore"):
-        z = y * np.exp(-eta)
-        a = 1.0 + kappa * z
+        neg = -eta
+        z = y * np.exp(neg)
+        kz = kappa * z
+        a = 1.0 + kz
         if not _gpd_feasible(a):
             return -np.inf
-        small = np.abs(kappa) < KAPPA_EPS
-        exact = -eta - (1.0 + 1.0 / kappa) * np.log1p(kappa * z)
-        series = -eta - z - kappa * (z - 0.5 * z * z) \
-            - kappa * kappa * (z ** 3 / 3.0 - 0.5 * z * z)
-        total = float(np.sum(np.where(small, series, exact)))
+        terms = neg - (1.0 + 1.0 / kappa) * np.log1p(kz)
+        if np.abs(kappa).min(initial=KAPPA_EPS) < KAPPA_EPS:
+            series = neg - z - kappa * (z - 0.5 * z * z) \
+                - kappa * kappa * (z ** 3 / 3.0 - 0.5 * z * z)
+            terms = np.where(np.abs(kappa) < KAPPA_EPS, series, terms)
+        total = float(terms.sum())
     return total if np.isfinite(total) else -np.inf
 
 
@@ -99,12 +129,13 @@ def gpd_grad(eta, kappa, y):
     grad = np.empty(2 * n)
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
-        _gpd_grad_parts(kappa, z, 1.0 + kappa * z, grad[:n], grad[n:], np.empty(n))
+        kz = kappa * z
+        _gpd_grad_parts(kappa, z, kz, 1.0 + kz, grad[:n], grad[n:])
     return grad
 
 
 class RowScratch:
-    """Arrays for :func:`gpd_grad_rows` on blocks of up to k draws of n observations.
+    """Arrays for :func:`gpd_grad_rows` on blocks of up to k points of n observations.
 
     A POT estimate evaluates a few blocks of draws, each with several
     (k, n) temporaries.  Allocated afresh, they let glibc hand the freed
@@ -112,45 +143,49 @@ class RowScratch:
     in some processes and not others (fitbench pot-qp ran 35,000 page
     faults and 40% more time per fit in one checkout than in another of
     the same code).  A fit that reuses one set keeps its heap still.
-    ``points`` holds the block's perturbations for the caller.
+    ``points`` holds the block's (eta, kappa) points for the caller, as
+    a (2, k, n) stack.
     """
 
     def __init__(self, k, n):
-        self.points = np.empty((k, 2 * n))
-        self.rows = np.empty((k, 2 * n))
-        self.tmp = np.empty((4, k, n))
+        self.points = np.empty((2, k, n))
+        self.grads = np.empty((2, k, n))
+        self.tmp = np.empty((3, k, n))
 
 
-def gpd_grad_rows(eta, kappa, y, eps, U, scratch=None):
-    """GPD gradients at (eta, kappa) + eps*u, one stacked row per feasible u.
+def gpd_grad_rows(eta, kappa, y, scratch=None):
+    """GPD gradients at k points (eta[i], kappa[i]), for the feasible ones.
 
-    The perturbed point moves eta by u's first half and kappa by its
-    second half.  Returns ``(rows, feasible)``: ``feasible`` flags the
-    rows of U that stay on the support (:func:`_gpd_feasible`), and
-    ``rows`` is (feasible.sum(), 2n), in the order of U.  Given a
-    :class:`RowScratch`, the work and ``rows`` live in it, so ``rows``
-    is valid until its next use.
+    ``eta`` and ``kappa`` are (k, n).  Returns ``(grads, feasible)``:
+    ``feasible`` flags the points on the support (:func:`_gpd_feasible`),
+    and ``grads`` is the (2, feasible.sum(), n) stack of the d/d eta and
+    d/d kappa halves, in the order of the points; ``grads[:, j]``
+    stacked is what :func:`gpd_grad` gives at the j-th feasible point.
+    Given a :class:`RowScratch`, the work and ``grads`` live in it, so
+    ``grads`` is valid until its next use.  A block takes 13 elementwise
+    passes over contiguous (k, n) arrays, 5 for z = y*exp(-eta),
+    kz = kappa*z and a = 1 + kz and 8 for the two halves; the support
+    and series tests are reductions of a and kappa.  (On strided halves
+    of (k, 2n) rows the same passes took twice as long.)
     """
-    n, k = eta.shape[0], U.shape[0]
+    k, n = eta.shape
     if scratch is None:
         scratch = RowScratch(k, n)
-    pk, z, a, t = scratch.tmp[:, :k]
+    z, kz, a = scratch.tmp[:, :k]
     with np.errstate(all="ignore"):
-        np.multiply(eps, U[:, n:], out=pk)
-        np.add(kappa, pk, out=pk)
-        np.multiply(eps, U[:, :n], out=z)
-        np.add(eta, z, out=z)
-        np.negative(z, out=z)
+        np.negative(eta, out=z)
         np.exp(z, out=z)
         np.multiply(y, z, out=z)
-        np.multiply(pk, z, out=a)
-        np.add(1.0, a, out=a)
-        feasible = _gpd_feasible(a)
-        if not feasible.all():
-            pk, z, a = pk[feasible], z[feasible], a[feasible]
-        rows = scratch.rows[:pk.shape[0]]
-        _gpd_grad_parts(pk, z, a, rows[:, :n], rows[:, n:], t[:pk.shape[0]])
-    return rows, feasible
+        np.multiply(kappa, z, out=kz)
+        np.add(1.0, kz, out=a)
+        if _gpd_feasible(a.reshape(-1)):  # the whole block, in two reductions
+            feasible = np.ones(k, dtype=bool)
+        else:
+            feasible = _gpd_feasible(a)
+            kappa, z, kz, a = kappa[feasible], z[feasible], kz[feasible], a[feasible]
+        grads = scratch.grads[:, :z.shape[0]]
+        _gpd_grad_parts(kappa, z, kz, a, grads[0], grads[1])
+    return grads, feasible
 
 
 def ll_weights(w, bandwidth, targets):

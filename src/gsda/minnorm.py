@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure
 
 _DROP_TOL = 1e-12
+_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +109,17 @@ def min_norm_point(grad_set, tol=1e-10):
 def _distinct_rows(z):
     """Index of each distinct row's first occurrence, in lexicographic row order.
 
-    The same indices, in the same order, as ``np.unique(z, axis=0,
-    return_index=True)[1]``, where rows equal up to the sign of zero count
-    as one, but without sorting every row.  Each float of ``z + 0.0``
-    (which folds -0.0 into 0.0) is mapped to the integer whose unsigned
-    big-endian bytes order like the float, so a row's bytes both
-    identify it in a hash table and sort it lexicographically; only the
-    distinct rows are sorted.
+    The same indices, in the same order, as ``np.unique(z + 0.0, axis=0,
+    return_index=True)[1]``: one stable lexicographic sort of the rows
+    (first column first; -0.0 and 0.0 compare equal), then the first
+    row of each run of equal neighbours.
     """
-    keys = (z + 0.0).view(np.int64)
-    keys ^= (keys >> 63) | np.int64(-2 ** 63)
-    keys = keys.astype(">i8", copy=False)
-    first = {}
-    for i, row in enumerate(keys):
-        first.setdefault(row.tobytes(), i)
-    return np.array([first[k] for k in sorted(first)], dtype=np.intp)
+    order = np.lexsort(z.T[::-1])
+    ranked = z[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    (ranked[1:] != ranked[:-1]).any(axis=1, out=first[1:])
+    return order[first]
 
 
 def _affine_min(q):
@@ -139,7 +136,7 @@ def _affine_min(q):
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     u = sol[:s]
-    if not np.all(np.isfinite(u)) or abs(u.sum() - 1.0) > 1e-8:
+    if not np.isfinite(u).all() or abs(u.sum() - 1.0) > 1e-8:
         raise NumericalFailure("affine subproblem is numerically singular")
     return u
 
@@ -150,21 +147,21 @@ def _wolfe(p, tol, cap):
     # the residual scales with the rows; an absolute floor of tol would
     # stop short on small rows
     floor = min(1.0, float(norms2.max()))
-    active = [int(np.argmin(norms2))]
-    w = np.array([1.0])
+    active = [int(norms2.argmin())]
+    w = np.ones(1)
     iterations = 0
     while True:
         x = w @ p[active]
         xx = float(x @ x)
         dots = p @ x
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         resid = max(0.0, xx - dots[j])
         if resid <= tol * (floor + xx):
             break
         if j in active:
             raise NumericalFailure("active-set iteration stalled")
         active.append(j)
-        w = np.append(w, 0.0)
+        w = np.concatenate((w, _ZERO))
         # minor cycles: pull w to the affine minimizer, dropping vanishing
         # weights until the minimizer is interior to the simplex face
         while True:
@@ -172,26 +169,26 @@ def _wolfe(p, tol, cap):
             if iterations > cap:
                 raise NumericalFailure("min-norm iteration cap exceeded")
             u = _affine_min(p[active])
-            if np.all(u > _DROP_TOL):
+            if (u > _DROP_TOL).all():
                 w = u
                 break
             shrink = u <= _DROP_TOL
             denom = w[shrink] - u[shrink]
             movable = denom > _DROP_TOL
-            if not np.any(movable):
+            if not movable.any():
                 raise NumericalFailure("degenerate minor cycle")
-            theta = min(1.0, float(np.min(w[shrink][movable] / denom[movable])))
+            theta = min(1.0, float((w[shrink][movable] / denom[movable]).min()))
             w = (1.0 - theta) * w + theta * u
             w[w < _DROP_TOL] = 0.0
-            if np.all(w > 0.0):
-                w[np.argmin(u)] = 0.0
+            if (w > 0.0).all():
+                w[u.argmin()] = 0.0
             keep = w > 0.0
             active = [a for a, k in zip(active, keep) if k]
             w = w[keep]
             w /= w.sum()
     x = w @ p[active]
     xx = float(x @ x)
-    resid = max(0.0, xx - float(np.min(p @ x)))
+    resid = max(0.0, xx - float((p @ x).min()))
     w_full = np.zeros(p.shape[0])
     w_full[active] = w
     return x, w_full, resid

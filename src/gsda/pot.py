@@ -23,14 +23,22 @@ differ only in how they reduce those rows to c: Wolfe's min-norm point
 (qp) or their mean (average).  The step is -L c/||c||, and
 ||c|| = ||P g_hat|| is the stationarity and Armijo measure.  The default
 m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
+
+L, Q, K and the gradient at the iterate depend only on the iterate, so
+each :class:`PotState` builds this frame once (:meth:`PotState.frame`),
+on its first estimate, and keeps it for the estimates and the step
+direction that follow until a step is accepted.  Draws are evaluated in
+blocks: one product turns the block's u (with a 1 appended) into its
+(eta, kappa) points against (eps*Q^T; x), and the GPD row kernel turns
+those into gradients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import KAPPA_EPS
+from ._kernels import KAPPA_EPS, SERIES_EPS
 from .engine import _ROW_BLOCK, FitTrace, GsParams, descend, sample_rows, sample_unit_ball
 from .errors import (
     FunctionalUndefined,
@@ -129,16 +137,38 @@ class PotState:
     jac_blocks: np.ndarray  # (n, 2, 2), rows = functionals, cols = (eta, kappa)
     jac_inverses: np.ndarray
     spec: FunctionalSpec
+    _frame: tuple = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_lambda(cls, lam, spec):
-        pair = functional_map(lam, spec)
         jac, inv = jacobian_blocks(lam, spec)
-        return cls(lam, pair, jac, inv, spec)
+        # each functional is sigma times a function of kappa, so its eta
+        # derivative is the functional itself
+        return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), jac, inv, spec)
 
     @property
     def n(self):
         return self.lam.n
+
+    def frame(self, y, coords):
+        """The sampling frame of this iterate: ``(L, Q, K, base row)``.
+
+        For the :class:`~gsda.smoothing.CoordinateMap` ``coords``,
+        L = J^-1 blockdiag(B, B) maps coordinates to (eta, kappa), Q is
+        an orthonormal basis of its range, K = J^-1 blockdiag(M^T, M^T)
+        is the pullback, and the base row is the log-likelihood gradient
+        at the iterate times K.  They change only with the iterate, so
+        the frame is built on first use and kept for the next
+        ``(y, coords)`` asked of the same state.
+        """
+        kept = self._frame
+        if kept is None or kept[0] is not y or kept[1] is not coords:
+            lam, inv = self.lam, self.jac_inverses
+            span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
+            kept = (y, coords, span, np.linalg.qr(span)[0], pullback,
+                    _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback)
+            object.__setattr__(self, "_frame", kept)
+        return kept[2:]
 
 
 def gpd_loglik(lam, y):
@@ -174,14 +204,20 @@ def _theta_of(sigma, kappa, c):
 
 
 def _dtheta_dkappa(sigma, kappa, c):
+    # with x = -kappa*log c: sigma*log(c)^2*(x*e^x - expm1(x))/x^2, whose
+    # numerator cancels to a relative error of about 1e-16/|x|; below
+    # SERIES_EPS the series sum_j x^j (j+1)/(j+2)! replaces it
     logc = np.log(c)
-    small = np.abs(kappa) < KAPPA_EPS
+    x = -kappa * logc
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = sigma * (-np.expm1(-kappa * logc)
-                         - kappa * logc * np.exp(-kappa * logc)) / kappa ** 2
-    series = sigma * (0.5 * logc ** 2 - kappa * logc ** 3 / 3.0
-                      + kappa ** 2 * logc ** 4 / 8.0)
-    return np.where(small, series, exact)
+        out = sigma * (x * np.exp(x) - np.expm1(x)) / kappa ** 2
+    small = np.abs(x) < SERIES_EPS
+    if small.any():
+        xs = x[small]
+        out[small] = sigma[small] * logc ** 2 * (
+            0.5 + xs * (1.0 / 3.0 + xs * (0.125 + xs * (
+                1.0 / 30.0 + xs * (1.0 / 144.0 + xs / 840.0)))))
+    return out
 
 
 def functional_map(lam, spec):
@@ -243,16 +279,6 @@ def jacobian_blocks(lam, spec):
     return jac, inv
 
 
-def _blocks_apply(inv, v):
-    """Blockwise J^-1 v: maps a functional-space direction to (eta, kappa)."""
-    n = inv.shape[0]
-    d1, d2 = v[:n], v[n:]
-    return np.concatenate([
-        inv[:, 0, 0] * d1 + inv[:, 0, 1] * d2,
-        inv[:, 1, 0] * d1 + inv[:, 1, 1] * d2,
-    ])
-
-
 def negative_loglik_objective(y, spec):
     """Negative log-likelihood as a generic objective over stacked (eta, kappa).
 
@@ -268,7 +294,7 @@ def negative_loglik_objective(y, spec):
 
     def f(v):
         eta, kappa = v[:n], v[n:]
-        if np.any(kappa >= kappa_cap):
+        if kappa.max(initial=-np.inf) >= kappa_cap:
             return np.inf
         return -_kernels.gpd_loglik(eta, kappa, y)
 
@@ -298,22 +324,32 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
     :func:`~gsda.engine.sample_rows`, which redraws infeasible ones and
     raises :class:`SamplingExhausted` past 10*m of them; the rejected
     draws are added to ``trace.rejected_draws`` when a trace is given.
-    A fit passes one :class:`~gsda._kernels.RowScratch` to every call.
+    The frame (Q, K and row 0) comes from :meth:`PotState.frame`, so
+    it is built once per iterate, however many estimates the iterate
+    takes.  A fit passes one :class:`~gsda._kernels.RowScratch` to every
+    call.
     """
-    lam, inv = state.lam, state.jac_inverses
+    lam = state.lam
     if scratch is None:
         scratch = _kernels.RowScratch(_ROW_BLOCK, lam.n)
-    draws = np.linalg.qr(_lift(inv, coords.basis))[0]
-    pullback = _lift(inv, coords.coef.T)
+    _, draws, pullback, base = state.frame(y, coords)
+    # one product gives the (eta, kappa) blocks of the points x + eps*Q u:
+    # u, extended by a 1, against (eps*Q^T; x) split into its two blocks
+    d, n = draws.shape[1], lam.n
+    to_points = np.empty((2, d + 1, n))
+    np.multiply(eps, draws.T.reshape(d, 2, n).transpose(1, 0, 2), out=to_points[:, :d])
+    to_points[0, d], to_points[1, d] = lam.eta, lam.kappa
 
     def evaluate(u):
-        points = np.matmul(u, draws.T, out=scratch.points[:u.shape[0]])
-        g, _ = _kernels.gpd_grad_rows(lam.eta, lam.kappa, y, eps, points, scratch)
-        return g @ pullback
+        k = u.shape[0]
+        ext = np.ones((k, d + 1))
+        ext[:, :d] = u
+        points = np.matmul(ext, to_points, out=scratch.points[:, :k])
+        g, _ = _kernels.gpd_grad_rows(points[0], points[1], y, scratch)
+        return g[0] @ pullback[:n] + g[1] @ pullback[n:]
 
     rows, rejected = sample_rows(
-        _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback, m, eps,
-        lambda k: sample_unit_ball(2 * coords.dim, k, rng), evaluate)
+        base, m, eps, lambda k: sample_unit_ball(2 * coords.dim, k, rng), evaluate)
     if trace is not None:
         trace.rejected_draws += rejected
     return rows
@@ -411,9 +447,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
         return res.point, res.norm, res.method
 
     def direction(x, g, gnorm):
-        # g holds both halves' coordinates
-        d = np.concatenate([coords.basis @ c for c in np.split(-g / gnorm, 2)])
-        return _blocks_apply(state_at(x).jac_inverses, d)
+        # -L c/||c||, L from the frame the estimate at x built
+        return state_at(x).frame(y, coords)[0] @ (-g / gnorm)
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
     state = state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace))

@@ -4,7 +4,7 @@ Most of this is deliberately brute force (grids, enumeration, finite
 differences, a dense linear solve) and shares no code with the
 implementations under test; the dense solve reads its matrices off the
 package's smoothers, not its backfitting.  The references at the end
-are the package's earlier, slower forms of a batched, hashed,
+are the package's earlier, slower forms of a batched, deduplicated,
 accelerated or kink-only path, kept so the fast path can be held
 bitwise equal to them (the POT coordinate rows: to rounding, since the
 loop projects each row separately): they reuse the package's scalar

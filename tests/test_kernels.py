@@ -63,6 +63,27 @@ class TestGpdLoglik:
         assert value == -np.inf or np.isfinite(value)
 
 
+class TestKappaDerivativeAccuracy:
+    def test_relative_error_against_high_precision(self):
+        # d/d kappa of the log-likelihood against a 50-digit evaluation of
+        # log1p(kappa*z)/kappa^2 - (1 + 1/kappa)*z/(1 + kappa*z); the exact
+        # double formula cancels to about 1e-16/|kappa| for small kappa
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        mags = np.geomspace(1e-10, 1.0, 41)
+        worst = 0.0
+        for kappa in np.concatenate([-mags, mags]):
+            z = np.geomspace(0.05, 8.0, 31)
+            z = z[1.0 + kappa * z > 0.0]
+            got = _kernels.gpd_grad(np.zeros(z.size), constant(kappa, z.size), z)[z.size:]
+            k = mp.mpf(kappa)
+            for zi, gi in zip(z, got):
+                zm = mp.mpf(zi)
+                want = mp.log1p(k * zm) / k ** 2 - (1 + 1 / k) * zm / (1 + k * zm)
+                worst = max(worst, float(abs((gi - want) / want)))
+        assert worst <= 1e-11
+
+
 class TestGpdGradRows:
     def test_mask_is_loglik_finiteness(self, rng):
         n, m, eps = 15, 30, 0.4
@@ -71,23 +92,24 @@ class TestGpdGradRows:
         kappa[:2] = [0.0, 4e-9]  # series entries
         y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
-        rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u)
+        grads, feasible = _kernels.gpd_grad_rows(eta + eps * u[:, :n], kappa + eps * u[:, n:], y)
         points = [(eta + eps * r[:n], kappa + eps * r[n:]) for r in u]
         expect = [np.isfinite(_kernels.gpd_loglik(e, k, y)) for e, k in points]
         assert feasible.tolist() == expect
         assert 0 < feasible.sum() < m  # both kinds of rows are exercised
         want = [_kernels.gpd_grad(e, k, y) for (e, k), ok in zip(points, feasible) if ok]
-        assert np.allclose(rows, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.hstack(grads), want, rtol=1e-12, atol=1e-12)
 
     def test_overflowing_rows_are_masked(self):
         # rows that send eta to -800 overflow exp(-eta); they are dropped,
         # and the rows of the rest stay finite
-        eta, kappa, y = np.zeros(2), np.full(2, 0.2), np.array([1.0, 2.0])
+        y = np.array([1.0, 2.0])
         u = np.array([[-1.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, 0.1], [0.0, -1.0, 0.0, 0.0]])
+        points = np.array([0.0, 0.0, 0.2, 0.2]) + 800.0 * u
         with np.errstate(over="ignore"):
-            rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, 800.0, u)
+            grads, feasible = _kernels.gpd_grad_rows(points[:, :2], points[:, 2:], y)
         assert feasible.tolist() == [False, True, False]
-        assert rows.shape == (1, 4) and np.all(np.isfinite(rows))
+        assert grads.shape == (2, 1, 2) and np.all(np.isfinite(grads))
 
 
 def test_ll_weights_rows_are_local_linear(rng):

@@ -186,6 +186,21 @@ class TestJacobianBlocks:
                     assert jac[0, fidx, which] == pytest.approx(
                         fd, rel=1e-5, abs=1e-8)
 
+    def test_kappa_derivative_against_high_precision(self):
+        # d theta/d kappa = sigma*(x*e^x - expm1(x))/kappa^2, x = -kappa*log c,
+        # whose exact double form cancels to about 1e-16/|x|
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        mags = np.geomspace(1e-10, 1.0, 41)
+        kappa = np.concatenate([-mags, mags[:-1]])  # var_es needs kappa < 1
+        for c in (0.01, 0.1, 0.5, 0.9):
+            got = pot._dtheta_dkappa(np.full(kappa.size, 1.7), kappa, c)
+            logc = mp.log(mp.mpf(c))
+            for k, g in zip(kappa, got):
+                x = -mp.mpf(k) * logc
+                want = mp.mpf(1.7) * (x * mp.exp(x) - mp.expm1(x)) / mp.mpf(k) ** 2
+                assert abs((g - want) / want) <= 1e-11
+
     def test_blockwise_inverse_identity(self):
         rng = np.random.default_rng(6)
         lam = Lambda(rng.uniform(-0.5, 1.0, 20), rng.uniform(-0.3, 0.8, 20))
@@ -444,27 +459,36 @@ class TestQpSubspace:
     def test_fit_draws_and_rows_live_in_the_subspace(self, monkeypatch):
         y, W, specs, coords = self.design()
         r = coords.dim
-        widths, draws = [], []
+        widths, draws, at = [], [], []
         real_wolfe, real_rows = pot.min_norm_point, _kernels.gpd_grad_rows
+        real_estimate = pot._theta_grad_rows
 
         def wolfe(gset):
             widths.append(gset.vectors.shape)
             return real_wolfe(gset)
 
-        def grad_rows(eta, kappa, yy, eps, u, *scratch):
-            draws.append((eta.copy(), kappa.copy(), u.copy()))
-            return real_rows(eta, kappa, yy, eps, u, *scratch)
+        def estimate(state, yy, eps, *args):
+            at[:] = [state.lam.as_vector(), eps]
+            return real_estimate(state, yy, eps, *args)
+
+        def grad_rows(eta, kappa, yy, *scratch):
+            draws.append((*at, np.hstack([eta, kappa])))
+            return real_rows(eta, kappa, yy, *scratch)
 
         monkeypatch.setattr(pot, "min_norm_point", wolfe)
+        monkeypatch.setattr(pot, "_theta_grad_rows", estimate)
         monkeypatch.setattr(_kernels, "gpd_grad_rows", grad_rows)
         model = fit_pot_additive(y, W, VAR_ES, specs,
                                  GsParams(subgradient_mode="qp", seed=3, max_iter=25))
         assert model.trace.subspace_dim == 2 * r and model.trace.m == 2 * r + 1
         assert set(widths) == {(2 * r + 2, 2 * r)}
         assert len(draws) >= 25 and len(model.trace.accepted) > 0
-        for eta, kappa, u in draws:
-            # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
-            assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
-            state = PotState.from_lambda(Lambda(eta, kappa), VAR_ES)
+        for x, eps, points in draws:
+            # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B)),
+            # to the rounding of x in the points
+            u = (points - x) / eps
+            tol = 1e-12 * (1.0 + np.max(np.abs(x)) / eps)
+            assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + tol)
+            state = PotState.from_lambda(Lambda.from_vector(x), VAR_ES)
             span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
-            assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12
+            assert np.max(np.abs(u - (u @ span) @ span.T)) <= tol

@@ -8,6 +8,8 @@ to rounding.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsda import (
     AdditiveProjector,
@@ -28,7 +30,7 @@ from gsda.pot import (
     FunctionalSpec,
     Lambda,
     PotState,
-    _blocks_apply,
+    _lift,
     _theta_grad_rows,
     initial_lambda,
 )
@@ -54,11 +56,11 @@ class TestRowKernel:
     def test_rejects_overflowing_draw(self):
         # the first draw overflows exp(-eta): a = inf passes a bare a > 0
         # test and would give a nan row; the kernel must reject it
-        eta, kappa, y = np.array([-705.0]), np.array([0.2]), np.array([1.0])
         u = np.array([[-0.9, 0.0], [0.0, 0.05], [0.3, -0.01]])
-        rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, 10.0, u)
+        grads, feasible = _kernels.gpd_grad_rows(-705.0 + 10.0 * u[:, :1], 0.2 + 10.0 * u[:, 1:],
+                                                 np.array([1.0]))
         assert feasible.tolist() == [False, True, True]
-        assert rows.shape == (2, 2) and np.all(np.isfinite(rows))
+        assert grads.shape == (2, 2, 1) and np.all(np.isfinite(grads))
 
     def test_rows_are_per_draw_gradients(self):
         rng = np.random.default_rng(5)
@@ -70,11 +72,12 @@ class TestRowKernel:
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
         scratch = _kernels.RowScratch(m, n)  # reused: no stale entries leak
         for eps in (0.4, 1e-10):  # infeasible draws; series entries kept
+            etas, kappas = eta + eps * u[:, :n], kappa + eps * u[:, n:]
             for work in (None, scratch):
-                rows, feasible = _kernels.gpd_grad_rows(eta, kappa, y, eps, u, work)
-                expect = [_kernels.gpd_grad(eta + eps * r[:n], kappa + eps * r[n:], y)
-                          for r in u[feasible]]
-                assert np.array_equal(bits(rows), bits(expect))
+                grads, feasible = _kernels.gpd_grad_rows(etas, kappas, y, work)
+                expect = [_kernels.gpd_grad(e, k, y)
+                          for e, k in zip(etas[feasible], kappas[feasible])]
+                assert np.array_equal(bits(np.hstack(grads)), bits(expect))
                 assert 0 < feasible.sum() < m if eps > 0.1 else feasible.all()
 
     def test_estimate_allocates_no_block_arrays(self):
@@ -95,6 +98,28 @@ class TestRowKernel:
         finally:
             tracemalloc.stop()
         assert peak < block
+
+
+def test_fit_builds_one_frame_per_iterate(monkeypatch):
+    # the QR of J^-1 blockdiag(B, B) runs once per distinct iterate (the
+    # start and each accepted step), however many estimates an iterate
+    # takes before a step is accepted
+    y = gpd_inverse_cdf(np.random.default_rng(11).random(300), 2.0, 0.2)
+    real_qr, shapes = np.linalg.qr, []
+
+    def qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    model = fit_pot_additive(y, None, VAR_ES, [],
+                             GsParams(subgradient_mode="qp", m=120, beta=1e-4, seed=4,
+                                      max_iter=300))
+    trace = model.trace
+    assert trace.converged
+    frames = shapes.count((2 * y.size, trace.subspace_dim))
+    assert frames == len(trace.accepted) + 1
+    assert frames < len(trace)  # some iterates take several estimates
 
 
 def pot_state(seed, n, boundary):
@@ -168,9 +193,7 @@ def test_average_mode_is_the_mean_of_the_rows():
         record = model.trace.records[0]
         assert (record.method, record.event) == (mode, "step")
         assert record.gnorm == np.linalg.norm(c)
-        v = _blocks_apply(state.jac_inverses,
-                          np.concatenate([coords.basis @ h
-                                          for h in np.split(-c / record.gnorm, 2)]))
+        v = _lift(state.jac_inverses, coords.basis) @ (-c / record.gnorm)
         x = state.lam.as_vector() + record.t * v
         assert np.array_equal(bits(model.state.lam.as_vector()), bits(x))
 
@@ -233,6 +256,19 @@ def min_norm_cases():
         k, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
         z = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(k, n))
         yield z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distinct_rows_match_unique(data):
+    # rows drawn from a few values, signed zeros among them, so duplicate
+    # rows and rows equal up to the sign of zero are common
+    k = data.draw(st.integers(1, 40))
+    n = data.draw(st.integers(1, 4))
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e-300, -3e7])
+    z = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
+    want = np.unique(z + 0.0, axis=0, return_index=True)[1]
+    assert np.array_equal(_distinct_rows(z), want)
 
 
 @pytest.mark.parametrize("z", list(min_norm_cases()))
