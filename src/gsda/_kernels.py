@@ -165,8 +165,7 @@ def gpd_grad_rows(eta, kappa, y, scratch=None):
     ``grads`` is valid until its next use.  A block takes 13 elementwise
     passes over contiguous (k, n) arrays, 5 for z = y*exp(-eta),
     kz = kappa*z and a = 1 + kz and 8 for the two halves; the support
-    and series tests are reductions of a and kappa.  (On strided halves
-    of (k, 2n) rows the same passes took twice as long.)
+    and series tests are reductions of a and kappa.
     """
     k, n = eta.shape
     if scratch is None:
