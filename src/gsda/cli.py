@@ -11,7 +11,6 @@ directory.  Exit codes: 0 converged/success, 2 non-convergence,
 """
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -574,10 +573,7 @@ def _flag(key):
     return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
-@functools.cache
 def build_parser():
-    """The command-line parser, built once per process: a library caller
-    may run :func:`main` many times, and argparse parsers are reusable."""
     parser = _Parser(
         prog="gsda",
         description="Sampling-based descent for nonsmooth fitting: additive "

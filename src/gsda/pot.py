@@ -27,13 +27,14 @@ m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
 L, Q, K and the gradient at the iterate depend only on the iterate, so
 each :class:`PotState` builds this frame once (:meth:`PotState.frame`),
 on its first estimate, and keeps it for the estimates and the step
-direction that follow until a step is accepted.  Draws are evaluated in
+direction that follow until a step is accepted; the fitted model's state
+is a copy without it.  Draws are evaluated in
 blocks: one product turns the block's u (with a 1 appended) into its
 (eta, kappa) points against (eps*Q^T; x), and the GPD row kernel turns
 those into gradients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,17 +159,17 @@ class PotState:
         an orthonormal basis of its range, K = J^-1 blockdiag(M^T, M^T)
         is the pullback, and the base row is the log-likelihood gradient
         at the iterate times K.  They change only with the iterate, so
-        the frame is built on first use and kept for the next
-        ``(y, coords)`` asked of the same state.
+        the frame is built on first use and kept: a state serves one
+        fit, whose ``(y, coords)`` never change, and later calls return
+        the kept frame whatever they pass.
         """
-        kept = self._frame
-        if kept is None or kept[0] is not y or kept[1] is not coords:
+        if self._frame is None:
             lam, inv = self.lam, self.jac_inverses
             span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
-            kept = (y, coords, span, np.linalg.qr(span)[0], pullback,
-                    _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback)
-            object.__setattr__(self, "_frame", kept)
-        return kept[2:]
+            object.__setattr__(self, "_frame", (
+                span, np.linalg.qr(span)[0], pullback,
+                _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback))
+        return self._frame
 
 
 def gpd_loglik(lam, y):
@@ -451,7 +452,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
         return state_at(x).frame(y, coords)[0] @ (-g / gnorm)
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
-    state = state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace))
+    # the fitted model keeps no sampling frame
+    state = replace(state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace)))
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

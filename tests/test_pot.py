@@ -461,34 +461,42 @@ class TestQpSubspace:
         r = coords.dim
         widths, draws, at = [], [], []
         real_wolfe, real_rows = pot.min_norm_point, _kernels.gpd_grad_rows
-        real_estimate = pot._theta_grad_rows
+        real_estimate, real_ball = pot._theta_grad_rows, pot.sample_unit_ball
 
         def wolfe(gset):
             widths.append(gset.vectors.shape)
             return real_wolfe(gset)
 
-        def estimate(state, yy, eps, *args):
-            at[:] = [state.lam.as_vector(), eps]
-            return real_estimate(state, yy, eps, *args)
+        def estimate(state, yy, eps, m, rng, coords, *args):
+            # the frame is built once per iterate, so this Q is the fit's
+            at[:] = [state.lam.as_vector(), eps, state.frame(yy, coords)[1]]
+            return real_estimate(state, yy, eps, m, rng, coords, *args)
+
+        def ball(d, k, rng):
+            w = real_ball(d, k, rng)
+            draws.append((*at, w, []))
+            return w
 
         def grad_rows(eta, kappa, yy, *scratch):
-            draws.append((*at, np.hstack([eta, kappa])))
+            draws[-1][-1].append(np.hstack([eta, kappa]))
             return real_rows(eta, kappa, yy, *scratch)
 
         monkeypatch.setattr(pot, "min_norm_point", wolfe)
         monkeypatch.setattr(pot, "_theta_grad_rows", estimate)
+        monkeypatch.setattr(pot, "sample_unit_ball", ball)
         monkeypatch.setattr(_kernels, "gpd_grad_rows", grad_rows)
         model = fit_pot_additive(y, W, VAR_ES, specs,
                                  GsParams(subgradient_mode="qp", seed=3, max_iter=25))
         assert model.trace.subspace_dim == 2 * r and model.trace.m == 2 * r + 1
         assert set(widths) == {(2 * r + 2, 2 * r)}
         assert len(draws) >= 25 and len(model.trace.accepted) > 0
-        for x, eps, points in draws:
-            # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B)),
-            # to the rounding of x in the points
-            u = (points - x) / eps
-            tol = 1e-12 * (1.0 + np.max(np.abs(x)) / eps)
-            assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + tol)
+        for x, eps, draw_basis, w, points in draws:
+            # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
+            u = w @ draw_basis.T
+            assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
             state = PotState.from_lambda(Lambda.from_vector(x), VAR_ES)
             span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
-            assert np.max(np.abs(u - (u @ span) @ span.T)) <= tol
+            assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12
+            # and the kernel is handed the points x + eps*u, to the rounding of x
+            assert np.max(np.abs(np.vstack(points) - (x + eps * u))) <= (
+                1e-14 * (np.max(np.abs(x)) + eps))
