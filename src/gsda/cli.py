@@ -3,18 +3,21 @@
 Configuration precedence is CLI flag > config-file entry > built-in
 default; config files are flat ``key = value`` text.  Each task reads
 only its own options (``_TASK_OPTIONS``), and any other is an input
-error.  Every run writes
-its artifacts (fitted values, additive decomposition, iteration trace,
-diagnostics) as plain comma-separated / key=value text into the output
-directory.  Exit codes: 0 converged/success, 2 non-convergence,
-3 input or configuration error, 4 numerical failure.
+error.  The hyperparameters are the fields of
+:class:`~gsda.engine.GsParams`, with their defaults; ``--mode`` names
+``subgradient_mode`` and follows the mode rule of its docstring.  Both
+fit tasks load their input and write their artifacts (fitted values,
+additive decomposition, iteration trace, diagnostics) through one path,
+as plain comma-separated / key=value text into the output directory.
+Exit codes: 0 converged/success, 2 non-convergence, 3 input or
+configuration error, 4 numerical failure.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,34 +49,6 @@ EXIT_NONCONVERGED = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
-_DEFAULTS = {
-    "response": "y",
-    "alpha": 0.9,
-    "exceed_prob": None,
-    "levels": None,
-    "mode": None,  # per task: qp for minimize, average for the fits
-    "seed": 0,
-    "m": None,
-    "beta": 0.1,
-    "mu": 0.5,
-    "lam": 0.5,
-    "eps0": 0.1,
-    "tau0": 1e-2,
-    "eps_min": 1e-6,
-    "tau_min": 1e-6,
-    "max_iter": 5000,
-    "max_backtracks": 30,
-    "kind": "gpd",
-    "n": None,  # n, sigma, kappa, days, hours_per_day: see _SIMULATE_OPTIONS
-    "sigma": None,
-    "kappa": None,
-    "days": None,
-    "hours_per_day": None,
-    "objective": "nsrosenbrock",
-    "x0": "-1,1",
-    "points": 100,
-}
-
 # the options each simulate kind reads, with their defaults; giving one
 # that the kind does not read is an input error
 _SIMULATE_OPTIONS = {
@@ -82,17 +57,35 @@ _SIMULATE_OPTIONS = {
     "sales": {"days": 28, "hours_per_day": 17},
     "hetero": {"n": 1000},
 }
+_SIMULATE_KEYS = tuple(dict.fromkeys(key for reads in _SIMULATE_OPTIONS.values()
+                                     for key in reads))
+
+# each GsParams field by its option name (mode is subgradient_mode); an
+# option's default is its field's
+_GS_OPTIONS = {"mode" if f.name == "subgradient_mode" else f.name: f
+               for f in fields(GsParams)}
+
+_DEFAULTS = {
+    "response": "y",
+    "alpha": 0.9,
+    "exceed_prob": None,
+    "levels": None,
+    **{key: f.default for key, f in _GS_OPTIONS.items()},
+    "kind": "gpd",
+    **dict.fromkeys(_SIMULATE_KEYS),  # the kind's own default: _SIMULATE_OPTIONS
+    "objective": "nsrosenbrock",
+    "x0": "-1,1",
+    "points": 100,
+}
 
 # the options each task reads, as flags and as config-file keys; every
 # task also reads --config and output_dir, and giving an option the task
 # does not read is an input error
-_GS_OPTIONS = ("m", "beta", "mu", "lam", "eps0", "tau0", "eps_min", "tau_min",
-               "max_iter", "max_backtracks", "mode", "seed")
 _DATA_OPTIONS = ("input", "response", "smoother", "factor")
 _TASK_OPTIONS = {
     "fit-quantile": (*_DATA_OPTIONS, "alpha", *_GS_OPTIONS),
     "fit-pot": (*_DATA_OPTIONS, "levels", "exceed_prob", *_GS_OPTIONS),
-    "simulate": ("kind", "seed", "n", "sigma", "kappa", "days", "hours_per_day"),
+    "simulate": ("kind", "seed", *_SIMULATE_KEYS),
     "gradcheck": ("alpha", "seed", "points"),
     "minimize": ("objective", "x0", *_GS_OPTIONS),
 }
@@ -120,14 +113,7 @@ class RunConfig:
         raise AttributeError(key)
 
     def gs_params(self):
-        o = self.options
-        return GsParams(
-            m=o["m"], beta=o["beta"], mu=o["mu"], lam=o["lam"],
-            eps0=o["eps0"], tau0=o["tau0"], eps_min=o["eps_min"],
-            tau_min=o["tau_min"], max_iter=o["max_iter"],
-            max_backtracks=o["max_backtracks"],
-            subgradient_mode=o["mode"], seed=o["seed"],
-        )
+        return GsParams(**{f.name: self.options[key] for key, f in _GS_OPTIONS.items()})
 
 
 def read_config_file(path):
@@ -259,38 +245,11 @@ def _write_diagnostics(path, entries):
             fh.write(f"{key}={_fmt(value)}\n")
 
 
-def _run_entries(gs, trace):
-    """The resolved hyperparameters of a fit and the kernel path it ran on.
-
-    ``subspace_dim`` is the length of the coordinate rows the estimate
-    reduces: 2r for fit-pot, r for fit-quantile in qp mode (absent in its
-    average mode).
-    """
-    subspace = [] if trace.subspace_dim is None else [("subspace_dim", trace.subspace_dim)]
-    return [
-        ("subgradient_mode", gs.subgradient_mode), ("m", trace.m), *subspace,
-        ("beta", gs.beta), ("mu", gs.mu), ("lambda", gs.lam),
-        ("eps0", gs.eps0), ("tau0", gs.tau0),
-        ("eps_min", gs.eps_min), ("tau_min", gs.tau_min),
-        ("max_iter", gs.max_iter), ("max_backtracks", gs.max_backtracks),
-        ("kernel_path", _kernels.ACTIVE),
-    ]
-
-
 def _minnorm_fallbacks(gs, trace):
     """qp-mode iterations whose min-norm solve fell back to the average."""
     if gs.subgradient_mode != "qp":
         return 0
     return sum(r.method == "average" for r in trace.records)
-
-
-def _input_columns(dataset):
-    header = [dataset.response]
-    columns = [dataset.y]
-    for name, kind in zip(dataset.columns, dataset.kinds):
-        header.append(name)
-        columns.append(dataset.labels(name) if kind == "factor" else dataset.column(name))
-    return header, columns
 
 
 def _write_trace(path, trace):
@@ -301,7 +260,7 @@ def _write_trace(path, trace):
 
 def _write_decomposition(path, names, fits, prefixes=None):
     header, columns = [], []
-    for p, fit in zip(prefixes or [""] * len(fits), [f for f in fits]):
+    for p, fit in zip(prefixes or [""] * len(fits), fits):
         tag = f"{p}." if p else ""
         header.append(f"{tag}intercept")
         columns.append(np.full(fit.fitted.size, fit.intercept))
@@ -311,42 +270,70 @@ def _write_decomposition(path, names, fits, prefixes=None):
     _write_table(path, header, columns)
 
 
+def _write_fit(out, config, data, gs, trace, fitted, decomposition, head, tail):
+    """Write a fit's four artifacts; returns the fit's exit status.
+
+    fitted.csv is the input columns plus ``fitted`` (name -> values);
+    ``decomposition`` is ``(names, fits, prefixes)``.  diagnostics.txt
+    holds the task, ``head``, the block every fit shares (resolved
+    hyperparameters, kernel path, counters; ``subspace_dim``, the length
+    of the rows the estimate reduces, is 2r for fit-pot, r for
+    fit-quantile in qp mode, absent in its average mode) and ``tail``.
+    """
+    header, columns = [data.response], [data.y]
+    for name, kind in zip(data.columns, data.kinds):
+        header.append(name)
+        columns.append(data.labels(name) if kind == "factor" else data.column(name))
+    _write_table(os.path.join(out, "fitted.csv"),
+                 header + list(fitted), columns + list(fitted.values()))
+    _write_decomposition(os.path.join(out, "decomposition.csv"), *decomposition)
+    _write_trace(os.path.join(out, "trace.csv"), trace)
+    subspace = [] if trace.subspace_dim is None else [("subspace_dim", trace.subspace_dim)]
+    _write_diagnostics(os.path.join(out, "diagnostics.txt"), [
+        ("task", config.task), *head,
+        ("n", data.n), ("dropped_rows", data.n_dropped), ("seed", config.seed),
+        ("subgradient_mode", gs.subgradient_mode), ("m", trace.m), *subspace,
+        ("beta", gs.beta), ("mu", gs.mu), ("lambda", gs.lam),
+        ("eps0", gs.eps0), ("tau0", gs.tau0),
+        ("eps_min", gs.eps_min), ("tau_min", gs.tau_min),
+        ("max_iter", gs.max_iter), ("max_backtracks", gs.max_backtracks),
+        ("kernel_path", _kernels.ACTIVE),
+        ("converged", trace.converged),
+        ("iterations", len(trace)),
+        ("accepted_steps", len(trace.accepted)),
+        ("minnorm_fallbacks", _minnorm_fallbacks(gs, trace)),
+        ("rejected_draws", trace.rejected_draws),
+        ("backfit_sweeps", trace.backfit_sweeps),
+        ("projections_unconverged", trace.projections_unconverged),
+        *tail,
+    ])
+    return EXIT_OK if trace.converged else EXIT_NONCONVERGED
+
+
 # ---------------------------------------------------------------------------
 # tasks
 # ---------------------------------------------------------------------------
 
-def _run_fit_quantile(config, out):
+def _load_fit_input(config):
+    """The input of a fit task: ``(dataset, W, specs, names, level labels)``."""
     if config.input is None:
-        raise InvalidInput("fit-quantile requires --input")
+        raise InvalidInput(f"{config.task} requires --input")
     data = datasets.load_csv(
         config.input, config.response,
         factor_columns_needed(config.smoothers, config.factors))
-    W, specs, names, level_maps = build_design(data, config.smoothers)
+    return (data, *build_design(data, config.smoothers))
+
+
+def _run_fit_quantile(config, out):
+    data, W, specs, names, level_maps = _load_fit_input(config)
     alpha = config.alpha
     gs = config.gs_params()
     model = fit_quantile_additive(data.y, W, alpha, specs, gs)
 
-    header, columns = _input_columns(data)
-    _write_table(os.path.join(out, "fitted.csv"),
-                 header + [f"q{alpha:g}"], columns + [model.q])
-    _write_decomposition(os.path.join(out, "decomposition.csv"),
-                         names, [model.decomposition])
-    _write_trace(os.path.join(out, "trace.csv"), model.trace)
-
-    coverage = float(np.mean(data.y <= model.q))
-    entries = [
-        ("task", "fit-quantile"), ("alpha", alpha), ("n", data.n),
-        ("dropped_rows", data.n_dropped), ("seed", config.seed),
-        *_run_entries(gs, model.trace),
-        ("converged", model.trace.converged),
-        ("iterations", len(model.trace)),
-        ("accepted_steps", len(model.trace.accepted)),
-        ("minnorm_fallbacks", _minnorm_fallbacks(gs, model.trace)),
-        ("backfit_sweeps", model.trace.backfit_sweeps),
-        ("projections_unconverged", model.trace.projections_unconverged),
+    tail = [
         ("ball_coordinates", model.trace.ball_coordinates),
         ("final_objective", model.trace.final_f()),
-        ("coverage", coverage),
+        ("coverage", float(np.mean(data.y <= model.q))),
     ]
     for spec, name, labels in zip(specs, names, level_maps):
         if spec.kind != "cell_factor":
@@ -354,15 +341,13 @@ def _run_fit_quantile(config, out):
         codes = W[:, spec.covariate_index].astype(int)
         for code in np.unique(codes):
             mask = codes == code
-            entries.append((f"coverage[{name}|{labels[code]}]",
-                            float(np.mean(data.y[mask] <= model.q[mask]))))
-    _write_diagnostics(os.path.join(out, "diagnostics.txt"), entries)
-    return EXIT_OK if model.trace.converged else EXIT_NONCONVERGED
+            tail.append((f"coverage[{name}|{labels[code]}]",
+                         float(np.mean(data.y[mask] <= model.q[mask]))))
+    return _write_fit(out, config, data, gs, model.trace, {f"q{alpha:g}": model.q},
+                      (names, [model.decomposition]), [("alpha", alpha)], tail)
 
 
 def _run_fit_pot(config, out):
-    if config.input is None:
-        raise InvalidInput("fit-pot requires --input")
     if config.exceed_prob is None:
         raise InvalidInput("fit-pot requires --exceed-prob (threshold exceedance "
                            "probability supplied at ingestion)")
@@ -371,36 +356,19 @@ def _run_fit_pot(config, out):
     levels = config.levels
     pair = "var_es" if len(levels) == 1 else "var_var"
     fspec = FunctionalSpec(pair, tuple(levels), config.exceed_prob)
-    data = datasets.load_csv(
-        config.input, config.response,
-        factor_columns_needed(config.smoothers, config.factors))
-    W, specs, names, _ = build_design(data, config.smoothers)
+    data, W, specs, names, _ = _load_fit_input(config)
     gs = config.gs_params()
     model = fit_pot_additive(data.y, W, fspec, specs, gs)
 
-    header, columns = _input_columns(data)
     fnames = list(model.functional_names)
-    _write_table(os.path.join(out, "fitted.csv"), header + fnames,
-                 columns + [model.state.theta_pair[0], model.state.theta_pair[1]])
-    _write_decomposition(os.path.join(out, "decomposition.csv"),
-                         names, list(model.decompositions), prefixes=fnames)
-    _write_trace(os.path.join(out, "trace.csv"), model.trace)
-
     th1, th2 = model.state.theta_pair
-    entries = [
-        ("task", "fit-pot"), ("pair", fspec.pair),
+    head = [
+        ("pair", fspec.pair),
         ("levels", ",".join(f"{a:g}" for a in fspec.levels)),
         ("exceed_prob", fspec.exceed_prob),
         ("scale_factors", ",".join(f"{c:g}" for c in fspec.c_values)),
-        ("n", data.n), ("dropped_rows", data.n_dropped), ("seed", config.seed),
-        *_run_entries(gs, model.trace),
-        ("converged", model.trace.converged),
-        ("iterations", len(model.trace)),
-        ("accepted_steps", len(model.trace.accepted)),
-        ("minnorm_fallbacks", _minnorm_fallbacks(gs, model.trace)),
-        ("rejected_draws", model.trace.rejected_draws),
-        ("backfit_sweeps", model.trace.backfit_sweeps),
-        ("projections_unconverged", model.trace.projections_unconverged),
+    ]
+    tail = [
         ("final_negloglik", model.trace.final_f()),
         (f"mean_{fnames[0]}", float(th1.mean())),
         (f"mean_{fnames[1]}", float(th2.mean())),
@@ -408,9 +376,9 @@ def _run_fit_pot(config, out):
         ("kappa_max", float(model.state.lam.kappa.max())),
     ]
     if fspec.pair == "var_var":
-        entries.append(("levels_ordered_pointwise", bool(np.all(th2 > th1))))
-    _write_diagnostics(os.path.join(out, "diagnostics.txt"), entries)
-    return EXIT_OK if model.trace.converged else EXIT_NONCONVERGED
+        tail.append(("levels_ordered_pointwise", bool(np.all(th2 > th1))))
+    return _write_fit(out, config, data, gs, model.trace, dict(zip(fnames, (th1, th2))),
+                      (names, list(model.decompositions), fnames), head, tail)
 
 
 def _run_simulate(config, out):
@@ -418,7 +386,7 @@ def _run_simulate(config, out):
     if kind not in _SIMULATE_OPTIONS:
         raise InvalidInput(f"unknown simulate kind {kind!r}")
     reads = _SIMULATE_OPTIONS[kind]
-    unread = [key for key in ("n", "sigma", "kappa", "days", "hours_per_day")
+    unread = [key for key in _SIMULATE_KEYS
               if key not in reads and config.options[key] is not None]
     if unread:
         raise InvalidInput(f"simulate --kind {kind} does not read {', '.join(unread)}")
@@ -440,12 +408,8 @@ def _run_simulate(config, out):
 
 
 def _central_diff(f, x, h=1e-6):
-    out = np.empty(x.size)
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = h
-        out[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return out
+    steps = h * np.eye(x.size)
+    return np.array([(f(x + step) - f(x - step)) / (2.0 * h) for step in steps])
 
 
 def _rel_err(a, b):
@@ -466,39 +430,33 @@ def _run_gradcheck(config, out):
         fd = _central_diff(lambda v: pinball_loss(v, y, alpha), q)
         worst["pinball"] = max(worst["pinball"], _rel_err(pinball_grad(q, y, alpha), fd))
 
+    spec = FunctionalSpec("var_es", (0.01,), 0.1)
     for _ in range(points):
         n = int(rng.integers(1, 5))
         lam = Lambda(rng.uniform(-0.5, 1.5, n), rng.uniform(-0.25, 0.8, n))
+        v = lam.as_vector()
         y = rng.uniform(0.05, 2.0, n) * lam.sigma
-        fd = _central_diff(
-            lambda v: -negative_loglik_objective(
-                y, FunctionalSpec("var_var", (0.05, 0.01), 0.1)).eval(v),
-            lam.as_vector())
+        nll = negative_loglik_objective(y, FunctionalSpec("var_var", (0.05, 0.01), 0.1))
+        fd = _central_diff(lambda u: -nll.eval(u), v)
         worst["gpd_loglik"] = max(worst["gpd_loglik"],
                                   _rel_err(gpd_loglik_grad(lam, y), fd))
 
-        spec = FunctionalSpec("var_es", (0.01,), 0.1)
+        # each functional pair depends on its own (eta_i, kappa_i) alone, so
+        # moving every eta (or every kappa) at once differences a whole column
         jac, _ = jacobian_blocks(lam, spec)
         h = 1e-6
         for which in range(2):
             step = np.zeros(2 * n)
-            for i in range(n):
-                step[:] = 0.0
-                step[i if which == 0 else n + i] = h
-                up = Lambda.from_vector(lam.as_vector() + step)
-                dn = Lambda.from_vector(lam.as_vector() - step)
-                for fidx in range(2):
-                    fd_entry = (functional_map(up, spec)[fidx][i]
-                                - functional_map(dn, spec)[fidx][i]) / (2.0 * h)
-                    worst["jacobian"] = max(
-                        worst["jacobian"],
-                        _rel_err(np.array([jac[i, fidx, which]]),
-                                 np.array([fd_entry])))
+            step[which * n:(which + 1) * n] = h
+            up = functional_map(Lambda.from_vector(v + step), spec)
+            dn = functional_map(Lambda.from_vector(v - step), spec)
+            for fidx in range(2):
+                worst["jacobian"] = max(worst["jacobian"], _rel_err(
+                    jac[:, fidx, which], (up[fidx] - dn[fidx]) / (2.0 * h)))
 
         obj = negative_loglik_objective(y, spec)
-        fd = _central_diff(obj.eval, lam.as_vector())
-        worst["pot_objective"] = max(worst["pot_objective"],
-                                     _rel_err(obj.grad(lam.as_vector()), fd))
+        fd = _central_diff(obj.eval, v)
+        worst["pot_objective"] = max(worst["pot_objective"], _rel_err(obj.grad(v), fd))
 
     overall = max(worst.values())
     entries = [("task", "gradcheck"), ("points", points), ("seed", config.seed)]
@@ -613,8 +571,8 @@ def resolve_config(args):
     for key in options:
         if key in given:
             options[key] = _coerce(key, given[key])
-    if options["mode"] is None:
-        options["mode"] = "average" if args.task in ("fit-quantile", "fit-pot") else "qp"
+    if args.task == "fit-quantile" and "mode" not in given:
+        options["mode"] = "average"  # the mode rule: GsParams' docstring
     return RunConfig(task=args.task, input=given.get("input"),
                      output_dir=given.get("output_dir", "."),
                      smoothers=given.get("smoother", []),

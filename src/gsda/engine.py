@@ -16,9 +16,9 @@ fitter are three thin adapters around it.
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
 estimate.  :func:`approx_subgradient` and the POT fitter build their
-m+1 gradient rows with it; the mode then picks only the reduction of
-those rows (Wolfe's min-norm point or their mean).  The pinball
-fitter's kink draw never leaves the domain and bypasses it.
+m+1 gradient rows with it; the mode picks only the reduction of those
+rows (Wolfe's min-norm point or their mean, see :class:`GsParams`).
+The pinball fitter's kink draw never leaves the domain and bypasses it.
 """
 
 import warnings
@@ -44,14 +44,17 @@ class GsParams:
     space searched: the point's for :func:`gsda_minimize` and for the
     quantile fitter's average mode (n), and the additive subspace's for
     the quantile fitter's qp mode (r, the dimension of range(P)) and for
-    the POT fitter in both modes (2r).  An explicit m is honoured; one
-    below d+1 raises :class:`SampleSizeWarning`, since the convergence
-    theory of gradient sampling assumes m >= d+1.
+    the POT fitter (2r).  An explicit m is honoured; one below d+1
+    raises :class:`SampleSizeWarning`, since the convergence theory of
+    gradient sampling assumes m >= d+1.
 
-    Default mode: ``GsParams()`` means ``subgradient_mode="qp"``, and
-    :func:`gsda_minimize` uses it when given no params.  The additive
-    fitters, given ``gs=None``, use ``GsParams(subgradient_mode="average")``
-    instead; an explicit ``GsParams()`` passed to them runs qp.
+    Mode rule: ``subgradient_mode`` picks the reduction of the sampled
+    rows, Wolfe's min-norm point (``"qp"``, the default) or their mean
+    (``"average"``).  :func:`gsda_minimize` and the POT fitter, given no
+    params, use ``GsParams()``; the POT fitter accepts qp alone.  The
+    quantile fitter, given ``gs=None``, uses average mode.  The CLI's
+    ``--mode`` defaults to average for ``fit-quantile`` and to qp for
+    every other task.
     """
 
     m: int | None = None

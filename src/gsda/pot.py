@@ -11,16 +11,16 @@ which are inverted blockwise; steps are taken in (eta, kappa) space
 where the likelihood is cheap, along the pullback of the smoothed
 descent direction.
 
-Both modes run gradient sampling on the problem restricted to the space
+The fitter runs gradient sampling on the problem restricted to the space
 the step can move in.  With the :class:`~gsda.smoothing.CoordinateMap`
 (P g = B (M g), B orthonormal n x r), that space is the range of
 L = J^-1 blockdiag(B, B) in (eta, kappa).  Each draw is eps*Q*u, with Q
 an orthonormal basis of range(L) and u uniform in the 2r-ball.  The
 sampled gradients become the (m+1) x 2r coordinate rows ``g @ K``, where
 K = J^-1 blockdiag(M^T, M^T) maps an (eta, kappa) gradient g straight
-to the coordinates of its projected functional-space halves.  The modes
-differ only in how they reduce those rows to c: Wolfe's min-norm point
-(qp) or their mean (average).  The step is -L c/||c||, and
+to the coordinates of its projected functional-space halves, and
+Wolfe's min-norm point of those rows is c; their mean stands in only
+when Wolfe's solver fails.  The step is -L c/||c||, and
 ||c|| = ||P g_hat|| is the stationarity and Armijo measure.  The default
 m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
 
@@ -397,23 +397,29 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     Each iteration: build the Jacobian blocks at the current
     (eta, kappa); sample the negative-log-likelihood gradient as rows in
-    the coordinates of the additive space and reduce them to c (the
-    mode's reduction, module docstring); pull the unit direction
+    the coordinates of the additive space and reduce them to their
+    min-norm point c (module docstring); pull the unit direction
     -c/||c|| back to (eta, kappa) and Armijo-search the negative
     log-likelihood along it, rejecting any step that leaves the support.
     eps and tau shrink whenever ||c|| drops below tau or no step is
     accepted.
 
+    ``gs=None`` means ``GsParams()``; a ``subgradient_mode`` other than
+    ``"qp"`` raises :class:`InvalidInput`.
+
     Returns a :class:`PotModel`; the reported functional vectors are
     recomputed exactly from the final (eta, kappa), and each is also
     decomposed additively for reporting.
     """
+    gs = gs if gs is not None else GsParams()
+    if gs.subgradient_mode != "qp":
+        raise InvalidInput("the POT fitter reduces by the min-norm point: "
+                           f"subgradient_mode must be 'qp', got {gs.subgradient_mode!r}")
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0.0):
         raise InvalidInput("excesses must be strictly positive")
     projector = AdditiveProjector(W, specs, y.size)
     coords = projector.coordinate_map()
-    gs = gs if gs is not None else GsParams(subgradient_mode="average")
     m = gs.resolve_m(2 * coords.dim)
     rng = np.random.default_rng(gs.seed)
     objective = negative_loglik_objective(y, spec)
@@ -438,13 +444,10 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     def estimate(x, eps):
         rows = GradientSet(
             -_theta_grad_rows(state_at(x), y, eps, m, rng, coords, trace, scratch))
-        if gs.subgradient_mode == "average":
+        try:
+            res = min_norm_point(rows)
+        except NumericalFailure:
             res = average_fallback(rows)
-        else:
-            try:
-                res = min_norm_point(rows)
-            except NumericalFailure:
-                res = average_fallback(rows)
         return res.point, res.norm, res.method
 
     def direction(x, g, gnorm):

@@ -146,15 +146,60 @@ class TestRunDiagnostics:
         for tag, extra in (("a", ["--mode", "qp", "--m", "200"]), ("b", [])):
             code = main(args + extra + ["--output-dir", str(tmp_path / tag)])
             assert code in (EXIT_OK, EXIT_NONCONVERGED)
-        qp = read_diagnostics(tmp_path / "a" / "diagnostics.txt")
-        avg = read_diagnostics(tmp_path / "b" / "diagnostics.txt")
-        assert (qp["subgradient_mode"], qp["m"]) == ("qp", "200")
-        assert (avg["subgradient_mode"], avg["m"]) == ("average", "3")  # 2r+1
-        # both modes' rows: one coordinate per functional half, not 2n = 120
-        assert qp["subspace_dim"] == avg["subspace_dim"] == "2"
-        assert set(RUN_KEYS) <= set(avg)
-        assert "ball_coordinates" not in avg
-        assert int(qp["rejected_draws"]) >= 0 and int(avg["rejected_draws"]) >= 0
+        given = read_diagnostics(tmp_path / "a" / "diagnostics.txt")
+        default = read_diagnostics(tmp_path / "b" / "diagnostics.txt")
+        assert (given["subgradient_mode"], given["m"]) == ("qp", "200")
+        assert (default["subgradient_mode"], default["m"]) == ("qp", "3")  # 2r+1
+        # one coordinate per functional half, not 2n = 120
+        assert given["subspace_dim"] == default["subspace_dim"] == "2"
+        assert set(RUN_KEYS) <= set(default)
+        assert "ball_coordinates" not in default
+        assert int(given["rejected_draws"]) >= 0 and int(default["rejected_draws"]) >= 0
+
+    def test_fits_share_one_diagnostics_block(self, tmp_path):
+        # both fit tasks write the same keys in the same order between
+        # their own head and tail entries; fit-quantile never rejects a draw
+        shared = ["n", "dropped_rows", "seed", *RUN_KEYS[:2], "subspace_dim",
+                  *RUN_KEYS[2:], "converged", "iterations", "accepted_steps",
+                  "minnorm_fallbacks", "rejected_draws", "backfit_sweeps",
+                  "projections_unconverged"]
+        for kind in ("hetero", "gpd"):
+            main(["simulate", "--kind", kind, "--n", "40", "--seed", "1",
+                  "--output-dir", str(tmp_path / kind)])
+        runs = {
+            "fit-quantile": ["--input", str(tmp_path / "hetero" / "data.csv"),
+                             "--mode", "qp", "--smoother", "w=local_linear"],
+            "fit-pot": ["--input", str(tmp_path / "gpd" / "data.csv"),
+                        "--levels", "0.01", "--exceed-prob", "0.1"],
+        }
+        diags = {}
+        for task, argv in runs.items():
+            out = tmp_path / task
+            code = main([task, *argv, "--max-iter", "5", "--output-dir", str(out)])
+            assert code in (EXIT_OK, EXIT_NONCONVERGED)
+            diags[task] = read_diagnostics(out / "diagnostics.txt")
+            keys = list(diags[task])
+            assert (keys[0], diags[task]["task"]) == ("task", task)
+            start = keys.index("n")
+            assert keys[start:start + len(shared)] == shared, task
+        assert diags["fit-quantile"]["rejected_draws"] == "0"
+
+    def test_resolved_gs_options_are_gs_params_defaults(self):
+        from dataclasses import astuple
+
+        from gsda import GsParams
+        from gsda.cli import build_parser, resolve_config
+
+        def resolved(*argv):
+            return resolve_config(build_parser().parse_args(argv)).gs_params()
+
+        # field by field: every default comes from GsParams; only
+        # fit-quantile's mode differs (the mode rule)
+        assert astuple(resolved("minimize")) == astuple(GsParams())
+        assert astuple(resolved("fit-pot")) == astuple(GsParams())
+        assert astuple(resolved("fit-quantile")) \
+            == astuple(GsParams(subgradient_mode="average"))
+        assert resolved("fit-quantile", "--mode", "qp").subgradient_mode == "qp"
 
     def test_minnorm_fallbacks_counted(self, tmp_path, monkeypatch):
         import gsda.engine
@@ -188,7 +233,10 @@ class TestRunDiagnostics:
             for mode in ("qp", "average"):
                 calls.clear()
                 out = tmp_path / f"{name}-{mode}"
-                main(argv + ["--mode", mode, "--output-dir", str(out)])
+                code = main(argv + ["--mode", mode, "--output-dir", str(out)])
+                if (name, mode) == ("pot", "average"):  # the POT fitter runs qp alone
+                    assert (code, calls) == (EXIT_INPUT, [])
+                    continue
                 fallbacks = int(read_diagnostics(out / "diagnostics.txt")["minnorm_fallbacks"])
                 raised = sum(calls)
                 assert fallbacks == raised, (name, mode)
@@ -214,6 +262,18 @@ class TestFitPot:
         assert diag["projections_unconverged"] == "0"
         header, _ = read_table(out / "fitted.csv")
         assert header[-2:] == ["return_level", "expected_shortfall"]
+
+    def test_average_mode_is_an_input_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "gpd", "--n", "40", "--seed", "0",
+              "--output-dir", str(sim)])
+        capsys.readouterr()
+        assert main(["fit-pot", "--input", str(sim / "data.csv"), "--levels", "0.01",
+                     "--exceed-prob", "0.1", "--mode", "average",
+                     "--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "subgradient_mode" in err
 
     def test_requires_exceed_prob_and_levels(self, tmp_path):
         sim = tmp_path / "sim"

@@ -130,13 +130,13 @@ def test_quantile_fit_invariants(seed, n, alpha, covariate, mode, beta):
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=seeds, n=st.integers(20, 60), covariate=st.booleans(), mode=modes,
-       beta=betas)
-def test_pot_fit_invariants(seed, n, covariate, mode, beta):
+@given(seed=seeds, n=st.integers(20, 60), covariate=st.booleans(), beta=betas)
+def test_pot_fit_invariants(seed, n, covariate, beta):
+    # the POT fitter runs qp mode alone
     spec = FunctionalSpec("var_es", (0.01,), 0.1)
     y = gpd_inverse_cdf(np.random.default_rng(seed % 1000).random(n), 2.0, 0.2)
     _, W, specs = fit_inputs(seed % 1000, n, covariate)
-    gs = GsParams(seed=seed, beta=beta, max_iter=150, subgradient_mode=mode)
+    gs = GsParams(seed=seed, beta=beta, max_iter=150)
     model = fit_pot_additive(y, W, spec, specs, gs)
     objective = negative_loglik_objective(y, spec)
     f = check_trace(model.trace, objective.eval(initial_lambda(y, spec).as_vector()), gs)

@@ -348,15 +348,13 @@ class TestFitConstantModel:
         assert abs(ze[0] - ze_o) / ze_o <= 0.05
         assert model.trace.converged
 
-    @pytest.mark.parametrize("mode", ["qp", "average"])
-    def test_default_beta_takes_steps_to_the_mle(self, mode):
-        # both modes measure stationarity and the Armijo margin by the norm
-        # of the projected coordinates; with the raw 2n-row norm this fit
-        # took no step at the default beta and stopped at the start
+    def test_default_beta_takes_steps_to_the_mle(self):
+        # stationarity and the Armijo margin use the norm of the projected
+        # coordinates; with the raw 2n-row norm this fit took no step at
+        # the default beta and stopped at the start
         y = gpd_inverse_cdf(np.random.default_rng(3).random(40), 2.0, 0.2)
         sig, kap = gpd_mle_oracle(y)
-        model = fit_pot_additive(y, None, VAR_ES, [],
-                                 GsParams(subgradient_mode=mode, seed=1))
+        model = fit_pot_additive(y, None, VAR_ES, [], GsParams(seed=1))
         assert len(model.trace.accepted) >= 1
         th, ze = model.state.theta_pair
         assert abs(th[0] - theta_ref(sig, kap, 0.1)) / theta_ref(sig, kap, 0.1) <= 0.01
@@ -389,6 +387,11 @@ class TestFitValidation:
             fit_pot_additive(y, np.linspace(0.0, 1.0, 40)[:, None], VAR_ES,
                              [SmootherSpec("local_linear", 0)])
 
+    def test_min_norm_point_is_the_only_reduction(self):
+        y = gpd_inverse_cdf(np.random.default_rng(5).random(50), 2.0, 0.2)
+        with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
+            fit_pot_additive(y, None, VAR_ES, [], GsParams(subgradient_mode="average"))
+
     def test_rejects_nonfinite_covariate(self):
         y = gpd_inverse_cdf(np.random.default_rng(6).random(50), 2.0, 0.2)
         w = np.linspace(0.0, 1.0, 50)
@@ -403,8 +406,7 @@ class TestProjectionCounters:
         w = np.linspace(0.0, 1.0, 60)
         model = fit_pot_additive(y, w[:, None], VAR_ES,
                                  [SmootherSpec("local_linear", 0)],
-                                 GsParams(subgradient_mode="average",
-                                          max_iter=20, seed=1))
+                                 GsParams(max_iter=20, seed=1))
         # steps move in coordinates, so only the two reported
         # decompositions project
         assert len(projection_calls) == 2

@@ -173,25 +173,33 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
         assert redrawn > 0 and exhausted > 0
 
 
-def test_average_mode_is_the_mean_of_the_rows():
-    # both modes reduce one row set: average mode's estimate is the rows'
-    # mean, bit for bit, and each mode steps along -J^-1 blockdiag(B, B) c
-    # for its c, so one iteration of a fit lands on that point exactly
+def test_average_mode_is_the_mean_of_the_rows(monkeypatch):
+    # the fitter reduces its rows by Wolfe's min-norm point; when Wolfe's
+    # solver fails, the estimate is the rows' mean, bit for bit.  Either
+    # way it steps along -J^-1 blockdiag(B, B) c for its c, so one
+    # iteration of a fit lands on that point exactly
+    import gsda.pot
+
+    def wolfe_fails(rows):
+        raise NumericalFailure("forced")
+
     n = 50
     W = np.linspace(0.0, 1.0, n)[:, None]
     specs = [SmootherSpec("local_linear", 0)]
     coords = AdditiveProjector(W, specs).coordinate_map()
-    for seed, mode in enumerate(["average", "qp"] * 3):
+    for seed, method in enumerate(["average", "qp"] * 3):
+        monkeypatch.setattr(gsda.pot, "min_norm_point",
+                            wolfe_fails if method == "average" else min_norm_point)
         y = gpd_inverse_cdf(np.random.default_rng(seed).random(n), 2.0, 0.2)
-        gs = GsParams(subgradient_mode=mode, max_iter=1, seed=seed)
+        gs = GsParams(max_iter=1, seed=seed)
         model = fit_pot_additive(y, W, VAR_ES, specs, gs)
         state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES)
         rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
                                              np.random.default_rng(seed), coords))
-        reduce = average_fallback if mode == "average" else min_norm_point
+        reduce = average_fallback if method == "average" else min_norm_point
         c = reduce(rows).point
         record = model.trace.records[0]
-        assert (record.method, record.event) == (mode, "step")
+        assert (record.method, record.event) == (method, "step")
         assert record.gnorm == np.linalg.norm(c)
         v = _lift(state.jac_inverses, coords.basis) @ (-c / record.gnorm)
         x = state.lam.as_vector() + record.t * v

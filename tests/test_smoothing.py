@@ -447,8 +447,8 @@ class TestCoordinateMap:
             AdditiveProjector(None, []).coordinate_map()
 
     def test_average_mode_fits_never_build_it(self, monkeypatch):
-        # the quantile fitter's average mode; the POT fitter reduces
-        # coordinate rows in both modes and always builds the map
+        # the quantile fitter's average mode; the POT fitter always
+        # reduces coordinate rows and builds the map
         from gsda import GsParams, fit_quantile_additive
 
         def refuse(self):
