@@ -2,11 +2,11 @@
 
 At each iterate the gradient is evaluated at the point itself and at m
 points drawn uniformly from the surrounding eps-ball; the minimum-norm
-element of the convex hull of those gradients (or their plain average)
-approximates the generalized subgradient.  Its negative drives a
-backtracking line search; when its norm falls below the tolerance tau,
-both eps and tau are shrunk.  The run stops once eps and tau reach
-their floors, which certifies approximate stationarity at that scale.
+element of the convex hull of those gradients approximates the
+generalized subgradient.  Its negative drives a backtracking line
+search; when its norm falls below the tolerance tau, both eps and tau
+are shrunk.  The run stops once eps and tau reach their floors, which
+certifies approximate stationarity at that scale.
 
 One loop, :func:`descend`, runs this schedule for every problem.  A
 problem supplies its objective, a sampled-gradient estimate and a
@@ -16,9 +16,10 @@ fitter are three thin adapters around it.
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
 estimate.  :func:`approx_subgradient` and the POT fitter build their
-m+1 gradient rows with it; the mode picks only the reduction of those
-rows (Wolfe's min-norm point or their mean, see :class:`GsParams`).
-The pinball fitter's kink draw never leaves the domain and bypasses it.
+m+1 gradient rows with it and reduce them by Wolfe's min-norm point
+(their mean only where Wolfe fails).  The pinball fitter's kink draw
+never leaves the domain and bypasses it; only that fitter reads
+``GsParams.subgradient_mode``.
 """
 
 import warnings
@@ -48,13 +49,13 @@ class GsParams:
     raises :class:`SampleSizeWarning`, since the convergence theory of
     gradient sampling assumes m >= d+1.
 
-    Mode rule: ``subgradient_mode`` picks the reduction of the sampled
-    rows, Wolfe's min-norm point (``"qp"``, the default) or their mean
-    (``"average"``).  :func:`gsda_minimize` and the POT fitter, given no
-    params, use ``GsParams()``; the POT fitter accepts qp alone.  The
-    quantile fitter, given ``gs=None``, uses average mode.  The CLI's
-    ``--mode`` defaults to average for ``fit-quantile`` and to qp for
-    every other task.
+    Mode rule: only the quantile fitter reads ``subgradient_mode``.  It
+    picks that fitter's reduction of the sampled rows, Wolfe's min-norm
+    point (``"qp"``, the default) or their mean (``"average"``); given
+    ``gs=None`` the fitter uses average mode.  Every other descent
+    reduces by Wolfe's point and raises :class:`InvalidInput` for any
+    mode but qp (:meth:`require_qp`).  The CLI's ``--mode`` defaults to
+    average for ``fit-quantile`` and to qp for every other task.
     """
 
     m: int | None = None
@@ -89,6 +90,12 @@ class GsParams:
             raise InvalidInput("m must be a positive integer")
         if self.subgradient_mode not in SUBGRADIENT_MODES:
             raise InvalidInput(f"subgradient_mode must be one of {SUBGRADIENT_MODES}")
+
+    def require_qp(self, who):
+        """Raise :class:`InvalidInput` for ``who``, which reduces by Wolfe alone, unless qp."""
+        if self.subgradient_mode != "qp":
+            raise InvalidInput(f"{who} reduces by the min-norm point: subgradient_mode "
+                               f"must be 'qp', got {self.subgradient_mode!r}")
 
     def resolve_m(self, dim):
         if self.m is None:
@@ -136,8 +143,8 @@ class FitTrace:
 
     ``m`` is the resolved sample size and ``subspace_dim`` the length of
     the coordinate rows the estimate reduces (2r for the POT fitter, r
-    for the quantile fitter's qp mode; None for its average mode), both
-    set by the additive fitters.  ``ball_coordinates`` sums
+    for the quantile fitter's qp mode; None for its average mode and the
+    minimizer).  ``ball_coordinates`` sums
     the ball coordinates the pinball fitter drew per point over its
     iterations (n per iteration would be the whole n-ball).
     ``rejected_draws`` sums the infeasible draws :func:`sample_rows`
@@ -257,10 +264,13 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
 
     Draws m ball points, rejects any that land outside the domain
     (eval +inf or non-finite gradient) and redraws them through
-    :func:`sample_rows`, then reduces the m+1 gradients by the
-    configured mode.  The rejected draws are added to
-    ``trace.rejected_draws`` when a trace is given.
+    :func:`sample_rows`, then reduces the m+1 gradients to Wolfe's
+    min-norm point, or to their mean where Wolfe's solver fails.  A
+    mode other than qp raises :class:`InvalidInput`.  When a trace is
+    given, the resolved m is set on it and the rejected draws are added
+    to ``trace.rejected_draws``.
     """
+    params.require_qp("the minimizer")
     x = np.asarray(x, dtype=float)
     fx = obj.eval(x)
     if not np.isfinite(fx):
@@ -269,6 +279,8 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     if not np.all(np.isfinite(g0)):
         raise InvalidInput("gradient at the base point is not finite")
     m = params.resolve_m(obj.dim)
+    if trace is not None:
+        trace.m = m
 
     def evaluate(u):
         rows = []
@@ -285,34 +297,26 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     if trace is not None:
         trace.rejected_draws += rejected
     grad_set = GradientSet(rows)
-    if params.subgradient_mode == "average":
-        return average_fallback(grad_set)
     try:
         return min_norm_point(grad_set)
     except NumericalFailure:
         return average_fallback(grad_set)
 
 
-def armijo_search(obj, x, d, g_norm, beta, max_backtracks):
-    """Backtracking search along the unit direction d.
+def armijo_search(phi, f, slope, beta, max_backtracks):
+    """Backtracking search on the ray t -> phi(t), whose value at 0 is f.
 
     Tries t in {1, 1/2, 1/4, ...} and returns ``(t, backtracks, f_new)``
-    for the first t with ``f(x + t d) < f(x) - beta * t * g_norm`` and a
-    finite value; returns ``None`` when every candidate fails, which the
-    driver treats as a stationarity signal at the current scale.
+    for the first finite phi(t) < f - beta * t * slope; returns ``None``
+    when every candidate fails, which the driver treats as a
+    stationarity signal at the current scale.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim == 0:
-        d = float(d)  # a search along a ray: scalar trial points stay cheap
-    if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-        raise InvalidInput("search direction must have unit norm")
-    if g_norm <= 0.0:
-        raise InvalidInput("g_norm must be positive")
-    fx = obj.eval(x)
+    if slope <= 0.0:
+        raise InvalidInput("slope must be positive")
     t = 1.0
     for b in range(max_backtracks + 1):
-        ft = obj.eval(x + t * d)
-        if np.isfinite(ft) and ft < fx - beta * t * g_norm:
+        ft = phi(t)
+        if np.isfinite(ft) and ft < f - beta * t * slope:
             return t, b, ft
         t *= 0.5
     return None
@@ -361,11 +365,8 @@ def descend(objective, x, f, estimate, direction, params, trace):
         if v is not None:
             if not np.all(np.isfinite(v)):
                 raise NumericalFailure(f"non-finite step vector at iteration {it}")
-            # the search runs from 0 along 1 on the ray, so its trial
-            # points are t exactly and the iterates are x + t*v; its value
-            # at 0 is objective(x), which f already holds
-            ray = Objective(lambda t: objective(x + t * v) if t else f, None, 1)
-            hit = armijo_search(ray, 0.0, 1.0, gnorm, params.beta, params.max_backtracks)
+            hit = armijo_search(lambda t: objective(x + t * v), f, gnorm,
+                                params.beta, params.max_backtracks)
         if hit is None:
             eps *= params.mu
             tau *= params.lam
@@ -381,7 +382,7 @@ def descend(objective, x, f, estimate, direction, params, trace):
 
 
 def gsda_minimize(obj, x0, params=None):
-    """Run the sampling descent loop from x0; returns (x, trace)."""
+    """Run the sampling descent loop from x0 (qp mode alone); returns (x, trace)."""
     params = params if params is not None else GsParams()
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.dim,):

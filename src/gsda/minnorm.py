@@ -12,13 +12,17 @@ average of the vectors is available as a fallback for the iterations
 where the active-set solve breaks down.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 
 _DROP_TOL = 1e-12
+# bound on the KKT residual max_j (||g||^2 - g.z_j)+ at the returned
+# point, relative to min(1, max_j ||z_j||^2) + ||g||^2, so that rows
+# scaled below unit norm scale the point with them
+_KKT_TOL = 1e-10
 _ZERO = np.zeros(1)
 
 
@@ -50,7 +54,6 @@ class MinNormResult:
     weights: np.ndarray
     norm: float
     method: str = "qp"
-    kkt_residual: float = field(default=0.0, compare=False)
 
 
 def average_fallback(grad_set):
@@ -62,16 +65,8 @@ def average_fallback(grad_set):
     return MinNormResult(point, weights, float(np.linalg.norm(point)), "average")
 
 
-def min_norm_point(grad_set, tol=1e-10):
-    """Projection of the origin onto the convex hull of the set.
-
-    Parameters
-    ----------
-    grad_set : GradientSet
-    tol : float
-        Bound on the KKT residual max_j (||g||^2 - g.z_j)+ at the
-        returned point, relative to min(1, max_j ||z_j||^2) + ||g||^2,
-        so that rows scaled below unit norm scale the point with them.
+def min_norm_point(grad_set):
+    """Projection of the origin onto the convex hull of the set, to ``_KKT_TOL``.
 
     Raises
     ------
@@ -80,8 +75,6 @@ def min_norm_point(grad_set, tol=1e-10):
         100*(m+1) steps; callers are expected to fall back to
         :func:`average_fallback`.
     """
-    if tol <= 0.0:
-        raise InvalidInput("tol must be positive")
     z = grad_set.vectors
     count = z.shape[0]
     first = _distinct_rows(z)
@@ -92,7 +85,7 @@ def min_norm_point(grad_set, tol=1e-10):
         point = uniq[0].copy()
         return MinNormResult(point, weights, float(np.linalg.norm(point)), "qp")
 
-    point, w_uniq, resid = _wolfe(uniq, tol, cap=100 * count)
+    point, w_uniq = _wolfe(uniq, cap=100 * count)
 
     weights = np.zeros(count)
     weights[first] = w_uniq
@@ -103,7 +96,7 @@ def min_norm_point(grad_set, tol=1e-10):
     bound = min(row_norms.min(), mean_norm)
     if norm > bound + 1e-9 * (1.0 + bound):
         raise NumericalFailure("min-norm solution exceeds a feasible point's norm")
-    return MinNormResult(point, weights, norm, "qp", kkt_residual=resid)
+    return MinNormResult(point, weights, norm, "qp")
 
 
 def _distinct_rows(z):
@@ -141,11 +134,11 @@ def _affine_min(q):
     return u
 
 
-def _wolfe(p, tol, cap):
+def _wolfe(p, cap):
     """Wolfe's min-norm-point algorithm over the rows of p (all distinct)."""
     norms2 = np.einsum("ij,ij->i", p, p)
-    # the residual scales with the rows; an absolute floor of tol would
-    # stop short on small rows
+    # the residual scales with the rows; an absolute floor of _KKT_TOL
+    # would stop short on small rows
     floor = min(1.0, float(norms2.max()))
     active = [int(norms2.argmin())]
     w = np.ones(1)
@@ -156,7 +149,7 @@ def _wolfe(p, tol, cap):
         dots = p @ x
         j = int(dots.argmin())
         resid = max(0.0, xx - dots[j])
-        if resid <= tol * (floor + xx):
+        if resid <= _KKT_TOL * (floor + xx):
             break
         if j in active:
             raise NumericalFailure("active-set iteration stalled")
@@ -186,9 +179,6 @@ def _wolfe(p, tol, cap):
             active = [a for a, k in zip(active, keep) if k]
             w = w[keep]
             w /= w.sum()
-    x = w @ p[active]
-    xx = float(x @ x)
-    resid = max(0.0, xx - float((p @ x).min()))
     w_full = np.zeros(p.shape[0])
     w_full[active] = w
-    return x, w_full, resid
+    return x, w_full

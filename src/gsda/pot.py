@@ -40,7 +40,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KAPPA_EPS, SERIES_EPS
-from .engine import _ROW_BLOCK, FitTrace, GsParams, descend, sample_rows, sample_unit_ball
+from .engine import (_ROW_BLOCK, FitTrace, GsParams, Objective, descend, sample_rows,
+                     sample_unit_ball)
 from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
@@ -302,8 +303,6 @@ def negative_loglik_objective(y, spec):
     def g(v):
         return -_kernels.gpd_grad(v[:n], v[n:], y)
 
-    from .engine import Objective
-
     return Objective(f, g, 2 * n)
 
 
@@ -412,9 +411,7 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     decomposed additively for reporting.
     """
     gs = gs if gs is not None else GsParams()
-    if gs.subgradient_mode != "qp":
-        raise InvalidInput("the POT fitter reduces by the min-norm point: "
-                           f"subgradient_mode must be 'qp', got {gs.subgradient_mode!r}")
+    gs.require_qp("the POT fitter")
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0.0):
         raise InvalidInput("excesses must be strictly positive")

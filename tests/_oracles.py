@@ -287,7 +287,7 @@ def per_sample_theta_grad(state, y, eps, m, rng, coords):
     return total / (m + 1)
 
 
-def min_norm_point_unique(z, tol=1e-10):
+def min_norm_point_unique(z):
     """(point, weights) of ``min_norm_point`` with an ``np.unique`` dedupe.
 
     Wolfe's solver sees the distinct rows in ``np.unique(axis=0)`` order;
@@ -302,7 +302,7 @@ def min_norm_point_unique(z, tol=1e-10):
     if uniq.shape[0] == 1:
         weights[first[0]] = 1.0
         return uniq[0].copy(), weights
-    point, w_uniq, _ = _wolfe(uniq, tol, cap=100 * count)
+    point, w_uniq = _wolfe(uniq, cap=100 * count)
     weights[first] = w_uniq
     weights /= weights.sum()
     return point, weights

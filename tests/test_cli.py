@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gsda.cli import (
     EXIT_INPUT,
@@ -156,6 +157,26 @@ class TestRunDiagnostics:
         assert "ball_coordinates" not in default
         assert int(given["rejected_draws"]) >= 0 and int(default["rejected_draws"]) >= 0
 
+    def test_minimize(self, tmp_path):
+        from gsda import _kernels
+
+        out = tmp_path / "m"
+        assert main(["minimize", "--m", "5", "--beta", "0.2", "--max-iter", "50",
+                     "--output-dir", str(out)]) in (EXIT_OK, EXIT_NONCONVERGED)
+        diag = read_diagnostics(out / "diagnostics.txt")
+        want = {"subgradient_mode": "qp", "m": 5, "beta": 0.2, "mu": 0.5,
+                "lambda": 0.5, "eps0": 0.1, "tau0": 0.01, "eps_min": 1e-6,
+                "tau_min": 1e-6, "max_iter": 50, "max_backtracks": 30,
+                "kernel_path": _kernels.ACTIVE}
+        assert {k: type(v)(diag[k]) for k, v in want.items()} == want
+        assert "subspace_dim" not in diag
+        assert int(diag["accepted_steps"]) <= int(diag["iterations"]) <= 50
+        # the keys minimize wrote before it reported its settings keep their order
+        older = ["task", "objective", "seed", "converged", "iterations",
+                 "minnorm_fallbacks", "rejected_draws", "final_f", "final_x",
+                 "distance_to_minimum"]
+        assert [k for k in diag if k in older] == older
+
     def test_fits_share_one_diagnostics_block(self, tmp_path):
         # both fit tasks write the same keys in the same order between
         # their own head and tail entries; fit-quantile never rejects a draw
@@ -234,7 +255,7 @@ class TestRunDiagnostics:
                 calls.clear()
                 out = tmp_path / f"{name}-{mode}"
                 code = main(argv + ["--mode", mode, "--output-dir", str(out)])
-                if (name, mode) == ("pot", "average"):  # the POT fitter runs qp alone
+                if name != "quantile" and mode == "average":  # they run qp alone
                     assert (code, calls) == (EXIT_INPUT, [])
                     continue
                 fallbacks = int(read_diagnostics(out / "diagnostics.txt")["minnorm_fallbacks"])
@@ -288,6 +309,27 @@ class TestFitPot:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("objective,x0,bound", [
+        ("nsrosenbrock", "-1,1", 1e-6), ("l1", "3,-4,0.5", 1e-4), ("sumsq", "3,-4", 1e-8)])
+    def test_objectives_converge(self, tmp_path, objective, x0, bound):
+        out = tmp_path / "m"
+        assert main(["minimize", "--objective", objective, f"--x0={x0}", "--seed", "3",
+                     "--output-dir", str(out)]) == EXIT_OK
+        diag = read_diagnostics(out / "diagnostics.txt")
+        assert diag["converged"] == "true"
+        assert 0.0 <= float(diag["final_f"]) <= bound
+        assert len(diag["final_x"].split(",")) == len(x0.split(","))
+
+    def test_average_mode_is_an_input_error(self, tmp_path, capsys):
+        # the minimizer reduces by Wolfe's point alone
+        assert main(["minimize", "--mode", "average", "--x0=-1,1",
+                     "--output-dir", str(tmp_path / "m")]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "subgradient_mode must be 'qp'" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "m" / "diagnostics.txt").exists()
+
     def test_nsrosenbrock_reaches_minimum(self, tmp_path):
         out = tmp_path / "m"
         assert main(["minimize", "--objective", "nsrosenbrock", "--x0=-1,1",
@@ -315,6 +357,45 @@ class TestGradcheck:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("task,target", [
+        (["minimize", "--max-iter", "3"], "gsda_minimize"),
+        (["fit-pot", "--levels", "0.01", "--exceed-prob", "0.1"], "fit_pot_additive"),
+    ])
+    @pytest.mark.parametrize("error", ["NumericalFailure", "SingularBlock",
+                                       "SamplingExhausted", "GsdaError"])
+    def test_numerical_errors_exit_4(self, tmp_path, capsys, monkeypatch, task, target, error):
+        from gsda import cli, errors
+
+        def fails(*args, **kwargs):
+            raise getattr(errors, error)("forced")
+
+        if task[0] == "fit-pot":
+            main(["simulate", "--kind", "gpd", "--n", "40", "--seed", "0",
+                  "--output-dir", str(tmp_path / "sim")])
+            task = [*task, "--input", str(tmp_path / "sim" / "data.csv")]
+        capsys.readouterr()
+        monkeypatch.setattr(cli, target, fails)
+        assert main([*task, "--output-dir", str(tmp_path / "x")]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        prefix = "error: " if error == "GsdaError" else "numerical failure: "
+        assert captured.err == prefix + "forced\n"
+        assert "Traceback" not in captured.out
+
+    def test_failed_gradcheck_exits_4(self, tmp_path, capsys, monkeypatch):
+        from gsda import cli
+
+        real = cli.pinball_grad
+        monkeypatch.setattr(cli, "pinball_grad", lambda q, y, alpha: real(q, y, alpha) + 1e-3)
+        out = tmp_path / "g"
+        assert main(["gradcheck", "--points", "5", "--seed", "2",
+                     "--output-dir", str(out)]) == EXIT_NUMERIC
+        diag = read_diagnostics(out / "gradcheck.txt")
+        assert diag["passed"] == "false"
+        assert float(diag["max_rel_err.pinball"]) >= 1e-4 > float(diag["max_rel_err.jacobian"])
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: gradcheck: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.out
+
     def test_nonconvergence_exits_2(self, tmp_path):
         from gsda.cli import EXIT_NONCONVERGED
 
@@ -475,11 +556,3 @@ class TestErrorsAndConfig:
         diag = read_diagnostics(out / "diagnostics.txt")
         assert float(diag["alpha"]) == 0.8  # flag beats file
         assert int(diag["seed"]) == 3       # file beats default
-
-    def test_numerical_exit_on_failed_gradcheck_threshold(self, tmp_path):
-        # sanity: exit code 4 surfaces when the check cannot pass
-        # (forced by an absurd point count of zero -> max stays 0, passes;
-        # instead check code path with a valid run)
-        out = tmp_path / "g"
-        assert main(["gradcheck", "--points", "5", "--seed", "2",
-                     "--output-dir", str(out)]) in (EXIT_OK, EXIT_NUMERIC)

@@ -63,7 +63,7 @@ def cases(root):
                                 "w", "nocol=local_linear")),
         "factor": (quantile, ("nocol",)),
         "response": (quantile, ("nocol", "")),
-        "mode": (descent, ("fast", "", "QP")),
+        "mode": (descent, ("fast", "", "QP", "average")),  # the minimizer runs qp alone
         "kind": (["simulate"], ("warp", "")),
         "objective": (descent, ("mystery", "")),
         "input": (["fit-quantile"], (str(root / "missing.csv"), str(root))),

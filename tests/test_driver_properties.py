@@ -87,13 +87,14 @@ betas = st.sampled_from([0.1, 1e-2, 1e-4])
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(OBJECTIVES)), dim=st.integers(2, 4),
-       x0=st.lists(starts, min_size=4, max_size=4), seed=seeds, mode=modes)
-def test_descent_invariants(name, dim, x0, seed, mode):
+       x0=st.lists(starts, min_size=4, max_size=4), seed=seeds)
+def test_descent_invariants(name, dim, x0, seed):
+    # the minimizer runs qp mode alone
     obj = OBJECTIVES[name](dim)
     x0 = np.array(x0[:obj.dim])
     if name == "walled_l1":
         x0[0] = abs(x0[0])  # a feasible start
-    check_run(obj, x0, GsParams(seed=seed, max_iter=300, subgradient_mode=mode))
+    check_run(obj, x0, GsParams(seed=seed, max_iter=300))
 
 
 @settings(max_examples=10, deadline=None)

@@ -92,20 +92,19 @@ class TestApproxSubgradient:
                                  GsParams(m=400), np.random.default_rng(0))
         assert res.norm <= 1e-10  # both +1 and -1 present, hull contains 0
 
-    def test_abs_at_kink_average_nearly_balances(self):
-        obj = l1_norm(1)
-        res = approx_subgradient(obj, np.array([0.0]), 0.1,
-                                 GsParams(m=400, subgradient_mode="average"),
-                                 np.random.default_rng(0))
-        assert res.norm <= 0.2
+    def test_average_mode_rejected(self):
+        # the minimizer reduces by Wolfe's point alone; no path ignores the mode
+        gs = GsParams(m=20, subgradient_mode="average")
+        with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
+            approx_subgradient(l1_norm(1), np.array([0.0]), 0.1, gs,
+                               np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
+            gsda_minimize(nonsmooth_rosenbrock(), [-1.0, 1.0], gs)
 
     def test_abs_in_smooth_region(self):
-        obj = l1_norm(1)
-        for mode in ("qp", "average"):
-            res = approx_subgradient(obj, np.array([1.0]), 0.1,
-                                     GsParams(m=20, subgradient_mode=mode),
-                                     np.random.default_rng(0))
-            assert res.point[0] == pytest.approx(1.0, abs=1e-14)
+        res = approx_subgradient(l1_norm(1), np.array([1.0]), 0.1, GsParams(m=20),
+                                 np.random.default_rng(0))
+        assert res.point[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_smooth_eps_error_bound(self):
         # for f = ||x||^2, grad is 2-Lipschitz, so the sampled approximation
@@ -250,33 +249,40 @@ class TestRejectedDraws:
 
 
 class TestArmijoSearch:
-    def setup_method(self):
-        self.obj = Objective(lambda x: float(x[0] ** 2),
-                             lambda x: 2.0 * x, 1)
+    """The search runs on a ray: phi(t) = x^2 at x = 1 - t (descent) or 1 + t."""
 
     def test_full_step_accepted(self):
-        # f(0) = 0 < f(1) - 0.1*1*2 = 0.8
-        hit = armijo_search(self.obj, np.array([1.0]), np.array([-1.0]),
-                            2.0, 0.1, 10)
-        assert hit is not None and hit[0] == 1.0 and hit[1] == 0
+        # phi(1) = 0 < phi(0) - 0.1*1*2 = 0.8
+        hit = armijo_search(lambda t: (1.0 - t) ** 2, 1.0, 2.0, 0.1, 10)
+        assert hit == (1.0, 0, 0.0)
 
     def test_ascent_direction_fails(self):
-        assert armijo_search(self.obj, np.array([1.0]), np.array([1.0]),
-                             2.0, 0.1, 10) is None
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return (1.0 + t) ** 2
+
+        assert armijo_search(phi, 1.0, 2.0, 0.1, 10) is None
+        # every candidate 1, 1/2, ..., 2^-10 tried once, and phi(0) never
+        assert calls == [0.5 ** b for b in range(11)]
+
+    def test_backtracks_to_the_first_sufficient_decrease(self):
+        # phi(t) = (1 - 4t)^2: t = 1 and 1/2 overshoot, t = 1/4 lands on 0
+        hit = armijo_search(lambda t: (1.0 - 4.0 * t) ** 2, 1.0, 8.0, 0.1, 10)
+        assert hit == (0.25, 2, 0.0)
 
     def test_domain_wall_never_accepts_infinite(self):
-        def f(x):
-            return float(x[0]) if x[0] >= 0.0 else np.inf
-
-        obj = Objective(f, lambda x: np.ones(1), 1)
-        hit = armijo_search(obj, np.array([0.1]), np.array([-1.0]), 1.0, 0.1, 30)
+        # x = 0.1 - t, finite only for x >= 0
+        hit = armijo_search(lambda t: 0.1 - t if t <= 0.1 else np.inf, 0.1, 1.0, 0.1, 30)
         assert hit is not None
         t = hit[0]
         assert t <= 1.0 / 16.0 and 0.1 - t >= 0.0
 
-    def test_requires_unit_direction(self):
-        with pytest.raises(InvalidInput):
-            armijo_search(self.obj, np.array([1.0]), np.array([-2.0]), 2.0, 0.1, 5)
+    def test_requires_positive_slope(self):
+        for slope in (0.0, -1.0):
+            with pytest.raises(InvalidInput, match="slope must be positive"):
+                armijo_search(lambda t: (1.0 - t) ** 2, 1.0, slope, 0.1, 5)
 
 
 class TestGsdaMinimize:

@@ -50,8 +50,6 @@ class TestMinNormPoint:
             GradientSet(np.array([[1.0, np.nan]]))
         with pytest.raises(InvalidInput):
             GradientSet([[1.0, 2.0], [1.0]])  # mismatched dimensions
-        with pytest.raises(InvalidInput):
-            min_norm_point(mk([[1.0, 1.0]]), tol=0.0)
 
     def test_duplicate_heavy_set(self):
         rows = [[1.0]] * 40 + [[-1.0]] * 25

@@ -334,6 +334,27 @@ class TestNegativeLoglikObjective:
         assert np.max(np.abs(obj.grad(v) - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
 
 
+class TestInitialLambda:
+    def test_constant_excesses_start_exponential(self):
+        # zero variance: kappa = 0 and sigma = the mean
+        lam = pot.initial_lambda(np.full(7, 2.5), VAR_ES)
+        assert np.all(lam.kappa == 0.0)
+        assert np.all(lam.sigma == 2.5)
+
+    def test_start_raised_inside_the_support(self):
+        # the moment kappa is clamped to -0.4, and 1 - 0.4*6/sigma < 0 would
+        # put the 6.0 off the support: kappa is raised until it is inside
+        y = np.r_[np.ones(40), 6.0]
+        mean, var = y.mean(), y.var()
+        assert 0.5 * (1.0 - mean * mean / var) < -0.4
+        lam = pot.initial_lambda(y, VAR_ES)
+        kappa, sigma = lam.kappa[0], lam.sigma[0]
+        assert 1.0 - 0.4 * y.max() / sigma < 0.0
+        assert -0.4 < kappa < 0.0
+        assert 1.0 + kappa * y.max() / sigma == pytest.approx(0.05)
+        assert np.isfinite(negative_loglik_objective(y, VAR_ES).eval(lam.as_vector()))
+
+
 class TestFitConstantModel:
     def test_var_es_matches_oracle_mle(self):
         rng = np.random.default_rng(42)
