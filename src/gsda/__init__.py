@@ -43,11 +43,8 @@ from .smoothing import (
     AdditiveProjector,
     CoordinateMap,
     SmootherSpec,
-    additive_project,
     bandwidth_for_df,
-    cell_factor_smooth,
     effective_df,
-    local_linear_smooth,
 )
 
 __version__ = "0.1.0"
@@ -55,12 +52,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveFit", "AdditiveProjector", "CoordinateMap", "FitTrace", "FunctionalSpec",
     "GradientSet", "GsParams", "Lambda", "MinNormResult", "Objective",
-    "PotModel", "PotState", "QuantileModel", "SmootherSpec", "additive_project",
-    "approx_subgradient", "armijo_search",
-    "average_fallback", "bandwidth_for_df", "cell_factor_smooth",
+    "PotModel", "PotState", "QuantileModel", "SmootherSpec",
+    "approx_subgradient", "armijo_search", "average_fallback", "bandwidth_for_df",
     "effective_df", "fit_pot_additive", "fit_quantile_additive",
     "functional_map", "gpd_loglik", "gpd_loglik_grad", "gsda_minimize",
-    "jacobian_blocks", "l1_norm", "local_linear_smooth", "min_norm_point",
+    "jacobian_blocks", "l1_norm", "min_norm_point",
     "negative_loglik_objective", "nonsmooth_rosenbrock", "pinball_grad",
     "pinball_loss", "predict_quantile", "sample_unit_ball", "sum_of_squares",
 ]

@@ -36,7 +36,7 @@ The projection is one linear map P with range spanned by the intercept
 and the centred factors ``C u_j``.  :meth:`AdditiveProjector.coordinate_map`
 factors it as ``P g = B (M g)``, with B an orthonormal basis of range(P)
 (n x r, r = 1 + sum r_j up to rank) and M = B^T P (r x n); the qp-mode
-fitters search in those r coordinates.  It is built on first use only.
+fitters search in those r coordinates.
 """
 
 import warnings
@@ -55,6 +55,9 @@ from .errors import (
 SMOOTHER_KINDS = ("local_linear", "linear", "cell_factor")
 
 BACKFIT_TOL = 1e-8
+
+DF_TOL = 0.05  # bandwidth_for_df stops once the trace is this close to the target
+DF_MAX_ITER = 100
 
 
 @dataclass
@@ -131,31 +134,17 @@ def rule_of_thumb_bandwidth(w):
     return 1.06 * sd * w.size ** (-0.2)
 
 
+def _check_finite(W):
+    if not np.all(np.isfinite(W)):
+        raise InvalidInput("covariate values must be finite")
+
+
 def _check_design(w):
     w = np.asarray(w, dtype=float)
     if w.size < 2:
         raise InvalidInput("smoother needs at least two observations")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("covariate values must be finite")
+    _check_finite(w)
     return w
-
-
-def local_linear_smooth(w, g, bandwidth):
-    """Local-linear Gaussian-kernel fit of g on w, evaluated at each w.
-
-    Reproduces any affine g exactly once the bandwidth spans the data.
-    A design with no spread degenerates to the mean of g, flagged with
-    :class:`DegenerateDesignWarning`.
-    """
-    w = _check_design(w)
-    g = np.asarray(g, dtype=float)
-    if bandwidth <= 0.0:
-        raise InvalidInput("bandwidth must be positive")
-    if np.ptp(w) == 0.0:
-        warnings.warn("all covariate values identical; returning the mean",
-                      DegenerateDesignWarning, stacklevel=2)
-        return np.full(w.size, g.mean())
-    return _kernels.ll_weights(w, float(bandwidth), w) @ g
 
 
 def effective_df(w, bandwidth):
@@ -170,7 +159,7 @@ def effective_df(w, bandwidth):
     return float(np.trace(_kernels.ll_weights(w, float(bandwidth), w)))
 
 
-def bandwidth_for_df(w, target_df, tol=0.05, max_iter=100):
+def bandwidth_for_df(w, target_df):
     """Bandwidth whose hat-operator trace matches target_df, by bisection."""
     w = _check_design(w)
     n = np.unique(w).size
@@ -185,28 +174,16 @@ def bandwidth_for_df(w, target_df, tol=0.05, max_iter=100):
         if effective_df(w, hi) < target_df:
             break
         hi *= 4.0
-    for _ in range(max_iter):
+    for _ in range(DF_MAX_ITER):
         mid = np.sqrt(lo * hi)
         df = effective_df(w, mid)
-        if abs(df - target_df) <= tol:
+        if abs(df - target_df) <= DF_TOL:
             return mid
         if df > target_df:
             lo = mid
         else:
             hi = mid
     return np.sqrt(lo * hi)
-
-
-def cell_factor_smooth(levels, g):
-    """Per-level means of g, scattered back to the observations."""
-    levels = np.asarray(levels)
-    g = np.asarray(g, dtype=float)
-    if levels.shape[0] != g.shape[0]:
-        raise InvalidInput("levels and g must have matching length")
-    _, codes = np.unique(levels, return_inverse=True)
-    sums = np.bincount(codes, weights=g)
-    counts = np.bincount(codes)
-    return (sums / counts)[codes]
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +240,24 @@ def _least_squares(w, basis):
     return _Smoother(w, u, vt, lambda v, w_new: basis(w_new) @ (vt @ v))
 
 
+def _level_codes(column):
+    """A cell_factor column as int codes; each must be a nonnegative integer."""
+    if np.any(column < 0.0) or np.any(column != np.floor(column)):
+        raise InvalidInput("factor level codes must be nonnegative integers")
+    return column.astype(int)
+
+
 def _build_smoother(column, spec):
     if spec.kind == "cell_factor":
-        levels = np.arange(int(column.max()) + 1)
-        if np.any(np.bincount(column.astype(int), minlength=levels.size) == 0):
+        # n rows cannot hold every level up to a code of n or more
+        if column.max() >= column.size or np.any(np.bincount(_level_codes(column)) == 0):
             raise InvalidInput("every factor level must occur at least once")
+        levels = np.arange(int(column.max()) + 1)
 
         def indicators(codes):
-            codes = codes.astype(int)
-            if np.any(codes < 0) or np.any(codes > levels[-1]):
+            if np.any(codes > levels[-1]):  # before the cast, which wraps huge codes
                 raise InvalidInput("prediction factor level unseen in training data")
+            codes = _level_codes(codes)
             return (codes[:, None] == levels).astype(float)
 
         return _least_squares(column, indicators)
@@ -314,27 +299,22 @@ class AdditiveProjector:
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
             W = W[:, None]
-        self.W = W
-        self.specs = list(specs)
-        k = len(self.specs)
+        k = len(specs)
         if k != W.shape[1] and not (k == 0 and W.size == 0):
             raise InvalidInput("need exactly one smoother spec per covariate column")
         if k > 0 and n is not None and W.shape[0] != n:
             raise InvalidInput("W must have one row per observation")
-        if not np.all(np.isfinite(W)):
-            raise InvalidInput("covariate values must be finite")
-        seen = sorted(s.covariate_index for s in self.specs)
-        if seen != list(range(k)):
+        _check_finite(W)
+        self._ordered = sorted(specs, key=lambda s: s.covariate_index)
+        if [s.covariate_index for s in self._ordered] != list(range(k)):
             raise InvalidInput("smoother specs must cover each covariate exactly once")
         if k > 0 and W.shape[0] < k + 1:
             raise InvalidInput("need at least k+1 observations for k covariates")
         self.n = W.shape[0] if k > 0 else n
-        self._ordered = sorted(self.specs, key=lambda s: s.covariate_index)
         self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
                           for s in self._ordered]
         if k >= 2:
             self._build_coefficient_map()
-        self._coordinates = None
 
     @property
     def k(self):
@@ -362,7 +342,7 @@ class AdditiveProjector:
         self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
 
     def coordinate_map(self):
-        """The :class:`CoordinateMap` of P, built on the first call and kept.
+        """The :class:`CoordinateMap` of P.
 
         P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``
         (``vt_1`` in place of ``coef`` for one covariate), so P = U A for
@@ -371,22 +351,20 @@ class AdditiveProjector:
         would (centred ``linear`` and ``cell_factor`` columns are
         dependent), gives ``U = B S V^T``; then M = S V^T A.
         """
-        if self._coordinates is None:
-            if self.n is None:
-                raise InvalidInput("an intercept-only projector needs n for coordinates")
-            n = self.n
-            if self.k >= 2:
-                maps, centred = self.coef, self._centred
-            else:
-                maps = self.smoothers[0].vt if self.k == 1 else np.zeros((0, n))
-                centred = _centred(self.smoothers)
-            U = np.hstack([np.ones((n, 1)), *centred])
-            A = np.vstack([np.full((1, n), 1.0 / n),
-                           maps - maps.mean(axis=1, keepdims=True)])
-            b, s, vt = np.linalg.svd(U, full_matrices=False)
-            r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
-            self._coordinates = CoordinateMap(b[:, :r], (s[:r, None] * vt[:r]) @ A)
-        return self._coordinates
+        if self.n is None:
+            raise InvalidInput("an intercept-only projector needs n for coordinates")
+        n = self.n
+        if self.k >= 2:
+            maps, centred = self.coef, self._centred
+        else:
+            maps = self.smoothers[0].vt if self.k == 1 else np.zeros((0, n))
+            centred = _centred(self.smoothers)
+        U = np.hstack([np.ones((n, 1)), *centred])
+        A = np.vstack([np.full((1, n), 1.0 / n),
+                       maps - maps.mean(axis=1, keepdims=True)])
+        b, s, vt = np.linalg.svd(U, full_matrices=False)
+        r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
+        return CoordinateMap(b[:, :r], (s[:r, None] * vt[:r]) @ A)
 
     def project(self, g):
         """Backfit g onto the additive space (see the module docstring).
@@ -445,6 +423,7 @@ class AdditiveProjector:
             W_new = W_new[:, None]
         if W_new.shape[1] != self.k:
             raise InvalidInput(f"expected {self.k} covariate columns")
+        _check_finite(W_new)
         out = np.full(W_new.shape[0], fit.intercept)
         for j, (sm, spec) in enumerate(zip(self.smoothers, self._ordered)):
             col = W_new[:, j]
@@ -454,8 +433,3 @@ class AdditiveProjector:
                               ExtrapolationWarning, stacklevel=3)
             out += sm.evaluate(fit.targets[j], col) - fit.centers[j]
         return out
-
-
-def additive_project(g, W, specs):
-    """One-shot backfitting projection of g onto the additive space."""
-    return AdditiveProjector(W, specs).project(g)

@@ -1,10 +1,13 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import gsda
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_every_public_import():
@@ -15,6 +18,34 @@ def test_all_lists_every_public_import():
     public = {name for name in imported if not name.startswith("_")}
     assert sorted(gsda.__all__) == sorted(public)
     assert len(set(gsda.__all__)) == len(gsda.__all__)
+
+
+def _references(node, inside=frozenset()):
+    """Names and attributes used under node, less each def's uses of itself."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    else:
+        found = set()
+    found -= inside
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, inside)
+    return found
+
+
+def test_every_export_is_used_or_documented():
+    # an export only tests call is a second implementation to keep in step
+    used = set()
+    for path in (ROOT / "src" / "gsda").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references(ast.parse(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", section))
+    assert sorted(set(gsda.__all__) - used - documented) == []
 
 
 def test_import_and_projector_build_leave_scipy_unloaded():

@@ -3,15 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gsda import (
-    AdditiveProjector,
-    SmootherSpec,
-    additive_project,
-    bandwidth_for_df,
-    cell_factor_smooth,
-    effective_df,
-    local_linear_smooth,
-)
+from gsda import AdditiveProjector, SmootherSpec, bandwidth_for_df, effective_df
 from gsda import _kernels
 from gsda.errors import DegenerateDesignWarning, InvalidInput, NumericalFailure
 
@@ -30,22 +22,32 @@ def kernel_fit_reference(w, g, bandwidth, targets):
     return out
 
 
+def local_linear(w, g, bandwidth):
+    """The local-linear hat the smoothers are built from, applied to g."""
+    return _kernels.ll_weights(w, bandwidth, w) @ g
+
+
+def group_means(codes, g):
+    """Per-level means of g, scattered back to the observations (group-by)."""
+    return np.array([g[codes == c].mean() for c in codes])
+
+
 class TestLocalLinear:
     def test_reproduces_affine(self):
         w = np.linspace(0.0, 1.0, 60)
         g = 3.0 * w + 1.0
-        fit = local_linear_smooth(w, g, bandwidth=2.0)
+        fit = local_linear(w, g, bandwidth=2.0)
         assert np.max(np.abs(fit - g)) <= 1e-8
 
     def test_reproduces_constant(self):
         w = np.linspace(-2.0, 5.0, 40)
-        fit = local_linear_smooth(w, np.full(40, 3.25), bandwidth=0.4)
+        fit = local_linear(w, np.full(40, 3.25), bandwidth=0.4)
         assert np.allclose(fit, 3.25, atol=1e-10)
 
     def test_sine_fit_against_reference_and_truth(self):
         w = np.linspace(0.0, 2.0 * np.pi, 200)
         g = np.sin(w)
-        fit = local_linear_smooth(w, g, bandwidth=0.3)
+        fit = local_linear(w, g, bandwidth=0.3)
         ref = kernel_fit_reference(w, g, 0.3, w)
         assert np.max(np.abs(fit - ref)) <= 1e-9
         assert np.max(np.abs(fit - np.sin(w))) <= 0.05
@@ -54,16 +56,17 @@ class TestLocalLinear:
         w = np.full(10, 2.0)
         g = np.arange(10.0)
         with pytest.warns(DegenerateDesignWarning):
-            fit = local_linear_smooth(w, g, bandwidth=1.0)
-        assert np.allclose(fit, g.mean())
+            proj = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0,
+                                                               bandwidth=1.0)])
+        assert np.allclose(proj.project(g).fitted, g.mean())
 
     def test_linearity_in_response(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(size=50)
         g1, g2 = rng.normal(size=50), rng.normal(size=50)
         a, b = 1.7, -0.3
-        lhs = local_linear_smooth(w, a * g1 + b * g2, 0.2)
-        rhs = a * local_linear_smooth(w, g1, 0.2) + b * local_linear_smooth(w, g2, 0.2)
+        lhs = local_linear(w, a * g1 + b * g2, 0.2)
+        rhs = a * local_linear(w, g1, 0.2) + b * local_linear(w, g2, 0.2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     @pytest.mark.parametrize("df,ranks", [(15.0, (64, 160)), (40.0, (150, 300))],
@@ -80,9 +83,10 @@ class TestLocalLinear:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInput):
-            local_linear_smooth(np.array([1.0]), np.array([1.0]), 0.5)
+            AdditiveProjector(np.array([[1.0]]), [SmootherSpec("local_linear", 0,
+                                                               bandwidth=0.5)])
         with pytest.raises(InvalidInput):
-            local_linear_smooth(np.arange(5.0), np.arange(5.0), -1.0)
+            SmootherSpec("local_linear", 0, bandwidth=-1.0)
 
 
 class TestEffectiveDf:
@@ -111,23 +115,44 @@ class TestEffectiveDf:
         assert np.all(np.diff(dfs) <= 1e-9)
 
 
+def cell_factor_fit(codes, g):
+    proj = AdditiveProjector(np.asarray(codes, dtype=float)[:, None],
+                             [SmootherSpec("cell_factor", 0)])
+    return proj.project(g).fitted
+
+
 class TestCellFactor:
     def test_single_level(self):
         g = np.array([1.0, 5.0, 3.0])
-        assert np.allclose(cell_factor_smooth(np.array(["A"] * 3), g), 3.0)
+        assert np.allclose(cell_factor_fit([0, 0, 0], g), 3.0)
 
     def test_two_groups(self):
-        fit = cell_factor_smooth(np.array(["A", "A", "B"]),
-                                 np.array([1.0, 3.0, 5.0]))
+        fit = cell_factor_fit([0, 0, 1], np.array([1.0, 3.0, 5.0]))
         assert np.allclose(fit, [2.0, 2.0, 5.0])
 
     def test_matches_groupby_oracle(self):
         rng = np.random.default_rng(4)
-        labels = rng.integers(0, 7, size=200)
+        codes = rng.integers(0, 7, size=200)
         g = rng.normal(size=200)
-        fit = cell_factor_smooth(labels, g)
-        oracle = np.array([g[labels == lab].mean() for lab in labels])
-        assert np.max(np.abs(fit - oracle)) <= 1e-12
+        assert np.max(np.abs(cell_factor_fit(codes, g) - group_means(codes, g))) <= 1e-12
+
+    @pytest.mark.parametrize("codes", [[-1.0, 0.0, 1.0, 1.0], [0.0, 0.5, 1.0, 1.0],
+                                       [0.0, 1.0, 1.0, 1e300]],
+                             ids=["negative", "fractional", "huge"])
+    def test_build_rejects_codes_that_are_not_levels(self, codes):
+        with pytest.raises(InvalidInput):
+            AdditiveProjector(np.array(codes)[:, None], [SmootherSpec("cell_factor", 0)])
+
+    @pytest.mark.parametrize("code", [1.9, -0.5, 3.0, 1e300],
+                             ids=["fractional", "negative fraction", "unseen", "huge"])
+    def test_predict_rejects_codes_that_are_not_levels(self, code):
+        proj = AdditiveProjector(np.array([[0.0], [1.0], [1.0], [2.0]]),
+                                 [SmootherSpec("cell_factor", 0)])
+        fit = proj.project(np.array([1.0, 2.0, 4.0, 3.0]))
+        assert np.array_equal(proj.predict(fit, np.array([[2.0], [0.0]])),
+                              fit.fitted[[3, 0]])
+        with pytest.raises(InvalidInput):
+            proj.predict(fit, np.array([[1.0], [code]]))
 
 
 class TestAdditiveProject:
@@ -135,9 +160,9 @@ class TestAdditiveProject:
         rng = np.random.default_rng(1)
         w = np.sort(rng.uniform(size=60))
         g = rng.normal(size=60)
-        fit = additive_project(g, w[:, None], [SmootherSpec("local_linear", 0,
-                                                            bandwidth=0.15)])
-        single = local_linear_smooth(w, g - g.mean(), 0.15)
+        fit = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0,
+                                                          bandwidth=0.15)]).project(g)
+        single = local_linear(w, g - g.mean(), 0.15)
         expect = g.mean() + (single - single.mean())
         assert np.max(np.abs(fit.fitted - expect)) <= 1e-10
 
@@ -145,8 +170,8 @@ class TestAdditiveProject:
         rng = np.random.default_rng(2)
         W = rng.uniform(size=(120, 2))
         g = 2.0 + W[:, 0]
-        fit = additive_project(g, W, [SmootherSpec("linear", 0),
-                                      SmootherSpec("linear", 1)])
+        fit = AdditiveProjector(W, [SmootherSpec("linear", 0),
+                                    SmootherSpec("linear", 1)]).project(g)
         X = np.column_stack([np.ones(120), W])
         coef, *_ = np.linalg.lstsq(X, g, rcond=None)
         ols_comp1 = coef[1] * (W[:, 0] - W[:, 0].mean())
@@ -159,16 +184,15 @@ class TestAdditiveProject:
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 5, size=90).astype(float)
         g = rng.normal(size=90)
-        fit = additive_project(g, codes[:, None], [SmootherSpec("cell_factor", 0)])
-        means = cell_factor_smooth(codes, g)
-        assert np.max(np.abs(fit.fitted - means)) <= 1e-9
+        fit = AdditiveProjector(codes[:, None], [SmootherSpec("cell_factor", 0)]).project(g)
+        assert np.max(np.abs(fit.fitted - group_means(codes, g))) <= 1e-9
 
     def test_components_mean_zero(self):
         rng = np.random.default_rng(5)
         W = np.column_stack([rng.uniform(size=100),
                              rng.integers(0, 4, 100).astype(float)])
         specs = [SmootherSpec("local_linear", 0), SmootherSpec("cell_factor", 1)]
-        fit = additive_project(rng.normal(size=100), W, specs)
+        fit = AdditiveProjector(W, specs).project(rng.normal(size=100))
         for comp in fit.components:
             assert abs(comp.mean()) <= 1e-8
 
@@ -218,7 +242,7 @@ class TestAdditiveProject:
 
     def test_intercept_only(self):
         g = np.array([1.0, 2.0, 6.0])
-        fit = additive_project(g, None, [])
+        fit = AdditiveProjector(None, []).project(g)
         assert fit.intercept == pytest.approx(3.0)
         assert np.allclose(fit.fitted, 3.0)
 
@@ -402,6 +426,16 @@ class TestNonFiniteInput:
         with pytest.raises(NumericalFailure):
             AdditiveProjector(W, specs).project(g)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["local_linear", "linear", "cell_factor"])
+    def test_predict_rejects_non_finite_covariates(self, bad, kind):
+        # the check the build makes
+        w = np.repeat([0.0, 1.0, 2.0], 10)
+        proj = AdditiveProjector(w[:, None], [SmootherSpec(kind, 0)])
+        fit = proj.project(np.random.default_rng(24).normal(size=w.size))
+        with pytest.raises(InvalidInput):
+            proj.predict(fit, np.array([[1.0], [bad]]))
+
 
 def _coordinate_designs():
     """(name, W, specs, n) for the coordinate-map tests."""
@@ -429,7 +463,6 @@ class TestCoordinateMap:
         rng = np.random.default_rng(21)
         for g in (_pinball_like(rng, size), rng.normal(size=size)):
             assert np.max(np.abs(B @ (M @ g) - proj.project(g).fitted)) <= 1e-10
-        assert proj.coordinate_map() is coords
 
     def test_rank_counts_independent_directions(self):
         # intercept, one centred slope, and levels - 1 centred cell effects
