@@ -33,8 +33,11 @@ SERIES_EPS = 1e-2
 
 
 def pinball_loss(q, y, alpha):
+    # a (k, n) stack of q against y of length n gives k risks, each row's
+    # sum bitwise a 1-D sum's; q shaped as y gives the total
     r = y - q
-    return float(np.sum(np.where(r > 0.0, alpha * r, (alpha - 1.0) * r)))
+    loss = np.where(r > 0.0, alpha * r, (alpha - 1.0) * r)
+    return np.sum(loss, axis=-1) if q.ndim > y.ndim else float(np.sum(loss))
 
 
 def pinball_grad(q, y, alpha):

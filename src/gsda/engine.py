@@ -13,6 +13,11 @@ problem supplies its objective, a sampled-gradient estimate and a
 direction map; :func:`gsda_minimize`, the quantile fitter and the POT
 fitter are three thin adapters around it.
 
+:func:`armijo_search` tries the steps 1, 1/2, ..., 2^-max_backtracks.
+The quantile fitter's ray evaluates them as (k, d) stacks of up to
+``_ROW_BLOCK`` points, one kernel call a stack; the POT fitter and
+:func:`gsda_minimize` evaluate one point a call, faster for them.
+
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
 estimate.  :func:`approx_subgradient` and the POT fitter build their
@@ -32,7 +37,7 @@ from .errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingE
 from .minnorm import GradientSet, average_fallback, min_norm_point
 
 SUBGRADIENT_MODES = ("qp", "average")
-# draws per evaluate call in sample_rows
+# draws per evaluate call in sample_rows, trial steps per stacked ray call
 _ROW_BLOCK = 32
 
 
@@ -303,16 +308,27 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
         return average_fallback(grad_set)
 
 
-def armijo_search(phi, f, slope, beta, max_backtracks):
+def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     """Backtracking search on the ray t -> phi(t), whose value at 0 is f.
 
     Tries t in {1, 1/2, 1/4, ...} and returns ``(t, backtracks, f_new)``
     for the first finite phi(t) < f - beta * t * slope; returns ``None``
     when every candidate fails, which the driver treats as a
-    stationarity signal at the current scale.
+    stationarity signal at the current scale.  A ``stacked`` phi maps a
+    1-D array of steps to their values; it is handed the ladder in
+    blocks of ``_ROW_BLOCK`` steps, with the same result.
     """
     if slope <= 0.0:
         raise InvalidInput("slope must be positive")
+    if stacked:
+        steps = np.ldexp(1.0, -np.arange(max_backtracks + 1))
+        for start in range(0, steps.size, _ROW_BLOCK):
+            ts = steps[start:start + _ROW_BLOCK]
+            values = phi(ts)
+            ok = np.flatnonzero(np.isfinite(values) & (values < f - beta * ts * slope))
+            if ok.size:
+                return float(ts[ok[0]]), start + int(ok[0]), float(values[ok[0]])
+        return None
     t = 1.0
     for b in range(max_backtracks + 1):
         ft = phi(t)
@@ -322,13 +338,7 @@ def armijo_search(phi, f, slope, beta, max_backtracks):
     return None
 
 
-def unit_direction(d):
-    """d / ||d||, or None when ||d|| < 1e-15 (no usable direction)."""
-    dnorm = float(np.linalg.norm(d))
-    return d / dnorm if dnorm >= 1e-15 else None
-
-
-def descend(objective, x, f, estimate, direction, params, trace):
+def descend(objective, x, f, estimate, direction, params, trace, stacked=False):
     """The sampling descent loop shared by every problem; returns the last x.
 
     ``objective(x)`` is the value to decrease (+inf off the domain) and
@@ -338,13 +348,14 @@ def descend(objective, x, f, estimate, direction, params, trace):
     is at most tau.  Otherwise ``direction(x, g, gnorm)`` returns the
     step vector v, or None to shrink, and :func:`armijo_search` looks
     along the ray t -> objective(x + t*v) for a step with the decrease
-    beta*t*gnorm; a failed search also shrinks.  An estimate that raises
-    :class:`SamplingExhausted` shrinks too, and its rejected draws are
-    added to ``trace.rejected_draws``.  A non-finite gnorm or v
-    raises :class:`NumericalFailure`.  Every iteration adds one record
-    to ``trace``.  An accepted step replaces x by a new array and never
-    changes it in place, so a problem may key data of the iterate on
-    its identity.
+    beta*t*gnorm (stacked, when ``stacked`` says the objective maps a
+    (k, d) stack to k values); a failed search also shrinks.  An
+    estimate that raises :class:`SamplingExhausted` shrinks too, and
+    its rejected draws are added to ``trace.rejected_draws``.  A
+    non-finite gnorm or v raises :class:`NumericalFailure`.  Every
+    iteration adds one record to ``trace``.  An accepted step replaces x
+    by a new array and never changes it in place, so a problem may key
+    data of the iterate on its identity.
     """
     eps, tau = params.eps0, params.tau0
     for it in range(params.max_iter):
@@ -365,8 +376,9 @@ def descend(objective, x, f, estimate, direction, params, trace):
         if v is not None:
             if not np.all(np.isfinite(v)):
                 raise NumericalFailure(f"non-finite step vector at iteration {it}")
-            hit = armijo_search(lambda t: objective(x + t * v), f, gnorm,
-                                params.beta, params.max_backtracks)
+            ray = ((lambda ts: objective(x + ts[:, None] * v)) if stacked
+                   else (lambda t: objective(x + t * v)))
+            hit = armijo_search(ray, f, gnorm, params.beta, params.max_backtracks, stacked)
         if hit is None:
             eps *= params.mu
             tau *= params.lam

@@ -17,19 +17,23 @@ q_i by at most eps, so only the kink set A = {i : |y_i - q_i| <= 2*eps}
 is drawn; the factor 2 leaves room for the rounding of y - (q + eps*u).
 The coordinates of A get the exact marginal law of a point uniform on
 the n-dimensional ball (see :func:`~gsda.engine.sample_unit_ball`), and
-every other coordinate keeps its base gradient.  The estimate is the
-average of the m+1 gradients and its raw norm, and the step is its
-additive projection.
+every other coordinate keeps its base gradient.  The estimate g_hat is
+the average of the m+1 gradients, with its raw norm as the stationarity
+and Armijo measure.  The step is -B c/||c|| for c = M g_hat, in the
+projector's :class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B
+orthonormal n x r); ||c|| = ||P g_hat|| and a vanishing c shrinks.
 
 qp mode runs gradient sampling on the problem restricted to the additive
-space, in the coordinates of its :class:`~gsda.smoothing.CoordinateMap`
-(P g = B (M g), B orthonormal n x r).  Each draw is eps*B*u with u
+space, in the same coordinates.  Each draw is eps*B*u with u
 uniform in the r-ball; it moves q_i by at most eps*||B_i||, so the kink
 set is {i : |y_i - q_i| <= 2*eps*||B_i||}.  Wolfe's solver receives the
 (m+1) x r coordinate rows M g, its min-norm point c* = M g_hat gives the
 step -B c*/||c*||, and ||c*|| = ||P g_hat|| is the stationarity and
 Armijo measure.  The default m is r+1.  An iteration costs O(m*a*r) for
 a = |A|, typically a few percent of n near the fit.
+
+No iteration calls :meth:`~gsda.smoothing.AdditiveProjector.project`:
+it runs once, for the final decomposition.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .engine import FitTrace, GsParams, descend, sample_unit_ball, unit_direction
+from .engine import FitTrace, GsParams, descend, sample_unit_ball
 from .errors import InvalidInput, NumericalFailure
 from .minnorm import GradientSet, average_fallback, min_norm_point
 from .smoothing import AdditiveProjector
@@ -141,27 +145,28 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     if n < projector.k + 2:
         raise InvalidInput("need at least k+2 observations")
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
-    coords = projector.coordinate_map() if gs.subgradient_mode == "qp" else None
-    m = gs.resolve_m(n if coords is None else coords.dim)
+    average = gs.subgradient_mode == "average"
+    coords = projector.coordinate_map()
+    m = gs.resolve_m(n if average else coords.dim)
     rng = np.random.default_rng(gs.seed)
 
     def estimate(q, eps):
         g, gnorm, method, drawn = _sampled_subgradient(
             q, y, alpha, eps, m, gs.subgradient_mode, rng, coords)
         trace.ball_coordinates += drawn
-        return g, gnorm, method
+        # the step's coordinates c: M g_hat in average mode, Wolfe's point in qp
+        return (coords.coef @ g if average else g), gnorm, method
 
-    def direction(q, g, gnorm):
-        if coords is not None:
-            return coords.basis @ (-g / gnorm)
-        return unit_direction(-trace.record_projection(projector.project(g)).fitted)
+    def direction(q, c, gnorm):
+        cnorm = float(np.linalg.norm(c))
+        return coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)
 
     q = np.full(n, float(np.quantile(y, alpha)))
-    trace = FitTrace(m=m, subspace_dim=None if coords is None else coords.dim)
-    q = descend(risk, q, risk(q), estimate, direction, gs, trace)
+    trace = FitTrace(m=m, subspace_dim=None if average else coords.dim)
+    q = descend(risk, q, risk(q), estimate, direction, gs, trace, stacked=True)
 
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition

@@ -14,8 +14,9 @@ Each smoother is a linear operator held as factors ``S = u @ vt`` of
 rank r: exact ones for ``linear`` (mean and centred slope), for
 ``cell_factor`` (level indicators and per-level averages) and for a
 covariate with no spread (the mean); for ``local_linear`` a truncated
-factor of its hat matrix from a seeded randomized range finder
-(``_low_rank``), r about 30-60 at the default bandwidth.
+factor of its hat matrix from a seeded randomized range finder, checked
+a posteriori on a few probe columns (``_low_rank``), r about 30-60 at
+the default bandwidth.
 
 Backfitting (Buja, Hastie & Tibshirani 1989) defines the components as
 the fixed point of a Gauss-Seidel sweep: each component becomes the
@@ -33,10 +34,10 @@ n x n hat; the factors and the map take O(n sum r_j) memory, and a
 projection O(n sum r_j) time.
 
 The projection is one linear map P with range spanned by the intercept
-and the centred factors ``C u_j``.  :meth:`AdditiveProjector.coordinate_map`
-factors it as ``P g = B (M g)``, with B an orthonormal basis of range(P)
-(n x r, r = 1 + sum r_j up to rank) and M = B^T P (r x n); the qp-mode
-fitters search in those r coordinates.
+and the centred factors ``C u_j``.  The projector builds its
+:meth:`~AdditiveProjector.coordinate_map` ``P g = B (M g)``, with B an
+orthonormal basis of range(P) (n x r, r = 1 + sum r_j up to rank) and
+M = B^T P (r x n); every fitter steps in those r coordinates.
 """
 
 import warnings
@@ -58,6 +59,7 @@ BACKFIT_TOL = 1e-8
 
 DF_TOL = 0.05  # bandwidth_for_df stops once the trace is this close to the target
 DF_MAX_ITER = 100
+_PROBES = 10  # a-posteriori check columns of the low-rank range finder
 
 
 @dataclass
@@ -194,25 +196,29 @@ def _low_rank(hat):
     """Factors ``(u, vt)`` of a square hat matrix, ``u @ vt`` close to it.
 
     A seeded Gaussian sketch (Halko, Martinsson & Tropp 2011, SIAM
-    Review 53) is doubled until its orthonormal range basis Q leaves
-    ``||hat - Q Q^T hat||_F <= 1e-13 ||hat||_F``; an SVD of the small
-    ``Q^T hat`` then drops the singular values that ``matrix_rank``
-    treats as zero (below s_max * n * eps).  The fixed seed gives a
-    design the same factors in every run.
+    Review 53) is doubled until its orthonormal range basis Q passes
+    their a-posteriori check (section 4.3) on ``_PROBES`` more Gaussian
+    columns w_i: ``10 sqrt(2/pi) max_i ||(I - Q Q^T) hat w_i||``, which
+    bounds ``||hat - Q Q^T hat||_2`` except with probability
+    10^-_PROBES, is at most ``1e-13 ||hat||_F``.  No n x n residual is
+    formed.  An SVD of the tall ``B^T = hat^T Q`` then drops the
+    singular values that ``matrix_rank`` treats as zero (below
+    s_max * n * eps).  The fixed seed gives a design the same factors.
     """
     n = hat.shape[0]
     rng = np.random.default_rng(0)
     size = min(64, n)
-    bound = 1e-13 * np.linalg.norm(hat)
+    bound = 1e-13 * np.linalg.norm(hat) / (10.0 * np.sqrt(2.0 / np.pi))
     while True:
         q, _ = np.linalg.qr(hat @ rng.standard_normal((n, size)))
-        b = q.T @ hat
-        if size == n or np.linalg.norm(hat - q @ b) <= bound:
+        probe = hat @ rng.standard_normal((n, _PROBES))
+        probe -= q @ (q.T @ probe)
+        if size == n or np.linalg.norm(probe, axis=0).max() <= bound:
             break
         size = min(2 * size, n)
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    v, s, ubt = np.linalg.svd(hat.T @ q, full_matrices=False)
     r = int(np.count_nonzero(s > s[0] * n * np.finfo(float).eps))
-    return q @ (ub[:, :r] * s[:r]), vt[:r]
+    return q @ (ubt[:r].T * s[:r]), v[:, :r].T
 
 
 class _Smoother:
@@ -285,8 +291,8 @@ def _centred(smoothers):
 class AdditiveProjector:
     """The projection step: smooth a vector onto the additive space.
 
-    Built once per design matrix; ``project`` may then be called many
-    times (it sits inside the descent loop) at matrix-vector cost.
+    Built once per design matrix, with its coordinate map; ``project``
+    then backfits a vector at matrix-vector cost.
     """
 
     def __init__(self, W, specs, n=None):
@@ -294,7 +300,7 @@ class AdditiveProjector:
 
         ``n`` is the number of observations the projector will serve;
         when given, W must have exactly that many rows.  An intercept-only
-        projector needs it for :meth:`coordinate_map`.
+        projector needs it for :meth:`coordinate_map`, built here.
         """
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
@@ -315,6 +321,7 @@ class AdditiveProjector:
                           for s in self._ordered]
         if k >= 2:
             self._build_coefficient_map()
+        self._coords = None if self.n is None else self._build_coordinate_map()
 
     @property
     def k(self):
@@ -342,7 +349,13 @@ class AdditiveProjector:
         self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
 
     def coordinate_map(self):
-        """The :class:`CoordinateMap` of P.
+        """The :class:`CoordinateMap` of P, built with the projector."""
+        if self._coords is None:
+            raise InvalidInput("an intercept-only projector needs n for coordinates")
+        return self._coords
+
+    def _build_coordinate_map(self):
+        """Factor P as ``B (M g)``.
 
         P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``
         (``vt_1`` in place of ``coef`` for one covariate), so P = U A for
@@ -351,8 +364,6 @@ class AdditiveProjector:
         would (centred ``linear`` and ``cell_factor`` columns are
         dependent), gives ``U = B S V^T``; then M = S V^T A.
         """
-        if self.n is None:
-            raise InvalidInput("an intercept-only projector needs n for coordinates")
         n = self.n
         if self.k >= 2:
             maps, centred = self.coef, self._centred
@@ -364,7 +375,7 @@ class AdditiveProjector:
                        maps - maps.mean(axis=1, keepdims=True)])
         b, s, vt = np.linalg.svd(U, full_matrices=False)
         r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
-        return CoordinateMap(b[:, :r], (s[:r, None] * vt[:r]) @ A)
+        return CoordinateMap(np.ascontiguousarray(b[:, :r]), (s[:r, None] * vt[:r]) @ A)
 
     def project(self, g):
         """Backfit g onto the additive space (see the module docstring).

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsda import (
     FitTrace,
@@ -281,8 +285,90 @@ class TestArmijoSearch:
 
     def test_requires_positive_slope(self):
         for slope in (0.0, -1.0):
-            with pytest.raises(InvalidInput, match="slope must be positive"):
-                armijo_search(lambda t: (1.0 - t) ** 2, 1.0, slope, 0.1, 5)
+            for stacked in (False, True):
+                with pytest.raises(InvalidInput, match="slope must be positive"):
+                    armijo_search(lambda t: (1.0 - t) ** 2, 1.0, slope, 0.1, 5, stacked)
+
+
+def one_trial_per_call(phi, f, slope, beta, max_backtracks):
+    """The ladder as a reference: one scalar trial per call, t halved each time."""
+    t = 1.0
+    for b in range(max_backtracks + 1):
+        ft = phi(t)
+        if np.isfinite(ft) and ft < f - beta * t * slope:
+            return t, b, ft
+        t *= 0.5
+    return None
+
+
+def ray(kind, a, b, c, wall):
+    """A vectorized ray: +,-,* only, so a step's value is the same alone or stacked."""
+    def phi(ts):
+        ts = np.asarray(ts, dtype=float)
+        if kind == "convex":
+            values = a * (ts - b) * (ts - b) + c
+        elif kind == "nonconvex":
+            values = a * ts * (ts - b) * (ts - c) * (ts - 0.25)
+        else:  # ascent: every trial fails
+            values = abs(a) * ts + 1.0
+        return np.where(ts > wall, np.inf, values)
+    return phi
+
+
+class TestStackedLadder:
+    """A stacked ray, handed the ladder in blocks, gives the one-trial-per-call result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["convex", "nonconvex", "ascent"]),
+           a=st.floats(-4.0, 4.0), b=st.floats(-1.0, 2.0), c=st.floats(-1.0, 1.0),
+           wall=st.sampled_from([np.inf, 1.0, 0.3, 1e-3, 1e-9, 1e-12]),
+           f=st.floats(-1.0, 2.0), slope=st.floats(1e-6, 10.0),
+           beta=st.floats(1e-4, 0.9), max_backtracks=st.sampled_from([1, 30, 70]))
+    def test_same_step_as_one_trial_per_call(self, kind, a, b, c, wall, f, slope, beta,
+                                             max_backtracks):
+        phi = ray(kind, a, b, c, wall)
+        calls = []
+
+        def stacked(ts):
+            calls.append(ts.size)
+            return phi(ts)
+
+        want = one_trial_per_call(lambda t: float(phi(np.array([t]))[0]), f, slope, beta,
+                                  max_backtracks)
+        got = armijo_search(stacked, f, slope, beta, max_backtracks, stacked=True)
+        assert got == want
+        # the ladder goes in blocks of at most 32 steps, and stops at the hit
+        assert all(k <= 32 for k in calls)
+        assert sum(calls) <= max_backtracks + 1
+        if want is None:
+            assert sum(calls) == max_backtracks + 1
+
+    def test_all_fail_ray_tries_the_whole_ladder_in_two_blocks(self):
+        blocks = []
+
+        def phi(ts):
+            blocks.append(ts.tolist())
+            return 1.0 + ts
+
+        assert armijo_search(phi, 1.0, 2.0, 0.1, 40, stacked=True) is None
+        assert [len(b) for b in blocks] == [32, 9]
+        assert blocks[0] + blocks[1] == [0.5 ** b for b in range(41)]
+
+
+def counted(obj, calls):
+    """obj with eval counting its calls into calls[0]."""
+    def evaluate(x):
+        calls[0] += 1
+        return obj.eval(x)
+    return dataclasses.replace(obj, eval=evaluate)
+
+
+def test_minimizer_evaluates_one_trial_per_call():
+    # the count of the one-trial-per-call search: a stacked one would differ
+    calls = [0]
+    _, trace = gsda_minimize(counted(nonsmooth_rosenbrock(), calls), np.array([-1.2, 1.0]),
+                             GsParams(seed=3, max_iter=200))
+    assert (calls[0], len(trace)) == (1442, 105)
 
 
 class TestGsdaMinimize:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -433,6 +435,27 @@ class TestProjectionCounters:
         assert len(projection_calls) == 2
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
+
+
+def test_fit_evaluates_one_trial_per_call(monkeypatch):
+    # the count of the one-trial-per-call search: a stacked one would differ
+    calls = [0]
+    make = pot.negative_loglik_objective
+
+    def counted(y, spec):
+        obj = make(y, spec)
+
+        def evaluate(x):
+            calls[0] += 1
+            return obj.eval(x)
+        return dataclasses.replace(obj, eval=evaluate)
+
+    monkeypatch.setattr(pot, "negative_loglik_objective", counted)
+    y = gpd_inverse_cdf(np.random.default_rng(7).random(60), 2.0, 0.2)
+    w = np.linspace(0.0, 1.0, 60)
+    model = fit_pot_additive(y, w[:, None], VAR_ES, [SmootherSpec("local_linear", 0)],
+                             GsParams(max_iter=40, seed=1))
+    assert (calls[0], len(model.trace)) == (134, 40)
 
 
 class TestFitTwoLevels:

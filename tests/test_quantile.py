@@ -37,6 +37,19 @@ class TestPinball:
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(u, before, equal_nan=True)
 
+    def test_loss_of_a_stack_is_its_rows_bitwise(self):
+        # the line search sums a (k, n) stack of trial points in one call
+        rng = np.random.default_rng(32)
+        for case in range(400):
+            n, k = int(rng.integers(1, 2001)), int(rng.integers(1, 33))
+            alpha = float(rng.uniform(0.01, 0.99))
+            y = rng.normal(size=n) * rng.uniform(0.1, 100.0)
+            stack = y + rng.normal(size=(k, n)) * rng.uniform(1e-6, 10.0)
+            got = _kernels.pinball_loss(stack, y, alpha)
+            assert got.shape == (k,)
+            want = [_kernels.pinball_loss(row, y, alpha) for row in stack]
+            assert got.tobytes() == np.array(want).tobytes()
+
     def test_loss_examples(self):
         assert pinball_loss(np.array([3.0]), np.array([5.0]), 0.9) \
             == pytest.approx(1.8)
@@ -268,26 +281,63 @@ class TestProjectionCounters:
         specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
         gs = GsParams(subgradient_mode="average", max_iter=30, seed=2)
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
-        assert len(projection_calls) > 1
+        # steps move in coordinates, so only the final decomposition projects
+        assert len(projection_calls) == 1
         assert {c for c, _ in projection_calls} == {1}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
-        # with the coefficient map zeroed, two sweeps from zero leave the
-        # concurvity projections unconverged
-        build = smoothing_mod.AdditiveProjector._build_coefficient_map
+        # with the coefficient map zeroed once the coordinate map is built,
+        # two sweeps from zero leave the final concurvity decomposition
+        # unconverged
+        build = smoothing_mod.AdditiveProjector._build_coordinate_map
 
         def zeroed(self):
-            build(self)
+            coords = build(self)
             self.coef[:] = 0.0
+            return coords
 
-        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "_build_coefficient_map",
+        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "_build_coordinate_map",
                             zeroed)
         projection_calls.clear()
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert len(projection_calls) == 1
         assert {c for c, _ in projection_calls} == {2}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged \
             == sum(not ok for _, ok in projection_calls) > 0
+
+
+class TestAverageModeDirection:
+    def test_is_the_normalized_projection_of_the_estimate(self, monkeypatch):
+        # B(-c/||c||) with c = M g_hat is -P g_hat/||P g_hat||, without a backfit
+        rng = np.random.default_rng(41)
+        w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
+        W = np.column_stack([w1, w1 + 0.6 * rng.standard_normal(80)])
+        y = np.sin(w1) + rng.standard_normal(80)
+        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        estimates, pairs = [], []
+        sampled, descend = quantile._sampled_subgradient, quantile.descend
+
+        def spy_sampled(*args, **kwargs):
+            out = sampled(*args, **kwargs)
+            estimates.append(out[0])
+            return out
+
+        def spy_descend(objective, x, f, estimate, direction, *args, **kwargs):
+            def record(*step_args):
+                pairs.append((estimates[-1], direction(*step_args)))
+                return pairs[-1][1]
+            return descend(objective, x, f, estimate, record, *args, **kwargs)
+
+        monkeypatch.setattr(quantile, "_sampled_subgradient", spy_sampled)
+        monkeypatch.setattr(quantile, "descend", spy_descend)
+        gs = GsParams(subgradient_mode="average", max_iter=30, seed=2)
+        model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert len(pairs) >= 10
+        for g, v in pairs:
+            assert g.shape == y.shape
+            p = model.projector.project(g).fitted
+            assert np.max(np.abs(v + p / np.linalg.norm(p))) <= 1e-12
 
 
 class TestPredictInterceptOnly:

@@ -479,16 +479,38 @@ class TestCoordinateMap:
         with pytest.raises(InvalidInput):
             AdditiveProjector(None, []).coordinate_map()
 
-    def test_average_mode_fits_never_build_it(self, monkeypatch):
-        # the quantile fitter's average mode; the POT fitter always
-        # reduces coordinate rows and builds the map
-        from gsda import GsParams, fit_quantile_additive
+    @pytest.mark.parametrize("mode", ["average", "qp"])
+    def test_fits_step_through_it_without_projecting(self, monkeypatch, projection_calls,
+                                                     mode):
+        # every quantile step is B times a unit coordinate vector; only the
+        # final decomposition calls project
+        from gsda import GsParams, fit_quantile_additive, quantile
 
-        def refuse(self):
-            raise AssertionError("coordinate map built in average mode")
+        maps, steps = [], []
+        coordinate_map, descend = AdditiveProjector.coordinate_map, quantile.descend
 
-        monkeypatch.setattr(AdditiveProjector, "coordinate_map", refuse)
+        def spy_map(self):
+            maps.append(coordinate_map(self))
+            return maps[-1]
+
+        def spy_descend(objective, x, f, estimate, direction, *args, **kwargs):
+            def record(*step_args):
+                steps.append(direction(*step_args))
+                return steps[-1]
+            return descend(objective, x, f, estimate, record, *args, **kwargs)
+
+        monkeypatch.setattr(AdditiveProjector, "coordinate_map", spy_map)
+        monkeypatch.setattr(quantile, "descend", spy_descend)
         rng = np.random.default_rng(23)
-        W, specs = rng.uniform(size=(40, 1)), [SmootherSpec("local_linear", 0)]
-        gs = GsParams(subgradient_mode="average", max_iter=10, seed=0)
-        fit_quantile_additive(rng.normal(size=40), W, 0.5, specs, gs)
+        w1 = rng.uniform(size=60)
+        W = np.column_stack([w1, w1 + 0.3 * rng.normal(size=60)])
+        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        gs = GsParams(subgradient_mode=mode, max_iter=15, seed=0)
+        fit_quantile_additive(rng.normal(size=60), W, 0.5, specs, gs)
+        assert len(maps) == 1 and len(projection_calls) == 1
+        B = maps[0].basis
+        steps = [v for v in steps if v is not None]
+        assert len(steps) >= 5
+        for v in steps:
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert np.max(np.abs(v - B @ (B.T @ v))) <= 1e-12
