@@ -21,8 +21,10 @@ The quantile fitter's ray evaluates them as (k, d) stacks of up to
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
 estimate.  :func:`approx_subgradient` and the POT fitter build their
-m+1 gradient rows with it and reduce them by Wolfe's min-norm point
-(their mean only where Wolfe fails).  The pinball fitter's kink draw
+m+1 gradient rows with it and reduce them to their min-norm point
+(:mod:`gsda.minnorm`: a closed-form face pass for at most 8 distinct
+rows in R^1 or R^2, Wolfe's algorithm otherwise; their mean only where
+Wolfe fails).  The pinball fitter's kink draw
 never leaves the domain and bypasses it; only that fitter reads
 ``GsParams.subgradient_mode``.
 """
@@ -55,10 +57,10 @@ class GsParams:
     gradient sampling assumes m >= d+1.
 
     Mode rule: only the quantile fitter reads ``subgradient_mode``.  It
-    picks that fitter's reduction of the sampled rows, Wolfe's min-norm
+    picks that fitter's reduction of the sampled rows, their min-norm
     point (``"qp"``, the default) or their mean (``"average"``); given
     ``gs=None`` the fitter uses average mode.  Every other descent
-    reduces by Wolfe's point and raises :class:`InvalidInput` for any
+    reduces by the min-norm point and raises :class:`InvalidInput` for any
     mode but qp (:meth:`require_qp`).  The CLI's ``--mode`` defaults to
     average for ``fit-quantile`` and to qp for every other task.
     """
@@ -97,7 +99,7 @@ class GsParams:
             raise InvalidInput(f"subgradient_mode must be one of {SUBGRADIENT_MODES}")
 
     def require_qp(self, who):
-        """Raise :class:`InvalidInput` for ``who``, which reduces by Wolfe alone, unless qp."""
+        """Raise :class:`InvalidInput` unless qp: ``who`` reduces by the min-norm point alone."""
         if self.subgradient_mode != "qp":
             raise InvalidInput(f"{who} reduces by the min-norm point: subgradient_mode "
                                f"must be 'qp', got {self.subgradient_mode!r}")
@@ -269,7 +271,7 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
 
     Draws m ball points, rejects any that land outside the domain
     (eval +inf or non-finite gradient) and redraws them through
-    :func:`sample_rows`, then reduces the m+1 gradients to Wolfe's
+    :func:`sample_rows`, then reduces the m+1 gradients to their
     min-norm point, or to their mean where Wolfe's solver fails.  A
     mode other than qp raises :class:`InvalidInput`.  When a trace is
     given, the resolved m is set on it and the rejected draws are added

@@ -19,7 +19,7 @@ an orthonormal basis of range(L) and u uniform in the 2r-ball.  The
 sampled gradients become the (m+1) x 2r coordinate rows ``g @ K``, where
 K = J^-1 blockdiag(M^T, M^T) maps an (eta, kappa) gradient g straight
 to the coordinates of its projected functional-space halves, and
-Wolfe's min-norm point of those rows is c; their mean stands in only
+the min-norm point of those rows is c; their mean stands in only
 when Wolfe's solver fails.  The step is -L c/||c||, and
 ||c|| = ||P g_hat|| is the stationarity and Armijo measure.  The default
 m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).

@@ -26,7 +26,7 @@ orthonormal n x r); ||c|| = ||P g_hat|| and a vanishing c shrinks.
 qp mode runs gradient sampling on the problem restricted to the additive
 space, in the same coordinates.  Each draw is eps*B*u with u
 uniform in the r-ball; it moves q_i by at most eps*||B_i||, so the kink
-set is {i : |y_i - q_i| <= 2*eps*||B_i||}.  Wolfe's solver receives the
+set is {i : |y_i - q_i| <= 2*eps*||B_i||}.  The min-norm solve receives the
 (m+1) x r coordinate rows M g, its min-norm point c* = M g_hat gives the
 step -B c*/||c*||, and ||c*|| = ||P g_hat|| is the stationarity and
 Armijo measure.  The default m is r+1.  An iteration costs O(m*a*r) for
@@ -154,7 +154,7 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
         g, gnorm, method, drawn = _sampled_subgradient(
             q, y, alpha, eps, m, gs.subgradient_mode, rng, coords)
         trace.ball_coordinates += drawn
-        # the step's coordinates c: M g_hat in average mode, Wolfe's point in qp
+        # the step's coordinates c: M g_hat in average mode, the min-norm point in qp
         return (coords.coef @ g if average else g), gnorm, method
 
     def direction(q, c, gnorm):

@@ -8,7 +8,7 @@ are the package's earlier, slower forms of a batched, deduplicated,
 accelerated or kink-only path, kept so the fast path can be held
 bitwise equal to them (the POT coordinate rows: to rounding, since the
 loop projects each row separately): they reuse the package's scalar
-kernels, sampler, smoothers and Wolfe solver.  ``per_sample_theta_grad`` is the
+kernels, sampler, smoothers and min-norm solvers.  ``per_sample_theta_grad`` is the
 unsimplified POT gradient (a Jacobian at every sample), which the
 package's single-Jacobian pullback must approach as eps -> 0.
 """
@@ -290,10 +290,12 @@ def per_sample_theta_grad(state, y, eps, m, rng, coords):
 def min_norm_point_unique(z):
     """(point, weights) of ``min_norm_point`` with an ``np.unique`` dedupe.
 
-    Wolfe's solver sees the distinct rows in ``np.unique(axis=0)`` order;
-    weights go to each distinct row's first occurrence.
+    The distinct rows go, in ``np.unique(axis=0)`` order, to the exact
+    solver ``min_norm_point`` picks for them (the planar face pass for at
+    most ``_FEW`` rows in R^1 or R^2, Wolfe otherwise); weights go to each
+    distinct row's first occurrence.
     """
-    from gsda.minnorm import _wolfe
+    from gsda.minnorm import _FEW, _plane_faces, _wolfe
 
     z = np.asarray(z, dtype=float)
     count = z.shape[0]
@@ -302,11 +304,13 @@ def min_norm_point_unique(z):
     if uniq.shape[0] == 1:
         weights[first[0]] = 1.0
         return uniq[0].copy(), weights
-    point, w_uniq = _wolfe(uniq, cap=100 * count)
+    if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
+        point, w_uniq = _plane_faces(uniq)
+    else:
+        point, w_uniq = _wolfe(uniq, cap=100 * count)
     weights[first] = w_uniq
     weights /= weights.sum()
     return point, weights
-
 
 
 def pinball_rows_full_ball(q, y, alpha, eps, u):

@@ -364,11 +364,15 @@ def counted(obj, calls):
 
 
 def test_minimizer_evaluates_one_trial_per_call():
-    # the count of the one-trial-per-call search: a stacked one would differ
+    # one evaluation at x0, 1 + m per estimate (the iterate and its draws),
+    # b + 1 per step found after b backtracks and b per shrink (the whole
+    # ladder after a failed search): a stacked search would differ
     calls = [0]
     _, trace = gsda_minimize(counted(nonsmooth_rosenbrock(), calls), np.array([-1.2, 1.0]),
                              GsParams(seed=3, max_iter=200))
-    assert (calls[0], len(trace)) == (1442, 105)
+    trials = sum(r.backtracks + (r.event == "step") for r in trace.records)
+    assert trace.rejected_draws == 0 and len(trace.accepted) > 0
+    assert calls[0] == 1 + len(trace) * (1 + trace.m) + trials
 
 
 class TestGsdaMinimize:

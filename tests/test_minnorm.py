@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsda import GradientSet, average_fallback, min_norm_point
-from gsda.errors import InvalidInput
+from gsda import minnorm
+from gsda.errors import InvalidInput, NumericalFailure
+from gsda.minnorm import _FEW, _distinct_rows, _wolfe
 
 from _oracles import bary_min_norm
 
@@ -97,6 +101,100 @@ def test_permutation_invariance(data):
     a = min_norm_point(GradientSet(z))
     b = min_norm_point(GradientSet(z[list(perm)]))
     assert np.allclose(a.point, b.point, atol=1e-8)
+
+
+ROSENBROCK_BUNDLES = [
+    # Wolfe's active-set solve ends past a feasible point's norm on this
+    # one, and the engine used to fall back to the mean
+    [[19.99984551366705, -10.0], [-19.999855033552087, 10.0],
+     [-19.999862383403315, 10.0], [19.999860637937438, -10.0]],
+    # unrefined barycentric weights end 1.1e-9 from 0 here, twice Wolfe's 5e-10
+    [[-19.999880137738238, 10.0], [19.99988518304617, -10.0],
+     [19.999847979052667, -10.0], [19.999877657215404, -10.0]],
+]
+
+
+@pytest.mark.parametrize("z", ROSENBROCK_BUNDLES)
+def test_near_antipodal_bundles_are_solved(z):
+    # nonsmooth-Rosenbrock bundles straddling the kink (minimize, seed 0)
+    z = np.array(z)
+    res = min_norm_point(GradientSet(z))
+    assert res.method == "qp"
+    assert np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    point, _ = _wolfe(z[_distinct_rows(z)], cap=400)
+    assert res.norm <= np.linalg.norm(point) + 1e-12 * np.abs(z).max()
+
+
+def test_first_failing_bundle_meets_the_grid_oracle():
+    z = np.array(ROSENBROCK_BUNDLES[0])
+    assert abs(min_norm_point(GradientSet(z)).norm - bary_min_norm(z, 100)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_planar_solve_scales_exactly(seed):
+    # a power-of-two scale rounds nothing, so the point and weights scale
+    # bit for bit, far past where squares and cross products underflow
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(int(rng.integers(2, _FEW + 1)), int(rng.integers(1, 3))))
+    ref = min_norm_point(GradientSet(z))
+    for s in (2.0 ** -560, 2.0 ** 500):
+        got = min_norm_point(GradientSet(s * z))
+        assert np.array_equal(got.point, s * ref.point)
+        assert np.array_equal(got.weights, ref.weights)
+
+
+# coordinates shared exactly across rows (the +-10 of the Rosenbrock
+# bundles), signed zeros, and generic values
+COORD = st.one_of(st.sampled_from([-10.0, 10.0, 0.0, -0.0, 1.0]),
+                  st.floats(-30.0, 30.0, allow_nan=False))
+
+
+@st.composite
+def planar_sets(draw):
+    """At most _FEW distinct rows in R^1 or R^2, drawn with repeats."""
+    d = draw(st.integers(1, 2))
+    pool = np.array(draw(st.lists(st.lists(COORD, min_size=d, max_size=d),
+                                  min_size=1, max_size=_FEW)))
+    pool *= np.array(draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-150, 6.4e-224]),
+                                   min_size=len(pool), max_size=len(pool))))[:, None]
+    kind = draw(st.sampled_from(["plain", "zero row", "origin on an edge"]))
+    if kind == "zero row":
+        pool[0] = 0.0
+    elif kind == "origin on an edge" and len(pool) >= 2:
+        pool[1] = -draw(st.sampled_from([0.5, 1.0, 3.0])) * pool[0]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=2 * _FEW))
+    return pool[picks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(planar_sets())
+def test_planar_solve_is_exact(z):
+    scale = np.abs(z).max()
+    with mock.patch.object(minnorm, "_wolfe", wraps=_wolfe) as wolfe:
+        res = min_norm_point(GradientSet(z))
+    assert wolfe.call_count == 0
+    assert res.method == "qp"
+    assert np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(res.weights @ z - res.point) <= 1e-12 * scale)
+    uniq = z[_distinct_rows(z)]
+    if uniq.shape[0] > 1:
+        try:
+            point, _ = _wolfe(uniq, cap=100 * z.shape[0])
+        except NumericalFailure:
+            return
+        assert res.norm <= np.linalg.norm(point) + 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(_FEW + 1, 2), (2 * _FEW, 1), (3, 3), (_FEW, 4)]))
+def test_larger_sets_reach_wolfe(seed, shape):
+    # more than _FEW distinct rows, or rows in R^3 and up
+    z = np.random.default_rng(seed).normal(size=shape)
+    with mock.patch.object(minnorm, "_wolfe", wraps=_wolfe) as wolfe:
+        min_norm_point(GradientSet(z))
+    assert wolfe.call_count == 1
 
 
 class TestAverageFallback:

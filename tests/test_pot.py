@@ -458,21 +458,26 @@ def test_fit_evaluates_one_trial_per_call(monkeypatch):
     assert (calls[0], len(model.trace)) == (134, 40)
 
 
-class TestFitTwoLevels:
+class TestTwoLevelOrder:
+    # d theta / dc = -sigma c^(-kappa-1) < 0 for every sigma > 0 and kappa,
+    # so the var_var levels keep their order by the map alone; only a bug
+    # in the map, never a fit, can make them cross
+    def grid(self):
+        rng = np.random.default_rng(23)
+        tiny = np.logspace(-14.0, -1.0, 2_000)
+        kappa = np.concatenate((np.linspace(-5.0, 5.0, 200_000), tiny, -tiny, [0.0]))
+        return np.exp(rng.uniform(-5.0, 5.0, kappa.size)), kappa
+
+    def test_return_level_decreases_in_c(self):
+        sigma, kappa = self.grid()
+        assert np.all(pot._theta_of(sigma, kappa, 0.02) > pot._theta_of(sigma, kappa, 0.1))
+
     def test_levels_never_cross(self):
         spec = FunctionalSpec("var_var", (0.01, 0.002), 0.1)  # c = 0.1, 0.02
-        rng = np.random.default_rng(23)
-        y = gpd_inverse_cdf(rng.random(250), 2.0, 0.15)
-        w = np.linspace(0.0, 1.0, 250)
-        model = fit_pot_additive(
-            y, w[:, None], spec, [SmootherSpec("local_linear", 0)],
-            GsParams(seed=0, beta=1e-2))
-        th1, th2 = model.state.theta_pair
+        sigma, kappa = self.grid()
+        th1, th2 = pot.functional_map(Lambda(np.log(sigma), kappa), spec)
         assert np.all(th2 > th1)
-        for decomp in model.decompositions:
-            for comp in decomp.components:
-                assert abs(comp.mean()) <= 1e-6
-        assert model.functional_names == ("return_level_1", "return_level_2")
+        assert spec.names == ("return_level_1", "return_level_2")
 
 
 class TestQpSubspace:
