@@ -9,9 +9,10 @@ are shrunk.  The run stops once eps and tau reach their floors, which
 certifies approximate stationarity at that scale.
 
 One loop, :func:`descend`, runs this schedule for every problem.  A
-problem supplies its objective, a sampled-gradient estimate and a
-direction map; :func:`gsda_minimize`, the quantile fitter and the POT
-fitter are three thin adapters around it.
+problem supplies its objective and a sampled-gradient estimate that
+returns its step vector with the norm that gauges it;
+:func:`gsda_minimize`, the quantile fitter and the POT fitter are three
+thin adapters around it.
 
 :func:`armijo_search` tries the steps 1, 1/2, ..., 2^-max_backtracks.
 The quantile fitter's ray evaluates them as (k, d) stacks of up to
@@ -20,17 +21,18 @@ The quantile fitter's ray evaluates them as (k, d) stacks of up to
 
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
-estimate.  :func:`approx_subgradient` and the POT fitter build their
-m+1 gradient rows with it and reduce them to their min-norm point
-(:mod:`gsda.minnorm`: a closed-form face pass for at most 8 distinct
-rows in R^1 or R^2, Wolfe's algorithm otherwise; their mean only where
-Wolfe fails).  The pinball fitter's kink draw
-never leaves the domain and bypasses it; only that fitter reads
-``GsParams.subgradient_mode``.
+estimate, and alone adds the rejections to ``trace.rejected_draws``.
+:func:`approx_subgradient` and the POT fitter build their m+1 gradient
+rows with it and reduce them to their min-norm point (:mod:`gsda.minnorm`:
+a closed-form face pass for at most 8 distinct rows in R^1 or R^2,
+Wolfe's algorithm otherwise; their mean only where Wolfe fails).  The
+pinball fitter's kink draw never leaves the domain and bypasses it; only
+that fitter reads ``GsParams.subgradient_mode``.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -85,16 +87,17 @@ class GsParams:
             raise InvalidInput("mu must lie in (0, 1)")
         if not (0.0 < self.lam < 1.0):
             raise InvalidInput("lambda must lie in (0, 1)")
-        if self.eps0 <= 0.0 or self.tau0 <= 0.0:
-            raise InvalidInput("eps0 and tau0 must be positive")
+        if not (0.0 < self.eps0 < np.inf and 0.0 < self.tau0 < np.inf):
+            raise InvalidInput("eps0 and tau0 must be positive and finite")
         if not (0.0 < self.eps_min < self.eps0):
             raise InvalidInput("need 0 < eps_min < eps0")
         if not (0.0 < self.tau_min < self.tau0):
             raise InvalidInput("need 0 < tau_min < tau0")
-        if self.max_iter < 1 or self.max_backtracks < 1:
-            raise InvalidInput("max_iter and max_backtracks must be positive")
-        if self.m is not None and self.m < 1:
-            raise InvalidInput("m must be a positive integer")
+        counts = (self.max_iter, self.max_backtracks, 1 if self.m is None else self.m)
+        if not all(isinstance(c, Integral) and c >= 1 for c in counts):
+            raise InvalidInput("max_iter, max_backtracks and m must be positive integers")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidInput("seed must be a non-negative integer")
         if self.subgradient_mode not in SUBGRADIENT_MODES:
             raise InvalidInput(f"subgradient_mode must be one of {SUBGRADIENT_MODES}")
 
@@ -233,7 +236,7 @@ def sample_unit_ball(n, m, rng, dim=None):
     return z
 
 
-def sample_rows(first, m, eps, draw, evaluate):
+def sample_rows(first, m, eps, draw, evaluate, trace=None):
     """The gradient at the iterate and at m feasible ball draws, as rows.
 
     This is the one feasible-draw sampler.  Row 0 is ``first``, the
@@ -245,9 +248,10 @@ def sample_rows(first, m, eps, draw, evaluate):
     is filled, and hands them to ``evaluate`` in blocks of
     ``_ROW_BLOCK`` so temporaries stay O(block * d).
 
-    Returns ``(rows, rejected)``, rejected counting the infeasible
-    draws.  The draw that takes the rejections past 10*m raises
-    :class:`SamplingExhausted`, whose ``rejected`` is then 10*m + 1.
+    Returns the (m+1, d) rows and adds the infeasible draws to
+    ``trace.rejected_draws`` when a trace is given.  The draw that takes
+    the rejections past 10*m raises :class:`SamplingExhausted`, whose
+    ``rejected`` is 10*m + 1; that count goes to the trace first.
     """
     rows = np.empty((m + 1, first.size))
     rows[0] = first
@@ -259,11 +263,15 @@ def sample_rows(first, m, eps, draw, evaluate):
             g = evaluate(block)
             rejected += block.shape[0] - g.shape[0]
             if rejected > cap:
+                if trace is not None:
+                    trace.rejected_draws += cap + 1
                 raise SamplingExhausted(
                     f"more than {cap} infeasible draws at eps={eps:g}", cap + 1)
             rows[got:got + g.shape[0]] = g
             got += g.shape[0]
-    return rows, rejected
+    if trace is not None:
+        trace.rejected_draws += rejected
+    return rows
 
 
 def approx_subgradient(obj, x, eps, params, rng, trace=None):
@@ -274,8 +282,8 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     :func:`sample_rows`, then reduces the m+1 gradients to their
     min-norm point, or to their mean where Wolfe's solver fails.  A
     mode other than qp raises :class:`InvalidInput`.  When a trace is
-    given, the resolved m is set on it and the rejected draws are added
-    to ``trace.rejected_draws``.
+    given, the resolved m is set on it and the sampler adds the rejected
+    draws to ``trace.rejected_draws``.
     """
     params.require_qp("the minimizer")
     x = np.asarray(x, dtype=float)
@@ -299,11 +307,8 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
                     rows.append(gt)
         return np.reshape(rows, (-1, obj.dim))
 
-    rows, rejected = sample_rows(
-        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate)
-    if trace is not None:
-        trace.rejected_draws += rejected
-    grad_set = GradientSet(rows)
+    grad_set = GradientSet(sample_rows(
+        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace))
     try:
         return min_norm_point(grad_set)
     except NumericalFailure:
@@ -320,7 +325,7 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     1-D array of steps to their values; it is handed the ladder in
     blocks of ``_ROW_BLOCK`` steps, with the same result.
     """
-    if slope <= 0.0:
+    if not slope > 0.0:
         raise InvalidInput("slope must be positive")
     if stacked:
         steps = np.ldexp(1.0, -np.arange(max_backtracks + 1))
@@ -340,24 +345,24 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     return None
 
 
-def descend(objective, x, f, estimate, direction, params, trace, stacked=False):
+def descend(objective, x, f, estimate, params, trace, stacked=False):
     """The sampling descent loop shared by every problem; returns the last x.
 
     ``objective(x)`` is the value to decrease (+inf off the domain) and
     ``f`` its finite value at the start ``x``.  Each iteration asks
-    ``estimate(x, eps)`` for ``(g, gnorm, method)``, the sampled
-    gradient estimate and its norm, and shrinks eps and tau when gnorm
-    is at most tau.  Otherwise ``direction(x, g, gnorm)`` returns the
-    step vector v, or None to shrink, and :func:`armijo_search` looks
-    along the ray t -> objective(x + t*v) for a step with the decrease
-    beta*t*gnorm (stacked, when ``stacked`` says the objective maps a
-    (k, d) stack to k values); a failed search also shrinks.  An
-    estimate that raises :class:`SamplingExhausted` shrinks too, and
-    its rejected draws are added to ``trace.rejected_draws``.  A
-    non-finite gnorm or v raises :class:`NumericalFailure`.  Every
-    iteration adds one record to ``trace``.  An accepted step replaces x
-    by a new array and never changes it in place, so a problem may key
-    data of the iterate on its identity.
+    ``estimate(x, eps)`` for ``(v, gnorm, method)``: the step vector v
+    (None to shrink) and gnorm, the norm of the sampled gradient
+    estimate.  When gnorm is at most tau, eps and tau shrink and v is
+    ignored.  Otherwise :func:`armijo_search` looks along the ray
+    t -> objective(x + t*v) for a step with the decrease beta*t*gnorm
+    (stacked, when ``stacked`` says the objective maps a (k, d) stack to
+    k values); a failed search also shrinks.  An estimate that raises
+    :class:`SamplingExhausted` shrinks too; its sampler has counted the
+    rejected draws.  A non-finite gnorm or v raises
+    :class:`NumericalFailure`.  Every iteration adds one record to
+    ``trace``.  An accepted step replaces x by a new array and never
+    changes it in place, so a problem may key data of the iterate on
+    its identity.
     """
     eps, tau = params.eps0, params.tau0
     for it in range(params.max_iter):
@@ -365,15 +370,13 @@ def descend(objective, x, f, estimate, direction, params, trace, stacked=False):
             trace.converged = True
             break
         try:
-            g, gnorm, method = estimate(x, eps)
-        except SamplingExhausted as exc:
-            trace.rejected_draws += exc.rejected
+            v, gnorm, method = estimate(x, eps)
+        except SamplingExhausted:
             gnorm, method, event, v = np.nan, "none", "sampling_exhausted", None
         else:
             if not np.isfinite(gnorm):
                 raise NumericalFailure(f"non-finite gradient norm at iteration {it}")
-            event = "shrink"
-            v = direction(x, g, gnorm) if gnorm > tau else None
+            event, v = "shrink", (v if gnorm > tau else None)
         hit = None
         if v is not None:
             if not np.all(np.isfinite(v)):
@@ -408,10 +411,10 @@ def gsda_minimize(obj, x0, params=None):
 
     def estimate(x, eps):
         res = approx_subgradient(obj, x, eps, params, rng, trace)
-        return res.point, res.norm, res.method
+        return (-res.point / res.norm if res.norm else None), res.norm, res.method
 
     trace = FitTrace()
-    x = descend(obj.eval, x, f, estimate, lambda x, g, gnorm: -g / gnorm, params, trace)
+    x = descend(obj.eval, x, f, estimate, params, trace)
     return x, trace
 
 

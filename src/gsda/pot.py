@@ -26,9 +26,9 @@ m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
 
 L, Q, K and the gradient at the iterate depend only on the iterate, so
 each :class:`PotState` builds this frame once (:meth:`PotState.frame`),
-on its first estimate, and keeps it for the estimates and the step
-direction that follow until a step is accepted; the fitted model's state
-is a copy without it.  Draws are evaluated in
+on its first estimate, and keeps it for the estimates and steps that
+follow until a step is accepted; the fitted model's state is a copy
+without it.  Draws are evaluated in
 blocks: one product turns the block's u (with a 1 appended) into its
 (eta, kappa) points against (eps*Q^T; x), and the GPD row kernel turns
 those into gradients.
@@ -321,9 +321,9 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
     ``Q u`` for u in the 2r-ball, Q an orthonormal basis of
     J^-1 blockdiag(B, B), and each row is ``g @ K`` for
     K = J^-1 blockdiag(M^T, M^T), 2r long.  The draws come from
-    :func:`~gsda.engine.sample_rows`, which redraws infeasible ones and
-    raises :class:`SamplingExhausted` past 10*m of them; the rejected
-    draws are added to ``trace.rejected_draws`` when a trace is given.
+    :func:`~gsda.engine.sample_rows`, which redraws infeasible ones,
+    raises :class:`SamplingExhausted` past 10*m of them and adds the
+    rejected draws to ``trace.rejected_draws`` when a trace is given.
     The frame (Q, K and row 0) comes from :meth:`PotState.frame`, so
     it is built once per iterate, however many estimates the iterate
     takes.  A fit passes one :class:`~gsda._kernels.RowScratch` to every
@@ -348,11 +348,8 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
         g, _ = _kernels.gpd_grad_rows(points[0], points[1], y, scratch)
         return g[0] @ pullback[:n] + g[1] @ pullback[n:]
 
-    rows, rejected = sample_rows(
-        base, m, eps, lambda k: sample_unit_ball(2 * coords.dim, k, rng), evaluate)
-    if trace is not None:
-        trace.rejected_draws += rejected
-    return rows
+    return sample_rows(
+        base, m, eps, lambda k: sample_unit_ball(2 * coords.dim, k, rng), evaluate, trace)
 
 
 def initial_lambda(y, spec):
@@ -397,8 +394,9 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     Each iteration: build the Jacobian blocks at the current
     (eta, kappa); sample the negative-log-likelihood gradient as rows in
     the coordinates of the additive space and reduce them to their
-    min-norm point c (module docstring); pull the unit direction
-    -c/||c|| back to (eta, kappa) and Armijo-search the negative
+    min-norm point c (module docstring); the estimate returns the step
+    -L c/||c||, the unit direction pulled back to (eta, kappa) by the
+    iterate's frame, and the descent loop Armijo-searches the negative
     log-likelihood along it, rejecting any step that leaves the support.
     eps and tau shrink whenever ||c|| drops below tau or no step is
     accepted.
@@ -413,8 +411,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     gs = gs if gs is not None else GsParams()
     gs.require_qp("the POT fitter")
     y = np.asarray(y, dtype=float)
-    if not np.all(y > 0.0):
-        raise InvalidInput("excesses must be strictly positive")
+    if y.ndim != 1 or not np.all(y > 0.0):
+        raise InvalidInput("excesses must be a 1-d vector of positive values")
     projector = AdditiveProjector(W, specs, y.size)
     coords = projector.coordinate_map()
     m = gs.resolve_m(2 * coords.dim)
@@ -439,21 +437,19 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     scratch = _kernels.RowScratch(_ROW_BLOCK, y.size)
 
     def estimate(x, eps):
-        rows = GradientSet(
-            -_theta_grad_rows(state_at(x), y, eps, m, rng, coords, trace, scratch))
+        here = state_at(x)
+        rows = GradientSet(-_theta_grad_rows(here, y, eps, m, rng, coords, trace, scratch))
         try:
             res = min_norm_point(rows)
         except NumericalFailure:
             res = average_fallback(rows)
-        return res.point, res.norm, res.method
-
-    def direction(x, g, gnorm):
-        # -L c/||c||, L from the frame the estimate at x built
-        return state_at(x).frame(y, coords)[0] @ (-g / gnorm)
+        # -L c/||c||, L from the frame the rows were sampled in
+        step = here.frame(y, coords)[0] @ (-res.point / res.norm) if res.norm else None
+        return step, res.norm, res.method
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
     # the fitted model keeps no sampling frame
-    state = replace(state_at(descend(objective.eval, x0, f, estimate, direction, gs, trace)))
+    state = replace(state_at(descend(objective.eval, x0, f, estimate, gs, trace)))
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

@@ -19,9 +19,10 @@ The coordinates of A get the exact marginal law of a point uniform on
 the n-dimensional ball (see :func:`~gsda.engine.sample_unit_ball`), and
 every other coordinate keeps its base gradient.  The estimate g_hat is
 the average of the m+1 gradients, with its raw norm as the stationarity
-and Armijo measure.  The step is -B c/||c|| for c = M g_hat, in the
-projector's :class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B
-orthonormal n x r); ||c|| = ||P g_hat|| and a vanishing c shrinks.
+and Armijo measure.  The sampler returns c = M g_hat, in the projector's
+:class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B orthonormal
+n x r), and the step is -B c/||c||; ||c|| = ||P g_hat|| and a vanishing
+c shrinks.
 
 qp mode runs gradient sampling on the problem restricted to the additive
 space, in the same coordinates.  Each draw is eps*B*u with u
@@ -85,16 +86,18 @@ class QuantileModel:
     trace: FitTrace
 
 
-def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords=None):
-    """Average of pinball gradients over the eps-ball sample, or their min-norm point.
+def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace):
+    """The step's coordinates from the pinball gradients over the eps-ball sample.
 
-    Returns ``(g, gnorm, method, drawn)``; ``drawn`` is the ball
-    coordinates drawn per point (module docstring).  Average mode draws
-    the a = |A| kink coordinates of the n-ball and returns an n-vector.
-    qp mode takes the :class:`~gsda.smoothing.CoordinateMap` ``coords``,
-    draws the r-ball and returns the min-norm point of the coordinate
-    rows, an r-vector.  With A empty every sampled gradient is the base
-    gradient and nothing is drawn.
+    Returns ``(c, gnorm, method)``, c an r-vector in the
+    :class:`~gsda.smoothing.CoordinateMap` ``coords``, and adds the ball
+    coordinates drawn per point (module docstring) to
+    ``trace.ball_coordinates``.  Average mode draws the a = |A| kink
+    coordinates of the n-ball; c is M g_hat for the mean g_hat of the
+    gradients, and gnorm is ||g_hat||.  qp mode draws the r-ball; c is
+    the min-norm point of the coordinate rows, and gnorm its norm.  With
+    A empty every sampled gradient is the base gradient and nothing is
+    drawn.
     """
     base = _kernels.pinball_grad(q, y, alpha)
     if mode == "qp":
@@ -110,14 +113,16 @@ def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords=None):
             res = min_norm_point(GradientSet(rows))
         except NumericalFailure:
             res = average_fallback(GradientSet(rows))
-        return res.point, res.norm, res.method, coords.dim if kink.size else 0
+        trace.ball_coordinates += coords.dim if kink.size else 0
+        return res.point, res.norm, res.method
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
     g = base.copy()
     if kink.size:
         u = sample_unit_ball(kink.size, m, rng, dim=q.size)
         sampled = _kernels.pinball_sampled_grad_sum(q[kink], y[kink], alpha, eps, u)
         g[kink] = (base[kink] + sampled) / (m + 1)
-    return g, float(np.linalg.norm(g)), "average", kink.size
+    trace.ball_coordinates += kink.size
+    return coords.coef @ g, float(np.linalg.norm(g)), "average"
 
 
 def fit_quantile_additive(y, W, alpha, specs, gs=None):
@@ -136,8 +141,8 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
         additive space; see the module docstring)
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InvalidInput("y must be finite")
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise InvalidInput("y must be a finite 1-d vector")
     if not (0.0 < alpha < 1.0):
         raise InvalidInput("alpha must lie in (0, 1)")
     n = y.size
@@ -151,22 +156,17 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     rng = np.random.default_rng(gs.seed)
 
     def estimate(q, eps):
-        g, gnorm, method, drawn = _sampled_subgradient(
-            q, y, alpha, eps, m, gs.subgradient_mode, rng, coords)
-        trace.ball_coordinates += drawn
-        # the step's coordinates c: M g_hat in average mode, the min-norm point in qp
-        return (coords.coef @ g if average else g), gnorm, method
-
-    def direction(q, c, gnorm):
+        c, gnorm, method = _sampled_subgradient(
+            q, y, alpha, eps, m, gs.subgradient_mode, rng, coords, trace)
         cnorm = float(np.linalg.norm(c))
-        return coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
+        return (coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None), gnorm, method
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)
 
     q = np.full(n, float(np.quantile(y, alpha)))
     trace = FitTrace(m=m, subspace_dim=None if average else coords.dim)
-    q = descend(risk, q, risk(q), estimate, direction, gs, trace, stacked=True)
+    q = descend(risk, q, risk(q), estimate, gs, trace, stacked=True)
 
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition

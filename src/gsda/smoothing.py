@@ -77,9 +77,9 @@ class SmootherSpec:
         if self.kind == "local_linear":
             if self.bandwidth is not None and self.target_df is not None:
                 raise InvalidInput("give bandwidth or target_df, not both")
-            if self.bandwidth is not None and self.bandwidth <= 0.0:
+            if self.bandwidth is not None and not self.bandwidth > 0.0:
                 raise InvalidInput("bandwidth must be positive")
-            if self.target_df is not None and self.target_df <= 0.0:
+            if self.target_df is not None and not self.target_df > 0.0:
                 raise InvalidInput("target_df must be positive")
         elif self.bandwidth is not None or self.target_df is not None:
             raise InvalidInput(f"{self.kind} smoothers take no bandwidth/target_df")
@@ -152,7 +152,7 @@ def _check_design(w):
 def effective_df(w, bandwidth):
     """Trace of the local-linear hat operator on this design."""
     w = _check_design(w)
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:
         raise InvalidInput("bandwidth must be positive")
     if np.ptp(w) == 0.0:
         warnings.warn("all covariate values identical; df of the mean fit is 1",
@@ -432,7 +432,7 @@ class AdditiveProjector:
         W_new = np.asarray(W_new, dtype=float)
         if W_new.ndim == 1:
             W_new = W_new[:, None]
-        if W_new.shape[1] != self.k:
+        if W_new.ndim != 2 or W_new.shape[1] != self.k:
             raise InvalidInput(f"expected {self.k} covariate columns")
         _check_finite(W_new)
         out = np.full(W_new.shape[0], fit.intercept)

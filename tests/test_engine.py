@@ -166,8 +166,9 @@ class TestSampleRows:
                 blocks.append(u.shape[0])
                 return 2.0 * u[u[:, 0] > -0.4]
 
-            rows, rejected = sample_rows(
-                first, m, 0.1, lambda k: sample_unit_ball(2, k, rng_a), evaluate)
+            trace = FitTrace()
+            rows = sample_rows(
+                first, m, 0.1, lambda k: sample_unit_ball(2, k, rng_a), evaluate, trace)
             want, want_rejected = [first], 0
             while len(want) < m + 1:
                 for u in sample_unit_ball(2, m + 1 - len(want), rng_b):
@@ -176,23 +177,25 @@ class TestSampleRows:
                     else:
                         want_rejected += 1
             assert np.array_equal(rows, np.array(want))
-            assert rejected == want_rejected
+            assert trace.rejected_draws == want_rejected
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
-            assert max(blocks) <= 32 and sum(blocks) == m + rejected
+            assert max(blocks) <= 32 and sum(blocks) == m + want_rejected
 
     @pytest.mark.parametrize("m", [1, 3, 33])
     def test_ten_m_rejections_pass(self, m):
         draw = scripted_draws([-1.0] * (10 * m) + [0.5] * m)
-        rows, rejected = sample_rows(np.zeros(1), m, 0.1, draw, keep_positive)
-        assert rejected == 10 * m
+        trace = FitTrace()
+        rows = sample_rows(np.zeros(1), m, 0.1, draw, keep_positive, trace)
+        assert trace.rejected_draws == 10 * m
         assert np.array_equal(rows[1:, 0], np.full(m, 1.0))
 
     @pytest.mark.parametrize("m", [1, 3, 33])
     def test_one_more_rejection_raises(self, m):
         draw = scripted_draws([-1.0] * (10 * m + 1) + [0.5] * m)
+        trace = FitTrace()
         with pytest.raises(SamplingExhausted) as info:
-            sample_rows(np.zeros(1), m, 0.1, draw, keep_positive)
-        assert info.value.rejected == 10 * m + 1
+            sample_rows(np.zeros(1), m, 0.1, draw, keep_positive, trace)
+        assert info.value.rejected == trace.rejected_draws == 10 * m + 1
         assert str(info.value) == f"more than {10 * m} infeasible draws at eps=0.1"
 
 
@@ -284,7 +287,7 @@ class TestArmijoSearch:
         assert t <= 1.0 / 16.0 and 0.1 - t >= 0.0
 
     def test_requires_positive_slope(self):
-        for slope in (0.0, -1.0):
+        for slope in (0.0, -1.0, np.nan):
             for stacked in (False, True):
                 with pytest.raises(InvalidInput, match="slope must be positive"):
                     armijo_search(lambda t: (1.0 - t) ** 2, 1.0, slope, 0.1, 5, stacked)
@@ -459,39 +462,65 @@ class TestGsdaMinimize:
 class TestDescend:
     obj = sum_of_squares([1.0])
 
-    def run(self, estimate, direction):
-        x = np.zeros(1)
-        return descend(self.obj.eval, x, self.obj.eval(x), estimate, direction,
-                       GsParams(max_iter=50), FitTrace())
+    def run(self, estimate, **kwargs):
+        trace = FitTrace()
+        x = descend(self.obj.eval, np.zeros(1), 1.0, estimate,
+                    GsParams(max_iter=50, **kwargs), trace)
+        return x, trace
 
     @pytest.mark.parametrize("gnorm", [np.nan, np.inf])
     def test_non_finite_gradient_norm(self, gnorm):
         with pytest.raises(NumericalFailure, match="gradient norm"):
-            self.run(lambda x, eps: (self.obj.grad(x), gnorm, "test"),
-                     lambda x, g, gnorm: -g / gnorm)
+            self.run(lambda x, eps: (np.ones(1), gnorm, "test"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_vector(self, bad):
         with pytest.raises(NumericalFailure, match="step vector"):
-            self.run(lambda x, eps: (self.obj.grad(x), 2.0, "test"),
-                     lambda x, g, gnorm: np.array([bad]))
+            self.run(lambda x, eps: (np.array([bad]), 2.0, "test"))
 
     def test_failed_line_search_shrinks_with_every_backtrack(self):
-        trace = FitTrace()
-        x = descend(self.obj.eval, np.zeros(1), 1.0,
-                    lambda x, eps: (self.obj.grad(x), 2.0, "test"),
-                    lambda x, g, gnorm: g / gnorm,  # uphill
-                    GsParams(max_iter=50, max_backtracks=7), trace)
+        x, trace = self.run(lambda x, eps: (-np.ones(1), 2.0, "test"),  # uphill
+                            max_backtracks=7)
         assert x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 8, 0.0)}
 
     def test_no_direction_shrinks_without_a_line_search(self):
-        trace = FitTrace()
-        x = descend(self.obj.eval, np.zeros(1), 1.0,
-                    lambda x, eps: (np.ones(1), 1.0, "test"), lambda x, g, gnorm: None,
-                    GsParams(max_iter=50), trace)
+        x, trace = self.run(lambda x, eps: (None, 1.0, "test"))
         assert x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_step_at_or_below_tau_is_never_searched(self, below):
+        # the step x + 1 reaches the minimum, yet a gnorm at most tau
+        # shrinks without one objective call; tau halves each shrink, so
+        # 1e-2 * 0.5**k is tau itself at iteration k
+        calls, k = [], [0]
+
+        def objective(x):
+            calls.append(x)
+            return self.obj.eval(x)
+
+        def estimate(x, eps):
+            gnorm = 1e-9 if below else 1e-2 * 0.5 ** k[0]
+            k[0] += 1
+            return np.ones(1), gnorm, "test"
+
+        trace = FitTrace()
+        x = descend(objective, np.zeros(1), 1.0, estimate, GsParams(max_iter=50), trace)
+        assert calls == [] and x.tolist() == [0.0] and trace.converged
+        assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
+
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    def test_exhausted_estimate_counts_its_draws_once(self, m):
+        # the sampler adds 10*m + 1 as it raises; the loop adds nothing
+        def estimate(x, eps):
+            draw = scripted_draws([-1.0] * (10 * m + 1))
+            return sample_rows(np.zeros(1), m, eps, draw, keep_positive, trace)
+
+        trace = FitTrace()
+        descend(self.obj.eval, np.zeros(1), 1.0, estimate, GsParams(max_iter=1), trace)
+        assert [r.event for r in trace.records] == ["sampling_exhausted"]
+        assert trace.rejected_draws == 10 * m + 1
 
 
 class TestGsParamsValidation:
@@ -499,7 +528,15 @@ class TestGsParamsValidation:
         {"beta": 0.0}, {"beta": 1.0}, {"mu": 1.5}, {"lam": 0.0},
         {"eps0": -1.0}, {"eps_min": 0.2}, {"tau_min": 1.0},
         {"max_iter": 0}, {"m": 0}, {"subgradient_mode": "newton"},
+        {"m": 2.5}, {"max_iter": 2.5}, {"max_backtracks": 2.5},
+        {"seed": -1}, {"seed": 1.5}, {"eps0": np.inf}, {"tau0": np.inf},
     ])
     def test_bad_values(self, kwargs):
         with pytest.raises(InvalidInput):
             GsParams(**kwargs)
+
+    def test_numpy_integer_counts_pass(self):
+        gs = GsParams(m=np.int64(3), max_iter=np.int32(5), max_backtracks=np.int64(4),
+                      seed=np.uint8(2))
+        _, trace = gsda_minimize(sum_of_squares([1.0]), [0.0], gs)
+        assert len(trace) == 5

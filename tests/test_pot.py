@@ -410,6 +410,11 @@ class TestFitValidation:
             fit_pot_additive(y, np.linspace(0.0, 1.0, 40)[:, None], VAR_ES,
                              [SmootherSpec("local_linear", 0)])
 
+    def test_rejects_two_dimensional_y(self):
+        y = gpd_inverse_cdf(np.random.default_rng(5).random(50), 2.0, 0.2)
+        with pytest.raises(InvalidInput, match="1-d"):
+            fit_pot_additive(y[:, None], None, VAR_ES, [])
+
     def test_min_norm_point_is_the_only_reduction(self):
         y = gpd_inverse_cdf(np.random.default_rng(5).random(50), 2.0, 0.2)
         with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from gsda import (
+    FitTrace,
     GsParams,
     SmootherSpec,
     fit_quantile_additive,
@@ -12,7 +15,7 @@ from gsda import (
 from gsda import _kernels, quantile
 from gsda.engine import sample_unit_ball
 from gsda.errors import ExtrapolationWarning, InvalidInput
-from gsda.smoothing import AdditiveProjector
+from gsda.smoothing import AdditiveProjector, CoordinateMap
 
 from _oracles import (
     central_diff,
@@ -124,8 +127,11 @@ def kink_path(monkeypatch, q, y, alpha, u_full):
         return u_full[:, kink].copy()
 
     monkeypatch.setattr(quantile, "sample_unit_ball", sampler)
-    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, "average", None)
-    assert out[3] == kink.size
+    # in the identity coordinate map the step's coordinates are g_hat itself
+    trace = FitTrace()
+    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, "average", None,
+                                        CoordinateMap(np.eye(n), np.eye(n)), trace)
+    assert trace.ball_coordinates == kink.size
     return out
 
 
@@ -147,7 +153,7 @@ class TestKinkCoordinates:
                 u_full = sample_unit_ball(n, m, np.random.default_rng(seed))
                 want = pinball_subgradient_full_ball(
                     q, y, alpha, EPS, m, np.random.default_rng(seed))
-                g, gnorm, method, _ = kink_path(monkeypatch, q, y, alpha, u_full)
+                g, gnorm, method = kink_path(monkeypatch, q, y, alpha, u_full)
                 monkeypatch.undo()
                 assert method == "average"
                 assert np.max(np.abs(g - want[0])) <= 1e-12
@@ -165,15 +171,18 @@ class TestKinkCoordinates:
 
     def test_empty_kink_set_draws_nothing(self):
         q, y = residual_design(self.DESIGNS["empty"], 2)
-        coords = AdditiveProjector(None, [], q.size).coordinate_map()
+        n = q.size
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         base = pinball_grad(q, y, 0.7)
-        for mode, want in (("qp", coords.coef @ base), ("average", base)):
-            g, gnorm, _, drawn = quantile._sampled_subgradient(
-                q, y, 0.7, EPS, q.size + 1, mode, rng, coords)
-            assert drawn == 0
-            assert g.tobytes() == want.tobytes()
+        for coords in (AdditiveProjector(None, [], n).coordinate_map(),
+                       CoordinateMap(np.eye(n), np.eye(n))):
+            for mode in ("qp", "average"):
+                trace = FitTrace()
+                c, gnorm, _ = quantile._sampled_subgradient(
+                    q, y, 0.7, EPS, n + 1, mode, rng, coords, trace)
+                assert trace.ball_coordinates == 0
+                assert c.tobytes() == (coords.coef @ base).tobytes()
         assert rng.bit_generator.state == state
 
     def test_fit_counts_drawn_coordinates(self, monkeypatch):
@@ -264,6 +273,11 @@ class TestAdditiveFit:
         pred = predict_quantile(model, np.array([[w[17]]]))
         assert pred[0] == pytest.approx(model.q[17], abs=1e-6)
 
+    @pytest.mark.parametrize("W_new", [None, 0.5])
+    def test_predict_needs_a_covariate_column(self, hetero_model, W_new):
+        with pytest.raises(InvalidInput, match="covariate columns"):
+            predict_quantile(hetero_model[2], W_new)
+
     def test_predict_extrapolation_warns(self, hetero_model):
         w, _, model = hetero_model
         with pytest.warns(ExtrapolationWarning):
@@ -317,17 +331,21 @@ class TestAverageModeDirection:
         specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
         estimates, pairs = [], []
         sampled, descend = quantile._sampled_subgradient, quantile.descend
+        identity = CoordinateMap(np.eye(80), np.eye(80))
 
-        def spy_sampled(*args, **kwargs):
-            out = sampled(*args, **kwargs)
-            estimates.append(out[0])
-            return out
+        def spy_sampled(q, yy, alpha, eps, m, mode, rng, coords, trace):
+            # g_hat from the same draws, as the coordinates of the identity map
+            estimates.append(sampled(q, yy, alpha, eps, m, mode, copy.deepcopy(rng),
+                                     identity, FitTrace())[0])
+            return sampled(q, yy, alpha, eps, m, mode, rng, coords, trace)
 
-        def spy_descend(objective, x, f, estimate, direction, *args, **kwargs):
-            def record(*step_args):
-                pairs.append((estimates[-1], direction(*step_args)))
-                return pairs[-1][1]
-            return descend(objective, x, f, estimate, record, *args, **kwargs)
+        def spy_descend(objective, x, f, estimate, *args, **kwargs):
+            def record(q, eps):
+                out = estimate(q, eps)
+                if out[0] is not None:
+                    pairs.append((estimates[-1], out[0]))
+                return out
+            return descend(objective, x, f, record, *args, **kwargs)
 
         monkeypatch.setattr(quantile, "_sampled_subgradient", spy_sampled)
         monkeypatch.setattr(quantile, "descend", spy_descend)
@@ -383,10 +401,11 @@ class TestQpMode:
             rng = np.random.default_rng(4)
             drawn.clear()
             seen.clear()
-            g, gnorm, method, count = quantile._sampled_subgradient(
-                q, y, 0.8, eps, r + 1, "qp", rng, coords)
+            trace = FitTrace()
+            g, gnorm, method = quantile._sampled_subgradient(
+                q, y, 0.8, eps, r + 1, "qp", rng, coords, trace)
             (u,), (rows,) = drawn, seen
-            assert u.shape == (r + 1, r) and count == r
+            assert u.shape == (r + 1, r) and trace.ball_coordinates == r
             want = pinball_coordinate_rows(q, y, 0.8, eps, u, coords)
             assert rows.shape == want.shape == (r + 2, r)
             assert np.max(np.abs(rows - want)) <= 1e-12
@@ -460,6 +479,10 @@ class TestValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             fit_quantile_additive(np.array([1.0, np.nan, 2.0]), None, 0.5, [])
+
+    def test_rejects_two_dimensional_y(self):
+        with pytest.raises(InvalidInput, match="1-d"):
+            fit_quantile_additive(np.arange(12.0)[:, None], None, 0.5, [])
 
     def test_covariate_rows_must_match_y(self):
         rng = np.random.default_rng(3)

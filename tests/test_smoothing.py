@@ -85,8 +85,13 @@ class TestLocalLinear:
         with pytest.raises(InvalidInput):
             AdditiveProjector(np.array([[1.0]]), [SmootherSpec("local_linear", 0,
                                                                bandwidth=0.5)])
-        with pytest.raises(InvalidInput):
-            SmootherSpec("local_linear", 0, bandwidth=-1.0)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(InvalidInput):
+                SmootherSpec("local_linear", 0, bandwidth=bad)
+            with pytest.raises(InvalidInput):
+                SmootherSpec("local_linear", 0, target_df=bad)
+            with pytest.raises(InvalidInput):
+                effective_df(np.linspace(0.0, 1.0, 10), bad)
 
 
 class TestEffectiveDf:
@@ -493,11 +498,12 @@ class TestCoordinateMap:
             maps.append(coordinate_map(self))
             return maps[-1]
 
-        def spy_descend(objective, x, f, estimate, direction, *args, **kwargs):
-            def record(*step_args):
-                steps.append(direction(*step_args))
-                return steps[-1]
-            return descend(objective, x, f, estimate, record, *args, **kwargs)
+        def spy_descend(objective, x, f, estimate, *args, **kwargs):
+            def record(q, eps):
+                out = estimate(q, eps)
+                steps.append(out[0])
+                return out
+            return descend(objective, x, f, record, *args, **kwargs)
 
         monkeypatch.setattr(AdditiveProjector, "coordinate_map", spy_map)
         monkeypatch.setattr(quantile, "descend", spy_descend)
