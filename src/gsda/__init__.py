@@ -18,7 +18,7 @@ from .engine import (
     sample_unit_ball,
     sum_of_squares,
 )
-from .minnorm import GradientSet, MinNormResult, average_fallback, min_norm_point
+from .minnorm import GradientSet, MinNormResult, min_norm_point
 from .pot import (
     FunctionalSpec,
     Lambda,
@@ -53,7 +53,7 @@ __all__ = [
     "AdditiveFit", "AdditiveProjector", "CoordinateMap", "FitTrace", "FunctionalSpec",
     "GradientSet", "GsParams", "Lambda", "MinNormResult", "Objective",
     "PotModel", "PotState", "QuantileModel", "SmootherSpec",
-    "approx_subgradient", "armijo_search", "average_fallback", "bandwidth_for_df",
+    "approx_subgradient", "armijo_search", "bandwidth_for_df",
     "effective_df", "fit_pot_additive", "fit_quantile_additive",
     "functional_map", "gpd_loglik", "gpd_loglik_grad", "gsda_minimize",
     "jacobian_blocks", "l1_norm", "min_norm_point",

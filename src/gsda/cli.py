@@ -252,8 +252,6 @@ def _run_entries(gs, trace):
     for fit-pot, r for fit-quantile in qp mode, absent otherwise.
     """
     subspace = [] if trace.subspace_dim is None else [("subspace_dim", trace.subspace_dim)]
-    fallbacks = sum(r.method == "average" for r in trace.records) \
-        if gs.subgradient_mode == "qp" else 0
     return [
         ("subgradient_mode", gs.subgradient_mode), ("m", trace.m), *subspace,
         ("beta", gs.beta), ("mu", gs.mu), ("lambda", gs.lam),
@@ -262,9 +260,7 @@ def _run_entries(gs, trace):
         ("max_iter", gs.max_iter), ("max_backtracks", gs.max_backtracks),
         ("kernel_path", _kernels.ACTIVE), ("converged", trace.converged),
         ("iterations", len(trace)), ("accepted_steps", len(trace.accepted)),
-        # qp-mode iterations whose min-norm solve fell back to the average
-        ("minnorm_fallbacks", fallbacks), ("rejected_draws", trace.rejected_draws),
-        ("backfit_sweeps", trace.backfit_sweeps),
+        ("rejected_draws", trace.rejected_draws), ("backfit_sweeps", trace.backfit_sweeps),
         ("projections_unconverged", trace.projections_unconverged),
     ]
 

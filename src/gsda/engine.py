@@ -25,7 +25,7 @@ estimate, and alone adds the rejections to ``trace.rejected_draws``.
 :func:`approx_subgradient` and the POT fitter build their m+1 gradient
 rows with it and reduce them to their min-norm point (:mod:`gsda.minnorm`:
 a closed-form face pass for at most 8 distinct rows in R^1 or R^2,
-Wolfe's algorithm otherwise; their mean only where Wolfe fails).  The
+Wolfe's algorithm otherwise; no other reduction stands in).  The
 pinball fitter's kink draw never leaves the domain and bypasses it; only
 that fitter reads ``GsParams.subgradient_mode``.
 """
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingExhausted
-from .minnorm import GradientSet, average_fallback, min_norm_point
+from .minnorm import GradientSet, min_norm_point
 
 SUBGRADIENT_MODES = ("qp", "average")
 # draws per evaluate call in sample_rows, trial steps per stacked ray call
@@ -280,8 +280,9 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     Draws m ball points, rejects any that land outside the domain
     (eval +inf or non-finite gradient) and redraws them through
     :func:`sample_rows`, then reduces the m+1 gradients to their
-    min-norm point, or to their mean where Wolfe's solver fails.  A
-    mode other than qp raises :class:`InvalidInput`.  When a trace is
+    min-norm point.  A mode other than qp raises :class:`InvalidInput`;
+    a failed solve, a solver bug, raises :class:`NumericalFailure`
+    (exit 4 on the command line) with no fallback.  When a trace is
     given, the resolved m is set on it and the sampler adds the rejected
     draws to ``trace.rejected_draws``.
     """
@@ -307,12 +308,8 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
                     rows.append(gt)
         return np.reshape(rows, (-1, obj.dim))
 
-    grad_set = GradientSet(sample_rows(
-        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace))
-    try:
-        return min_norm_point(grad_set)
-    except NumericalFailure:
-        return average_fallback(grad_set)
+    return min_norm_point(GradientSet(sample_rows(
+        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace)))
 
 
 def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
@@ -411,7 +408,7 @@ def gsda_minimize(obj, x0, params=None):
 
     def estimate(x, eps):
         res = approx_subgradient(obj, x, eps, params, rng, trace)
-        return (-res.point / res.norm if res.norm else None), res.norm, res.method
+        return (-res.point / res.norm if res.norm else None), res.norm, "qp"
 
     trace = FitTrace()
     x = descend(obj.eval, x, f, estimate, params, trace)

@@ -15,10 +15,11 @@ duplicate rows and hands the distinct ones to one of two exact solvers:
   algorithm, an active-set method run on all distinct rows (the hull of
   all points equals the hull of its vertices).
 
-A plain average of the vectors is available as a fallback for the
-iterations where the active-set solve breaks down.
+Both solve on rows scaled exactly into one range, so a failure is a solver
+bug and raises :class:`NumericalFailure`; no other reduction stands in.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -29,8 +30,7 @@ from .errors import InvalidInput, NumericalFailure
 
 _DROP_TOL = 1e-12
 # bound on the KKT residual max_j (||g||^2 - g.z_j)+ at the returned
-# point, relative to min(1, max_j ||z_j||^2) + ||g||^2, so that rows
-# scaled below unit norm scale the point with them
+# point, relative to max_j ||z_j||^2 + ||g||^2
 _KKT_TOL = 1e-10
 _ZERO = np.zeros(1)
 _FEW = 8
@@ -53,60 +53,54 @@ class GradientSet:
             raise InvalidInput("gradient set contains non-finite entries")
         object.__setattr__(self, "vectors", v)
 
-    @property
-    def n(self):
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class MinNormResult:
     point: np.ndarray
     weights: np.ndarray
     norm: float
-    method: str = "qp"
-
-
-def average_fallback(grad_set):
-    """Arithmetic mean of the set with uniform convex weights."""
-    z = grad_set.vectors
-    count = z.shape[0]
-    point = z.mean(axis=0)
-    weights = np.full(count, 1.0 / count)
-    return MinNormResult(point, weights, float(np.linalg.norm(point)), "average")
 
 
 def min_norm_point(grad_set):
     """Projection of the origin onto the convex hull of the set, to ``_KKT_TOL``.
 
+    The solvers see the distinct rows scaled by a power of two (rounding
+    nothing) to a largest entry in [1/2, 1), and the point maps back exactly.
+
     Raises
     ------
     NumericalFailure
-        When Wolfe's active-set iteration stalls or exceeds its cap of
-        100*(m+1) steps; callers are expected to fall back to
-        :func:`average_fallback`.
+        Only on a solver bug (exit 4 on the command line; nothing stands in):
+        Wolfe's iteration stalls or exceeds its cap of 100*(m+1) steps, or the
+        point exceeds a feasible point's norm past what Wolfe's stop allows.
     """
     z = grad_set.vectors
     count = z.shape[0]
     first = _distinct_rows(z)
     uniq = z[first]
-    if uniq.shape[0] == 1:
-        weights = np.zeros(count)
-        weights[first[0]] = 1.0
-        point = uniq[0].copy()
-        return MinNormResult(point, weights, float(np.linalg.norm(point)), "qp")
-    planar = uniq.shape[0] <= _FEW and uniq.shape[1] <= 2
-    point, w_uniq = _plane_faces(uniq) if planar else _wolfe(uniq, cap=100 * count)
-
     weights = np.zeros(count)
+    if uniq.shape[0] == 1:  # uniq is a copy of the rows, so its row is the point's own
+        weights[first] = 1.0
+        return MinNormResult(uniq[0], weights, float(np.linalg.norm(uniq[0])))
+    shift = int(np.frexp(np.abs(uniq).max())[1])
+    q = np.ldexp(uniq, -shift)
+    if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
+        w_uniq = _plane_faces(q)
+        point = w_uniq @ uniq
+    else:
+        x, w_uniq = _wolfe(q, cap=100 * count)
+        point = np.ldexp(x, shift)
+
     weights[first] = w_uniq
     weights /= weights.sum()
     norm = float(np.linalg.norm(point))
     row_norms = np.linalg.norm(z, axis=1)
-    mean_norm = np.linalg.norm(z.mean(axis=0))
-    bound = min(row_norms.min(), mean_norm)
-    if norm > bound + 1e-9 * (1.0 + bound):
+    bound = min(row_norms.min(), np.linalg.norm(z.mean(axis=0)))
+    # Wolfe's stop, resid <= _KKT_TOL*(max row norm^2 + norm^2), puts the
+    # point within sqrt(2*resid) of the minimizer
+    if norm > bound + math.sqrt(2.0 * _KKT_TOL * (row_norms.max() ** 2 + norm * norm)):
         raise NumericalFailure("min-norm solution exceeds a feasible point's norm")
-    return MinNormResult(point, weights, norm, "qp")
+    return MinNormResult(point, weights, norm)
 
 
 def _distinct_rows(z):
@@ -133,17 +127,15 @@ def _faces(count):
     return i, j, tri, tri[[1, 2, 0]], tri[[2, 0, 1]]  # and (b, c, a), (c, a, b)
 
 
-def _plane_faces(p):
-    """Exact min-norm point over 2 to ``_FEW`` distinct rows p in R^1 or R^2.
+def _plane_faces(q):
+    """Weights of the exact min-norm point over 2 to ``_FEW`` distinct rows q.
 
-    The rows become points x + iy, scaled by a power of two (rounding
-    nothing) to a largest entry in [1/2, 1) so that no product under- or
-    overflows; every edge's clipped projection (vertices are its ends) and
-    every origin-holding triangle's barycentric point are scored at once.
+    The rows, in R^1 or R^2 and scaled so that no product under- or overflows,
+    become points x + iy; every edge's clipped projection (vertices are its
+    ends) and every origin-holding triangle's barycentric point are scored at once.
     """
-    q = np.ldexp(p, -np.frexp(np.abs(p).max())[1])
     v = q.view(complex).ravel() if q.shape[1] == 2 else q[:, 0] + 0j
-    i, j, tri, nxt, opp = _faces(p.shape[0])
+    i, j, tri, nxt, opp = _faces(q.shape[0])
     vi = v[i]
     d = v[j] - vi
     dd = d.real ** 2 + d.imag ** 2
@@ -160,7 +152,7 @@ def _plane_faces(p):
     t = np.minimum(np.maximum(t, 0.0), 1.0)
     points = np.concatenate((vi + t * d, bary))
     k = int((points.real ** 2 + points.imag ** 2).argmin())
-    w = np.zeros(p.shape[0])
+    w = np.zeros(q.shape[0])
     if k < i.size:
         w[i[k]], w[j[k]] = 1.0 - t[k], t[k]
     else:
@@ -170,7 +162,7 @@ def _plane_faces(p):
         resid = lam[:, k] @ v[tri[:, k]]
         fix = ((v[opp[:, k]] - v[nxt[:, k]]).conj() * resid).imag / det[k]
         w[tri[:, k]] = np.maximum(lam[:, k] - fix, 0.0)
-    return w @ p, w
+    return w
 
 
 def _affine_min(q):
@@ -193,11 +185,14 @@ def _affine_min(q):
 
 
 def _wolfe(p, cap):
-    """Wolfe's min-norm-point algorithm over the rows of p (all distinct)."""
+    """Wolfe's min-norm point ``(x, weights)`` over the distinct rows of p."""
     norms2 = np.einsum("ij,ij->i", p, p)
-    # the residual scales with the rows; an absolute floor of _KKT_TOL
-    # would stop short on small rows
-    floor = min(1.0, float(norms2.max()))
+    # a power of four (rounding nothing) puts every squared row norm below 1:
+    # each affine solve's Gram block stays below the ones bordering it, and
+    # the stopping floor is the largest squared row norm
+    k = (int(np.frexp(norms2.max())[1]) + 1) // 2
+    p, norms2 = np.ldexp(p, -k), np.ldexp(norms2, -2 * k)
+    floor = float(norms2.max())
     active = [int(norms2.argmin())]
     w = np.ones(1)
     iterations = 0
@@ -239,4 +234,4 @@ def _wolfe(p, cap):
             w /= w.sum()
     w_full = np.zeros(p.shape[0])
     w_full[active] = w
-    return x, w_full
+    return np.ldexp(x, k), w_full

@@ -19,8 +19,7 @@ an orthonormal basis of range(L) and u uniform in the 2r-ball.  The
 sampled gradients become the (m+1) x 2r coordinate rows ``g @ K``, where
 K = J^-1 blockdiag(M^T, M^T) maps an (eta, kappa) gradient g straight
 to the coordinates of its projected functional-space halves, and
-the min-norm point of those rows is c; their mean stands in only
-when Wolfe's solver fails.  The step is -L c/||c||, and
+the min-norm point of those rows is c.  The step is -L c/||c||, and
 ||c|| = ||P g_hat|| is the stationarity and Armijo measure.  The default
 m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
 
@@ -49,7 +48,7 @@ from .errors import (
     NumericalFailure,
     SingularBlock,
 )
-from .minnorm import GradientSet, average_fallback, min_norm_point
+from .minnorm import GradientSet, min_norm_point
 from .smoothing import AdditiveProjector
 
 _DET_TOL = 1e-12
@@ -132,11 +131,10 @@ class FunctionalSpec:
 
 @dataclass(frozen=True, eq=False)
 class PotState:
-    """A Lambda iterate with its functionals and Jacobian blocks."""
+    """A Lambda iterate with its functionals and inverse Jacobian blocks."""
 
     lam: Lambda
     theta_pair: tuple
-    jac_blocks: np.ndarray  # (n, 2, 2), rows = functionals, cols = (eta, kappa)
     jac_inverses: np.ndarray
     spec: FunctionalSpec
     _frame: tuple = field(default=None, init=False, repr=False)
@@ -146,7 +144,7 @@ class PotState:
         jac, inv = jacobian_blocks(lam, spec)
         # each functional is sigma times a function of kappa, so its eta
         # derivative is the functional itself
-        return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), jac, inv, spec)
+        return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec)
 
     @property
     def n(self):
@@ -438,14 +436,11 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     def estimate(x, eps):
         here = state_at(x)
-        rows = GradientSet(-_theta_grad_rows(here, y, eps, m, rng, coords, trace, scratch))
-        try:
-            res = min_norm_point(rows)
-        except NumericalFailure:
-            res = average_fallback(rows)
+        res = min_norm_point(GradientSet(
+            -_theta_grad_rows(here, y, eps, m, rng, coords, trace, scratch)))
         # -L c/||c||, L from the frame the rows were sampled in
         step = here.frame(y, coords)[0] @ (-res.point / res.norm) if res.norm else None
-        return step, res.norm, res.method
+        return step, res.norm, "qp"
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
     # the fitted model keeps no sampling frame

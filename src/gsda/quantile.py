@@ -43,8 +43,8 @@ import numpy as np
 
 from . import _kernels
 from .engine import FitTrace, GsParams, descend, sample_unit_ball
-from .errors import InvalidInput, NumericalFailure
-from .minnorm import GradientSet, average_fallback, min_norm_point
+from .errors import InvalidInput
+from .minnorm import GradientSet, min_norm_point
 from .smoothing import AdditiveProjector
 
 
@@ -109,12 +109,9 @@ def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace):
             u = sample_unit_ball(coords.dim, m, rng)
             moved = _kernels.pinball_grad(q[kink] + eps * (u @ B[kink].T), y[kink], alpha)
             rows[1:] += (moved - base[kink]) @ M[:, kink].T
-        try:
-            res = min_norm_point(GradientSet(rows))
-        except NumericalFailure:
-            res = average_fallback(GradientSet(rows))
+        res = min_norm_point(GradientSet(rows))
         trace.ball_coordinates += coords.dim if kink.size else 0
-        return res.point, res.norm, res.method
+        return res.point, res.norm, "qp"
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
     g = base.copy()
     if kink.size:

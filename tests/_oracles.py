@@ -290,10 +290,12 @@ def per_sample_theta_grad(state, y, eps, m, rng, coords):
 def min_norm_point_unique(z):
     """(point, weights) of ``min_norm_point`` with an ``np.unique`` dedupe.
 
-    The distinct rows go, in ``np.unique(axis=0)`` order, to the exact
-    solver ``min_norm_point`` picks for them (the planar face pass for at
-    most ``_FEW`` rows in R^1 or R^2, Wolfe otherwise); weights go to each
-    distinct row's first occurrence.
+    The distinct rows go, in ``np.unique(axis=0)`` order and scaled by the
+    power of two that brings their largest entry into [1/2, 1), to the
+    exact solver ``min_norm_point`` picks for them (the planar face pass
+    for at most ``_FEW`` rows in R^1 or R^2, Wolfe otherwise), and the
+    point is mapped back as it maps it; weights go to each distinct row's
+    first occurrence.
     """
     from gsda.minnorm import _FEW, _plane_faces, _wolfe
 
@@ -304,10 +306,14 @@ def min_norm_point_unique(z):
     if uniq.shape[0] == 1:
         weights[first[0]] = 1.0
         return uniq[0].copy(), weights
+    shift = np.frexp(np.abs(uniq).max())[1]
+    scaled = np.ldexp(uniq, -shift)
     if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
-        point, w_uniq = _plane_faces(uniq)
+        w_uniq = _plane_faces(scaled)
+        point = w_uniq @ uniq
     else:
-        point, w_uniq = _wolfe(uniq, cap=100 * count)
+        x, w_uniq = _wolfe(scaled, cap=100 * count)
+        point = np.ldexp(x, shift)
     weights[first] = w_uniq
     weights /= weights.sum()
     return point, weights

@@ -173,8 +173,7 @@ class TestRunDiagnostics:
         assert int(diag["accepted_steps"]) <= int(diag["iterations"]) <= 50
         # the keys minimize wrote before it reported its settings keep their order
         older = ["task", "objective", "seed", "converged", "iterations",
-                 "minnorm_fallbacks", "rejected_draws", "final_f", "final_x",
-                 "distance_to_minimum"]
+                 "rejected_draws", "final_f", "final_x", "distance_to_minimum"]
         assert [k for k in diag if k in older] == older
 
     def test_fits_share_one_diagnostics_block(self, tmp_path):
@@ -182,8 +181,7 @@ class TestRunDiagnostics:
         # their own head and tail entries; fit-quantile never rejects a draw
         shared = ["n", "dropped_rows", "seed", *RUN_KEYS[:2], "subspace_dim",
                   *RUN_KEYS[2:], "converged", "iterations", "accepted_steps",
-                  "minnorm_fallbacks", "rejected_draws", "backfit_sweeps",
-                  "projections_unconverged"]
+                  "rejected_draws", "backfit_sweeps", "projections_unconverged"]
         for kind in ("hetero", "gpd"):
             main(["simulate", "--kind", kind, "--n", "40", "--seed", "1",
                   "--output-dir", str(tmp_path / kind)])
@@ -221,47 +219,6 @@ class TestRunDiagnostics:
         assert astuple(resolved("fit-quantile")) \
             == astuple(GsParams(subgradient_mode="average"))
         assert resolved("fit-quantile", "--mode", "qp").subgradient_mode == "qp"
-
-    def test_minnorm_fallbacks_counted(self, tmp_path, monkeypatch):
-        import gsda.engine
-        import gsda.pot
-        import gsda.quantile
-        from gsda.errors import NumericalFailure
-
-        calls = []  # True for each solve forced to fail
-
-        def every_third_fails(solve):
-            def wrapper(*args):
-                calls.append(len(calls) % 3 == 0)
-                if calls[-1]:
-                    raise NumericalFailure("forced")
-                return solve(*args)
-            return wrapper
-
-        for mod in (gsda.engine, gsda.pot, gsda.quantile):
-            monkeypatch.setattr(mod, "min_norm_point", every_third_fails(mod.min_norm_point))
-        for kind in ("hetero", "gpd"):
-            main(["simulate", "--kind", kind, "--n", "50", "--seed", "1",
-                  "--output-dir", str(tmp_path / kind)])
-        runs = {
-            "minimize": ["minimize", "--max-iter", "40"],
-            "quantile": ["fit-quantile", "--input", str(tmp_path / "hetero" / "data.csv"),
-                         "--smoother", "w=local_linear", "--max-iter", "40"],
-            "pot": ["fit-pot", "--input", str(tmp_path / "gpd" / "data.csv"),
-                    "--levels", "0.01", "--exceed-prob", "0.1", "--max-iter", "40"],
-        }
-        for name, argv in runs.items():
-            for mode in ("qp", "average"):
-                calls.clear()
-                out = tmp_path / f"{name}-{mode}"
-                code = main(argv + ["--mode", mode, "--output-dir", str(out)])
-                if name != "quantile" and mode == "average":  # they run qp alone
-                    assert (code, calls) == (EXIT_INPUT, [])
-                    continue
-                fallbacks = int(read_diagnostics(out / "diagnostics.txt")["minnorm_fallbacks"])
-                raised = sum(calls)
-                assert fallbacks == raised, (name, mode)
-                assert (raised > 0) == (mode == "qp"), (name, mode)
 
 
 class TestFitPot:
@@ -381,6 +338,45 @@ class TestExitCodes:
         prefix = "error: " if error == "GsdaError" else "numerical failure: "
         assert captured.err == prefix + "forced\n"
         assert "Traceback" not in captured.out
+
+    def test_failed_min_norm_solve_exits_4(self, tmp_path, capsys, monkeypatch):
+        # no other reduction stands in for a failed solve: the third one
+        # raises, and the run exits 4 with one line on stderr
+        import gsda.engine
+        import gsda.pot
+        import gsda.quantile
+        from gsda.errors import NumericalFailure
+
+        calls = []
+
+        def third_fails(solve):
+            def wrapper(*args):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise NumericalFailure("forced")
+                return solve(*args)
+            return wrapper
+
+        for mod in (gsda.engine, gsda.pot, gsda.quantile):
+            monkeypatch.setattr(mod, "min_norm_point", third_fails(mod.min_norm_point))
+        for kind in ("hetero", "gpd"):
+            main(["simulate", "--kind", kind, "--n", "50", "--seed", "1",
+                  "--output-dir", str(tmp_path / kind)])
+        runs = {
+            "minimize": ["minimize"],
+            "quantile": ["fit-quantile", "--input", str(tmp_path / "hetero" / "data.csv"),
+                         "--smoother", "w=local_linear", "--mode", "qp"],
+            "pot": ["fit-pot", "--input", str(tmp_path / "gpd" / "data.csv"),
+                    "--levels", "0.01", "--exceed-prob", "0.1"],
+        }
+        for name, argv in runs.items():
+            calls.clear()
+            capsys.readouterr()
+            code = main(argv + ["--max-iter", "40", "--output-dir", str(tmp_path / name)])
+            captured = capsys.readouterr()
+            assert (code, len(calls)) == (EXIT_NUMERIC, 3), name
+            assert captured.err == "numerical failure: forced\n", name
+            assert "Traceback" not in captured.out + captured.err, name
 
     def test_failed_gradcheck_exits_4(self, tmp_path, capsys, monkeypatch):
         from gsda import cli

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsda import GradientSet, average_fallback, min_norm_point
+from gsda import GradientSet, min_norm_point
 from gsda import minnorm
 from gsda.errors import InvalidInput, NumericalFailure
 from gsda.minnorm import _FEW, _distinct_rows, _wolfe
@@ -23,7 +23,6 @@ class TestMinNormPoint:
         assert np.allclose(res.point, [3.0, 4.0])
         assert res.norm == pytest.approx(5.0)
         assert np.allclose(res.weights, [1.0])
-        assert res.method == "qp"
 
     def test_origin_inside_hull_1d(self):
         res = min_norm_point(mk([[-1.0], [2.0]]))
@@ -72,8 +71,7 @@ class TestMinNormPoint:
             assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.allclose(res.weights @ z, res.point, atol=1e-10)
             assert res.norm <= np.linalg.norm(z, axis=1).min() + 1e-9
-            avg = average_fallback(GradientSet(z))
-            assert res.norm <= avg.norm + 1e-9
+            assert res.norm <= np.linalg.norm(z.mean(axis=0)) + 1e-9
 
     def test_norm_below_barycentric_grid_oracle(self):
         # grid resolution 1e-2 up to 3 vectors, coarser for larger sets;
@@ -104,8 +102,7 @@ def test_permutation_invariance(data):
 
 
 ROSENBROCK_BUNDLES = [
-    # Wolfe's active-set solve ends past a feasible point's norm on this
-    # one, and the engine used to fall back to the mean
+    # Wolfe's active-set solve used to end past a feasible point's norm on this one
     [[19.99984551366705, -10.0], [-19.999855033552087, 10.0],
      [-19.999862383403315, 10.0], [19.999860637937438, -10.0]],
     # unrefined barycentric weights end 1.1e-9 from 0 here, twice Wolfe's 5e-10
@@ -119,7 +116,6 @@ def test_near_antipodal_bundles_are_solved(z):
     # nonsmooth-Rosenbrock bundles straddling the kink (minimize, seed 0)
     z = np.array(z)
     res = min_norm_point(GradientSet(z))
-    assert res.method == "qp"
     assert np.all(res.weights >= 0.0)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
     point, _ = _wolfe(z[_distinct_rows(z)], cap=400)
@@ -174,7 +170,6 @@ def test_planar_solve_is_exact(z):
     with mock.patch.object(minnorm, "_wolfe", wraps=_wolfe) as wolfe:
         res = min_norm_point(GradientSet(z))
     assert wolfe.call_count == 0
-    assert res.method == "qp"
     assert np.all(res.weights >= 0.0)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(res.weights @ z - res.point) <= 1e-12 * scale)
@@ -197,19 +192,6 @@ def test_larger_sets_reach_wolfe(seed, shape):
     assert wolfe.call_count == 1
 
 
-class TestAverageFallback:
-    def test_examples(self):
-        assert np.allclose(average_fallback(mk([[1.0, 0.0], [0.0, 1.0]])).point,
-                           [0.5, 0.5])
-        assert np.allclose(average_fallback(mk([[2.0], [4.0], [6.0]])).point, [4.0])
-        assert np.allclose(average_fallback(mk([[-1.0], [1.0]])).point, [0.0])
-
-    def test_uniform_weights_and_method(self):
-        res = average_fallback(mk([[1.0], [2.0], [3.0]]))
-        assert res.method == "average"
-        assert np.allclose(res.weights, [1 / 3] * 3)
-
-
 class TestScaleEquivariance:
     @pytest.mark.parametrize("k, d, spread", [(2, 2, 0.01), (9, 3, 0.03), (121, 2, 0.1)])
     def test_scaled_rows_scale_the_point(self, k, d, spread):
@@ -223,3 +205,55 @@ class TestScaleEquivariance:
             for s in (1.0, 1e-3, 1e-6):
                 got = min_norm_point(GradientSet(s * z)).point / s
                 assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@st.composite
+def hard_sets(draw):
+    """Finite sets that once made the solve raise, and other awkward ones.
+
+    Rows scaled by 1e+-150; near-antipodal bundles +-a plus 1e-6 noise;
+    integer-rounded rows with zero rows and duplicates; a column shrunk
+    by 1e-9.  d = 1 to 6 (2 to 6 for the bundles), N = 2 to 60.
+    """
+    family = draw(st.sampled_from(["scaled", "antipodal", "integer", "shrunk"]))
+    d = draw(st.integers(2 if family == "antipodal" else 1, 6))
+    count = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "scaled":
+        return rng.normal(size=(count, d)) * draw(st.sampled_from([1e-150, 1e150]))
+    if family == "antipodal":
+        a = rng.normal(size=d)
+        return np.where(rng.random((count, 1)) < 0.5, a, -a) + 1e-6 * rng.normal(size=(count, d))
+    if family == "integer":
+        z = np.round(rng.normal(scale=2.0, size=(count, d)))
+        z[rng.integers(0, count, count // 4 + 1)] = 0.0
+        return z[rng.integers(0, count, count)]
+    z = rng.normal(size=(count, d))
+    z[:, draw(st.integers(0, d - 1))] *= 1e-9
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_sets())
+def test_every_finite_set_is_solved(z):
+    res = min_norm_point(GradientSet(z))  # never raises
+    assert np.all(res.weights >= 0.0)
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(res.weights @ z - res.point) <= 1e-10 * np.abs(z).max())
+    # Wolfe's stop certifies ||x - x*||^2 <= 2*_KKT_TOL*(max_j ||z_j||^2 + ||x||^2)
+    row_norms = np.linalg.norm(z, axis=1)
+    slack = np.sqrt(2.0 * minnorm._KKT_TOL * (row_norms.max() ** 2 + res.norm ** 2))
+    assert res.norm <= min(row_norms.min(), np.linalg.norm(z.mean(axis=0))) + slack
+
+
+def test_a_non_minimal_wolfe_point_raises(monkeypatch):
+    # a solver that stops at the longest vertex fails the feasible-norm check
+    def longest_vertex(p, cap):
+        w = np.zeros(p.shape[0])
+        w[np.einsum("ij,ij->i", p, p).argmax()] = 1.0
+        return w @ p, w
+
+    monkeypatch.setattr(minnorm, "_wolfe", longest_vertex)
+    z = np.vstack([np.eye(3), [[4.0, 4.0, 4.0]]])
+    with pytest.raises(NumericalFailure, match="exceeds a feasible point's norm"):
+        min_norm_point(GradientSet(z))

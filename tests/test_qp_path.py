@@ -17,7 +17,6 @@ from gsda import (
     GradientSet,
     GsParams,
     SmootherSpec,
-    average_fallback,
     fit_pot_additive,
     min_norm_point,
 )
@@ -173,11 +172,10 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
         assert redrawn > 0 and exhausted > 0
 
 
-def test_average_mode_is_the_mean_of_the_rows(monkeypatch):
-    # the fitter reduces its rows by Wolfe's min-norm point; when Wolfe's
-    # solver fails, the estimate is the rows' mean, bit for bit.  Either
-    # way it steps along -J^-1 blockdiag(B, B) c for its c, so one
-    # iteration of a fit lands on that point exactly
+def test_fit_steps_along_the_min_norm_point(monkeypatch):
+    # the fitter reduces its rows to their min-norm point c and steps along
+    # -J^-1 blockdiag(B, B) c, so one iteration of a fit lands on that point
+    # exactly; a failed solve raises, with no other reduction in its place
     import gsda.pot
 
     def wolfe_fails(rows):
@@ -187,19 +185,21 @@ def test_average_mode_is_the_mean_of_the_rows(monkeypatch):
     W = np.linspace(0.0, 1.0, n)[:, None]
     specs = [SmootherSpec("local_linear", 0)]
     coords = AdditiveProjector(W, specs).coordinate_map()
-    for seed, method in enumerate(["average", "qp"] * 3):
-        monkeypatch.setattr(gsda.pot, "min_norm_point",
-                            wolfe_fails if method == "average" else min_norm_point)
+    for seed, fails in enumerate([True, False] * 3):
+        monkeypatch.setattr(gsda.pot, "min_norm_point", wolfe_fails if fails else min_norm_point)
         y = gpd_inverse_cdf(np.random.default_rng(seed).random(n), 2.0, 0.2)
         gs = GsParams(max_iter=1, seed=seed)
+        if fails:
+            with pytest.raises(NumericalFailure, match="forced"):
+                fit_pot_additive(y, W, VAR_ES, specs, gs)
+            continue
         model = fit_pot_additive(y, W, VAR_ES, specs, gs)
         state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES)
         rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
                                              np.random.default_rng(seed), coords))
-        reduce = average_fallback if method == "average" else min_norm_point
-        c = reduce(rows).point
+        c = min_norm_point(rows).point
         record = model.trace.records[0]
-        assert (record.method, record.event) == (method, "step")
+        assert (record.method, record.event) == ("qp", "step")
         assert record.gnorm == np.linalg.norm(c)
         v = _lift(state.jac_inverses, coords.basis) @ (-c / record.gnorm)
         x = state.lam.as_vector() + record.t * v
@@ -287,6 +287,5 @@ def test_min_norm_point_matches_unique_reference(z):
         assert got == want
         return
     point, weights = want
-    assert got.method == "qp"
     assert np.array_equal(bits(got.point), bits(point))
     assert np.array_equal(bits(got.weights), bits(weights))
