@@ -15,9 +15,11 @@ returns its step vector with the norm that gauges it;
 thin adapters around it.
 
 :func:`armijo_search` tries the steps 1, 1/2, ..., 2^-max_backtracks.
-The quantile fitter's ray evaluates them as (k, d) stacks of up to
-``_ROW_BLOCK`` points, one kernel call a stack; the POT fitter and
-:func:`gsda_minimize` evaluate one point a call, faster for them.
+The quantile fitter's ray, and :func:`gsda_minimize`'s on a ``stacked``
+objective (every built-in one), evaluate them as (k, d) stacks of up to
+``_ROW_BLOCK`` points, one call a stack; the POT fitter evaluates one
+point a call, faster for it.  A stacked objective also gets each block
+of ball draws in one ``eval`` call and one ``grad`` call.
 
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
@@ -126,12 +128,19 @@ class Objective:
     """A scalar objective with a gradient defined off a null set.
 
     ``eval`` may return +inf to mark points outside the domain; ``grad``
-    is only consulted where ``eval`` is finite.
+    is only consulted where ``eval`` is finite.  A point is a 1-D array
+    of length ``dim``, for which ``eval`` returns a scalar and ``grad`` a
+    ``dim``-vector.  When ``stacked`` is True, both also take a (k, dim)
+    stack of points, one per row: ``eval`` returns the k values, shape
+    (k,), and ``grad`` the k gradients as (k, dim) rows, each equal to
+    its point's one-point result.  :func:`gsda_minimize` then evaluates
+    each block of ball draws, and each Armijo ladder, in one call.
     """
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     dim: int
+    stacked: bool = False
 
 
 @dataclass
@@ -228,8 +237,8 @@ def sample_unit_ball(n, m, rng, dim=None):
     if dim > n:
         norms = np.sqrt(np.einsum("ij,ij->i", z, z)
                         + 2.0 * rng.standard_gamma(0.5 * (dim - n), m))
-    else:
-        norms = np.linalg.norm(z, axis=1)
+    else:  # np.linalg.norm(z, axis=1)'s own formula, without its dispatch
+        norms = np.sqrt(np.add.reduce(z * z, axis=1))
     norms[norms == 0.0] = 1.0
     radius = rng.random(m) ** (1.0 / dim)
     z *= (radius / norms)[:, None]
@@ -280,11 +289,15 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     Draws m ball points, rejects any that land outside the domain
     (eval +inf or non-finite gradient) and redraws them through
     :func:`sample_rows`, then reduces the m+1 gradients to their
-    min-norm point.  A mode other than qp raises :class:`InvalidInput`;
-    a failed solve, a solver bug, raises :class:`NumericalFailure`
-    (exit 4 on the command line) with no fallback.  When a trace is
-    given, the resolved m is set on it and the sampler adds the rejected
-    draws to ``trace.rejected_draws``.
+    min-norm point.  A ``stacked`` objective gets each block of draws
+    in one ``eval`` call and one ``grad`` call on the finite-valued
+    rows; an ``eval`` that does not return shape (k,), or a ``grad``
+    that does not return (k, d), raises :class:`InvalidInput`.  A mode
+    other than qp raises :class:`InvalidInput`; a failed solve, a
+    solver bug, raises :class:`NumericalFailure` (exit 4 on the command
+    line) with no fallback.  When a trace is given, the resolved m is
+    set on it and the sampler adds the rejected draws to
+    ``trace.rejected_draws``.
     """
     params.require_qp("the minimizer")
     x = np.asarray(x, dtype=float)
@@ -292,7 +305,7 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
     if not np.isfinite(fx):
         raise InvalidInput("approx_subgradient requires a feasible base point")
     g0 = np.asarray(obj.grad(x), dtype=float)
-    if not np.all(np.isfinite(g0)):
+    if not np.isfinite(g0).all():
         raise InvalidInput("gradient at the base point is not finite")
     m = params.resolve_m(obj.dim)
     if trace is not None:
@@ -308,8 +321,24 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None):
                     rows.append(gt)
         return np.reshape(rows, (-1, obj.dim))
 
+    def evaluate_stacked(u):
+        xs = x + eps * u
+        values = obj.eval(xs)
+        if np.shape(values) != (xs.shape[0],):
+            raise InvalidInput(f"a stacked eval must map {xs.shape} points to shape "
+                               f"({xs.shape[0]},), got {np.shape(values)}")
+        xs = xs[np.isfinite(values)]
+        if not xs.shape[0]:
+            return xs
+        g = np.asarray(obj.grad(xs), dtype=float)
+        if g.shape != xs.shape:
+            raise InvalidInput(f"a stacked grad must map {xs.shape} points to shape "
+                               f"{xs.shape}, got {g.shape}")
+        return g[np.isfinite(g).all(axis=1)]
+
     return min_norm_point(GradientSet(sample_rows(
-        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace)))
+        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng),
+        evaluate_stacked if obj.stacked else evaluate, trace)))
 
 
 def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
@@ -376,7 +405,7 @@ def descend(objective, x, f, estimate, params, trace, stacked=False):
             event, v = "shrink", (v if gnorm > tau else None)
         hit = None
         if v is not None:
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise NumericalFailure(f"non-finite step vector at iteration {it}")
             ray = ((lambda ts: objective(x + ts[:, None] * v)) if stacked
                    else (lambda t: objective(x + t * v)))
@@ -411,7 +440,7 @@ def gsda_minimize(obj, x0, params=None):
         return (-res.point / res.norm if res.norm else None), res.norm, "qp"
 
     trace = FitTrace()
-    x = descend(obj.eval, x, f, estimate, params, trace)
+    x = descend(obj.eval, x, f, estimate, params, trace, stacked=obj.stacked)
     return x, trace
 
 
@@ -420,32 +449,35 @@ def gsda_minimize(obj, x0, params=None):
 # ---------------------------------------------------------------------------
 
 def nonsmooth_rosenbrock():
-    """f(x) = 10|x2 - x1^2| + (1 - x1)^2, minimized at (1, 1)."""
+    """f(x) = 10|x2 - x1^2| + (1 - x1)^2, minimized at (1, 1); stacked."""
 
     def f(x):
-        return 10.0 * abs(x[1] - x[0] ** 2) + (1.0 - x[0]) ** 2
+        x1 = x[..., 0]
+        r = 1.0 - x1
+        return 10.0 * abs(x[..., 1] - x1 * x1) + r * r
 
     def g(x):
-        s = np.sign(x[1] - x[0] ** 2)
-        return np.array([-20.0 * s * x[0] - 2.0 * (1.0 - x[0]), 10.0 * s])
+        x1 = x[..., 0]
+        s = np.sign(x[..., 1] - x1 * x1)
+        out = np.empty(x.shape)
+        out[..., 0] = -20.0 * s * x1 - 2.0 * (1.0 - x1)
+        out[..., 1] = 10.0 * s
+        return out
 
-    return Objective(f, g, 2)
+    return Objective(f, g, 2, stacked=True)
 
 
 def l1_norm(dim):
-    """f(x) = ||x||_1."""
-    return Objective(
-        lambda x: float(np.sum(np.abs(x))),
-        lambda x: np.sign(x),
-        dim,
-    )
+    """f(x) = ||x||_1; stacked."""
+    return Objective(lambda x: np.abs(x).sum(axis=-1), np.sign, dim, stacked=True)
 
 
 def sum_of_squares(center):
-    """f(x) = ||x - center||^2."""
+    """f(x) = ||x - center||^2; stacked."""
     c = np.asarray(center, dtype=float)
     return Objective(
-        lambda x: float(np.sum((x - c) ** 2)),
+        lambda x: ((x - c) ** 2).sum(axis=-1),
         lambda x: 2.0 * (x - c),
         c.size,
+        stacked=True,
     )

@@ -9,8 +9,11 @@ duplicate rows and hands the distinct ones to one of two exact solvers:
   hull is a union of triangles, and a triangle's least point lies on an
   edge unless the triangle holds the origin, so the least of every edge
   projection and every origin-holding triangle's point is the minimizer.
-  On random planar sets its O(N^3) candidates took 57-80 us against Wolfe's
-  69-119 us for N = 2 to 8 (medians), and lost from N = 20 (169 against 138);
+  Its O(N^3) candidates are scored in plain float arithmetic: on random
+  planar sets (medians, one process, calls interleaved, 2-core Xeon) that
+  took 8-18 us for N = 2 to 4, the sizes the default m gives, against
+  28-35 us for the same pass over numpy arrays and 51-85 us for Wolfe;
+  at N = 8 it took 79 us, against 69 and 133;
 - every other set, so every set in R^3 and up: Wolfe's min-norm-point
   algorithm, an active-set method run on all distinct rows (the hull of
   all points equals the hull of its vertices).
@@ -21,7 +24,6 @@ bug and raises :class:`NumericalFailure`; no other reduction stands in.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -49,7 +51,7 @@ class GradientSet:
             raise InvalidInput(f"gradient vectors must share one dimension: {exc}")
         if v.size == 0 or v.shape[0] < 1:
             raise InvalidInput("gradient set must contain at least one vector")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidInput("gradient set contains non-finite entries")
         object.__setattr__(self, "vectors", v)
 
@@ -81,8 +83,8 @@ def min_norm_point(grad_set):
     weights = np.zeros(count)
     if uniq.shape[0] == 1:  # uniq is a copy of the rows, so its row is the point's own
         weights[first] = 1.0
-        return MinNormResult(uniq[0], weights, float(np.linalg.norm(uniq[0])))
-    shift = int(np.frexp(np.abs(uniq).max())[1])
+        return MinNormResult(uniq[0], weights, math.sqrt(uniq[0].dot(uniq[0])))
+    shift = math.frexp(np.abs(uniq).max())[1]
     q = np.ldexp(uniq, -shift)
     if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
         w_uniq = _plane_faces(q)
@@ -93,12 +95,17 @@ def min_norm_point(grad_set):
 
     weights[first] = w_uniq
     weights /= weights.sum()
-    norm = float(np.linalg.norm(point))
-    row_norms = np.linalg.norm(z, axis=1)
-    bound = min(row_norms.min(), np.linalg.norm(z.mean(axis=0)))
+    # the point may not exceed the nearer of two feasible points, the
+    # shortest row and the rows' mean; the squared row norms, taken once,
+    # give the shortest row and the largest
+    sq = (z * z).sum(axis=1)
+    mean = z.sum(axis=0) / count
+    norm2 = point.dot(point)
+    norm = math.sqrt(norm2)
     # Wolfe's stop, resid <= _KKT_TOL*(max row norm^2 + norm^2), puts the
     # point within sqrt(2*resid) of the minimizer
-    if norm > bound + math.sqrt(2.0 * _KKT_TOL * (row_norms.max() ** 2 + norm * norm)):
+    if norm > (math.sqrt(min(sq.min(), mean.dot(mean)))
+               + math.sqrt(2.0 * _KKT_TOL * (sq.max() + norm2))):
         raise NumericalFailure("min-norm solution exceeds a feasible point's norm")
     return MinNormResult(point, weights, norm)
 
@@ -119,49 +126,50 @@ def _distinct_rows(z):
     return order[first]
 
 
-@lru_cache(maxsize=None)
-def _faces(count):
-    """Edges (i, j) of ``count`` points, and triangles as columns (a, b, c) of ``tri``."""
-    i, j = np.triu_indices(count, 1)
-    tri = np.array(list(combinations(range(count), 3)), dtype=np.intp).reshape(-1, 3).T
-    return i, j, tri, tri[[1, 2, 0]], tri[[2, 0, 1]]  # and (b, c, a), (c, a, b)
-
-
 def _plane_faces(q):
     """Weights of the exact min-norm point over 2 to ``_FEW`` distinct rows q.
 
     The rows, in R^1 or R^2 and scaled so that no product under- or overflows,
-    become points x + iy; every edge's clipped projection (vertices are its
-    ends) and every origin-holding triangle's barycentric point are scored at once.
+    are points (x, y); every edge's clipped projection (vertices are its ends)
+    and every origin-holding triangle's barycentric point are scored, in edge
+    then triangle order, and the first least wins.  Python floats, not numpy
+    arrays: on a few rows numpy's per-call overhead outweighs the arithmetic.
     """
-    v = q.view(complex).ravel() if q.shape[1] == 2 else q[:, 0] + 0j
-    i, j, tri, nxt, opp = _faces(q.shape[0])
-    vi = v[i]
-    d = v[j] - vi
-    dd = d.real ** 2 + d.imag ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    x = q[:, 0].tolist()
+    y = q[:, 1].tolist() if q.shape[1] == 2 else [0.0] * len(x)
+    count = len(x)
+    best, hit = math.inf, None
+    cross = [[x[a] * y[b] - y[a] * x[b] for b in range(count)] for a in range(count)]
+    for a, b in combinations(range(count), 2):
+        dx, dy = x[b] - x[a], y[b] - y[a]
+        dd = dx * dx + dy * dy
         # t = clip(-a.(b - a) / |b - a|^2, 0, 1), and 0 where |b - a|^2 underflows
-        t = np.where(dd > 0.0, -(vi.conj() * d).real / dd, 0.0)
-        # the origin's barycentric coordinates, cross products of the other two
-        # vertices over their sum, are all >= 0 where the triangle holds it
-        cross = (v[nxt].conj() * v[opp]).imag
-        det = cross.sum(axis=0)
-        lam = cross / det
-        bary = (lam * v[tri]).sum(axis=0)
-        bary[~(lam.min(axis=0) >= 0.0)] = np.inf
-    t = np.minimum(np.maximum(t, 0.0), 1.0)
-    points = np.concatenate((vi + t * d, bary))
-    k = int((points.real ** 2 + points.imag ** 2).argmin())
-    w = np.zeros(q.shape[0])
-    if k < i.size:
-        w[i[k]], w[j[k]] = 1.0 - t[k], t[k]
-    else:
-        k -= i.size
-        # one step of iterative refinement against nearly collinear vertices:
-        # take off the residual's barycentric coordinates, less their constant part
-        resid = lam[:, k] @ v[tri[:, k]]
-        fix = ((v[opp[:, k]] - v[nxt[:, k]]).conj() * resid).imag / det[k]
-        w[tri[:, k]] = np.maximum(lam[:, k] - fix, 0.0)
+        t = min(max(-(x[a] * dx + y[a] * dy) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+        px, py = x[a] + t * dx, y[a] + t * dy
+        score = px * px + py * py
+        if score < best:
+            best, hit = score, ((a, b), (1.0 - t, t))
+    for a, b, c in combinations(range(count), 3):
+        # the origin's barycentric coordinates are the cross products of the
+        # other two vertices over their sum, det; the triangle holds the origin
+        # where det is not 0 and no cross product has the opposite sign
+        la, lb, lc = cross[b][c], cross[c][a], cross[a][b]
+        det = la + lb + lc
+        if not (det > 0.0 and la >= 0.0 and lb >= 0.0 and lc >= 0.0
+                or det < 0.0 and la <= 0.0 and lb <= 0.0 and lc <= 0.0):
+            continue
+        la, lb, lc = la / det, lb / det, lc / det
+        px = la * x[a] + lb * x[b] + lc * x[c]
+        py = la * y[a] + lb * y[b] + lc * y[c]
+        score = px * px + py * py
+        if score < best:
+            # one step of iterative refinement against nearly collinear vertices:
+            # take off the residual's barycentric coordinates, less their constant part
+            fix = [((x[op] - x[nx]) * py - (y[op] - y[nx]) * px) / det
+                   for nx, op in ((b, c), (c, a), (a, b))]
+            best, hit = score, ((a, b, c), [max(v - f, 0.0) for v, f in zip((la, lb, lc), fix)])
+    w = np.zeros(count)
+    w[list(hit[0])] = hit[1]
     return w
 
 

@@ -7,8 +7,9 @@ package's smoothers, not its backfitting.  The references at the end
 are the package's earlier, slower forms of a batched, deduplicated,
 accelerated or kink-only path, kept so the fast path can be held
 bitwise equal to them (the POT coordinate rows: to rounding, since the
-loop projects each row separately): they reuse the package's scalar
-kernels, sampler, smoothers and min-norm solvers.  ``per_sample_theta_grad`` is the
+loop projects each row separately; the planar face pass: to rounding,
+since its numpy form multiplies complex arrays): they reuse the
+package's scalar kernels, sampler, smoothers and min-norm solvers.  ``per_sample_theta_grad`` is the
 unsimplified POT gradient (a Jacobian at every sample), which the
 package's single-Jacobian pullback must approach as eps -> 0.
 """
@@ -353,3 +354,40 @@ def pinball_coordinate_rows(q, y, alpha, eps, u, coords):
     which evaluates only the kink coordinates.
     """
     return pinball_rows_full_ball(q, y, alpha, eps, u @ coords.basis.T) @ coords.coef.T
+
+
+def plane_faces_vectorized(q):
+    """``gsda.minnorm._plane_faces`` over numpy arrays: weights over distinct rows q.
+
+    The same candidates, every edge's clipped projection and every
+    origin-holding triangle's barycentric point, scored at once as
+    complex arrays; the least wins, refined as the package refines it.
+    """
+    from itertools import combinations
+
+    v = q.view(complex).ravel() if q.shape[1] == 2 else q[:, 0] + 0j
+    i, j = np.triu_indices(q.shape[0], 1)
+    tri = np.array(list(combinations(range(q.shape[0]), 3)), dtype=np.intp).reshape(-1, 3).T
+    nxt, opp = tri[[1, 2, 0]], tri[[2, 0, 1]]
+    vi = v[i]
+    d = v[j] - vi
+    dd = d.real ** 2 + d.imag ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dd > 0.0, -(vi.conj() * d).real / dd, 0.0)
+        cross = (v[nxt].conj() * v[opp]).imag
+        det = cross.sum(axis=0)
+        lam = cross / det
+        bary = (lam * v[tri]).sum(axis=0)
+        bary[~(lam.min(axis=0) >= 0.0)] = np.inf
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    points = np.concatenate((vi + t * d, bary))
+    k = int((points.real ** 2 + points.imag ** 2).argmin())
+    w = np.zeros(q.shape[0])
+    if k < i.size:
+        w[i[k]], w[j[k]] = 1.0 - t[k], t[k]
+    else:
+        k -= i.size
+        resid = lam[:, k] @ v[tri[:, k]]
+        fix = ((v[opp[:, k]] - v[nxt[:, k]]).conj() * resid).imag / det[k]
+        w[tri[:, k]] = np.maximum(lam[:, k] - fix, 0.0)
+    return w

@@ -8,6 +8,7 @@ quantile and POT fits in both subgradient modes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,10 +44,47 @@ def walled_l1(dim):
     return Objective(f, lambda x: np.sign(x - c), dim)
 
 
+SLAB = (0.05, 0.1)
+
+
+def off_the_slab(x0):
+    """x0 with a first coordinate inside the slab moved 0.05 past it."""
+    x0 = np.array(x0, dtype=float)
+    if SLAB[0] < x0[0] < SLAB[1]:
+        x0[0] += SLAB[1] - SLAB[0]
+    return x0
+
+
+def slab_walled_l1(dim, stacked=False):
+    """walled_l1 with a slab 0.05 < x_0 < 0.1 of value 1e3 and NaN gradient.
+
+    The value there tops every start's, so no step enters the slab,
+    while ball draws landing in it are redrawn by the finite-gradient
+    filter.  Written over ``x[..., i]``, so it serves as the scalar twin
+    and, with ``stacked``, as the stacked one.
+    """
+    c = np.zeros(dim)
+    c[1:] = 0.5
+
+    def in_slab(x):
+        return (SLAB[0] < x[..., 0]) & (x[..., 0] < SLAB[1])
+
+    def f(x):
+        value = np.where(x[..., 0] >= 0.0, np.abs(x - c).sum(axis=-1), np.inf)
+        return np.where(in_slab(x), 1e3, value)[()]
+
+    def g(x):
+        return np.where(in_slab(x)[..., None], np.nan, np.sign(x - c))
+
+    return Objective(f, g, dim, stacked=stacked)
+
+
 OBJECTIVES = {
     "nsrosenbrock": lambda dim: nonsmooth_rosenbrock(),
     "l1": l1_norm,
     "walled_l1": walled_l1,
+    "slab_walled_l1": slab_walled_l1,
+    "slab_walled_l1_stacked": lambda dim: slab_walled_l1(dim, stacked=True),
 }
 
 
@@ -92,9 +130,54 @@ def test_descent_invariants(name, dim, x0, seed):
     # the minimizer runs qp mode alone
     obj = OBJECTIVES[name](dim)
     x0 = np.array(x0[:obj.dim])
-    if name == "walled_l1":
+    if "walled_l1" in name:
         x0[0] = abs(x0[0])  # a feasible start
+        x0 = off_the_slab(x0)
     check_run(obj, x0, GsParams(seed=seed, max_iter=300))
+
+
+def record_bits(trace):
+    """A trace's records with every float as its bytes, so NaN matches NaN."""
+    return [(r.iteration, r.method, r.backtracks, r.event,
+             np.array([r.f, r.gnorm, r.eps, r.tau, r.t]).tobytes()) for r in trace.records]
+
+
+def run_twins(dim, x0, seed):
+    """(scalar trace, stacked trace, NaN gradient rows the stacked grad returned)."""
+    gs = GsParams(seed=seed, max_iter=300)
+    stacked = slab_walled_l1(dim, stacked=True)
+    nan_rows = [0]
+
+    def grad(x):
+        g = stacked.grad(x)
+        nan_rows[0] += int(np.isnan(g).any(axis=-1).sum())
+        return g
+
+    x0 = off_the_slab(x0)
+    _, scalar_trace = gsda_minimize(slab_walled_l1(dim), x0, gs)
+    _, stacked_trace = gsda_minimize(Objective(stacked.eval, grad, dim, stacked=True), x0, gs)
+    return scalar_trace, stacked_trace, nan_rows[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), x0=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       seed=seeds)
+def test_stacked_twin_rejects_the_draws_of_the_scalar_twin(dim, x0, seed):
+    # each twin rejects the same draws, off the wall and in the slab,
+    # so the two runs take the same steps
+    scalar_trace, stacked_trace, _ = run_twins(dim, x0[:dim], seed)
+    assert record_bits(stacked_trace) == record_bits(scalar_trace)
+    assert stacked_trace.rejected_draws == scalar_trace.rejected_draws
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slab_draws_are_rejected_by_the_gradient_filter(seed):
+    # near the wall, draws land in the slab: its NaN rows are filtered out
+    # of the stacked block and counted as rejected, as the scalar twin does
+    scalar_trace, stacked_trace, nan_rows = run_twins(2, [0.3, 0.5], seed)
+    assert nan_rows > 0
+    assert record_bits(stacked_trace) == record_bits(scalar_trace)
+    assert stacked_trace.rejected_draws == scalar_trace.rejected_draws >= nan_rows
 
 
 @settings(max_examples=10, deadline=None)

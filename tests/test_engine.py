@@ -137,6 +137,79 @@ class TestApproxSubgradient:
                                np.random.default_rng(0))
 
 
+BUILTINS = {
+    "nsrosenbrock": nonsmooth_rosenbrock,
+    "l1": lambda: l1_norm(2),
+    "l1_9": lambda: l1_norm(9),
+    "sumsq": lambda: sum_of_squares([0.25, -1.0]),
+    "sumsq_9": lambda: sum_of_squares(np.linspace(-1.0, 1.0, 9)),
+}
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestStackedBuiltins:
+    """eval and grad on a stack equal the one-point calls row by row, bitwise."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_stack_rows_equal_one_point_calls(self, name, k):
+        obj = BUILTINS[name]()
+        assert obj.stacked
+        rng = np.random.default_rng(k)
+        for trial in range(40):
+            xs = rng.uniform(-2.0, 2.0, (k, obj.dim))
+            if trial % 2:  # exact kinks and zeros: halves on a coarse grid
+                xs = np.round(2.0 * xs) / 2.0
+                if name == "nsrosenbrock":
+                    xs[:, 1] = xs[:, 0] ** 2  # on the kink x2 = x1^2
+            values, grads = obj.eval(xs), obj.grad(xs)
+            assert values.shape == (k,) and grads.shape == (k, obj.dim)
+            for x, value, grad in zip(xs, values, grads):
+                assert bits(obj.eval(x)) == bits(value)
+                assert bits(obj.grad(x)) == bits(grad)
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_one_point_eval_is_a_scalar(self, name):
+        # final_f in diagnostics.txt is written with {:.17g}, as a float
+        obj = BUILTINS[name]()
+        value = obj.eval(np.full(obj.dim, 0.75))
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert obj.grad(np.full(obj.dim, 0.75)).shape == (obj.dim,)
+
+
+def stacked_l1(eval_fn=None, grad_fn=None):
+    """A stacked ||x||_1 in R^2 with eval or grad swapped out."""
+    return Objective(eval_fn or (lambda x: np.abs(x).sum(axis=-1)), grad_fn or np.sign, 2,
+                     stacked=True)
+
+
+class TestStackedPrecondition:
+    """A stacked objective of the wrong output shape raises InvalidInput."""
+
+    @pytest.mark.parametrize("eval_fn", [
+        lambda x: np.abs(x).sum(axis=0),  # the columns' sums: (d,), not (k,)
+        lambda x: np.abs(x).sum(axis=-1, keepdims=True),  # (k, 1)
+        lambda x: np.abs(x).sum(),  # one scalar for the stack
+    ])
+    def test_eval_not_of_shape_k(self, eval_fn):
+        with pytest.raises(InvalidInput, match="stacked eval"):
+            approx_subgradient(stacked_l1(eval_fn=eval_fn), np.array([1.0, -0.5]), 0.1,
+                               GsParams(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("grad_fn", [
+        lambda x: np.sign(x).T,  # (d, k)
+        lambda x: np.sign(x)[..., 0],  # (k,)
+        lambda x: np.sign(x).ravel(),  # (k*d,)
+    ])
+    def test_grad_not_of_shape_k_d(self, grad_fn):
+        with pytest.raises(InvalidInput, match="stacked grad"):
+            approx_subgradient(stacked_l1(grad_fn=grad_fn), np.array([1.0, -0.5]), 0.1,
+                               GsParams(), np.random.default_rng(0))
+
+
 def scripted_draws(values):
     """draw(k) handing out the next k entries of values as (k, 1) rows."""
     queue = list(values)
@@ -359,23 +432,44 @@ class TestStackedLadder:
 
 
 def counted(obj, calls):
-    """obj with eval counting its calls into calls[0]."""
+    """obj with eval and grad counting their calls into calls["eval"] and calls["grad"]."""
     def evaluate(x):
-        calls[0] += 1
+        calls["eval"] += 1
         return obj.eval(x)
-    return dataclasses.replace(obj, eval=evaluate)
+
+    def gradient(x):
+        calls["grad"] += 1
+        return obj.grad(x)
+    return dataclasses.replace(obj, eval=evaluate, grad=gradient)
 
 
-def test_minimizer_evaluates_one_trial_per_call():
-    # one evaluation at x0, 1 + m per estimate (the iterate and its draws),
-    # b + 1 per step found after b backtracks and b per shrink (the whole
-    # ladder after a failed search): a stacked search would differ
-    calls = [0]
-    _, trace = gsda_minimize(counted(nonsmooth_rosenbrock(), calls), np.array([-1.2, 1.0]),
-                             GsParams(seed=3, max_iter=200))
+def test_unstacked_minimizer_evaluates_one_trial_per_call():
+    # an objective left unstacked (the default for user objectives) gets
+    # one evaluation at x0, 1 + m per estimate (the iterate and its
+    # draws), b + 1 per step found after b backtracks and b per shrink
+    # (the whole ladder after a failed search)
+    calls = {"eval": 0, "grad": 0}
+    obj = counted(dataclasses.replace(nonsmooth_rosenbrock(), stacked=False), calls)
+    _, trace = gsda_minimize(obj, np.array([-1.2, 1.0]), GsParams(seed=3, max_iter=200))
     trials = sum(r.backtracks + (r.event == "step") for r in trace.records)
     assert trace.rejected_draws == 0 and len(trace.accepted) > 0
-    assert calls[0] == 1 + len(trace) * (1 + trace.m) + trials
+    assert calls["eval"] == 1 + len(trace) * (1 + trace.m) + trials
+    assert calls["grad"] == len(trace) * (1 + trace.m)
+
+
+def test_minimizer_evaluates_one_stack_per_draw_block_and_ladder():
+    # a stacked objective gets one eval at x0; per estimate one eval and
+    # one grad at the iterate and one of each for its m < 32 draws; one
+    # eval per search, the whole 31-step ladder in one block.  One call
+    # per draw or per trial would make 1 + len(trace) * (1 + m) + trials
+    calls = {"eval": 0, "grad": 0}
+    obj = counted(nonsmooth_rosenbrock(), calls)
+    assert obj.stacked
+    _, trace = gsda_minimize(obj, np.array([-1.2, 1.0]), GsParams(seed=3, max_iter=200))
+    searches = sum(r.event == "step" or r.backtracks > 0 for r in trace.records)
+    assert trace.rejected_draws == 0 and len(trace.accepted) > 0 and trace.m == 3
+    assert calls["eval"] == 1 + 2 * len(trace) + searches
+    assert calls["grad"] == 2 * len(trace)
 
 
 class TestGsdaMinimize:

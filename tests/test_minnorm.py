@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gsda import GradientSet, min_norm_point
 from gsda import minnorm
 from gsda.errors import InvalidInput, NumericalFailure
-from gsda.minnorm import _FEW, _distinct_rows, _wolfe
+from gsda.minnorm import _FEW, _distinct_rows, _plane_faces, _wolfe
 
-from _oracles import bary_min_norm
+from _oracles import bary_min_norm, plane_faces_vectorized
 
 
 def mk(rows):
@@ -180,6 +180,22 @@ def test_planar_solve_is_exact(z):
         except NumericalFailure:
             return
         assert res.norm <= np.linalg.norm(point) + 1e-12 * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(planar_sets())
+def test_planar_pass_matches_the_vectorized_pass(z):
+    # the float pass and the complex-array pass score the same candidates;
+    # their rounding differs, so on rows scaled below 1 the points agree to
+    # a few units in the last place, and either may win a tie
+    uniq = z[_distinct_rows(z)]
+    if uniq.shape[0] < 2:
+        return
+    q = np.ldexp(uniq, -np.frexp(np.abs(uniq).max())[1])
+    got, want = _plane_faces(q) @ q, plane_faces_vectorized(q) @ q
+    tol = 4.0 * np.finfo(float).eps
+    assert abs(np.linalg.norm(got) - np.linalg.norm(want)) <= tol
+    assert np.linalg.norm(got - want) <= tol
 
 
 @settings(max_examples=40, deadline=None)
