@@ -8,11 +8,12 @@ search; when its norm falls below the tolerance tau, both eps and tau
 are shrunk.  The run stops once eps and tau reach their floors, which
 certifies approximate stationarity at that scale.
 
-One loop, :func:`descend`, runs this schedule for every problem.  A
-problem supplies its objective and a sampled-gradient estimate that
-returns its step vector with the norm that gauges it;
-:func:`gsda_minimize`, the quantile fitter and the POT fitter are three
-thin adapters around it.
+One loop, :func:`descend`, runs this schedule for every problem and
+owns the iterate.  A problem supplies its objective and ``at(x, f)``,
+which the loop calls at the start and after each accepted step and
+which returns that iterate's sampled-gradient estimate, returning its
+step vector with the norm that gauges it; :func:`gsda_minimize`, the
+quantile fitter and the POT fitter are three thin adapters around it.
 
 :func:`armijo_search` tries the steps 1, 1/2, ..., 2^-max_backtracks.
 The quantile fitter's ray, and :func:`gsda_minimize`'s on a ``stacked``
@@ -32,6 +33,7 @@ pinball fitter's kink draw never leaves the domain and bypasses it; only
 that fitter reads ``GsParams.subgradient_mode``.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -283,30 +285,31 @@ def sample_rows(first, m, eps, draw, evaluate, trace=None):
     return rows
 
 
-def approx_subgradient(obj, x, eps, params, rng, trace=None):
+def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
     """Sampled approximation of the generalized subgradient at x.
 
-    Draws m ball points, rejects any that land outside the domain
-    (eval +inf or non-finite gradient) and redraws them through
-    :func:`sample_rows`, then reduces the m+1 gradients to their
-    min-norm point.  A ``stacked`` objective gets each block of draws
-    in one ``eval`` call and one ``grad`` call on the finite-valued
-    rows; an ``eval`` that does not return shape (k,), or a ``grad``
-    that does not return (k, d), raises :class:`InvalidInput`.  A mode
-    other than qp raises :class:`InvalidInput`; a failed solve, a
-    solver bug, raises :class:`NumericalFailure` (exit 4 on the command
-    line) with no fallback.  When a trace is given, the resolved m is
-    set on it and the sampler adds the rejected draws to
-    ``trace.rejected_draws``.
+    ``f`` and ``g0`` are the value and gradient at x, which the caller
+    holds; x is not evaluated again.  A non-finite f, or a g0 that is
+    not a finite ``dim``-vector, raises :class:`InvalidInput`.  Draws m
+    ball points, rejects any that land outside the domain (eval +inf or
+    non-finite gradient) and redraws them through :func:`sample_rows`,
+    then reduces the m+1 gradients to their min-norm point.  A
+    ``stacked`` objective gets each block of draws in one ``eval`` call
+    and one ``grad`` call on the finite-valued rows; an ``eval`` that
+    does not return shape (k,), or a ``grad`` that does not return
+    (k, d), raises :class:`InvalidInput`.  A mode other than qp raises
+    :class:`InvalidInput`; a failed solve, a solver bug, raises
+    :class:`NumericalFailure` (exit 4 on the command line) with no
+    fallback.  When a trace is given, the resolved m is set on it and
+    the sampler adds the rejected draws to ``trace.rejected_draws``.
     """
     params.require_qp("the minimizer")
     x = np.asarray(x, dtype=float)
-    fx = obj.eval(x)
-    if not np.isfinite(fx):
+    if not np.isfinite(f):
         raise InvalidInput("approx_subgradient requires a feasible base point")
-    g0 = np.asarray(obj.grad(x), dtype=float)
-    if not np.isfinite(g0).all():
-        raise InvalidInput("gradient at the base point is not finite")
+    g0 = np.asarray(g0, dtype=float)
+    if g0.shape != (obj.dim,) or not np.isfinite(g0).all():
+        raise InvalidInput(f"the gradient at the base point must be a finite {obj.dim}-vector")
     m = params.resolve_m(obj.dim)
     if trace is not None:
         trace.m = m
@@ -371,36 +374,36 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     return None
 
 
-def descend(objective, x, f, estimate, params, trace, stacked=False):
+def descend(objective, x, f, at, params, trace, stacked=False):
     """The sampling descent loop shared by every problem; returns the last x.
 
     ``objective(x)`` is the value to decrease (+inf off the domain) and
-    ``f`` its finite value at the start ``x``.  Each iteration asks
-    ``estimate(x, eps)`` for ``(v, gnorm, method)``: the step vector v
-    (None to shrink) and gnorm, the norm of the sampled gradient
-    estimate.  When gnorm is at most tau, eps and tau shrink and v is
-    ignored.  Otherwise :func:`armijo_search` looks along the ray
-    t -> objective(x + t*v) for a step with the decrease beta*t*gnorm
-    (stacked, when ``stacked`` says the objective maps a (k, d) stack to
-    k values); a failed search also shrinks.  An estimate that raises
-    :class:`SamplingExhausted` shrinks too; its sampler has counted the
-    rejected draws.  A non-finite gnorm or v raises
-    :class:`NumericalFailure`.  Every iteration adds one record to
-    ``trace``.  An accepted step replaces x by a new array and never
-    changes it in place, so a problem may key data of the iterate on
-    its identity.
+    ``f`` its finite value at the start ``x``.  ``at(x, f)`` runs at the
+    start and right after each accepted step's record, and returns the
+    iterate's ``estimate(eps)``, which every iteration at that iterate
+    calls for ``(v, gnorm, method)``: the step vector v (None to shrink)
+    and gnorm, the norm of the sampled gradient estimate.  When gnorm is
+    at most tau, eps and tau shrink and v is ignored.  Otherwise
+    :func:`armijo_search` looks along the ray t -> objective(x + t*v)
+    for a step with the decrease beta*t*gnorm (stacked, when ``stacked``
+    says the objective maps a (k, d) stack to k values); a failed search
+    also shrinks.  An estimate that raises :class:`SamplingExhausted`
+    shrinks too; its sampler has counted the rejected draws.  A
+    non-finite gnorm or v raises :class:`NumericalFailure`.  Every
+    iteration adds one record to ``trace``.
     """
     eps, tau = params.eps0, params.tau0
+    estimate = at(x, f)
     for it in range(params.max_iter):
         if eps <= params.eps_min and tau <= params.tau_min:
             trace.converged = True
             break
         try:
-            v, gnorm, method = estimate(x, eps)
+            v, gnorm, method = estimate(eps)
         except SamplingExhausted:
             gnorm, method, event, v = np.nan, "none", "sampling_exhausted", None
         else:
-            if not np.isfinite(gnorm):
+            if not math.isfinite(gnorm):  # a scalar: a tenth of np.isfinite's cost
                 raise NumericalFailure(f"non-finite gradient norm at iteration {it}")
             event, v = "shrink", (v if gnorm > tau else None)
         hit = None
@@ -419,6 +422,7 @@ def descend(objective, x, f, estimate, params, trace, stacked=False):
         t, backtracks, f = hit
         x = x + t * v
         trace.add(it, f, gnorm, eps, tau, t, method, backtracks, "step")
+        estimate = at(x, f)
     else:
         trace.message = "max_iter reached"
     return x
@@ -435,12 +439,16 @@ def gsda_minimize(obj, x0, params=None):
         raise InvalidInput("objective must be finite at x0")
     rng = np.random.default_rng(params.seed)
 
-    def estimate(x, eps):
-        res = approx_subgradient(obj, x, eps, params, rng, trace)
-        return (-res.point / res.norm if res.norm else None), res.norm, "qp"
+    def at(x, f):
+        g0 = obj.grad(x)
+
+        def estimate(eps):
+            res = approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
+            return (-res.point / res.norm if res.norm else None), res.norm, "qp"
+        return estimate
 
     trace = FitTrace()
-    x = descend(obj.eval, x, f, estimate, params, trace, stacked=obj.stacked)
+    x = descend(obj.eval, x, f, at, params, trace, stacked=obj.stacked)
     return x, trace
 
 

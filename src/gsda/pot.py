@@ -24,16 +24,14 @@ the min-norm point of those rows is c.  The step is -L c/||c||, and
 m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
 
 L, Q, K and the gradient at the iterate depend only on the iterate, so
-each :class:`PotState` builds this frame once (:meth:`PotState.frame`),
-on its first estimate, and keeps it for the estimates and steps that
-follow until a step is accepted; the fitted model's state is a copy
-without it.  Draws are evaluated in
-blocks: one product turns the block's u (with a 1 appended) into its
-(eta, kappa) points against (eps*Q^T; x), and the GPD row kernel turns
-those into gradients.
+:meth:`PotState.from_lambda` builds this frame with the state, once at
+the start and once after each accepted step, and every estimate at the
+iterate reuses it.  Draws are evaluated in blocks: one product turns
+the block's u (with a 1 appended) into its (eta, kappa) points against
+(eps*Q^T; x), and the GPD row kernel turns those into gradients.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,44 +129,38 @@ class FunctionalSpec:
 
 @dataclass(frozen=True, eq=False)
 class PotState:
-    """A Lambda iterate with its functionals and inverse Jacobian blocks."""
+    """A Lambda iterate with its functionals, inverse Jacobian blocks and frame.
+
+    The sampling frame is that of the excesses y and the
+    :class:`~gsda.smoothing.CoordinateMap` (B, M) the state was built
+    for: ``span`` is L = J^-1 blockdiag(B, B), which maps coordinates to
+    (eta, kappa), ``draws`` is Q, an orthonormal basis of its range,
+    ``pullback`` is K = J^-1 blockdiag(M^T, M^T), and ``base`` is the
+    log-likelihood gradient at the iterate times K.
+    """
 
     lam: Lambda
     theta_pair: tuple
     jac_inverses: np.ndarray
     spec: FunctionalSpec
-    _frame: tuple = field(default=None, init=False, repr=False)
+    span: np.ndarray
+    draws: np.ndarray
+    pullback: np.ndarray
+    base: np.ndarray
 
     @classmethod
-    def from_lambda(cls, lam, spec):
+    def from_lambda(cls, lam, spec, y, coords):
         jac, inv = jacobian_blocks(lam, spec)
+        span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
         # each functional is sigma times a function of kappa, so its eta
         # derivative is the functional itself
-        return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec)
+        return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec,
+                   span, np.linalg.qr(span)[0], pullback,
+                   _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback)
 
     @property
     def n(self):
         return self.lam.n
-
-    def frame(self, y, coords):
-        """The sampling frame of this iterate: ``(L, Q, K, base row)``.
-
-        For the :class:`~gsda.smoothing.CoordinateMap` ``coords``,
-        L = J^-1 blockdiag(B, B) maps coordinates to (eta, kappa), Q is
-        an orthonormal basis of its range, K = J^-1 blockdiag(M^T, M^T)
-        is the pullback, and the base row is the log-likelihood gradient
-        at the iterate times K.  They change only with the iterate, so
-        the frame is built on first use and kept: a state serves one
-        fit, whose ``(y, coords)`` never change, and later calls return
-        the kept frame whatever they pass.
-        """
-        if self._frame is None:
-            lam, inv = self.lam, self.jac_inverses
-            span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
-            object.__setattr__(self, "_frame", (
-                span, np.linalg.qr(span)[0], pullback,
-                _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback))
-        return self._frame
 
 
 def gpd_loglik(lam, y):
@@ -322,15 +314,15 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
     :func:`~gsda.engine.sample_rows`, which redraws infeasible ones,
     raises :class:`SamplingExhausted` past 10*m of them and adds the
     rejected draws to ``trace.rejected_draws`` when a trace is given.
-    The frame (Q, K and row 0) comes from :meth:`PotState.frame`, so
-    it is built once per iterate, however many estimates the iterate
+    Q, K and row 0 are the frame of ``state``, built for the same y and
+    ``coords`` once per iterate, however many estimates the iterate
     takes.  A fit passes one :class:`~gsda._kernels.RowScratch` to every
     call.
     """
     lam = state.lam
     if scratch is None:
         scratch = _kernels.RowScratch(_ROW_BLOCK, lam.n)
-    _, draws, pullback, base = state.frame(y, coords)
+    draws, pullback, base = state.draws, state.pullback, state.base
     # one product gives the (eta, kappa) blocks of the points x + eps*Q u:
     # u, extended by a 1, against (eps*Q^T; x) split into its two blocks
     d, n = draws.shape[1], lam.n
@@ -417,34 +409,28 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     rng = np.random.default_rng(gs.seed)
     objective = negative_loglik_objective(y, spec)
 
-    lam = initial_lambda(y, spec)
-    x0 = state_x = lam.as_vector()
-    state = PotState.from_lambda(lam, spec)
+    x0 = initial_lambda(y, spec).as_vector()
     f = objective.eval(x0)
     if not np.isfinite(f):
         raise NumericalFailure("method-of-moments start is infeasible")
-
-    def state_at(x):
-        # one PotState per accepted step: descend hands every new iterate
-        # over as a new array
-        nonlocal state, state_x
-        if x is not state_x:
-            state, state_x = PotState.from_lambda(Lambda.from_vector(x), spec), x
-        return state
-
     scratch = _kernels.RowScratch(_ROW_BLOCK, y.size)
+    state = None
 
-    def estimate(x, eps):
-        here = state_at(x)
+    def at(x, f):
+        nonlocal state
+        state = PotState.from_lambda(Lambda.from_vector(x), spec, y, coords)
+        return estimate
+
+    def estimate(eps):
         res = min_norm_point(GradientSet(
-            -_theta_grad_rows(here, y, eps, m, rng, coords, trace, scratch)))
+            -_theta_grad_rows(state, y, eps, m, rng, coords, trace, scratch)))
         # -L c/||c||, L from the frame the rows were sampled in
-        step = here.frame(y, coords)[0] @ (-res.point / res.norm) if res.norm else None
+        step = state.span @ (-res.point / res.norm) if res.norm else None
         return step, res.norm, "qp"
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
-    # the fitted model keeps no sampling frame
-    state = replace(state_at(descend(objective.eval, x0, f, estimate, gs, trace)))
+    # the last iterate descend asks for is the one it returns
+    descend(objective.eval, x0, f, at, gs, trace)
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

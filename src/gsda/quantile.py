@@ -86,10 +86,11 @@ class QuantileModel:
     trace: FitTrace
 
 
-def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace):
+def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace, base):
     """The step's coordinates from the pinball gradients over the eps-ball sample.
 
-    Returns ``(c, gnorm, method)``, c an r-vector in the
+    ``base`` is the pinball gradient at q, which the fitter takes once
+    per iterate.  Returns ``(c, gnorm, method)``, c an r-vector in the
     :class:`~gsda.smoothing.CoordinateMap` ``coords``, and adds the ball
     coordinates drawn per point (module docstring) to
     ``trace.ball_coordinates``.  Average mode draws the a = |A| kink
@@ -99,7 +100,6 @@ def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace):
     A empty every sampled gradient is the base gradient and nothing is
     drawn.
     """
-    base = _kernels.pinball_grad(q, y, alpha)
     if mode == "qp":
         B, M = coords.basis, coords.coef
         kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps * coords.row_norms)
@@ -152,18 +152,22 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     m = gs.resolve_m(n if average else coords.dim)
     rng = np.random.default_rng(gs.seed)
 
-    def estimate(q, eps):
-        c, gnorm, method = _sampled_subgradient(
-            q, y, alpha, eps, m, gs.subgradient_mode, rng, coords, trace)
-        cnorm = float(np.linalg.norm(c))
-        return (coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None), gnorm, method
+    def at(q, f):
+        base = _kernels.pinball_grad(q, y, alpha)
+
+        def estimate(eps):
+            c, gnorm, method = _sampled_subgradient(
+                q, y, alpha, eps, m, gs.subgradient_mode, rng, coords, trace, base)
+            cnorm = float(np.linalg.norm(c))
+            return (coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None), gnorm, method
+        return estimate
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)
 
     q = np.full(n, float(np.quantile(y, alpha)))
     trace = FitTrace(m=m, subspace_dim=None if average else coords.dim)
-    q = descend(risk, q, risk(q), estimate, gs, trace, stacked=True)
+    q = descend(risk, q, risk(q), at, gs, trace, stacked=True)
 
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition

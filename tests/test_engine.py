@@ -18,7 +18,13 @@ from gsda import (
     sum_of_squares,
 )
 from gsda.engine import descend, sample_rows
-from gsda.errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingExhausted
+from gsda.errors import (
+    InvalidInput,
+    NumericalFailure,
+    SampleSizeWarning,
+    SamplingExhausted,
+    SingularBlock,
+)
 
 
 class TestSampleUnitBall:
@@ -86,28 +92,34 @@ class TestSampleUnitBall:
 class TestApproxSubgradient:
     def test_smooth_function_recovers_gradient(self):
         obj = sum_of_squares([0.0, 0.0])
-        res = approx_subgradient(obj, np.array([1.0, 0.0]), 1e-6,
-                                 GsParams(m=6), np.random.default_rng(0))
+        x = np.array([1.0, 0.0])
+        res = approx_subgradient(obj, x, 1e-6,
+                                 GsParams(m=6), np.random.default_rng(0),
+                                 f=obj.eval(x), g0=obj.grad(x))
         assert np.allclose(res.point, [2.0, 0.0], atol=1e-4)
 
     def test_abs_at_kink_qp_cancels(self):
         obj = l1_norm(1)
-        res = approx_subgradient(obj, np.array([0.0]), 0.1,
-                                 GsParams(m=400), np.random.default_rng(0))
+        x = np.array([0.0])
+        res = approx_subgradient(obj, x, 0.1,
+                                 GsParams(m=400), np.random.default_rng(0),
+                                 f=obj.eval(x), g0=obj.grad(x))
         assert res.norm <= 1e-10  # both +1 and -1 present, hull contains 0
 
     def test_average_mode_rejected(self):
         # the minimizer reduces by Wolfe's point alone; no path ignores the mode
         gs = GsParams(m=20, subgradient_mode="average")
+        obj, x = l1_norm(1), np.array([0.0])
         with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
-            approx_subgradient(l1_norm(1), np.array([0.0]), 0.1, gs,
-                               np.random.default_rng(0))
+            approx_subgradient(obj, x, 0.1, gs,
+                               np.random.default_rng(0), f=obj.eval(x), g0=obj.grad(x))
         with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
             gsda_minimize(nonsmooth_rosenbrock(), [-1.0, 1.0], gs)
 
     def test_abs_in_smooth_region(self):
-        res = approx_subgradient(l1_norm(1), np.array([1.0]), 0.1, GsParams(m=20),
-                                 np.random.default_rng(0))
+        obj, x = l1_norm(1), np.array([1.0])
+        res = approx_subgradient(obj, x, 0.1, GsParams(m=20),
+                                 np.random.default_rng(0), f=obj.eval(x), g0=obj.grad(x))
         assert res.point[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_smooth_eps_error_bound(self):
@@ -118,7 +130,8 @@ class TestApproxSubgradient:
         for _ in range(20):
             x = rng.normal(size=3)
             eps = 1e-8
-            res = approx_subgradient(obj, x, eps, GsParams(m=8), rng)
+            res = approx_subgradient(obj, x, eps, GsParams(m=8), rng,
+                                     f=obj.eval(x), g0=obj.grad(x))
             assert np.linalg.norm(res.point - 2.0 * x) <= 10.0 * eps * 2.0
 
     def test_sampling_exhausted_near_domain_wall(self):
@@ -126,15 +139,31 @@ class TestApproxSubgradient:
             return float(x[0] ** 2) if abs(x[0]) <= 1e-4 else np.inf
 
         obj = Objective(f, lambda x: 2.0 * x, 1)
+        x = np.array([0.0])
         with pytest.raises(SamplingExhausted):
-            approx_subgradient(obj, np.array([0.0]), 0.1, GsParams(m=8),
-                               np.random.default_rng(0))
+            approx_subgradient(obj, x, 0.1, GsParams(m=8),
+                               np.random.default_rng(0), f=obj.eval(x), g0=obj.grad(x))
 
     def test_m_override_warns(self):
         obj = sum_of_squares([0.0, 0.0, 0.0])
+        x = np.zeros(3) + 1.0
         with pytest.warns(SampleSizeWarning):
-            approx_subgradient(obj, np.zeros(3) + 1.0, 1e-3, GsParams(m=2),
-                               np.random.default_rng(0))
+            approx_subgradient(obj, x, 1e-3, GsParams(m=2),
+                               np.random.default_rng(0), f=obj.eval(x), g0=obj.grad(x))
+
+    @pytest.mark.parametrize("f, g0", [
+        (np.inf, [1.0, -1.0]), (np.nan, [1.0, -1.0]),  # f not finite
+        (1.5, [1.0, np.nan]), (1.5, [np.inf, 1.0]),  # g0 not finite
+        (1.5, [1.0]), (1.5, [[1.0, -1.0]]), (1.5, 1.0),  # g0 not of shape (2,)
+    ], ids=["f-inf", "f-nan", "g0-nan", "g0-inf", "g0-short", "g0-2d", "g0-scalar"])
+    def test_bad_value_or_gradient_at_x_raises_without_evaluating(self, f, g0):
+        # the caller's f and g0 are checked, not recomputed: x is never evaluated
+        calls = {"eval": 0, "grad": 0}
+        obj = counted(l1_norm(2), calls)
+        with pytest.raises(InvalidInput, match="base point"):
+            approx_subgradient(obj, np.array([1.0, -1.0]), 0.1, GsParams(),
+                               np.random.default_rng(0), f=f, g0=g0)
+        assert calls == {"eval": 0, "grad": 0}
 
 
 BUILTINS = {
@@ -195,9 +224,11 @@ class TestStackedPrecondition:
         lambda x: np.abs(x).sum(),  # one scalar for the stack
     ])
     def test_eval_not_of_shape_k(self, eval_fn):
+        obj, x = stacked_l1(eval_fn=eval_fn), np.array([1.0, -0.5])
         with pytest.raises(InvalidInput, match="stacked eval"):
-            approx_subgradient(stacked_l1(eval_fn=eval_fn), np.array([1.0, -0.5]), 0.1,
-                               GsParams(), np.random.default_rng(0))
+            approx_subgradient(obj, x, 0.1,
+                               GsParams(), np.random.default_rng(0),
+                               f=obj.eval(x), g0=obj.grad(x))
 
     @pytest.mark.parametrize("grad_fn", [
         lambda x: np.sign(x).T,  # (d, k)
@@ -205,9 +236,14 @@ class TestStackedPrecondition:
         lambda x: np.sign(x).ravel(),  # (k*d,)
     ])
     def test_grad_not_of_shape_k_d(self, grad_fn):
+        # g0 is the one-point gradient np.sign(x): one of these grad_fn
+        # gives shape () at a single point, which the base-point check
+        # would reject before any stack is drawn
+        obj, x = stacked_l1(grad_fn=grad_fn), np.array([1.0, -0.5])
         with pytest.raises(InvalidInput, match="stacked grad"):
-            approx_subgradient(stacked_l1(grad_fn=grad_fn), np.array([1.0, -0.5]), 0.1,
-                               GsParams(), np.random.default_rng(0))
+            approx_subgradient(obj, x, 0.1,
+                               GsParams(), np.random.default_rng(0),
+                               f=obj.eval(x), g0=np.sign(x))
 
 
 def scripted_draws(values):
@@ -284,11 +320,11 @@ def sampled_infeasible_evals(monkeypatch, obj):
     tally, inside = [], [False]
     estimate = gsda.engine.approx_subgradient
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         inside[0] = True
         tally.append(0)
         try:
-            return estimate(*args)
+            return estimate(*args, **kwargs)
         finally:
             inside[0] = False
             tally[-1] = min(tally[-1], 10 * (args[3].m or args[0].dim + 1) + 1)
@@ -445,31 +481,33 @@ def counted(obj, calls):
 
 def test_unstacked_minimizer_evaluates_one_trial_per_call():
     # an objective left unstacked (the default for user objectives) gets
-    # one evaluation at x0, 1 + m per estimate (the iterate and its
-    # draws), b + 1 per step found after b backtracks and b per shrink
-    # (the whole ladder after a failed search)
+    # one evaluation at x0, m per estimate (its draws), b + 1 per step
+    # found after b backtracks and b per shrink (the whole ladder after a
+    # failed search); the gradient at an iterate is taken once, at x0
+    # and after each accepted step, however many estimates it serves
     calls = {"eval": 0, "grad": 0}
     obj = counted(dataclasses.replace(nonsmooth_rosenbrock(), stacked=False), calls)
     _, trace = gsda_minimize(obj, np.array([-1.2, 1.0]), GsParams(seed=3, max_iter=200))
     trials = sum(r.backtracks + (r.event == "step") for r in trace.records)
     assert trace.rejected_draws == 0 and len(trace.accepted) > 0
-    assert calls["eval"] == 1 + len(trace) * (1 + trace.m) + trials
-    assert calls["grad"] == len(trace) * (1 + trace.m)
+    assert calls["eval"] == 1 + len(trace) * trace.m + trials
+    assert calls["grad"] == len(trace) * trace.m + len(trace.accepted) + 1
 
 
 def test_minimizer_evaluates_one_stack_per_draw_block_and_ladder():
     # a stacked objective gets one eval at x0; per estimate one eval and
-    # one grad at the iterate and one of each for its m < 32 draws; one
-    # eval per search, the whole 31-step ladder in one block.  One call
-    # per draw or per trial would make 1 + len(trace) * (1 + m) + trials
+    # one grad for its m < 32 draws; one eval per search, the whole
+    # 31-step ladder in one block; and one grad per iterate, at x0 and
+    # after each accepted step.  One call per draw or per trial would
+    # make 1 + len(trace) * m + trials evals
     calls = {"eval": 0, "grad": 0}
     obj = counted(nonsmooth_rosenbrock(), calls)
     assert obj.stacked
     _, trace = gsda_minimize(obj, np.array([-1.2, 1.0]), GsParams(seed=3, max_iter=200))
     searches = sum(r.event == "step" or r.backtracks > 0 for r in trace.records)
     assert trace.rejected_draws == 0 and len(trace.accepted) > 0 and trace.m == 3
-    assert calls["eval"] == 1 + 2 * len(trace) + searches
-    assert calls["grad"] == 2 * len(trace)
+    assert calls["eval"] == 1 + len(trace) + searches
+    assert calls["grad"] == len(trace) + len(trace.accepted) + 1
 
 
 class TestGsdaMinimize:
@@ -553,12 +591,17 @@ class TestGsdaMinimize:
                 gsda_minimize(obj, 1e-300 * np.ones(4))
 
 
+def per_iterate(estimate):
+    """descend's ``at`` for an estimate(x, eps) of the iterate and radius."""
+    return lambda x, f: (lambda eps: estimate(x, eps))
+
+
 class TestDescend:
     obj = sum_of_squares([1.0])
 
     def run(self, estimate, **kwargs):
         trace = FitTrace()
-        x = descend(self.obj.eval, np.zeros(1), 1.0, estimate,
+        x = descend(self.obj.eval, np.zeros(1), 1.0, per_iterate(estimate),
                     GsParams(max_iter=50, **kwargs), trace)
         return x, trace
 
@@ -600,7 +643,8 @@ class TestDescend:
             return np.ones(1), gnorm, "test"
 
         trace = FitTrace()
-        x = descend(objective, np.zeros(1), 1.0, estimate, GsParams(max_iter=50), trace)
+        x = descend(objective, np.zeros(1), 1.0, per_iterate(estimate), GsParams(max_iter=50),
+                    trace)
         assert calls == [] and x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
 
@@ -612,9 +656,50 @@ class TestDescend:
             return sample_rows(np.zeros(1), m, eps, draw, keep_positive, trace)
 
         trace = FitTrace()
-        descend(self.obj.eval, np.zeros(1), 1.0, estimate, GsParams(max_iter=1), trace)
+        descend(self.obj.eval, np.zeros(1), 1.0, per_iterate(estimate), GsParams(max_iter=1),
+                trace)
         assert [r.event for r in trace.records] == ["sampling_exhausted"]
         assert trace.rejected_draws == 10 * m + 1
+
+    def test_at_runs_at_the_start_and_after_each_accepted_step(self):
+        # a fixed-length step 0.3 along -sign(g) with gnorm = |g|: steps while
+        # |g| > tau, shrinks once it is not, so steps and shrinks interleave
+        calls, estimates = [], []
+
+        def at(x, f):
+            calls.append((len(trace.records), x.copy(), f))
+            g = self.obj.grad(x)
+
+            def estimate(eps):
+                estimates.append(x)
+                return -0.3 * np.sign(g), float(np.abs(g[0])), "test"
+            return estimate
+
+        trace = FitTrace()
+        x = descend(self.obj.eval, np.zeros(1), 1.0, at, GsParams(max_iter=200), trace)
+        steps = [i for i, r in enumerate(trace.records) if r.event == "step"]
+        assert len(steps) >= 3 and len(trace) - len(steps) >= 3
+        # once at the start, then right after each step's record and never on a shrink
+        assert [k for k, _, _ in calls] == [0] + [i + 1 for i in steps]
+        assert [f for _, _, f in calls] == [1.0] + [trace.records[i].f for i in steps]
+        assert calls[-1][1].tolist() == x.tolist()
+        # every estimate of an iterate went through that iterate's at
+        assert len(estimates) == len(trace)
+        served = [k for k, _, _ in calls] + [len(trace)]
+        for (start, point, _), end in zip(calls, served[1:]):
+            assert all(e.tolist() == point.tolist() for e in estimates[start:end])
+
+    def test_at_that_raises_after_a_step_keeps_the_step_record(self):
+        # as the POT fitter's at raises SingularBlock at a new iterate
+        def at(x, f):
+            if x[0] != 0.0:
+                raise SingularBlock("new iterate")
+            return lambda eps: (np.ones(1), 2.0, "test")
+
+        trace = FitTrace()
+        with pytest.raises(SingularBlock):
+            descend(self.obj.eval, np.zeros(1), 1.0, at, GsParams(max_iter=50), trace)
+        assert [(r.event, r.t, r.f) for r in trace.records] == [("step", 1.0, 0.0)]
 
 
 class TestGsParamsValidation:

@@ -217,14 +217,15 @@ class TestJacobianBlocks:
             jacobian_blocks(const_lambda(1.0, 0.3), spec)
 
 
-def sampled_theta_grad(state, y, eps, m, seed, coords=None):
-    """Mean of the POT fitter's coordinate rows (intercept-only by default).
+def sampled_theta_grad(lam, y, eps, m, seed, coords=None):
+    """Mean of the POT fitter's coordinate rows at lam (intercept-only by default).
 
     With one observation B = M = 1, so each row is the functional-space
     gradient J^-T g itself.
     """
     if coords is None:
-        coords = AdditiveProjector(None, [], state.n).coordinate_map()
+        coords = AdditiveProjector(None, [], lam.n).coordinate_map()
+    state = PotState.from_lambda(lam, VAR_ES, y, coords)
     rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), coords)
     return rows.mean(axis=0)
 
@@ -233,8 +234,7 @@ class TestApproxSubgradientTheta:
     def test_zero_radius_limit_matches_chain_rule(self):
         for i, y in enumerate([0.3, 1.7, 6.0]):
             lam = const_lambda(2.0, 0.25 - 0.1 * i)
-            state = PotState.from_lambda(lam, VAR_ES)
-            got = sampled_theta_grad(state, np.array([y]), 1e-12, 11, 0)
+            got = sampled_theta_grad(lam, np.array([y]), 1e-12, 11, 0)
             _, inv = jacobian_blocks(lam, VAR_ES)
             g = gpd_loglik_grad(lam, np.array([y]))
             expect = np.array([inv[0, 0, 0] * g[0] + inv[0, 1, 0] * g[1],
@@ -249,18 +249,17 @@ class TestApproxSubgradientTheta:
         n = 2000
         y = gpd_inverse_cdf(rng.random(n), 2.0, 0.2)
         sig, kap = gpd_mle_oracle(y)
-        state = PotState.from_lambda(const_lambda(sig, kap, n), VAR_ES)
-        assert np.linalg.norm(sampled_theta_grad(state, y, 1e-4, 3, 1)) <= 1e-3
-        state = PotState.from_lambda(const_lambda(1.1 * sig, kap, n), VAR_ES)
-        assert np.linalg.norm(sampled_theta_grad(state, y, 1e-4, 3, 1)) >= 0.1
+        at_mle = sampled_theta_grad(const_lambda(sig, kap, n), y, 1e-4, 3, 1)
+        assert np.linalg.norm(at_mle) <= 1e-3
+        off_mle = sampled_theta_grad(const_lambda(1.1 * sig, kap, n), y, 1e-4, 3, 1)
+        assert np.linalg.norm(off_mle) >= 0.1
 
     def test_chain_rule_against_numerical_functional_inverse(self):
         # single observation: perturb the two functional coordinates,
         # invert the map numerically, and difference the log-likelihood
         lam = const_lambda(1.4, 0.3)
         y = np.array([1.1])
-        state = PotState.from_lambda(lam, VAR_ES)
-        analytic = sampled_theta_grad(state, y, 1e-13, 3, 2)
+        analytic = sampled_theta_grad(lam, y, 1e-13, 3, 2)
 
         def lambda_of_theta(target):
             def residual(v):
@@ -288,10 +287,10 @@ class TestApproxSubgradientTheta:
         n = 12
         lam = Lambda(np.log(1.5) + 0.1 * rng.normal(size=n), 0.2 + 0.05 * rng.normal(size=n))
         y = gpd_inverse_cdf(rng.random(n), 1.5, 0.2)
-        state = PotState.from_lambda(lam, VAR_ES)
         coords = AdditiveProjector(np.linspace(0.0, 1.0, n)[:, None],
                                    [SmootherSpec("linear", 0)]).coordinate_map()
-        a = sampled_theta_grad(state, y, 1e-9, 9, 3, coords)
+        state = PotState.from_lambda(lam, VAR_ES, y, coords)
+        a = sampled_theta_grad(lam, y, 1e-9, 9, 3, coords)
         b = per_sample_theta_grad(state, y, 1e-9, 9, np.random.default_rng(3), coords)
         assert np.max(np.abs(a - b)) <= 1e-6
 
@@ -303,11 +302,10 @@ class TestApproxSubgradientTheta:
         y = np.full(8, 4.0)
         lam = const_lambda(1.0, -0.25 + 1e-7, 8)
         assert np.isfinite(gpd_loglik(lam, y))
-        state = PotState.from_lambda(lam, VAR_ES)
         coords = AdditiveProjector(np.arange(8.0)[:, None],
                                    [SmootherSpec("cell_factor", 0)]).coordinate_map()
         with pytest.raises(SamplingExhausted):
-            sampled_theta_grad(state, y, 0.3, 40, 0, coords)
+            sampled_theta_grad(lam, y, 0.3, 40, 0, coords)
 
 
 class TestNegativeLoglikObjective:
@@ -498,7 +496,7 @@ class TestQpSubspace:
         y, W, specs, coords = self.design()
         lam = Lambda(np.log(2.0) + 0.1 * np.sin(np.arange(y.size)),
                      np.full(y.size, 0.2))
-        state = PotState.from_lambda(lam, VAR_ES)
+        state = PotState.from_lambda(lam, VAR_ES, y, coords)
         n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
         got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8), coords=coords)
         u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
@@ -524,8 +522,8 @@ class TestQpSubspace:
             return real_wolfe(gset)
 
         def estimate(state, yy, eps, m, rng, coords, *args):
-            # the frame is built once per iterate, so this Q is the fit's
-            at[:] = [state.lam.as_vector(), eps, state.frame(yy, coords)[1]]
+            # the state carries its iterate's frame, so this Q is the fit's
+            at[:] = [state.lam.as_vector(), eps, state.draws]
             return real_estimate(state, yy, eps, m, rng, coords, *args)
 
         def ball(d, k, rng):
@@ -550,7 +548,7 @@ class TestQpSubspace:
             # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
             u = w @ draw_basis.T
             assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
-            state = PotState.from_lambda(Lambda.from_vector(x), VAR_ES)
+            state = PotState.from_lambda(Lambda.from_vector(x), VAR_ES, y, coords)
             span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
             assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12
             # and the kernel is handed the points x + eps*u, to the rounding of x

@@ -82,11 +82,13 @@ class TestRowKernel:
     def test_estimate_allocates_no_block_arrays(self):
         # a fit hands every estimate one RowScratch, so the kernel's (k, n)
         # temporaries are never allocated and freed block by block (the
-        # intercept-only frame keeps the per-estimate (2n, 2r) lifts small)
+        # state holds the frame, and the intercept-only map keeps the
+        # estimate's (2, 2r + 1, n) point map small)
         import tracemalloc
 
         state, y, _ = pot_state(3, 2000, boundary=False)
         coords = AdditiveProjector(None, [], state.n).coordinate_map()
+        state = PotState.from_lambda(state.lam, VAR_ES, y, coords)
         scratch = _kernels.RowScratch(32, state.n)
         block = scratch.tmp[0].nbytes
         tracemalloc.start()
@@ -100,17 +102,24 @@ class TestRowKernel:
 
 
 def test_fit_builds_one_frame_per_iterate(monkeypatch):
-    # the QR of J^-1 blockdiag(B, B) runs once per distinct iterate (the
-    # start and each accepted step), however many estimates an iterate
-    # takes before a step is accepted
+    # the QR of J^-1 blockdiag(B, B) and the gradient at the iterate (the
+    # frame's base row) run once per distinct iterate (the start and each
+    # accepted step), however many estimates an iterate takes before a
+    # step is accepted
     y = gpd_inverse_cdf(np.random.default_rng(11).random(300), 2.0, 0.2)
     real_qr, shapes = np.linalg.qr, []
+    real_grad, base_grads = _kernels.gpd_grad, []
 
     def qr(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return real_qr(a, *args, **kwargs)
 
+    def gpd_grad(eta, kappa, yy):
+        base_grads.append(eta.size)
+        return real_grad(eta, kappa, yy)
+
     monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(_kernels, "gpd_grad", gpd_grad)
     model = fit_pot_additive(y, None, VAR_ES, [],
                              GsParams(subgradient_mode="qp", m=120, beta=1e-4, seed=4,
                                       max_iter=300))
@@ -118,6 +127,7 @@ def test_fit_builds_one_frame_per_iterate(monkeypatch):
     assert trace.converged
     frames = shapes.count((2 * y.size, trace.subspace_dim))
     assert frames == len(trace.accepted) + 1
+    assert base_grads == [y.size] * (len(trace.accepted) + 1)
     assert frames < len(trace)  # some iterates take several estimates
 
 
@@ -143,7 +153,8 @@ def pot_state(seed, n, boundary):
     else:
         projector = AdditiveProjector((np.arange(n) % 6.0)[:, None],
                                       [SmootherSpec("cell_factor", 0)])
-    return PotState.from_lambda(lam, VAR_ES), y, projector.coordinate_map()
+    coords = projector.coordinate_map()
+    return PotState.from_lambda(lam, VAR_ES, y, coords), y, coords
 
 
 @pytest.mark.parametrize("boundary", [False, True])
@@ -194,7 +205,7 @@ def test_fit_steps_along_the_min_norm_point(monkeypatch):
                 fit_pot_additive(y, W, VAR_ES, specs, gs)
             continue
         model = fit_pot_additive(y, W, VAR_ES, specs, gs)
-        state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES)
+        state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES, y, coords)
         rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
                                              np.random.default_rng(seed), coords))
         c = min_norm_point(rows).point

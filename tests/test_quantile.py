@@ -130,7 +130,8 @@ def kink_path(monkeypatch, q, y, alpha, u_full):
     # in the identity coordinate map the step's coordinates are g_hat itself
     trace = FitTrace()
     out = quantile._sampled_subgradient(q, y, alpha, EPS, m, "average", None,
-                                        CoordinateMap(np.eye(n), np.eye(n)), trace)
+                                        CoordinateMap(np.eye(n), np.eye(n)), trace,
+                                        pinball_grad(q, y, alpha))
     assert trace.ball_coordinates == kink.size
     return out
 
@@ -180,7 +181,7 @@ class TestKinkCoordinates:
             for mode in ("qp", "average"):
                 trace = FitTrace()
                 c, gnorm, _ = quantile._sampled_subgradient(
-                    q, y, 0.7, EPS, n + 1, mode, rng, coords, trace)
+                    q, y, 0.7, EPS, n + 1, mode, rng, coords, trace, base)
                 assert trace.ball_coordinates == 0
                 assert c.tobytes() == (coords.coef @ base).tobytes()
         assert rng.bit_generator.state == state
@@ -333,19 +334,23 @@ class TestAverageModeDirection:
         sampled, descend = quantile._sampled_subgradient, quantile.descend
         identity = CoordinateMap(np.eye(80), np.eye(80))
 
-        def spy_sampled(q, yy, alpha, eps, m, mode, rng, coords, trace):
+        def spy_sampled(q, yy, alpha, eps, m, mode, rng, coords, trace, base):
             # g_hat from the same draws, as the coordinates of the identity map
             estimates.append(sampled(q, yy, alpha, eps, m, mode, copy.deepcopy(rng),
-                                     identity, FitTrace())[0])
-            return sampled(q, yy, alpha, eps, m, mode, rng, coords, trace)
+                                     identity, FitTrace(), base)[0])
+            return sampled(q, yy, alpha, eps, m, mode, rng, coords, trace, base)
 
-        def spy_descend(objective, x, f, estimate, *args, **kwargs):
-            def record(q, eps):
-                out = estimate(q, eps)
-                if out[0] is not None:
-                    pairs.append((estimates[-1], out[0]))
-                return out
-            return descend(objective, x, f, record, *args, **kwargs)
+        def spy_descend(objective, x, f, at, *args, **kwargs):
+            def spy_at(q, fq):
+                estimate = at(q, fq)
+
+                def record(eps):
+                    out = estimate(eps)
+                    if out[0] is not None:
+                        pairs.append((estimates[-1], out[0]))
+                    return out
+                return record
+            return descend(objective, x, f, spy_at, *args, **kwargs)
 
         monkeypatch.setattr(quantile, "_sampled_subgradient", spy_sampled)
         monkeypatch.setattr(quantile, "descend", spy_descend)
@@ -356,6 +361,26 @@ class TestAverageModeDirection:
             assert g.shape == y.shape
             p = model.projector.project(g).fitted
             assert np.max(np.abs(v + p / np.linalg.norm(p))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["average", "qp"])
+def test_gradient_at_the_iterate_is_taken_once_per_iterate(monkeypatch, mode):
+    # the pinball gradient at q serves every estimate at q: it is taken at
+    # the start and after each accepted step, not once per iteration
+    y, W, specs = one_smoother_design(120, 6)
+    real_grad, at_iterate = _kernels.pinball_grad, []
+
+    def grad(q, yy, alpha):
+        if np.shape(q) == y.shape:
+            at_iterate.append(q.copy())
+        return real_grad(q, yy, alpha)
+
+    monkeypatch.setattr(_kernels, "pinball_grad", grad)
+    model = fit_quantile_additive(y, W, 0.8, specs,
+                                  GsParams(seed=3, subgradient_mode=mode, max_iter=300))
+    trace = model.trace
+    assert len(trace) > len(trace.accepted) + 1 and len(trace.accepted) > 5
+    assert len(at_iterate) == len(trace.accepted) + 1
 
 
 class TestPredictInterceptOnly:
@@ -403,7 +428,7 @@ class TestQpMode:
             seen.clear()
             trace = FitTrace()
             g, gnorm, method = quantile._sampled_subgradient(
-                q, y, 0.8, eps, r + 1, "qp", rng, coords, trace)
+                q, y, 0.8, eps, r + 1, "qp", rng, coords, trace, pinball_grad(q, y, 0.8))
             (u,), (rows,) = drawn, seen
             assert u.shape == (r + 1, r) and trace.ball_coordinates == r
             want = pinball_coordinate_rows(q, y, 0.8, eps, u, coords)

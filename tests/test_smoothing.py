@@ -498,12 +498,16 @@ class TestCoordinateMap:
             maps.append(coordinate_map(self))
             return maps[-1]
 
-        def spy_descend(objective, x, f, estimate, *args, **kwargs):
-            def record(q, eps):
-                out = estimate(q, eps)
-                steps.append(out[0])
-                return out
-            return descend(objective, x, f, record, *args, **kwargs)
+        def spy_descend(objective, x, f, at, *args, **kwargs):
+            def spy_at(q, fq):
+                estimate = at(q, fq)
+
+                def record(eps):
+                    out = estimate(eps)
+                    steps.append(out[0])
+                    return out
+                return record
+            return descend(objective, x, f, spy_at, *args, **kwargs)
 
         monkeypatch.setattr(AdditiveProjector, "coordinate_map", spy_map)
         monkeypatch.setattr(quantile, "descend", spy_descend)

@@ -1,10 +1,12 @@
 """The benchmark tracer's call sites stay where the fitters call them.
 
 fitbench's tracer patches named module globals (``tracer.SITES``) and
-fails a traced run whose workload never calls one of its sites.  These
-tests run one fit of each fitter workload under the tracer, so a
+fails a traced run whose workload never calls one of its sites; its
+counters read some arguments of the estimate functions by position.
+These tests run one fit of each workload under the tracer, so a
 refactor that moves a sampling, reduction or frame call away from its
-site fails here as well as in ``fitbench/run.py --trace 1``.
+site, or moves an argument the tracer reads, fails here as well as in
+``fitbench/run.py --trace 1``.
 """
 
 import os
@@ -19,7 +21,7 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["quantile-additive", "pot-qp"])
+@pytest.mark.parametrize("name", ["quantile-additive", "pot-qp", "minimize"])
 def test_traced_fit_hits_every_site_of_its_workload(tmp_path, name):
     w = workloads.WORKLOADS[name]
     inp = w.make_input(0, 0, str(tmp_path))  # pot-qp writes its CSV and artifacts here
