@@ -1,23 +1,25 @@
 """Command-line interface: fit-quantile, fit-pot, simulate, gradcheck, minimize.
 
-Configuration precedence is CLI flag > config-file entry > built-in
-default; config files are flat ``key = value`` text.  Each task reads
-only its own options (``_TASK_OPTIONS``), and any other is an input
-error.  The hyperparameters are the fields of
-:class:`~gsda.engine.GsParams`, with their defaults; ``--mode`` names
-``subgradient_mode`` and follows the mode rule of its docstring.  Both
-fit tasks load their input and write their artifacts (fitted values,
-additive decomposition, iteration trace, diagnostics) through one path,
-as plain comma-separated / key=value text into the output directory.
-Exit codes: 0 converged/success, 2 non-convergence, 3 input or
-configuration error, 4 numerical failure.
+Each option is declared once, as a row of ``_OPTIONS``: its parser and
+its default.  The hyperparameters' rows are the fields of
+:class:`~gsda.engine.GsParams`, parsed by field type, with the field
+defaults; ``--mode`` names ``subgradient_mode`` and follows the mode rule
+of its docstring.  ``_READS`` and ``_KINDS`` name the options each task
+and each simulate kind reads.  The flags, the config-file keys and a
+run's settings all come from these tables, and any other option is an
+input error.  A flag beats a config-file entry (flat ``key = value``
+text), which beats the default.  Both fit tasks write their artifacts
+through one path, as plain text into the output directory.  Exit codes:
+0 converged/success, 2 non-convergence, 3 input or configuration error,
+4 numerical failure.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -49,75 +51,101 @@ EXIT_NONCONVERGED = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
-# the options each simulate kind reads, with their defaults; giving one
-# that the kind does not read is an input error
-_SIMULATE_OPTIONS = {
-    "gpd": {"n": 1000, "sigma": 2.0, "kappa": 0.2},
-    "gpd-sites": {"n": 1000, "kappa": 0.2},
-    "sales": {"days": 28, "hours_per_day": 17},
-    "hetero": {"n": 1000},
+
+def _number(text, what, kind=float, low=None):
+    """kind(text); a malformed or non-finite number, or one below ``low``, is an input error."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise InvalidInput(f"{what}: {text!r} is not a valid number") from None
+    if not math.isfinite(value):
+        raise InvalidInput(f"{what}: {text!r} is not a finite number")
+    if low is not None and value < low:
+        raise InvalidInput(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+_count = partial(_number, kind=int, low=1)
+
+
+def _text(text, key):
+    return text
+
+
+def _texts(value, key):
+    """A repeatable option: its flags' list, or a config entry's comma-separated items."""
+    if isinstance(value, list):
+        return value
+    return [s.strip() for s in value.split(",") if s.strip()]
+
+
+def _levels(text, key):
+    return [_number(v, key) for v in text.split(",") if v.strip()]
+
+
+def _point(text, key):
+    return tuple(_number(v, key) for v in text.split(","))
+
+
+def _option(f):
+    """The option that sets GsParams field ``f``."""
+    return "mode" if f.name == "subgradient_mode" else f.name
+
+
+# option -> (parser, default); parser(text, option) parses a flag's or a
+# config entry's text, and a GsParams field's type picks its parser
+_BY_TYPE = {float: _number, int: _count, int | None: _count, str: _text}
+_OPTIONS = {
+    "output_dir": (_text, "."),
+    "input": (_text, None),
+    "response": (_text, "y"),
+    "smoother": (_texts, ()),
+    "factor": (_texts, ()),
+    "alpha": (_number, 0.9),
+    "exceed_prob": (_number, None),
+    "levels": (_levels, None),
+    **{_option(f): (_BY_TYPE[f.type], f.default) for f in fields(GsParams)},
+    "seed": (partial(_number, kind=int, low=0), 0),  # a GsParams field that may be 0
+    "kind": (_text, "gpd"),
+    "n": (_count, 1000),
+    "sigma": (_number, 2.0),
+    "kappa": (_number, 0.2),
+    "days": (_count, 28),
+    "hours_per_day": (_count, 17),
+    "objective": (_text, "nsrosenbrock"),
+    "x0": (_point, (-1.0, 1.0)),
+    "points": (_count, 100),
 }
-_SIMULATE_KEYS = tuple(dict.fromkeys(key for reads in _SIMULATE_OPTIONS.values()
-                                     for key in reads))
 
-# each GsParams field by its option name (mode is subgradient_mode); an
-# option's default is its field's
-_GS_OPTIONS = {"mode" if f.name == "subgradient_mode" else f.name: f
-               for f in fields(GsParams)}
-
-_DEFAULTS = {
-    "response": "y",
-    "alpha": 0.9,
-    "exceed_prob": None,
-    "levels": None,
-    **{key: f.default for key, f in _GS_OPTIONS.items()},
-    "kind": "gpd",
-    **dict.fromkeys(_SIMULATE_KEYS),  # the kind's own default: _SIMULATE_OPTIONS
-    "objective": "nsrosenbrock",
-    "x0": "-1,1",
-    "points": 100,
+# simulate kind -> (simulator, the options it reads, in argument order)
+_KINDS = {
+    "gpd": (datasets.simulate_gpd, ("n", "sigma", "kappa", "seed")),
+    "gpd-sites": (datasets.simulate_gpd_sites, ("n", "seed", "kappa")),
+    "sales": (datasets.simulate_sales, ("days", "hours_per_day", "seed")),
+    "hetero": (datasets.simulate_hetero, ("n", "seed")),
 }
 
-# the options each task reads, as flags and as config-file keys; every
-# task also reads --config and output_dir, and giving an option the task
-# does not read is an input error
-_DATA_OPTIONS = ("input", "response", "smoother", "factor")
-_TASK_OPTIONS = {
-    "fit-quantile": (*_DATA_OPTIONS, "alpha", *_GS_OPTIONS),
-    "fit-pot": (*_DATA_OPTIONS, "levels", "exceed_prob", *_GS_OPTIONS),
-    "simulate": ("kind", "seed", *_SIMULATE_KEYS),
+_GS = tuple(map(_option, fields(GsParams)))  # the hyperparameters
+
+# task -> the options it reads, besides --config and output_dir
+_READS = {
+    "fit-quantile": ("input", "response", "smoother", "factor", "alpha", *_GS),
+    "fit-pot": ("input", "response", "smoother", "factor", "levels", "exceed_prob", *_GS),
+    "simulate": ("kind", *dict.fromkeys(key for _, reads in _KINDS.values() for key in reads)),
     "gradcheck": ("alpha", "seed", "points"),
-    "minimize": ("objective", "x0", *_GS_OPTIONS),
+    "minimize": ("objective", "x0", *_GS),
 }
 
-_FLOAT_KEYS = ("alpha", "exceed_prob", "beta", "mu", "lam", "eps0", "tau0",
-               "eps_min", "tau_min", "sigma", "kappa")
-_INT_KEYS = ("seed", "m", "max_iter", "max_backtracks", "n", "days",
-             "hours_per_day", "points")
 
-
-@dataclass
-class RunConfig:
-    """Fully resolved settings for one CLI run."""
-
-    task: str
-    input: str = None
-    output_dir: str = "."
-    smoothers: list = field(default_factory=list)
-    factors: list = field(default_factory=list)
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, key):
-        if key in self.options:
-            return self.options[key]
-        raise AttributeError(key)
+class RunConfig(dict):
+    """One run's settings: ``task``, and each option the task reads, resolved."""
 
     def gs_params(self):
-        return GsParams(**{f.name: self.options[key] for key, f in _GS_OPTIONS.items()})
+        return GsParams(**{f.name: self[_option(f)] for f in fields(GsParams)})
 
 
 def read_config_file(path):
-    """Parse a flat key = value file; '#' starts a comment."""
+    """Parse a flat key = value file; '#' starts a comment, and a key may appear once."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -127,36 +155,11 @@ def read_config_file(path):
             if "=" not in line:
                 raise ParseError("expected key = value", line=lineno)
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ParseError(f"config key {key!r} given twice", line=lineno)
+            out[key] = value.strip()
     return out
-
-
-def _number(text, what, kind=float):
-    """kind(text); a malformed or non-finite number is an input error."""
-    try:
-        value = kind(text)
-    except ValueError:
-        raise InvalidInput(f"{what}: {text!r} is not a valid number") from None
-    if not math.isfinite(value):
-        raise InvalidInput(f"{what}: {text!r} is not a finite number")
-    return value
-
-
-def _coerce(key, value):
-    """Parse one option from a flag (already typed) or a config-file string."""
-    if value is None:
-        return value
-    if key in _FLOAT_KEYS:
-        return _number(value, key)
-    if key in _INT_KEYS:
-        value = _number(value, key, int)
-        low = 0 if key == "seed" else 1
-        if value < low:
-            raise InvalidInput(f"{key} must be >= {low}, got {value}")
-        return value
-    if key == "levels":
-        return [_number(v, key) for v in value.split(",") if v.strip()]
-    return value
 
 
 def parse_smoother(text):
@@ -178,46 +181,6 @@ def parse_smoother(text):
         else:
             raise InvalidInput(f"unknown smoother option {okey!r} in {text!r}")
     return col, kwargs
-
-
-def build_design(dataset, smoother_texts):
-    """Assemble (W, specs, component names, level labels) from --smoother args."""
-    cols, specs, names, level_maps = [], [], [], []
-    for idx, text in enumerate(smoother_texts):
-        col, kwargs = parse_smoother(text)
-        kind = kwargs["kind"]
-        if kind == "cell_factor":
-            if ":" in col:
-                a, b = col.split(":", 1)
-                codes, labels = dataset.interaction(a, b)
-            else:
-                if dataset.kind_of(col) != "factor":
-                    raise InvalidInput(f"cell_factor column {col!r} must be a factor")
-                codes = dataset.column(col)
-                labels = dataset.levels[col]
-            cols.append(codes)
-            level_maps.append(labels)
-        else:
-            if col not in dataset.columns:
-                raise MissingColumn(f"covariate column {col!r} not in input")
-            if dataset.kind_of(col) == "factor":
-                raise InvalidInput(f"{kind} smoother needs a numeric column, "
-                                   f"{col!r} is a factor")
-            cols.append(dataset.column(col))
-            level_maps.append(None)
-        specs.append(SmootherSpec(covariate_index=idx, **kwargs))
-        names.append(col)
-    W = np.column_stack(cols) if cols else None
-    return W, specs, names, level_maps
-
-
-def factor_columns_needed(smoother_texts, extra):
-    needed = set(extra)
-    for text in smoother_texts:
-        col, kwargs = parse_smoother(text)
-        if kwargs["kind"] == "cell_factor":
-            needed.update(col.split(":"))
-    return sorted(needed)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +263,8 @@ def _write_fit(out, config, data, gs, trace, fitted, decomposition, head, tail):
     _write_decomposition(os.path.join(out, "decomposition.csv"), *decomposition)
     _write_trace(os.path.join(out, "trace.csv"), trace)
     _write_diagnostics(os.path.join(out, "diagnostics.txt"), [
-        ("task", config.task), *head,
-        ("n", data.n), ("dropped_rows", data.n_dropped), ("seed", config.seed),
+        ("task", config["task"]), *head,
+        ("n", data.n), ("dropped_rows", data.n_dropped), ("seed", config["seed"]),
         *_run_entries(gs, trace), *tail,
     ])
     return EXIT_OK if trace.converged else EXIT_NONCONVERGED
@@ -312,18 +275,42 @@ def _write_fit(out, config, data, gs, trace, fitted, decomposition, head, tail):
 # ---------------------------------------------------------------------------
 
 def _load_fit_input(config):
-    """The input of a fit task: ``(dataset, W, specs, names, level labels)``."""
-    if config.input is None:
-        raise InvalidInput(f"{config.task} requires --input")
-    data = datasets.load_csv(
-        config.input, config.response,
-        factor_columns_needed(config.smoothers, config.factors))
-    return (data, *build_design(data, config.smoothers))
+    """The input of a fit task: ``(dataset, W, specs, names, level labels)``.
+
+    A cell_factor smoother reads one label column, or with ``a:b`` the
+    interaction of two; load_csv reads each such column as a factor.
+    """
+    if config["input"] is None:
+        raise InvalidInput(f"{config['task']} requires --input")
+    smoothers = [parse_smoother(text) for text in config["smoother"]]
+    label_cols = [col.split(":", 1) if kwargs["kind"] == "cell_factor" else []
+                  for col, kwargs in smoothers]
+    data = datasets.load_csv(config["input"], config["response"],
+                             sorted(set(config["factor"]).union(*label_cols)))
+    cols, specs, level_maps = [], [], []
+    for idx, ((col, kwargs), parts) in enumerate(zip(smoothers, label_cols)):
+        for name in parts or [col]:
+            if name not in data.columns:
+                raise MissingColumn(f"covariate column {name!r} not in input")
+        if len(parts) == 2:
+            codes, labels = data.interaction(*parts)
+        elif parts:
+            codes, labels = data.column(col), data.levels[col]
+        elif data.kind_of(col) == "factor":
+            raise InvalidInput(f"{kwargs['kind']} smoother needs a numeric column, "
+                               f"{col!r} is a factor")
+        else:
+            codes, labels = data.column(col), None
+        cols.append(codes)
+        level_maps.append(labels)
+        specs.append(SmootherSpec(covariate_index=idx, **kwargs))
+    W = np.column_stack(cols) if cols else None
+    return data, W, specs, [col for col, _ in smoothers], level_maps
 
 
 def _run_fit_quantile(config, out):
     data, W, specs, names, level_maps = _load_fit_input(config)
-    alpha = config.alpha
+    alpha = config["alpha"]
     gs = config.gs_params()
     model = fit_quantile_additive(data.y, W, alpha, specs, gs)
 
@@ -345,14 +332,14 @@ def _run_fit_quantile(config, out):
 
 
 def _run_fit_pot(config, out):
-    if config.exceed_prob is None:
+    if config["exceed_prob"] is None:
         raise InvalidInput("fit-pot requires --exceed-prob (threshold exceedance "
                            "probability supplied at ingestion)")
-    if not config.levels:
+    levels = config["levels"]
+    if not levels:
         raise InvalidInput("fit-pot requires --levels with one or two tail levels")
-    levels = config.levels
     pair = "var_es" if len(levels) == 1 else "var_var"
-    fspec = FunctionalSpec(pair, tuple(levels), config.exceed_prob)
+    fspec = FunctionalSpec(pair, tuple(levels), config["exceed_prob"])
     data, W, specs, names, _ = _load_fit_input(config)
     gs = config.gs_params()
     model = fit_pot_additive(data.y, W, fspec, specs, gs)
@@ -372,34 +359,16 @@ def _run_fit_pot(config, out):
         ("kappa_min", float(model.state.lam.kappa.min())),
         ("kappa_max", float(model.state.lam.kappa.max())),
     ]
-    if fspec.pair == "var_var":
-        tail.append(("levels_ordered_pointwise", bool(np.all(th2 > th1))))
     return _write_fit(out, config, data, gs, model.trace, dict(zip(fnames, (th1, th2))),
                       (names, list(model.decompositions), fnames), head, tail)
 
 
 def _run_simulate(config, out):
-    kind = config.kind
-    if kind not in _SIMULATE_OPTIONS:
-        raise InvalidInput(f"unknown simulate kind {kind!r}")
-    reads = _SIMULATE_OPTIONS[kind]
-    unread = [key for key in _SIMULATE_KEYS
-              if key not in reads and config.options[key] is not None]
-    if unread:
-        raise InvalidInput(f"simulate --kind {kind} does not read {', '.join(unread)}")
-    o = {key: default if config.options[key] is None else config.options[key]
-         for key, default in reads.items()}
-    if kind == "gpd":
-        data = datasets.simulate_gpd(o["n"], o["sigma"], o["kappa"], config.seed)
-    elif kind == "gpd-sites":
-        data = datasets.simulate_gpd_sites(o["n"], config.seed, kappa=o["kappa"])
-    elif kind == "sales":
-        data = datasets.simulate_sales(o["days"], o["hours_per_day"], config.seed)
-    else:
-        data = datasets.simulate_hetero(o["n"], config.seed)
+    simulator, reads = _KINDS[config["kind"]]
+    data = simulator(*(config[key] for key in reads))
     datasets.write_csv(data, os.path.join(out, "data.csv"))
     _write_diagnostics(os.path.join(out, "diagnostics.txt"), [
-        ("task", "simulate"), ("kind", kind), ("n", data.n), ("seed", config.seed),
+        ("task", "simulate"), ("kind", config["kind"]), ("n", data.n), ("seed", config["seed"]),
     ])
     return EXIT_OK
 
@@ -418,9 +387,9 @@ def _rel_err(a, b):
 
 def _run_gradcheck(config, out):
     """Compare analytic gradients with central differences; a failed check raises."""
-    rng = np.random.default_rng(config.seed)
-    points = config.points
-    alpha = config.alpha
+    rng = np.random.default_rng(config["seed"])
+    points = config["points"]
+    alpha = config["alpha"]
     worst = {"pinball": 0.0, "gpd_loglik": 0.0, "jacobian": 0.0}
 
     for _ in range(points):
@@ -454,7 +423,7 @@ def _run_gradcheck(config, out):
 
     overall = max(worst.values())
     passed = overall < 1e-4
-    entries = [("task", "gradcheck"), ("points", points), ("seed", config.seed)]
+    entries = [("task", "gradcheck"), ("points", points), ("seed", config["seed"])]
     entries += [(f"max_rel_err.{k}", v) for k, v in sorted(worst.items())]
     entries += [("max_rel_err", overall), ("passed", passed)]
     _write_diagnostics(os.path.join(out, "gradcheck.txt"), entries)
@@ -464,25 +433,28 @@ def _run_gradcheck(config, out):
     return EXIT_OK
 
 
+# objective -> its Objective for a starting point of the given dimension
+_OBJECTIVES = {
+    "nsrosenbrock": lambda dim: nonsmooth_rosenbrock(),
+    "l1": l1_norm,
+    "sumsq": lambda dim: sum_of_squares(np.zeros(dim)),
+}
+
+
 def _run_minimize(config, out):
-    name = config.objective
-    x0 = np.array([_number(v, "x0") for v in str(config.x0).split(",")])
-    if name == "nsrosenbrock":
-        obj = nonsmooth_rosenbrock()
-    elif name == "l1":
-        obj = l1_norm(x0.size)
-    elif name == "sumsq":
-        obj = sum_of_squares(np.zeros(x0.size))
-    else:
+    name = config["objective"]
+    x0 = np.array(config["x0"])
+    if name not in _OBJECTIVES:
         raise InvalidInput(f"unknown objective {name!r}; "
                            "choose nsrosenbrock, l1, or sumsq")
+    obj = _OBJECTIVES[name](x0.size)
     if x0.size != obj.dim:
         raise InvalidInput(f"objective {name!r} expects dimension {obj.dim}")
     gs = config.gs_params()
     x, trace = gsda_minimize(obj, x0, gs)
     _write_trace(os.path.join(out, "trace.csv"), trace)
     entries = [
-        ("task", "minimize"), ("objective", name), ("seed", config.seed),
+        ("task", "minimize"), ("objective", name), ("seed", config["seed"]),
         *_run_entries(gs, trace),
         ("final_f", obj.eval(x)),
         ("final_x", ",".join(f"{v:.17g}" for v in x)),
@@ -494,20 +466,14 @@ def _run_minimize(config, out):
     return EXIT_OK if trace.converged else EXIT_NONCONVERGED
 
 
-def run(config):
-    """Execute one task; returns the process exit status."""
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    handlers = {
-        "fit-quantile": _run_fit_quantile,
-        "fit-pot": _run_fit_pot,
-        "simulate": _run_simulate,
-        "gradcheck": _run_gradcheck,
-        "minimize": _run_minimize,
-    }
-    if config.task not in handlers:
-        raise InvalidInput(f"unknown task {config.task!r}")
-    return handlers[config.task](config, out)
+_TASKS = {
+    "fit-quantile": _run_fit_quantile,
+    "fit-pot": _run_fit_pot,
+    "simulate": _run_simulate,
+    "gradcheck": _run_gradcheck,
+    "minimize": _run_minimize,
+}
+
 
 
 # ---------------------------------------------------------------------------
@@ -532,52 +498,50 @@ def build_parser():
                     "quantile regression, smooth POT models, and generic "
                     "nonsmooth minimization.")
     sub = parser.add_subparsers(dest="task", required=True)
-    for task, keys in _TASK_OPTIONS.items():
+    for task, reads in _READS.items():
         p = sub.add_parser(task)
         p.add_argument("--config")
-        p.add_argument("--output-dir", dest="output_dir")
-        for key in keys:
-            # values stay text here and are parsed by _coerce, as config
+        for key in ("output_dir", *reads):
+            # values stay text here and are parsed by their row, as config
             # entries are
-            if key in ("smoother", "factor"):
-                p.add_argument(_flag(key), dest=key, action="append")
-            else:
-                p.add_argument(_flag(key), dest=key)
+            p.add_argument(_flag(key), dest=key,
+                           action="append" if _OPTIONS[key][0] is _texts else "store")
     return parser
 
 
 def resolve_config(args):
-    reads = ("output_dir", *_TASK_OPTIONS[args.task])
-    options = dict(_DEFAULTS)
-    given = {}
-    if args.config:
-        given = read_config_file(args.config)
-        for key in given:
-            if key not in options and key not in ("output_dir", *_DATA_OPTIONS):
-                raise InvalidInput(f"unknown config key {key!r}")
-            if key not in reads:
-                raise InvalidInput(f"{args.task} does not read config key {key!r}")
-        for key in ("smoother", "factor"):
-            if key in given:
-                given[key] = [s.strip() for s in given[key].split(",") if s.strip()]
+    """The run's settings; each value given by flag or config entry is parsed by its row."""
+    task, reads = args.task, ("output_dir", *_READS[args.task])
+    given = read_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in _OPTIONS:
+            raise InvalidInput(f"unknown config key {key!r}")
+        if key not in reads:
+            raise InvalidInput(f"{task} does not read config key {key!r}")
     given.update((key, getattr(args, key)) for key in reads
                  if getattr(args, key) is not None)
-    for key in options:
-        if key in given:
-            options[key] = _coerce(key, given[key])
-    if args.task == "fit-quantile" and "mode" not in given:
-        options["mode"] = "average"  # the mode rule: GsParams' docstring
-    return RunConfig(task=args.task, input=given.get("input"),
-                     output_dir=given.get("output_dir", "."),
-                     smoothers=given.get("smoother", []),
-                     factors=given.get("factor", []), options=options)
+    config = RunConfig(task=task)
+    for key in reads:
+        parse, default = _OPTIONS[key]
+        config[key] = parse(given[key], key) if key in given else default
+    if task == "fit-quantile" and "mode" not in given:
+        config["mode"] = "average"  # the mode rule: GsParams' docstring
+    if task == "simulate":
+        kind = config["kind"]
+        if kind not in _KINDS:
+            raise InvalidInput(f"unknown simulate kind {kind!r}")
+        unread = [key for key in _READS[task]
+                  if key in given and key not in ("kind", *_KINDS[kind][1])]
+        if unread:
+            raise InvalidInput(f"simulate --kind {kind} does not read {', '.join(unread)}")
+    return config
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        config = resolve_config(args)
-        return run(config)
+        config = resolve_config(build_parser().parse_args(argv))
+        os.makedirs(config["output_dir"], exist_ok=True)
+        return _TASKS[config["task"]](config, config["output_dir"])
     except (InvalidInput, ParseError, MissingColumn, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

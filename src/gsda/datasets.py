@@ -65,9 +65,10 @@ def load_csv(path, response_column="y", factor_columns=()):
     """Read a headed CSV into a Dataset.
 
     Rows with a missing or unparseable numeric entry are dropped and
-    counted; a row with the wrong number of fields raises
-    :class:`ParseError` with its line number.  Factor columns keep
-    their labels, coded in first-appearance order.
+    counted; a row with the wrong number of fields, or a header that
+    names a column twice, raises :class:`ParseError` with its line
+    number.  Factor columns keep their labels, coded in first-appearance
+    order.
     """
     factor_columns = list(factor_columns)
     with open(path, newline="") as fh:
@@ -77,6 +78,9 @@ def load_csv(path, response_column="y", factor_columns=()):
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ParseError(f"column {name!r} appears twice in the header", line=1)
         if response_column not in header:
             raise MissingColumn(f"response column {response_column!r} not in header")
         for name in factor_columns:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gsda.cli import (
     parse_smoother,
     read_config_file,
 )
+from gsda.errors import ParseError
 
 
 def read_diagnostics(path):
@@ -42,6 +45,58 @@ class TestParsing:
         p.write_text("# comment\nalpha = 0.8\nseed=4\n\nmax-iter = 50\n")
         cfg = read_config_file(p)
         assert cfg == {"alpha": "0.8", "seed": "4", "max_iter": "50"}
+
+    def test_config_key_given_twice(self, tmp_path):
+        # max-iter and max_iter name one key
+        p = tmp_path / "run.cfg"
+        for text, where in (("alpha = 0.5\nalpha = 0.8\n", "line 2: config key 'alpha'"),
+                            ("max-iter = 5\n# x\nmax_iter = 6\n", "line 3: config key 'max_iter'")):
+            p.write_text(text)
+            with pytest.raises(ParseError, match=f"^{where} given twice"):
+                read_config_file(p)
+
+
+GS_FLAGS = ("--m", "--beta", "--mu", "--lambda", "--eps0", "--tau0", "--eps-min",
+            "--tau-min", "--max-iter", "--max-backtracks", "--mode", "--seed")
+DATA_FLAGS = ("--input", "--response", "--smoother", "--factor")
+TASK_FLAGS = {
+    "fit-quantile": (*DATA_FLAGS, "--alpha", *GS_FLAGS),
+    "fit-pot": (*DATA_FLAGS, "--levels", "--exceed-prob", *GS_FLAGS),
+    "simulate": ("--kind", "--seed", "--n", "--sigma", "--kappa", "--days", "--hours-per-day"),
+    "gradcheck": ("--alpha", "--seed", "--points"),
+    "minimize": ("--objective", "--x0", *GS_FLAGS),
+}
+
+
+class TestOptionTable:
+    """The flags each task takes pin the option table and its reads."""
+
+    @pytest.mark.parametrize("task", sorted(TASK_FLAGS))
+    def test_help_lists_the_task_reads(self, capsys, task):
+        with pytest.raises(SystemExit) as exit_:
+            main([task, "--help"])
+        assert exit_.value.code == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {"--config", "--output-dir", *TASK_FLAGS[task]}
+
+    def test_every_option_is_read_by_a_task(self):
+        from gsda import cli
+
+        assert set(cli._OPTIONS) - {"output_dir"} == set().union(*cli._READS.values())
+
+    def test_each_simulate_kind_reads_flags_of_simulate(self):
+        from gsda import cli
+
+        for kind, (_, reads) in cli._KINDS.items():
+            flags = {"--" + key.replace("_", "-") for key in reads}
+            assert flags <= set(TASK_FLAGS["simulate"]), kind
+
+    def test_a_run_sees_its_task_reads_alone(self):
+        from gsda.cli import build_parser, resolve_config
+
+        config = resolve_config(build_parser().parse_args(["gradcheck", "--points", "7"]))
+        assert config == {"task": "gradcheck", "output_dir": ".", "alpha": 0.9,
+                          "seed": 0, "points": 7}
 
 
 class TestSimulateAndFitQuantile:
@@ -241,6 +296,25 @@ class TestFitPot:
         header, _ = read_table(out / "fitted.csv")
         assert header[-2:] == ["return_level", "expected_shortfall"]
 
+    def test_var_var_run(self, tmp_path):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "gpd-sites", "--n", "30", "--seed", "2",
+              "--output-dir", str(sim)])
+        out = tmp_path / "fit"
+        code = main(["fit-pot", "--input", str(sim / "data.csv"), "--levels", "0.02,0.01",
+                     "--exceed-prob", "0.1", "--smoother", "site=cell_factor",
+                     "--smoother", "t=local_linear:df=4", "--max-iter", "20", "--seed", "1",
+                     "--output-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_NONCONVERGED)
+        diag = read_diagnostics(out / "diagnostics.txt")
+        assert (diag["pair"], diag["scale_factors"]) == ("var_var", "0.2,0.1")
+        # the return level decreases in the level, so the two never cross
+        # and the diagnostics carry no key that says so
+        assert list(diag)[-5:] == ["final_negloglik", "mean_return_level_1",
+                                   "mean_return_level_2", "kappa_min", "kappa_max"]
+        header, _ = read_table(out / "fitted.csv")
+        assert header == ["y", "site", "t", "return_level_1", "return_level_2"]
+
     def test_average_mode_is_an_input_error(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "gpd", "--n", "40", "--seed", "0",
@@ -420,6 +494,24 @@ class TestErrorsAndConfig:
         assert main(["fit-quantile", "--input", str(sim / "data.csv"),
                      "--smoother", "w=warp_drive",
                      "--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
+
+    def test_bad_input_table_exits_3(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--kind", "hetero", "--n", "50", "--seed", "0",
+              "--output-dir", str(sim)])
+        dup = tmp_path / "dup.csv"
+        dup.write_text("y,w,w\n1,10,20\n2,11,21\n3,12,22\n")
+        data = str(sim / "data.csv")
+        for i, (argv, err) in enumerate([
+                (["--input", str(dup)], "line 1: column 'w' appears twice in the header"),
+                (["--input", data, "--smoother", "y=cell_factor"],
+                 "covariate column 'y' not in input"),
+                (["--input", data, "--smoother", "w:y=cell_factor"],
+                 "covariate column 'y' not in input")]):
+            capsys.readouterr()
+            assert main(["fit-quantile", *argv, "--output-dir", str(tmp_path / f"x{i}")]) \
+                == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

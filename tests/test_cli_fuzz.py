@@ -102,15 +102,20 @@ def through_config(key, argv, value, out):
     return argv + ["--config", str(cfg)] + extra
 
 
+def numeric_options():
+    return sorted(key for key, (parse, _) in cli._OPTIONS.items()
+                  if parse not in (cli._text, cli._texts))
+
+
 def test_every_option_is_covered(inputs):
-    numeric = set(cli._FLOAT_KEYS) | set(cli._INT_KEYS) | {"levels", "x0"}
-    config_keys = set(cli._DEFAULTS) | {"smoother", "factor", "input", "output_dir"}
-    assert numeric <= config_keys == set(cases(inputs))
+    numeric = set(numeric_options())
+    assert numeric >= {"alpha", "m", "seed", "levels", "x0"}
+    assert numeric <= set(cli._OPTIONS) == set(cases(inputs))
 
 
 def test_every_case_runs_a_task_that_reads_its_option(inputs):
     for key, (argv, _) in cases(inputs).items():
-        assert key == "output_dir" or key in cli._TASK_OPTIONS[argv[0]], key
+        assert key == "output_dir" or key in cli._READS[argv[0]], key
 
 
 @pytest.mark.parametrize("via", [through_flag, through_config])
@@ -142,7 +147,7 @@ JUNK = st.text(alphabet="bcdghjkmopqrsuvwxz!@$%^&*()[]{}<>?/|~`_+ ", max_size=10
 @given(value=JUNK, seed=st.integers(0, 2**32 - 1))
 def test_junk_numbers_exit_3(inputs, tmp_path, capsys, value, seed):
     table = cases(inputs)
-    numeric = sorted(set(cli._FLOAT_KEYS) | set(cli._INT_KEYS) | {"levels", "x0"})
+    numeric = numeric_options()
     rng = np.random.default_rng(seed)
     for key in rng.choice(numeric, size=4, replace=False):
         argv = table[key][0]

@@ -53,6 +53,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(p)
 
+    def test_repeated_header_name_raises_at_line_1(self, tmp_path):
+        # read as is, the second "w" column would overwrite the first
+        p = tmp_path / "d.csv"
+        p.write_text("y,w,w\n1,10,20\n2,11,21\n3,12,22\n")
+        with pytest.raises(ParseError, match="^line 1: column 'w' appears twice") as err:
+            load_csv(p)
+        assert err.value.line == 1
+
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,w\n1,0.1\n2,0.2\n3,0.3\n")
