@@ -3,9 +3,10 @@
 Each option is declared once, as a row of ``_OPTIONS``: its parser and
 its default.  The hyperparameters' rows are the fields of
 :class:`~gsda.engine.GsParams`, parsed by field type, with the field
-defaults; ``--mode`` names ``subgradient_mode`` and follows the mode rule
-of its docstring.  ``_READS`` and ``_KINDS`` name the options each task
-and each simulate kind reads.  The flags, the config-file keys and a
+defaults; ``--lambda`` names ``lam``, and ``--mode`` names
+``subgradient_mode`` and follows the mode rule of its docstring.
+``_READS`` and ``_KINDS`` name the options each task and each simulate
+kind reads.  The flags, the config-file keys and a
 run's settings all come from these tables, and any other option is an
 input error.  A flag beats a config-file entry (flat ``key = value``
 text), which beats the default.  Both fit tasks write their artifacts
@@ -89,7 +90,7 @@ def _point(text, key):
 
 def _option(f):
     """The option that sets GsParams field ``f``."""
-    return "mode" if f.name == "subgradient_mode" else f.name
+    return {"subgradient_mode": "mode", "lam": "lambda"}.get(f.name, f.name)
 
 
 # option -> (parser, default); parser(text, option) parses a flag's or a
@@ -487,10 +488,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
-def _flag(key):
-    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-
-
 def build_parser():
     parser = _Parser(
         prog="gsda",
@@ -504,7 +501,7 @@ def build_parser():
         for key in ("output_dir", *reads):
             # values stay text here and are parsed by their row, as config
             # entries are
-            p.add_argument(_flag(key), dest=key,
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
                            action="append" if _OPTIONS[key][0] is _texts else "store")
     return parser
 

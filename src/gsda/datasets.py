@@ -1,6 +1,7 @@
 """CSV ingestion, dataset container, and synthetic data generators."""
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,19 @@ class Dataset:
         return np.array([lv[int(c)] for c in self.column(name)])
 
     def interaction(self, name_a, name_b):
-        """Codes and levels of the concatenated factor ``a:b``."""
-        la, lb = self.labels(name_a), self.labels(name_b)
-        combined = np.array([f"{a}:{b}" for a, b in zip(la, lb)])
-        lv = list(dict.fromkeys(combined))
-        index = {label: i for i, label in enumerate(lv)}
-        codes = np.array([index[c] for c in combined], dtype=float)
-        return codes, lv
+        """Codes and levels of the concatenated factor ``a:b``.
+
+        Two distinct label pairs that join to one level, as (``x:y``, ``z``)
+        and (``x``, ``y:z``) do, raise :class:`InvalidInput`.
+        """
+        pairs = list(zip(self.labels(name_a), self.labels(name_b)))
+        index = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+        lv = [f"{a}:{b}" for a, b in index]
+        clash = next((label for label, count in Counter(lv).items() if count > 1), None)
+        if clash is not None:
+            raise InvalidInput(f"interaction {name_a}:{name_b} joins two label pairs "
+                               f"into level {clash!r}")
+        return np.array([index[p] for p in pairs], dtype=float), lv
 
 
 def _parse_float(text):

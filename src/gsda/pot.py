@@ -152,8 +152,7 @@ class PotState:
     def from_lambda(cls, lam, spec, y, coords):
         jac, inv = jacobian_blocks(lam, spec)
         span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
-        # each functional is sigma times a function of kappa, so its eta
-        # derivative is the functional itself
+        # the functionals are J's eta column (jacobian_blocks)
         return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec,
                    span, np.linalg.qr(span)[0], pullback,
                    _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback)
@@ -238,24 +237,19 @@ def jacobian_blocks(lam, spec):
     2x2 inversions.  Returns ``(blocks, inverses)`` with shape
     (n, 2, 2); raises :class:`SingularBlock` when any determinant falls
     to 1e-12 or below in absolute value.
+
+    Each functional is sigma times a function of kappa, so its eta
+    derivative is the functional itself; the pair decides only the
+    kappa derivative of the second.
     """
-    sigma = lam.sigma
-    kappa = lam.kappa
-    n = lam.n
-    jac = np.empty((n, 2, 2))
+    sigma, kappa, c = lam.sigma, lam.kappa, spec.c_values
+    jac = np.empty((lam.n, 2, 2))
+    jac[:, 0, 0], jac[:, 1, 0] = functional_map(lam, spec)
+    jac[:, 0, 1] = _dtheta_dkappa(sigma, kappa, c[0])
     if spec.pair == "var_es":
-        theta, zeta = functional_map(lam, spec)
-        dtheta = _dtheta_dkappa(sigma, kappa, spec.c_values[0])
-        jac[:, 0, 0] = theta
-        jac[:, 0, 1] = dtheta
-        jac[:, 1, 0] = zeta
-        jac[:, 1, 1] = (dtheta + zeta) / (1.0 - kappa)
+        jac[:, 1, 1] = (jac[:, 0, 1] + jac[:, 1, 0]) / (1.0 - kappa)
     else:
-        c1, c2 = spec.c_values
-        jac[:, 0, 0] = _theta_of(sigma, kappa, c1)
-        jac[:, 0, 1] = _dtheta_dkappa(sigma, kappa, c1)
-        jac[:, 1, 0] = _theta_of(sigma, kappa, c2)
-        jac[:, 1, 1] = _dtheta_dkappa(sigma, kappa, c2)
+        jac[:, 1, 1] = _dtheta_dkappa(sigma, kappa, c[1])
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     bad = np.abs(det) <= _DET_TOL
     if np.any(bad):

@@ -21,13 +21,13 @@ the default bandwidth.
 Backfitting (Buja, Hastie & Tibshirani 1989) defines the components as
 the fixed point of a Gauss-Seidel sweep: each component becomes the
 centred smooth of its partial residual, the response less every other
-component.  With two or more covariates that fixed point is solved
-once at build time, in the factor bases (a system of size sum r_j), for
-a coefficient map from residual to components.  ``project`` applies the
-map and then sweeps, at most twice: the sweep supplies the partial
-residuals ``predict`` needs and confirms the fixed point, and a second
-sweep runs only when the first still moved a component by
-``BACKFIT_TOL``.  With one covariate the sweeps start from zero.
+component.  That fixed point is solved once at build time, in the
+factor bases (a system of size sum r_j, the identity for one
+covariate), for a coefficient map from residual to components.
+``project`` applies the map and then sweeps, at most twice: the sweep
+supplies the partial residuals ``predict`` needs and confirms the fixed
+point, and a second sweep runs only when the first still moved a
+component by ``BACKFIT_TOL``.  With no covariate P is the mean.
 
 Building a local_linear factor costs O(n^2 r) time with one transient
 n x n hat; the factors and the map take O(n sum r_j) memory, and a
@@ -283,11 +283,6 @@ def _build_smoother(column, spec):
                      lambda v, w_new: _kernels.ll_weights(column, bw, w_new) @ v)
 
 
-def _centred(smoothers):
-    """Each smoother's left factor u_j with its column means removed."""
-    return [sm.u - sm.u.mean(axis=0) for sm in smoothers]
-
-
 class AdditiveProjector:
     """The projection step: smooth a vector onto the additive space.
 
@@ -319,7 +314,7 @@ class AdditiveProjector:
         self.n = W.shape[0] if k > 0 else n
         self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
                           for s in self._ordered]
-        if k >= 2:
+        if k:
             self._build_coefficient_map()
         self._coords = None if self.n is None else self._build_coordinate_map()
 
@@ -338,7 +333,7 @@ class AdditiveProjector:
         the fixed points when the system is singular, as for identical
         covariates) turns a residual into every ``c_j`` at once.
         """
-        self._centred = _centred(self.smoothers)
+        self._centred = [sm.u - sm.u.mean(axis=0) for sm in self.smoothers]
         vt = np.vstack([sm.vt for sm in self.smoothers])
         system = vt @ np.hstack(self._centred)
         self._splits = np.cumsum([u.shape[1] for u in self._centred])[:-1]
@@ -357,19 +352,14 @@ class AdditiveProjector:
     def _build_coordinate_map(self):
         """Factor P as ``B (M g)``.
 
-        P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``
-        (``vt_1`` in place of ``coef`` for one covariate), so P = U A for
-        ``U = [1, C u_1, ..., C u_k]`` and A the matching (1 + sum r_j, n)
-        coefficient rows.  An SVD of U, truncated where ``matrix_rank``
-        would (centred ``linear`` and ``cell_factor`` columns are
-        dependent), gives ``U = B S V^T``; then M = S V^T A.
+        P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``,
+        so P = U A for ``U = [1, C u_1, ..., C u_k]`` and A the matching
+        (1 + sum r_j, n) coefficient rows.  An SVD of U, truncated where
+        ``matrix_rank`` would (centred ``linear`` and ``cell_factor``
+        columns are dependent), gives ``U = B S V^T``; then M = S V^T A.
         """
         n = self.n
-        if self.k >= 2:
-            maps, centred = self.coef, self._centred
-        else:
-            maps = self.smoothers[0].vt if self.k == 1 else np.zeros((0, n))
-            centred = _centred(self.smoothers)
+        maps, centred = (self.coef, self._centred) if self.k else (np.zeros((0, n)), [])
         U = np.hstack([np.ones((n, 1)), *centred])
         A = np.vstack([np.full((1, n), 1.0 / n),
                        maps - maps.mean(axis=1, keepdims=True)])
@@ -387,14 +377,10 @@ class AdditiveProjector:
             raise NumericalFailure("cannot project a non-finite vector")
         intercept = float(g.mean())
         resid = g - intercept
-        k = self.k
-        if k == 0:
+        if self.k == 0:
             return AdditiveFit(intercept, [], np.full(g.size, intercept))
-        if k == 1:
-            comps = np.zeros((1, g.size))
-        else:
-            c = np.split(self.coef @ resid, self._splits)
-            comps = np.array([u @ cj for u, cj in zip(self._centred, c)])
+        c = np.split(self.coef @ resid, self._splits)
+        comps = np.array([u @ cj for u, cj in zip(self._centred, c)])
         total = comps.sum(axis=0)
         for cycles in (1, 2):
             targets, centers, delta = self._sweep(resid, comps, total)

@@ -560,6 +560,33 @@ class TestErrorsAndConfig:
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: unknown config key 'dim'\n"
 
+    def test_lambda_is_the_config_key_of_lambda(self, tmp_path, capsys):
+        # a config line copied from diagnostics.txt sets the option; the
+        # GsParams field's name is no key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 0.4\n")
+        run = ["minimize", "--max-iter", "3", "--config", str(cfg)]
+        assert main(run + ["--output-dir", str(tmp_path / "ok")]) \
+            in (EXIT_OK, EXIT_NONCONVERGED)
+        assert float(read_diagnostics(tmp_path / "ok" / "diagnostics.txt")["lambda"]) == 0.4
+        cfg.write_text("lam = 0.4\n")
+        capsys.readouterr()
+        assert main(run + ["--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown config key 'lam'\n"
+
+    def test_interaction_cells_never_merge(self, tmp_path, capsys):
+        # (x:y, z) and (x, y:z) would both join to the cell x:y:z
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(0)
+        cells = [("x:y", "z"), ("x", "y:z"), ("p", "r"), ("q", "s")] * 6
+        data.write_text("y,a,b\n" + "".join(f"{rng.normal():.6f},{a},{b}\n"
+                                             for a, b in cells))
+        capsys.readouterr()
+        assert main(["fit-quantile", "--input", str(data), "--smoother", "a:b=cell_factor",
+                     "--max-iter", "3", "--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert capsys.readouterr().err \
+            == "error: interaction a:b joins two label pairs into level 'x:y:z'\n"
+
     def test_sigma_rejected_for_gpd_sites(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma = 3\n")

@@ -41,7 +41,7 @@ def cases(root):
                     "0.01,0.02,0.03", ",")),
         "beta": (descent, BAD_FLOAT + ("0", "1")),
         "mu": (descent, BAD_FLOAT + ("0", "1")),
-        "lam": (descent, BAD_FLOAT + ("0", "1")),
+        "lambda": (descent, BAD_FLOAT + ("0", "1")),
         "eps0": (descent, BAD_FLOAT + ("0", "-1")),
         "tau0": (descent, BAD_FLOAT + ("0", "-1")),
         "eps_min": (descent, BAD_FLOAT + ("0", "0.5")),
@@ -74,7 +74,7 @@ def cases(root):
 
 
 def flag_of(key):
-    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+    return "--" + key.replace("_", "-")
 
 
 def run(argv, capsys):
