@@ -15,12 +15,12 @@ which returns that iterate's sampled-gradient estimate, returning its
 step vector with the norm that gauges it; :func:`gsda_minimize`, the
 quantile fitter and the POT fitter are three thin adapters around it.
 
-:func:`armijo_search` tries the steps 1, 1/2, ..., 2^-max_backtracks.
-The quantile fitter's ray, and :func:`gsda_minimize`'s on a ``stacked``
-objective (every built-in one), evaluate them as (k, d) stacks of up to
-``_ROW_BLOCK`` points, one call a stack; the POT fitter evaluates one
-point a call, faster for it.  A stacked objective also gets each block
-of ball draws in one ``eval`` call and one ``grad`` call.
+:func:`armijo_search` walks the steps 1, 1/2, ..., 2^-max_backtracks
+with one test.  The quantile fitter's ray, and :func:`gsda_minimize`'s
+on a ``stacked`` objective (every built-in one), take them in blocks of
+``_ROW_BLOCK``, one call a block; the POT fitter's ray takes one step a
+call, faster for it.  The minimizer's ball draws go the same way, then
+through one set of filters and shape checks.
 
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
@@ -136,7 +136,7 @@ class Objective:
     stack of points, one per row: ``eval`` returns the k values, shape
     (k,), and ``grad`` the k gradients as (k, dim) rows, each equal to
     its point's one-point result.  :func:`gsda_minimize` then evaluates
-    each block of ball draws, and each Armijo ladder, in one call.
+    each block of ball draws, and of Armijo steps, in one call.
     """
 
     eval: Callable[[np.ndarray], float]
@@ -293,15 +293,14 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
     not a finite ``dim``-vector, raises :class:`InvalidInput`.  Draws m
     ball points, rejects any that land outside the domain (eval +inf or
     non-finite gradient) and redraws them through :func:`sample_rows`,
-    then reduces the m+1 gradients to their min-norm point.  A
-    ``stacked`` objective gets each block of draws in one ``eval`` call
-    and one ``grad`` call on the finite-valued rows; an ``eval`` that
-    does not return shape (k,), or a ``grad`` that does not return
-    (k, d), raises :class:`InvalidInput`.  A mode other than qp raises
-    :class:`InvalidInput`; a failed solve, a solver bug, raises
-    :class:`NumericalFailure` (exit 4 on the command line) with no
-    fallback.  When a trace is given, the resolved m is set on it and
-    the sampler adds the rejected draws to ``trace.rejected_draws``.
+    then reduces the m+1 gradients to their min-norm point.  A block of
+    k draws takes one ``eval`` and one ``grad`` call (on the finite-valued
+    rows) when ``stacked``, one call a point otherwise; k values not of
+    shape (k,), or gradients not (k, d), raise :class:`InvalidInput`.
+    A mode other than qp raises :class:`InvalidInput`; a failed solve, a
+    solver bug, raises :class:`NumericalFailure` (exit 4 on the command
+    line) with no fallback.  When a trace is given, the resolved m is set
+    on it and the sampler adds the rejected draws to ``trace.rejected_draws``.
     """
     params.require_qp("the minimizer")
     x = np.asarray(x, dtype=float)
@@ -314,34 +313,25 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
     if trace is not None:
         trace.m = m
 
-    def evaluate(u):
-        rows = []
-        for ut in u:
-            xt = x + eps * ut
-            if np.isfinite(obj.eval(xt)):
-                gt = np.asarray(obj.grad(xt), dtype=float)
-                if np.all(np.isfinite(gt)):
-                    rows.append(gt)
-        return np.reshape(rows, (-1, obj.dim))
+    form = "stacked" if obj.stacked else "per-point"
 
-    def evaluate_stacked(u):
+    def evaluate(u):
         xs = x + eps * u
-        values = obj.eval(xs)
+        values = obj.eval(xs) if obj.stacked else [obj.eval(xt) for xt in xs]
         if np.shape(values) != (xs.shape[0],):
-            raise InvalidInput(f"a stacked eval must map {xs.shape} points to shape "
+            raise InvalidInput(f"a {form} eval must map {xs.shape} points to shape "
                                f"({xs.shape[0]},), got {np.shape(values)}")
         xs = xs[np.isfinite(values)]
         if not xs.shape[0]:
             return xs
-        g = np.asarray(obj.grad(xs), dtype=float)
+        g = np.asarray(obj.grad(xs) if obj.stacked else [obj.grad(xt) for xt in xs], dtype=float)
         if g.shape != xs.shape:
-            raise InvalidInput(f"a stacked grad must map {xs.shape} points to shape "
+            raise InvalidInput(f"a {form} grad must map {xs.shape} points to shape "
                                f"{xs.shape}, got {g.shape}")
         return g[np.isfinite(g).all(axis=1)]
 
     return min_norm_point(GradientSet(sample_rows(
-        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng),
-        evaluate_stacked if obj.stacked else evaluate, trace)))
+        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace)))
 
 
 def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
@@ -351,26 +341,20 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     for the first finite phi(t) < f - beta * t * slope; returns ``None``
     when every candidate fails, which the driver treats as a
     stationarity signal at the current scale.  A ``stacked`` phi maps a
-    1-D array of steps to their values; it is handed the ladder in
-    blocks of ``_ROW_BLOCK`` steps, with the same result.
+    1-D array of steps to their values and gets the ladder in blocks of
+    ``_ROW_BLOCK`` steps, any other phi one step a call: same result.
     """
     if not slope > 0.0:
         raise InvalidInput("slope must be positive")
-    if stacked:
-        steps = np.ldexp(1.0, -np.arange(max_backtracks + 1))
-        for start in range(0, steps.size, _ROW_BLOCK):
-            ts = steps[start:start + _ROW_BLOCK]
-            values = phi(ts)
-            ok = np.flatnonzero(np.isfinite(values) & (values < f - beta * ts * slope))
-            if ok.size:
-                return float(ts[ok[0]]), start + int(ok[0]), float(values[ok[0]])
-        return None
-    t = 1.0
+    size = _ROW_BLOCK if stacked else 1
     for b in range(max_backtracks + 1):
-        ft = phi(t)
-        if np.isfinite(ft) and ft < f - beta * t * slope:
+        t = math.ldexp(1.0, -b)
+        if not b % size:  # the next block of the ladder, in one call, as floats
+            values = (phi(np.ldexp(1.0, -np.arange(b, max_backtracks + 1)[:size])).tolist()
+                      if stacked else [float(phi(t))])
+        ft = values[b % size]
+        if math.isfinite(ft) and ft < f - beta * t * slope:
             return t, b, ft
-        t *= 0.5
     return None
 
 

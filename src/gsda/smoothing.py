@@ -40,6 +40,7 @@ orthonormal basis of range(P) (n x r, r = 1 + sum r_j up to rank) and
 M = B^T P (r x n); every fitter steps in those r coordinates.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -167,18 +168,20 @@ def bandwidth_for_df(w, target_df):
     n = np.unique(w).size
     if not (2.0 < target_df < n):
         raise InvalidInput(f"target_df must lie in (2, {n}) for this design")
+    # each trace once: both brackets start here, a midpoint may hit one
+    df_at = functools.cache(lambda bandwidth: effective_df(w, bandwidth))
     lo = hi = rule_of_thumb_bandwidth(w)
     for _ in range(60):  # df increases as the bandwidth shrinks
-        if effective_df(w, lo) > target_df:
+        if df_at(lo) > target_df:
             break
         lo /= 4.0
     for _ in range(60):
-        if effective_df(w, hi) < target_df:
+        if df_at(hi) < target_df:
             break
         hi *= 4.0
     for _ in range(DF_MAX_ITER):
         mid = np.sqrt(lo * hi)
-        df = effective_df(w, mid)
+        df = df_at(mid)
         if abs(df - target_df) <= DF_TOL:
             return mid
         if df > target_df:

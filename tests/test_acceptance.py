@@ -353,3 +353,28 @@ def test_c10_determinism(tmp_path):
     secs = time.perf_counter() - start
     report("C10 determinism", identical,
            f"two runs bitwise identical across 4 artifact files, {secs:.2f}s")
+
+
+@pytest.mark.parametrize("kind, simulate, fit", [
+    ("covariate-pot", ["--kind", "gpd-sites", "--n", "60", "--seed", "1"],
+     ["fit-pot", "--levels", "0.01", "--exceed-prob", "0.1",
+      "--smoother", "site=cell_factor", "--smoother", "t=local_linear",
+      "--beta", "0.01", "--max-iter", "40"]),
+    ("qp-quantile", ["--kind", "hetero", "--n", "200", "--seed", "2"],
+     ["fit-quantile", "--alpha", "0.9", "--mode", "qp", "--smoother", "w=local_linear",
+      "--max-iter", "150"]),
+], ids=["covariate-pot", "qp-quantile"])
+def test_c10_siblings_with_covariates(tmp_path, kind, simulate, fit):
+    # C10's intercept-only quantile fit draws no covariate smoother and no
+    # POT or qp path; these two runs do, each twice in one process
+    start = time.perf_counter()
+    assert cli_main(["simulate", *simulate, "--output-dir", str(tmp_path / "sim")]) == 0
+    args = [*fit, "--input", str(tmp_path / "sim" / "data.csv"), "--seed", "0"]
+    codes = [cli_main(args + ["--output-dir", str(tmp_path / tag)]) for tag in ("a", "b")]
+    identical = all(
+        (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for name in ("fitted.csv", "decomposition.csv", "trace.csv", "diagnostics.txt"))
+    secs = time.perf_counter() - start
+    report(f"C10 sibling {kind}", identical and codes[0] == codes[1] in (0, 2),
+           f"exit codes {codes}, 4 artifact files "
+           f"{'bitwise identical' if identical else 'differ'} across two runs, {secs:.2f}s")

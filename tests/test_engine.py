@@ -246,6 +246,36 @@ class TestStackedPrecondition:
                                f=obj.eval(x), g0=np.sign(x))
 
 
+class TestPerPointPrecondition:
+    """A per-point objective whose eval is not a scalar, or whose grad is
+    not a dim-vector, at a drawn point raises InvalidInput."""
+
+    @staticmethod
+    def subgradient(eval_fn=None, grad_fn=None):
+        # the base point's f and g0 are valid: the draws meet the bad output
+        obj = Objective(eval_fn or (lambda x: float(np.abs(x).sum())), grad_fn or np.sign, 2)
+        x = np.array([1.0, -0.5])
+        return approx_subgradient(obj, x, 0.1, GsParams(m=4), np.random.default_rng(0),
+                                  f=1.5, g0=np.sign(x))
+
+    @pytest.mark.parametrize("eval_fn", [
+        lambda x: np.abs(x),  # (d,)
+        lambda x: np.abs(x).sum(keepdims=True),  # (1,)
+    ], ids=["vector", "length-1"])
+    def test_eval_not_a_scalar(self, eval_fn):
+        with pytest.raises(InvalidInput, match="per-point eval"):
+            self.subgradient(eval_fn=eval_fn)
+
+    @pytest.mark.parametrize("grad_fn", [
+        lambda x: np.sign(x)[:1],  # length 1 at dim 2
+        lambda x: np.sign(x).sum(),  # a scalar
+        lambda x: np.outer(np.sign(x), np.sign(x)),  # (d, d)
+    ], ids=["length-1", "scalar", "matrix"])
+    def test_grad_not_a_dim_vector(self, grad_fn):
+        with pytest.raises(InvalidInput, match="per-point grad"):
+            self.subgradient(grad_fn=grad_fn)
+
+
 def scripted_draws(values):
     """draw(k) handing out the next k entries of values as (k, 1) rows."""
     queue = list(values)
@@ -428,32 +458,43 @@ def ray(kind, a, b, c, wall):
 
 
 class TestStackedLadder:
-    """A stacked ray, handed the ladder in blocks, gives the one-trial-per-call result."""
+    """A stacked ray, handed the ladder in blocks, and a per-point ray, one
+    step a call, give the one-trial-per-call result."""
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["convex", "nonconvex", "ascent"]),
            a=st.floats(-4.0, 4.0), b=st.floats(-1.0, 2.0), c=st.floats(-1.0, 1.0),
            wall=st.sampled_from([np.inf, 1.0, 0.3, 1e-3, 1e-9, 1e-12]),
            f=st.floats(-1.0, 2.0), slope=st.floats(1e-6, 10.0),
-           beta=st.floats(1e-4, 0.9), max_backtracks=st.sampled_from([1, 30, 70]))
+           beta=st.floats(1e-4, 0.9), max_backtracks=st.sampled_from([1, 30, 70]),
+           stacked=st.booleans())
     def test_same_step_as_one_trial_per_call(self, kind, a, b, c, wall, f, slope, beta,
-                                             max_backtracks):
+                                             max_backtracks, stacked):
         phi = ray(kind, a, b, c, wall)
         calls = []
 
-        def stacked(ts):
-            calls.append(ts.size)
+        def stacked_phi(ts):
+            calls.append(ts.tolist())
             return phi(ts)
+
+        def per_point(t):
+            calls.append([t])
+            return float(phi(np.array([t]))[0])
 
         want = one_trial_per_call(lambda t: float(phi(np.array([t]))[0]), f, slope, beta,
                                   max_backtracks)
-        got = armijo_search(stacked, f, slope, beta, max_backtracks, stacked=True)
+        got = armijo_search(stacked_phi if stacked else per_point, f, slope, beta,
+                            max_backtracks, stacked=stacked)
         assert got == want
-        # the ladder goes in blocks of at most 32 steps, and stops at the hit
-        assert all(k <= 32 for k in calls)
-        assert sum(calls) <= max_backtracks + 1
-        if want is None:
-            assert sum(calls) == max_backtracks + 1
+        # the ladder goes in ladder order, in blocks of at most 32 steps
+        # (one step a call, per point), and stops at the hit
+        tried = [t for block in calls for t in block]
+        assert tried == [0.5 ** b for b in range(len(tried))]
+        assert all(len(block) <= (32 if stacked else 1) for block in calls)
+        needed = max_backtracks + 1 if want is None else want[1] + 1
+        assert needed <= len(tried) <= max_backtracks + 1
+        if not stacked or want is None:
+            assert len(tried) == needed
 
     def test_all_fail_ray_tries_the_whole_ladder_in_two_blocks(self):
         blocks = []

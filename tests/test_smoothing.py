@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gsda import AdditiveProjector, SmootherSpec, bandwidth_for_df, effective_df
-from gsda import _kernels
+from gsda import _kernels, smoothing
+from gsda.datasets import simulate_gpd_sites
 from gsda.errors import DegenerateDesignWarning, InvalidInput, NumericalFailure
 
 from _oracles import backfit_fixed_point, backfit_loop, backfit_sweep
@@ -112,6 +113,28 @@ class TestEffectiveDf:
                                          np.array([w[i]]))[0]
                     for i in range(100))
         assert trace == pytest.approx(effective_df(w, bw), abs=1e-8)
+
+    @pytest.mark.parametrize("design, target_df, want", [
+        ("sites_time", 10.0, "0x1.7e28f2fb451bcp-5"),
+        ("uniform_400", 5.0, "0x1.c1749e0ec89dcp-4"),
+        ("uniform_400", 10.0, "0x1.79f20f8b50d0ep-5"),
+        ("uniform_400", 30.0, "0x1.cb4c1dea53ee9p-7"),
+    ])
+    def test_bisection_takes_each_trace_once(self, monkeypatch, design, target_df, want):
+        # both bracket searches start at the rule-of-thumb bandwidth, and a
+        # first midpoint can land on a bracket point; each trace is an n x n
+        # hat, so none is taken twice, and the bandwidth found is unchanged
+        w = (simulate_gpd_sites(200, 5).W[:, 1] if design == "sites_time"
+             else np.random.default_rng(0).uniform(0.0, 1.0, 400))
+        seen = []
+
+        def spy(w, bandwidth):
+            seen.append(float(bandwidth))
+            return effective_df(w, bandwidth)
+
+        monkeypatch.setattr(smoothing, "effective_df", spy)
+        assert float(bandwidth_for_df(w, target_df)).hex() == want
+        assert len(seen) == len(set(seen)) >= 6
 
     def test_monotone_nonincreasing_in_bandwidth(self):
         w = np.linspace(0.0, 1.0, 60)
