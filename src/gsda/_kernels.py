@@ -107,33 +107,43 @@ def _gkap_series(kz, z):
 def gpd_loglik(eta, kappa, y):
     """GPD log-likelihood summed over the observations; -inf off the support.
 
-    The kappa -> 0 series is evaluated only when some |kappa| is below
-    KAPPA_EPS.
+    ``eta`` and ``kappa`` of length n give one total, as a float; a
+    (k, n) stack of them gives the k row totals, each bitwise the total
+    of its row alone: the terms are elementwise and each row is summed
+    pairwise on its own.  The kappa -> 0 series is evaluated only when
+    some |kappa| is below KAPPA_EPS.
     """
     with np.errstate(all="ignore"):
         neg = -eta
         z = y * np.exp(neg)
         kz = kappa * z
-        a = 1.0 + kz
-        if not _gpd_feasible(a):
+        feasible = _gpd_feasible(1.0 + kz)
+        if eta.ndim == 1 and not feasible:
             return -np.inf
         terms = neg - (1.0 + 1.0 / kappa) * np.log1p(kz)
         if np.abs(kappa).min(initial=KAPPA_EPS) < KAPPA_EPS:
             series = neg - z - kappa * (z - 0.5 * z * z) \
                 - kappa * kappa * (z ** 3 / 3.0 - 0.5 * z * z)
             terms = np.where(np.abs(kappa) < KAPPA_EPS, series, terms)
-        total = float(terms.sum())
-    return total if np.isfinite(total) else -np.inf
+        totals = terms.sum(axis=-1)
+    if eta.ndim == 1:
+        return float(totals) if np.isfinite(totals) else -np.inf
+    totals[~(feasible & np.isfinite(totals))] = -np.inf
+    return totals
 
 
 def gpd_grad(eta, kappa, y):
-    """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,)."""
-    n = eta.shape[0]
-    grad = np.empty(2 * n)
+    """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,).
+
+    A (k, n) stack of points gives their (k, 2n) gradients, each row
+    bitwise its point's.
+    """
+    n = eta.shape[-1]
+    grad = np.empty(eta.shape[:-1] + (2 * n,))
     with np.errstate(all="ignore"):
         z = y * np.exp(-eta)
         kz = kappa * z
-        _gpd_grad_parts(kappa, z, kz, 1.0 + kz, grad[:n], grad[n:])
+        _gpd_grad_parts(kappa, z, kz, 1.0 + kz, grad[..., :n], grad[..., n:])
     return grad
 
 

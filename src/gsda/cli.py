@@ -196,11 +196,18 @@ def _fmt(value):
     return str(value)
 
 
+def _cells(column):
+    """A column's cells as text: a float64 array in one pass, anything else by _fmt."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return [f"{v:.17g}" for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
 def _write_table(path, header, columns):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*map(_cells, columns)):
+            fh.write(",".join(row) + "\n")
 
 
 def _write_diagnostics(path, entries):
@@ -488,15 +495,21 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
-def build_parser():
+def build_parser(task=None):
+    """The parser of every task, or of ``task`` alone when it names one.
+
+    A run's first argument names its task, whose subparser is the only
+    one it reads; any other run (help, no task, an unknown one) gets all
+    five, so its usage and error messages list every task.
+    """
     parser = _Parser(
         prog="gsda",
         description="Sampling-based descent for nonsmooth fitting: additive "
                     "quantile regression, smooth POT models, and generic "
                     "nonsmooth minimization.")
     sub = parser.add_subparsers(dest="task", required=True)
-    for task, reads in _READS.items():
-        p = sub.add_parser(task)
+    for name, reads in ({task: _READS[task]} if task in _READS else _READS).items():
+        p = sub.add_parser(name)
         p.add_argument("--config")
         for key in ("output_dir", *reads):
             # values stay text here and are parsed by their row, as config
@@ -535,8 +548,9 @@ def resolve_config(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = resolve_config(build_parser().parse_args(argv))
+        config = resolve_config(build_parser(argv[0] if argv else None).parse_args(argv))
         os.makedirs(config["output_dir"], exist_ok=True)
         return _TASKS[config["task"]](config, config["output_dir"])
     except (InvalidInput, ParseError, MissingColumn, OSError) as exc:

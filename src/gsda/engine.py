@@ -16,11 +16,15 @@ step vector with the norm that gauges it; :func:`gsda_minimize`, the
 quantile fitter and the POT fitter are three thin adapters around it.
 
 :func:`armijo_search` walks the steps 1, 1/2, ..., 2^-max_backtracks
-with one test.  The quantile fitter's ray, and :func:`gsda_minimize`'s
-on a ``stacked`` objective (every built-in one), take them in blocks of
-``_ROW_BLOCK``, one call a block; the POT fitter's ray takes one step a
-call, faster for it.  The minimizer's ball draws go the same way, then
-through one set of filters and shape checks.
+with one test.  All three built-in fitters search stacked: the quantile
+and POT fitters' rays, and :func:`gsda_minimize`'s on a ``stacked``
+objective (every built-in one), take the steps in blocks, one call a
+block.  :func:`descend` fixes the block once per run at
+min(``_ROW_BLOCK``, ``_RAY_BUDGET`` // d) steps for points of dimension
+d, so the minimizer and the quantile fitter at n = 300 take 32 steps a
+call and the POT fitter at n = 300 takes 16.  The minimizer's ball draws
+go in blocks of ``_ROW_BLOCK``, then through one set of filters and
+shape checks.
 
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*m rejections per
@@ -45,8 +49,12 @@ from .errors import InvalidInput, NumericalFailure, SampleSizeWarning, SamplingE
 from .minnorm import GradientSet, min_norm_point
 
 SUBGRADIENT_MODES = ("qp", "average")
-# draws per evaluate call in sample_rows, trial steps per stacked ray call
+# draws per evaluate call in sample_rows, and at most as many trial steps
+# per stacked ray call
 _ROW_BLOCK = 32
+# point coordinates per stacked ray call: descend's block is
+# min(_ROW_BLOCK, _RAY_BUDGET // d) steps for points of dimension d
+_RAY_BUDGET = 9_600
 
 
 @dataclass
@@ -285,6 +293,16 @@ def sample_rows(first, m, eps, draw, evaluate, trace=None):
     return rows
 
 
+def _per_point(fn, xs, shape, what):
+    """[fn(x) for x in xs], each result checked to be of ``shape`` before any stacking."""
+    out = [fn(xt) for xt in xs]
+    for value in out:
+        if np.shape(value) != shape:
+            raise InvalidInput(f"a per-point {what} must map {xs.shape} points to shape "
+                               f"{(xs.shape[0], *shape)}, got {np.shape(value)} at a point")
+    return out
+
+
 def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
     """Sampled approximation of the generalized subgradient at x.
 
@@ -317,14 +335,15 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
 
     def evaluate(u):
         xs = x + eps * u
-        values = obj.eval(xs) if obj.stacked else [obj.eval(xt) for xt in xs]
+        values = obj.eval(xs) if obj.stacked else _per_point(obj.eval, xs, (), "eval")
         if np.shape(values) != (xs.shape[0],):
             raise InvalidInput(f"a {form} eval must map {xs.shape} points to shape "
                                f"({xs.shape[0]},), got {np.shape(values)}")
         xs = xs[np.isfinite(values)]
         if not xs.shape[0]:
             return xs
-        g = np.asarray(obj.grad(xs) if obj.stacked else [obj.grad(xt) for xt in xs], dtype=float)
+        g = np.asarray(obj.grad(xs) if obj.stacked
+                       else _per_point(obj.grad, xs, (obj.dim,), "grad"), dtype=float)
         if g.shape != xs.shape:
             raise InvalidInput(f"a {form} grad must map {xs.shape} points to shape "
                                f"{xs.shape}, got {g.shape}")
@@ -334,7 +353,7 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
         g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace)))
 
 
-def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
+def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False, block=_ROW_BLOCK):
     """Backtracking search on the ray t -> phi(t), whose value at 0 is f.
 
     Tries t in {1, 1/2, 1/4, ...} and returns ``(t, backtracks, f_new)``
@@ -342,11 +361,11 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False):
     when every candidate fails, which the driver treats as a
     stationarity signal at the current scale.  A ``stacked`` phi maps a
     1-D array of steps to their values and gets the ladder in blocks of
-    ``_ROW_BLOCK`` steps, any other phi one step a call: same result.
+    ``block`` steps, any other phi one step a call: same result.
     """
     if not slope > 0.0:
         raise InvalidInput("slope must be positive")
-    size = _ROW_BLOCK if stacked else 1
+    size = block if stacked else 1
     for b in range(max_backtracks + 1):
         t = math.ldexp(1.0, -b)
         if not b % size:  # the next block of the ladder, in one call, as floats
@@ -371,12 +390,16 @@ def descend(objective, x, f, at, params, trace, stacked=False):
     :func:`armijo_search` looks along the ray t -> objective(x + t*v)
     for a step with the decrease beta*t*gnorm (stacked, when ``stacked``
     says the objective maps a (k, d) stack to k values); a failed search
-    also shrinks.  An estimate that raises :class:`SamplingExhausted`
-    shrinks too; its sampler has counted the rejected draws.  A
-    non-finite gnorm or v raises :class:`NumericalFailure`.  Every
-    iteration adds one record to ``trace``.
+    also shrinks.  A stacked search takes min(_ROW_BLOCK, _RAY_BUDGET // d)
+    steps a call, at least one, for x of length d, so a call's stack
+    holds at most _RAY_BUDGET values (one point, above that).  An
+    estimate that raises :class:`SamplingExhausted` shrinks too; its
+    sampler has counted the rejected draws.  A non-finite gnorm or v
+    raises :class:`NumericalFailure`.  Every iteration adds one record
+    to ``trace``.
     """
     eps, tau = params.eps0, params.tau0
+    block = max(1, min(_ROW_BLOCK, _RAY_BUDGET // max(x.size, 1)))
     estimate = at(x, f)
     for it in range(params.max_iter):
         if eps <= params.eps_min and tau <= params.tau_min:
@@ -396,7 +419,8 @@ def descend(objective, x, f, at, params, trace, stacked=False):
                 raise NumericalFailure(f"non-finite step vector at iteration {it}")
             ray = ((lambda ts: objective(x + ts[:, None] * v)) if stacked
                    else (lambda t: objective(x + t * v)))
-            hit = armijo_search(ray, f, gnorm, params.beta, params.max_backtracks, stacked)
+            hit = armijo_search(ray, f, gnorm, params.beta, params.max_backtracks,
+                                stacked, block)
         if hit is None:
             eps *= params.mu
             tau *= params.lam

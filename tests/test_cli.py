@@ -12,7 +12,7 @@ from gsda.cli import (
     parse_smoother,
     read_config_file,
 )
-from gsda.errors import ParseError
+from gsda.errors import InvalidInput, ParseError
 
 
 def read_diagnostics(path):
@@ -672,3 +672,56 @@ class TestErrorsAndConfig:
         diag = read_diagnostics(out / "diagnostics.txt")
         assert float(diag["alpha"]) == 0.8  # flag beats file
         assert int(diag["seed"]) == 3       # file beats default
+
+
+class TestArtifactTables:
+    def test_columns_write_the_bytes_of_the_per_cell_form(self, tmp_path):
+        # a float64 array column is formatted in one pass; every other
+        # column, and every cell before, goes through _fmt one by one
+        from gsda.cli import _fmt, _write_table
+        edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                         0.1, -2.5e-7])
+        single = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-45, 3.4e38, 0.1, -2.5e-7],
+                          dtype=np.float32)
+        columns = [edge, edge[::-1], list(edge), [np.float64(v) for v in edge], single,
+                   np.array([True, False] * 4), [np.bool_(i % 3 == 0) for i in range(8)],
+                   [True, False] * 4, np.arange(-3, 5), list(range(8)),
+                   ["a", "b c", "", "nan", "x", "y", "z", "-0"]]
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_table(tmp_path / "t.csv", header, columns)
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+class TestParserPerTask:
+    """A run naming its task builds that task's parser alone; its help,
+    errors and parsed arguments are those of the parser of every task."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        capsys.readouterr()
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:  # --help
+            result = f"exit {exc.code}"
+        except InvalidInput as exc:
+            result = f"InvalidInput: {exc}"
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-pot", "--help"], ["minimize", "-h"], ["simulate", "--kind"],
+        ["gradcheck", "--points", "2", "--bogus", "1"], ["fit-quantile", "minimize"],
+        ["--help"], [], ["bogus"], ["--config", "x", "fit-pot"], ["minimize", "--x0", "1,2"]])
+    def test_help_and_errors_match_the_full_parser(self, argv, capsys):
+        from gsda.cli import build_parser
+        one = self.outcome(lambda a: build_parser(a[0] if a else None).parse_args(a),
+                           argv, capsys)
+        every = self.outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+        assert one == every
+
+    def test_a_named_task_builds_its_parser_alone(self):
+        from gsda.cli import build_parser
+        assert build_parser("minimize").parse_args(["minimize"]).task == "minimize"
+        with pytest.raises(InvalidInput, match="invalid choice: 'fit-pot'"):
+            build_parser("minimize").parse_args(["fit-pot"])

@@ -251,11 +251,11 @@ class TestPerPointPrecondition:
     not a dim-vector, at a drawn point raises InvalidInput."""
 
     @staticmethod
-    def subgradient(eval_fn=None, grad_fn=None):
+    def subgradient(eval_fn=None, grad_fn=None, m=4):
         # the base point's f and g0 are valid: the draws meet the bad output
         obj = Objective(eval_fn or (lambda x: float(np.abs(x).sum())), grad_fn or np.sign, 2)
         x = np.array([1.0, -0.5])
-        return approx_subgradient(obj, x, 0.1, GsParams(m=4), np.random.default_rng(0),
+        return approx_subgradient(obj, x, 0.1, GsParams(m=m), np.random.default_rng(0),
                                   f=1.5, g0=np.sign(x))
 
     @pytest.mark.parametrize("eval_fn", [
@@ -274,6 +274,17 @@ class TestPerPointPrecondition:
     def test_grad_not_a_dim_vector(self, grad_fn):
         with pytest.raises(InvalidInput, match="per-point grad"):
             self.subgradient(grad_fn=grad_fn)
+
+    # ragged: the 8 draws fall on both sides of x1 = 1, so some results
+    # have the right shape and some do not, which numpy cannot stack
+    def test_ragged_values(self):
+        with pytest.raises(InvalidInput, match=r"per-point eval .* got \(2,\) at a point"):
+            self.subgradient(eval_fn=lambda x: np.abs(x) if x[0] <= 1 else float(np.abs(x).sum()),
+                             m=8)
+
+    def test_ragged_gradients(self):
+        with pytest.raises(InvalidInput, match=r"per-point grad .* got \(1,\) at a point"):
+            self.subgradient(grad_fn=lambda x: np.sign(x) if x[0] > 1 else np.sign(x)[:1], m=8)
 
 
 def scripted_draws(values):
@@ -467,9 +478,9 @@ class TestStackedLadder:
            wall=st.sampled_from([np.inf, 1.0, 0.3, 1e-3, 1e-9, 1e-12]),
            f=st.floats(-1.0, 2.0), slope=st.floats(1e-6, 10.0),
            beta=st.floats(1e-4, 0.9), max_backtracks=st.sampled_from([1, 30, 70]),
-           stacked=st.booleans())
+           stacked=st.booleans(), block=st.integers(1, 40))
     def test_same_step_as_one_trial_per_call(self, kind, a, b, c, wall, f, slope, beta,
-                                             max_backtracks, stacked):
+                                             max_backtracks, stacked, block):
         phi = ray(kind, a, b, c, wall)
         calls = []
 
@@ -484,13 +495,13 @@ class TestStackedLadder:
         want = one_trial_per_call(lambda t: float(phi(np.array([t]))[0]), f, slope, beta,
                                   max_backtracks)
         got = armijo_search(stacked_phi if stacked else per_point, f, slope, beta,
-                            max_backtracks, stacked=stacked)
+                            max_backtracks, stacked=stacked, block=block)
         assert got == want
-        # the ladder goes in ladder order, in blocks of at most 32 steps
-        # (one step a call, per point), and stops at the hit
-        tried = [t for block in calls for t in block]
+        # the ladder goes in ladder order, in blocks of at most ``block``
+        # steps (one step a call, per point), and stops at the hit
+        tried = [t for ts in calls for t in ts]
         assert tried == [0.5 ** b for b in range(len(tried))]
-        assert all(len(block) <= (32 if stacked else 1) for block in calls)
+        assert all(len(ts) <= (block if stacked else 1) for ts in calls)
         needed = max_backtracks + 1 if want is None else want[1] + 1
         assert needed <= len(tried) <= max_backtracks + 1
         if not stacked or want is None:
@@ -688,6 +699,22 @@ class TestDescend:
                     trace)
         assert calls == [] and x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
+
+    @pytest.mark.parametrize("dim, block", [(2, 32), (300, 32), (600, 16), (4000, 2),
+                                            (10_000, 1)])
+    def test_stacked_ray_blocks_are_sized_to_the_point(self, dim, block):
+        # min(32, 9600 // d) steps a call, at least one: an uphill ray
+        # fails the whole 31-step ladder, so every block but the last is full
+        sizes = []
+
+        def objective(xs):
+            sizes.append(xs.shape[0])
+            return xs.sum(axis=-1)
+
+        uphill = per_iterate(lambda x, eps: (np.ones(dim), 2.0, "test"))
+        descend(objective, np.zeros(dim), 0.0, uphill, GsParams(max_iter=1), FitTrace(),
+                stacked=True)
+        assert sizes == [block] * (31 // block) + [31 % block] * (31 % block > 0)
 
     @pytest.mark.parametrize("m", [1, 3, 33])
     def test_exhausted_estimate_counts_its_draws_once(self, m):

@@ -333,6 +333,30 @@ class TestNegativeLoglikObjective:
         fd = central_diff(obj.eval, v)
         assert np.max(np.abs(obj.grad(v) - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
 
+    @pytest.mark.parametrize("spec", [VAR_ES, FunctionalSpec("var_var", (0.01, 0.002), 0.1)],
+                             ids=["var_es", "var_var"])
+    def test_stacked_rows_are_their_points_bitwise(self, spec):
+        # a (k, 2n) stack gives k values and k gradient rows, each the
+        # bytes of its point's own result: rows with some kappa >= 1
+        # (capped under var_es), rows off the support, series entries
+        rng = np.random.default_rng(12)
+        n, k = 40, 24
+        y = gpd_inverse_cdf(rng.random(n), 2.0, 0.2)
+        obj = negative_loglik_objective(y, spec)
+        assert obj.stacked
+        stack = pot.initial_lambda(y, spec).as_vector() + rng.normal(0.0, 0.05, (k, 2 * n))
+        stack[:3, n + 5] = [1.0, 1.5, 3.0]
+        stack[3:6, n:] -= 2.0  # 1 + kappa * y / sigma < 0 at the largest y
+        stack[6, n:n + 3] = [0.0, 4e-9, -7e-9]
+        values, grads = obj.eval(stack), obj.grad(stack)
+        assert values.shape == (k,) and grads.shape == (k, 2 * n)
+        points = [row.copy() for row in stack]
+        assert values.tobytes() == np.array([obj.eval(p) for p in points]).tobytes()
+        assert grads.tobytes() == np.array([obj.grad(p) for p in points]).tobytes()
+        assert np.isinf(values[3:6]).all()  # off the support
+        assert (np.isinf if spec.pair == "var_es" else np.isfinite)(values[:3]).all()
+        assert np.isfinite(values[6:]).all()
+
 
 class TestInitialLambda:
     def test_constant_excesses_start_exponential(self):
@@ -440,9 +464,11 @@ class TestProjectionCounters:
         assert model.trace.projections_unconverged == 0
 
 
-def test_fit_evaluates_one_trial_per_call(monkeypatch):
-    # the count of the one-trial-per-call search: a stacked one would differ
-    calls = [0]
+def test_fit_evaluates_one_stack_per_ray_block(monkeypatch):
+    # the objective is stacked: one call at x0, then each search takes
+    # its ladder in blocks of min(32, 9600 // 120) = 32 steps (n = 60,
+    # d = 120), one call a block; one trial a call made 134 calls here
+    calls, rows = [0], []
     make = pot.negative_loglik_objective
 
     def counted(y, spec):
@@ -450,6 +476,7 @@ def test_fit_evaluates_one_trial_per_call(monkeypatch):
 
         def evaluate(x):
             calls[0] += 1
+            rows.append(x.shape[0] if x.ndim == 2 else 0)
             return obj.eval(x)
         return dataclasses.replace(obj, eval=evaluate)
 
@@ -458,7 +485,9 @@ def test_fit_evaluates_one_trial_per_call(monkeypatch):
     w = np.linspace(0.0, 1.0, 60)
     model = fit_pot_additive(y, w[:, None], VAR_ES, [SmootherSpec("local_linear", 0)],
                              GsParams(max_iter=40, seed=1))
-    assert (calls[0], len(model.trace)) == (134, 40)
+    # all 40 iterations searched, each in one call of the whole 31-step ladder
+    assert (calls[0], len(model.trace)) == (41, 40)
+    assert rows[0] == 0 and set(rows[1:]) == {31}
 
 
 class TestTwoLevelOrder:

@@ -43,6 +43,8 @@ LIBRARY = [
      InvalidInput, "n and m must be >= 1"),
     ("minimize-x0-shape", lambda _: gsda_minimize(l1_norm(2), [0.5, 0.5, 0.5]),
      InvalidInput, r"x0 must have shape \(2,\)"),
+    ("minimize-dim-0", lambda _: gsda_minimize(l1_norm(0), np.zeros(0)),
+     InvalidInput, "n and m must be >= 1"),
     ("lambda-unequal", lambda _: Lambda(np.zeros(3), np.zeros(2)),
      InvalidInput, "eta and kappa must be 1-d vectors of equal length"),
     ("lambda-non-finite", lambda _: Lambda(np.zeros(2), np.array([0.1, np.nan])),
