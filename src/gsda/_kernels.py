@@ -30,6 +30,9 @@ KAPPA_EPS = 1e-8
 # the return level's Jacobian), the kappa derivatives switch to series:
 # their exact forms cancel to a relative error of about 1e-16/|kappa|.
 SERIES_EPS = 1e-2
+# Local-linear weight rows built at once: the kernel's scratch is two
+# (LL_BLOCK, n) arrays.
+LL_BLOCK = 64
 
 
 def pinball_loss(q, y, alpha):
@@ -205,27 +208,72 @@ def ll_weights(w, bandwidth, targets):
 
     Falls back to local-constant weights where the degree-1 system is
     numerically singular, and to a nearest-neighbour point mass if every
-    kernel weight underflows.  Three (targets, w) arrays are live at
-    most: the offsets d, the kernel k and one scratch buffer, which is
-    reused in place and returned as the weights.
+    kernel weight underflows.  The rows are built ``LL_BLOCK`` targets at
+    a time into the one (targets, w) output, so besides it only the
+    offsets and the kernel of one block, O(LL_BLOCK * w) each, are live.
+    Every row's sums run over that row alone, so a row is bitwise the
+    same whatever block it is built in.
     """
-    d = w[None, :] - targets[:, None]
-    k = np.divide(d, bandwidth)
+    rows = np.empty((targets.size, w.size))
+    d = np.empty((min(LL_BLOCK, targets.size), w.size))
+    k = np.empty_like(d)
+    for start in range(0, targets.size, LL_BLOCK):
+        block = targets[start:start + LL_BLOCK]
+        m = block.size
+        _ll_rows(w, bandwidth, block, d[:m], k[:m], rows[start:start + m])
+    return rows
+
+
+def ll_diagonal(w, bandwidth):
+    """The diagonal of ``ll_weights(w, bandwidth, w)``, without forming it.
+
+    Row i's own offset is 0 and its own kernel weight 1, so its diagonal
+    entry is s2/det, or 1/s0 where it falls back to local-constant
+    weights (s0 >= 1, so it never needs the point mass): bitwise the
+    entry the full row holds.  The moments are taken ``LL_BLOCK`` rows
+    at a time, in three (LL_BLOCK, w) scratch arrays.
+    """
+    diag = np.empty(w.size)
+    d = np.empty((min(LL_BLOCK, w.size), w.size))
+    k = np.empty_like(d)
+    tmp = np.empty_like(d)
+    for start in range(0, w.size, LL_BLOCK):
+        block = w[start:start + LL_BLOCK]
+        m = block.size
+        s0, _, s2, det, bad = _ll_moments(w, bandwidth, block, d[:m], k[:m], tmp[:m])
+        diag[start:start + m] = np.where(bad, 1.0 / s0, s2 / det)
+    return diag
+
+
+def _ll_moments(w, bandwidth, targets, d, k, tmp):
+    """Offsets d and kernel k of a block of targets, and its rows' moments.
+
+    Returns the row sums s0, s1, s2 of k, k*d and k*d^2, the determinant
+    of the degree-1 system (1.0 where it is numerically singular) and
+    the mask of those singular rows.  ``tmp`` is scratch of d's shape.
+    """
+    np.subtract(w[None, :], targets[:, None], out=d)
+    np.divide(d, bandwidth, out=k)
     np.square(k, out=k)
     np.multiply(-0.5, k, out=k)
     np.exp(k, out=k)
     s0 = k.sum(axis=1)
-    rows = np.multiply(k, d)
-    s1 = rows.sum(axis=1)
-    rows *= d
-    s2 = rows.sum(axis=1)
+    np.multiply(k, d, out=tmp)
+    s1 = tmp.sum(axis=1)
+    tmp *= d
+    s2 = tmp.sum(axis=1)
     det = s0 * s2 - s1 * s1
     bad = det <= 1e-12 * s0 * s2 + 1e-300
-    safe_det = np.where(bad, 1.0, det)
+    return s0, s1, s2, np.where(bad, 1.0, det), bad
+
+
+def _ll_rows(w, bandwidth, targets, d, k, rows):
+    """The weight rows of ``targets`` into ``rows``, with d and k as scratch."""
+    s0, s1, s2, det, bad = _ll_moments(w, bandwidth, targets, d, k, rows)
     np.multiply(d, s1[:, None], out=rows)
     np.subtract(s2[:, None], rows, out=rows)
     rows *= k
-    rows /= safe_det[:, None]
+    rows /= det[:, None]
     if np.any(bad):
         s0_safe = np.where(s0[bad] > 0.0, s0[bad], 1.0)
         rows[bad] = k[bad] / s0_safe[:, None]
@@ -236,4 +284,3 @@ def ll_weights(w, bandwidth, targets):
             sub[dead] = 0.0
             sub[np.nonzero(dead)[0], nearest] = 1.0
             rows[bad] = sub
-    return rows

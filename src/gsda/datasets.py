@@ -1,6 +1,7 @@
 """CSV ingestion, dataset container, and synthetic data generators."""
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -63,7 +64,7 @@ class Dataset:
 
 def _parse_float(text):
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("non-finite")
     return value
 
@@ -95,6 +96,9 @@ def load_csv(path, response_column="y", factor_columns=()):
                 raise MissingColumn(f"factor column {name!r} not in header")
         covariates = [h for h in header if h != response_column]
         is_factor = {h: h in factor_columns for h in header}
+        response = header.index(response_column)
+        # (field index, is a factor) per covariate, in column order
+        cells = [(header.index(h), is_factor[h]) for h in covariates]
         y_list = []
         rows = []
         dropped = 0
@@ -104,15 +108,14 @@ def load_csv(path, response_column="y", factor_columns=()):
             if len(fields) != len(header):
                 raise ParseError(
                     f"expected {len(header)} fields, found {len(fields)}", line=lineno)
-            record = dict(zip(header, (f.strip() for f in fields)))
             try:
-                yv = _parse_float(record[response_column])
+                yv = _parse_float(fields[response].strip())
                 values = []
-                for name in covariates:
-                    raw = record[name]
+                for i, factor in cells:
+                    raw = fields[i].strip()
                     if raw.lower() in _MISSING:
                         raise ValueError("missing")
-                    values.append(raw if is_factor[name] else _parse_float(raw))
+                    values.append(raw if factor else _parse_float(raw))
             except ValueError:
                 dropped += 1
                 continue

@@ -14,9 +14,10 @@ Each smoother is a linear operator held as factors ``S = u @ vt`` of
 rank r: exact ones for ``linear`` (mean and centred slope), for
 ``cell_factor`` (level indicators and per-level averages) and for a
 covariate with no spread (the mean); for ``local_linear`` a truncated
-factor of its hat matrix from a seeded randomized range finder, checked
-a posteriori on a few probe columns (``_low_rank``), r about 30-60 at
-the default bandwidth.
+factor of its hat matrix from a seeded adaptive randomized range
+finder, grown a block at a time until an a-posteriori check on a few
+probe columns passes (``_range_basis``, ``_low_rank``), r about 30-55
+at the default bandwidth for n up to 2000.
 
 Backfitting (Buja, Hastie & Tibshirani 1989) defines the components as
 the fixed point of a Gauss-Seidel sweep: each component becomes the
@@ -30,7 +31,10 @@ point, and a second sweep runs only when the first still moved a
 component by ``BACKFIT_TOL``.  With no covariate P is the mean.
 
 Building a local_linear factor costs O(n^2 r) time with one transient
-n x n hat; the factors and the map take O(n sum r_j) memory, and a
+n x n hat, whose rows are built a block at a time (``ll_weights``), so
+that besides the hat the build holds O(n (LL_BLOCK + r)) memory;
+``effective_df`` takes the trace from the same row blocks and forms no
+hat.  The factors and the map take O(n sum r_j) memory, and a
 projection O(n sum r_j) time.
 
 The projection is one linear map P with range spanned by the intercept
@@ -61,6 +65,10 @@ BACKFIT_TOL = 1e-8
 DF_TOL = 0.05  # bandwidth_for_df stops once the trace is this close to the target
 DF_MAX_ITER = 100
 _PROBES = 10  # a-posteriori check columns of the low-rank range finder
+# the range finder's first block: at n = 300 a default-bandwidth hat (rank
+# about 30-40) passes its check in this one block, and a hat of higher
+# rank takes later blocks
+_SKETCH_FIRST = 48
 
 
 @dataclass
@@ -159,7 +167,7 @@ def effective_df(w, bandwidth):
         warnings.warn("all covariate values identical; df of the mean fit is 1",
                       DegenerateDesignWarning, stacklevel=2)
         return 1.0
-    return float(np.trace(_kernels.ll_weights(w, float(bandwidth), w)))
+    return float(_kernels.ll_diagonal(w, float(bandwidth)).sum())
 
 
 def bandwidth_for_df(w, target_df):
@@ -195,30 +203,59 @@ def bandwidth_for_df(w, target_df):
 # component smoothers as linear operators
 # ---------------------------------------------------------------------------
 
-def _low_rank(hat):
-    """Factors ``(u, vt)`` of a square hat matrix, ``u @ vt`` close to it.
+def _range_basis(hat):
+    """An orthonormal (n, k) basis Q of the numerical range of a square hat.
 
-    A seeded Gaussian sketch (Halko, Martinsson & Tropp 2011, SIAM
-    Review 53) is doubled until its orthonormal range basis Q passes
-    their a-posteriori check (section 4.3) on ``_PROBES`` more Gaussian
-    columns w_i: ``10 sqrt(2/pi) max_i ||(I - Q Q^T) hat w_i||``, which
-    bounds ``||hat - Q Q^T hat||_2`` except with probability
-    10^-_PROBES, is at most ``1e-13 ||hat||_F``.  No n x n residual is
-    formed.  An SVD of the tall ``B^T = hat^T Q`` then drops the
-    singular values that ``matrix_rank`` treats as zero (below
-    s_max * n * eps).  The fixed seed gives a design the same factors.
+    A seeded adaptive randomized range finder (Halko, Martinsson & Tropp
+    2011, SIAM Review 53, section 4.4) grows Q from blocks of
+    ``hat @ Omega``, Omega Gaussian: ``_SKETCH_FIRST`` columns, then
+    each block a third of Q's width, so Q grows geometrically and ends
+    at most a third wider than its check needs (or at the first block's
+    width).  The check (their section 4.3) runs on ``_PROBES`` more
+    Gaussian columns w_i, formed in one product with the first block;
+    each block is taken off them as it joins Q.  Q is complete once
+    ``10 sqrt(2/pi) max_i ||(I - Q Q^T) hat w_i||``, which bounds
+    ``||hat - Q Q^T hat||_2`` except with probability 10^-_PROBES, is at
+    most ``1e-13 ||hat||_F``, or once Q spans R^n.  No n x n residual is
+    formed.
+
+    The first block, by QR, gives Q's first columns.  Each later block
+    is orthogonalized twice against Q and normalized by QR.  A block
+    drawn after the range is captured is rounding noise, and once
+    normalized its columns are no longer orthogonal to Q; so the
+    normalized block is orthogonalized once more and normalized again.
+    Without that, Q Q^T is no projector and the probe check can pass
+    while Q misses part of the range.  The fixed seed gives a design the
+    same basis.
     """
     n = hat.shape[0]
     rng = np.random.default_rng(0)
-    size = min(64, n)
     bound = 1e-13 * np.linalg.norm(hat) / (10.0 * np.sqrt(2.0 / np.pi))
-    while True:
-        q, _ = np.linalg.qr(hat @ rng.standard_normal((n, size)))
-        probe = hat @ rng.standard_normal((n, _PROBES))
-        probe -= q @ (q.T @ probe)
-        if size == n or np.linalg.norm(probe, axis=0).max() <= bound:
-            break
-        size = min(2 * size, n)
+    sketch = hat @ rng.standard_normal((n, _PROBES + min(_SKETCH_FIRST, n)))
+    probe = sketch[:, :_PROBES]
+    q, _ = np.linalg.qr(sketch[:, _PROBES:])
+    probe -= q @ (q.T @ probe)
+    while q.shape[1] < n and np.linalg.norm(probe, axis=0).max() > bound:
+        block = hat @ rng.standard_normal((n, min(q.shape[1] // 3, n - q.shape[1])))
+        for _ in range(2):
+            block -= q @ (q.T @ block)
+        block, _ = np.linalg.qr(block)
+        block -= q @ (q.T @ block)
+        block, _ = np.linalg.qr(block)
+        q = np.hstack([q, block])
+        probe -= block @ (block.T @ probe)
+    return q
+
+
+def _low_rank(hat):
+    """Factors ``(u, vt)`` of a square hat matrix, ``u @ vt`` close to it.
+
+    An SVD of the tall ``B^T = hat^T Q``, Q from :func:`_range_basis`,
+    drops the singular values that ``matrix_rank`` treats as zero (below
+    s_max * n * eps).
+    """
+    n = hat.shape[0]
+    q = _range_basis(hat)
     v, s, ubt = np.linalg.svd(hat.T @ q, full_matrices=False)
     r = int(np.count_nonzero(s > s[0] * n * np.finfo(float).eps))
     return q @ (ubt[:r].T * s[:r]), v[:, :r].T

@@ -38,6 +38,32 @@ class TestLoadCsv:
         data = load_csv(p)
         assert data.n == 3 and data.n_dropped == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "-NaN", "inf", "-inf", "+Infinity", "1e400",
+                                      "-1e400", "", "  ", "NA", "null", "None", "1.2.3",
+                                      "0x10", "1,5", "abc"])
+    def test_unusable_cell_drops_its_row(self, tmp_path, cell):
+        # in the response, in a numeric covariate, and (a missing token
+        # only) in a factor; blank lines are skipped and not counted
+        p = tmp_path / "d.csv"
+        p.write_text(f'y,w,g\n1,0.1,a\n"{cell}",0.2,a\n\n3," {cell} ",b\n'
+                     f'4, 0.4 ,"{cell}"\n\n5,0.5,b\n6,0.6,a\n')
+        data = load_csv(p, factor_columns=["g"])
+        labels = {1.0: "a", 4.0: cell.strip(), 5.0: "b", 6.0: "a"}
+        if cell.strip().lower() in ("", "na", "nan", "null", "none"):
+            kept = [1.0, 5.0, 6.0]
+        else:
+            kept = [1.0, 4.0, 5.0, 6.0]
+        assert data.n_dropped == 6 - len(kept)
+        assert data.y.tolist() == kept
+        assert data.column("w").tolist() == [y / 10.0 for y in kept]
+        assert data.labels("g").tolist() == [labels[y] for y in kept]
+
+    def test_blank_lines_keep_error_line_numbers(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y,w\n1,0.1\n\n2,0.2,9\n")
+        with pytest.raises(ParseError, match="^line 4: expected 2 fields, found 3$"):
+            load_csv(p)
+
     def test_factor_levels_first_appearance_order(self, tmp_path):
         p = tmp_path / "d.csv"
         days = ["Wed", "Mon", "Wed", "Tue", "Mon"]

@@ -122,14 +122,15 @@ def test_ll_weights_rows_are_local_linear(rng):
             assert np.allclose(rows @ w, targets, atol=1e-10)
 
 
-def test_ll_weights_peaks_at_three_hats():
-    # the offsets, the kernel and one scratch buffer that becomes the
-    # weights; everything else the kernel keeps is O(n)
+def test_ll_weights_peaks_at_one_hat_and_row_blocks():
+    # the (targets, n) output, and per block of LL_BLOCK rows the offsets
+    # and the kernel; everything else the kernel keeps is O(LL_BLOCK)
     import tracemalloc
 
     n = 1000
     w = np.random.default_rng(7).uniform(size=n)
     hat = 8 * n * n
+    block = 8 * _kernels.LL_BLOCK * n
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -137,4 +138,4 @@ def test_ll_weights_peaks_at_three_hats():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * hat + 64 * 8 * n
+    assert peak <= hat + 3 * block

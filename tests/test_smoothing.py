@@ -70,17 +70,27 @@ class TestLocalLinear:
         rhs = a * local_linear(w, g1, 0.2) + b * local_linear(w, g2, 0.2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
-    @pytest.mark.parametrize("df,ranks", [(15.0, (64, 160)), (40.0, (150, 300))],
-                             ids=["df15", "df40"])
-    def test_factors_reproduce_hat_at_small_bandwidth(self, df, ranks):
+    @pytest.mark.parametrize("bandwidth,ranks", [
+        (smoothing.rule_of_thumb_bandwidth, (25, 50)),
+        (lambda w: bandwidth_for_df(w, 15.0), (64, 160)),
+        (lambda w: bandwidth_for_df(w, 40.0), (150, 300)),
+        (lambda w: 1e-4, (300, 301)),  # the hat is near I
+    ], ids=["default", "df15", "df40", "near_identity"])
+    def test_factors_reproduce_hat_at_small_bandwidth(self, bandwidth, ranks):
         # at df=15 a factor good only to 1e-6 would have rank about 60, and
-        # the first 64-column sketch would stop there
+        # a first sketch block of 48 or 64 columns would stop there
         w = np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 300))
-        bw = bandwidth_for_df(w, df)
+        bw = bandwidth(w)
         proj = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0, bandwidth=bw)])
         sm = proj.smoothers[0]
+        hat = _kernels.ll_weights(w, bw, w)
+        s = np.linalg.svd(hat, compute_uv=False)
+        assert sm.u.shape[1] == np.count_nonzero(s > s[0] * w.size * np.finfo(float).eps)
         assert ranks[0] <= sm.u.shape[1] < ranks[1]
-        assert np.max(np.abs(sm.u @ sm.vt - _kernels.ll_weights(w, bw, w))) <= 1e-12
+        assert np.max(np.abs(sm.u @ sm.vt - hat)) <= 1e-12
+        # a basis that is not orthonormal lets the probe check pass early
+        q = smoothing._range_basis(hat)
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) <= 1e-13
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInput):
@@ -135,6 +145,23 @@ class TestEffectiveDf:
         monkeypatch.setattr(smoothing, "effective_df", spy)
         assert float(bandwidth_for_df(w, target_df)).hex() == want
         assert len(seen) == len(set(seen)) >= 6
+
+    def test_trace_peaks_at_row_blocks(self):
+        # the diagonal comes from LL_BLOCK rows at a time, and no n x n hat
+        # is formed: three (LL_BLOCK, n) scratch arrays and O(n) more
+        import tracemalloc
+
+        n = 1000
+        w = np.random.default_rng(7).uniform(size=n)
+        block = 8 * _kernels.LL_BLOCK * n
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            effective_df(w, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block
 
     def test_monotone_nonincreasing_in_bandwidth(self):
         w = np.linspace(0.0, 1.0, 60)
