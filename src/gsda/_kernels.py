@@ -135,6 +135,40 @@ def gpd_loglik(eta, kappa, y):
     return totals
 
 
+def theta_of(sigma, kappa, logc):
+    """GPD return level sigma*(c^-kappa - 1)/kappa; log c is a scalar or of kappa's shape.
+
+    Below KAPPA_EPS a series in kappa, evaluated at those entries only,
+    replaces the exact form, which divides by kappa.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = sigma * np.expm1(-kappa * logc) / kappa
+    small = np.abs(kappa) < KAPPA_EPS
+    if small.any():
+        ks, ls = kappa[small], np.broadcast_to(logc, kappa.shape)[small]
+        out[small] = sigma[small] * (-ls + 0.5 * ks * ls ** 2 - ks ** 2 * ls ** 3 / 6.0)
+    return out
+
+
+def dtheta_dkappa(sigma, kappa, logc):
+    """d/d kappa of :func:`theta_of`, for a scalar ``log c``.
+
+    With x = -kappa*log c it is sigma*log(c)^2*(x*e^x - expm1(x))/x^2,
+    whose numerator cancels to a relative error of about 1e-16/|x|;
+    below SERIES_EPS the series sum_j x^j (j+1)/(j+2)! replaces it.
+    """
+    x = -kappa * logc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = sigma * (x * np.exp(x) - np.expm1(x)) / kappa ** 2
+    small = np.abs(x) < SERIES_EPS
+    if small.any():
+        xs = x[small]
+        out[small] = sigma[small] * logc ** 2 * (
+            0.5 + xs * (1.0 / 3.0 + xs * (0.125 + xs * (
+                1.0 / 30.0 + xs * (1.0 / 144.0 + xs / 840.0)))))
+    return out
+
+
 def gpd_grad(eta, kappa, y):
     """(d/d eta, d/d kappa) of the GPD log-likelihood, stacked (2n,).
 

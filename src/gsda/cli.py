@@ -9,8 +9,8 @@ defaults; ``--lambda`` names ``lam``, and ``--mode`` names
 kind reads.  The flags, the config-file keys and a
 run's settings all come from these tables, and any other option is an
 input error.  A flag beats a config-file entry (flat ``key = value``
-text), which beats the default.  Both fit tasks write their artifacts
-through one path, as plain text into the output directory.  Exit codes:
+text), which beats the default.  Every table a task writes goes through
+:func:`~gsda.datasets.write_table`, which load_csv reads back.  Exit codes:
 0 converged/success, 2 non-convergence, 3 input or configuration error,
 4 numerical failure.
 """
@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels, datasets
+from .datasets import format_cell, write_table as _write_table  # fitbench traces this name
 from .engine import GsParams, gsda_minimize, l1_norm, nonsmooth_rosenbrock, sum_of_squares
 from .errors import (
     GsdaError,
@@ -188,32 +189,10 @@ def parse_smoother(text):
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _cells(column):
-    """A column's cells as text: a float64 array in one pass, anything else by _fmt."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return [f"{v:.17g}" for v in column.tolist()]
-    return [_fmt(v) for v in column]
-
-
-def _write_table(path, header, columns):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*map(_cells, columns)):
-            fh.write(",".join(row) + "\n")
-
-
 def _write_diagnostics(path, entries):
     with open(path, "w") as fh:
         for key, value in entries:
-            fh.write(f"{key}={_fmt(value)}\n")
+            fh.write(f"{key}={format_cell(value)}\n")
 
 
 def _run_entries(gs, trace):
@@ -237,9 +216,7 @@ def _run_entries(gs, trace):
 
 
 def _write_trace(path, trace):
-    rows = trace.to_rows()
-    columns = list(zip(*rows)) if rows else [[] for _ in trace.COLUMNS]
-    _write_table(path, trace.COLUMNS, columns)
+    _write_table(path, trace.COLUMNS, zip(*trace.records))
 
 
 def _write_decomposition(path, names, fits, prefixes=None):
@@ -262,10 +239,7 @@ def _write_fit(out, config, data, gs, trace, fitted, decomposition, head, tail):
     holds the task, ``head``, the data's size, the seed,
     :func:`_run_entries` and ``tail``.
     """
-    header, columns = [data.response], [data.y]
-    for name, kind in zip(data.columns, data.kinds):
-        header.append(name)
-        columns.append(data.labels(name) if kind == "factor" else data.column(name))
+    header, columns = data.table()
     _write_table(os.path.join(out, "fitted.csv"),
                  header + list(fitted), columns + list(fitted.values()))
     _write_decomposition(os.path.join(out, "decomposition.csv"), *decomposition)

@@ -1,15 +1,18 @@
-"""CSV ingestion, dataset container, and synthetic data generators."""
+"""CSV reading and writing, dataset container, and synthetic data generators."""
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidInput, MissingColumn, ParseError
 
 _MISSING = ("", "na", "nan", "null", "none")
+_LINE_BREAK = re.compile(r"[\r\n]")
 
 DAY_LABELS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -46,6 +49,12 @@ class Dataset:
         lv = self.levels[name]
         return np.array([lv[int(c)] for c in self.column(name)])
 
+    def table(self):
+        """``(header, columns)``: the response, then each covariate, a factor as its labels."""
+        return [self.response, *self.columns], [self.y] + [
+            self.labels(name) if kind == "factor" else self.column(name)
+            for name, kind in zip(self.columns, self.kinds)]
+
     def interaction(self, name_a, name_b):
         """Codes and levels of the concatenated factor ``a:b``.
 
@@ -73,10 +82,10 @@ def load_csv(path, response_column="y", factor_columns=()):
     """Read a headed CSV into a Dataset.
 
     Rows with a missing or unparseable numeric entry are dropped and
-    counted; a row with the wrong number of fields, or a header that
-    names a column twice, raises :class:`ParseError` with its line
-    number.  Factor columns keep their labels, coded in first-appearance
-    order.
+    counted; a row with the wrong number of fields, a header that names
+    a column twice, or a column name or factor label holding a line
+    break raises :class:`ParseError` with its line number.  Factor
+    columns keep their labels, coded in first-appearance order.
     """
     factor_columns = list(factor_columns)
     with open(path, newline="") as fh:
@@ -89,6 +98,8 @@ def load_csv(path, response_column="y", factor_columns=()):
         for i, name in enumerate(header):
             if name in header[:i]:
                 raise ParseError(f"column {name!r} appears twice in the header", line=1)
+            if _LINE_BREAK.search(name):
+                raise ParseError(f"column name {name!r} holds a line break", line=1)
         if response_column not in header:
             raise MissingColumn(f"response column {response_column!r} not in header")
         for name in factor_columns:
@@ -115,6 +126,8 @@ def load_csv(path, response_column="y", factor_columns=()):
                     raw = fields[i].strip()
                     if raw.lower() in _MISSING:
                         raise ValueError("missing")
+                    if factor and _LINE_BREAK.search(raw):
+                        raise ParseError(f"label {raw!r} holds a line break", line=lineno)
                     values.append(raw if factor else _parse_float(raw))
             except ValueError:
                 dropped += 1
@@ -141,36 +154,52 @@ def load_csv(path, response_column="y", factor_columns=()):
     return Dataset(y, W, covariates, kinds, levels, response_column, dropped)
 
 
-def write_csv(dataset, path):
-    """Write a Dataset back to CSV; numeric cells carry 17 significant digits."""
+def format_cell(value):
+    """A value as text: true/false for a bool, 17 significant digits for a float."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    return str(value)
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text):
+    """text in double quotes, each quote doubled, if it holds ``,``, ``"`` or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _cells(column):
+    """A column's cells as text: a float64 array in one pass, else quoted format_cell text."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return [f"{v:.17g}" for v in column.tolist()]
+    cells = [format_cell(v) for v in column]
+    return list(map(_quoted, cells)) if _NEEDS_QUOTES.search("".join(cells)) else cells
+
+
+def write_table(path, header, columns):
+    """Write named columns as CSV that :func:`load_csv` reads back.
+
+    A cell or header name holding ``,``, ``"`` or a line break is quoted
+    as RFC 4180 has it, and every line ends with ``\\n``.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([dataset.response] + dataset.columns)
-        factor_label_cols = {
-            name: dataset.labels(name)
-            for name, kind in zip(dataset.columns, dataset.kinds) if kind == "factor"
-        }
-        for i in range(dataset.n):
-            row = [f"{dataset.y[i]:.17g}"]
-            for j, name in enumerate(dataset.columns):
-                if name in factor_label_cols:
-                    row.append(factor_label_cols[name][i])
-                else:
-                    row.append(f"{dataset.W[i, j]:.17g}")
-            writer.writerow(row)
+        fh.write(",".join(map(_quoted, header)) + "\n")
+        for row in zip(*map(_cells, columns)):
+            fh.write(",".join(row) + "\n")
+
+
+def write_csv(dataset, path):
+    """Write :meth:`Dataset.table` by :func:`write_table`; a number carries 17 digits."""
+    write_table(path, *dataset.table())
 
 
 def gpd_inverse_cdf(u, sigma, kappa):
-    """Quantile function of the GPD: sigma*((1-u)^-kappa - 1)/kappa."""
-    u = np.asarray(u, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    small = np.abs(kappa) < 1e-8
-    safe = np.where(small, 1.0, kappa)
-    with np.errstate(over="ignore"):
-        exact = sigma * np.expm1(-safe * np.log1p(-u)) / safe
-    limit = -sigma * np.log1p(-u)
-    return np.where(small, limit, exact)
+    """Quantile function of the GPD: the return level at c = 1 - u (``_kernels.theta_of``)."""
+    logc, sigma, kappa = np.broadcast_arrays(np.log1p(-np.asarray(u, float)), sigma, kappa)
+    return _kernels.theta_of(sigma.ravel(), kappa.ravel(), logc.ravel()).reshape(logc.shape)
 
 
 def _as_fn(value):

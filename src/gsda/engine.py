@@ -41,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -153,8 +153,9 @@ class Objective:
     stacked: bool = False
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One iteration of a trace; its fields are the columns of ``FitTrace.COLUMNS``."""
+
     iteration: int
     f: float
     gnorm: float
@@ -194,7 +195,7 @@ class FitTrace:
     COLUMNS = ("iter", "f", "gnorm", "eps", "tau", "t", "method", "backtracks", "event")
 
     def add(self, *args):
-        self.records.append(TraceRecord(*args))
+        self.records.append(TraceRecord._make(args))
 
     def __len__(self):
         return len(self.records)
@@ -217,12 +218,6 @@ class FitTrace:
             if np.isfinite(r.f):
                 return r.f
         return np.nan
-
-    def to_rows(self):
-        return [
-            (r.iteration, r.f, r.gnorm, r.eps, r.tau, r.t, r.method, r.backtracks, r.event)
-            for r in self.records
-        ]
 
 
 def sample_unit_ball(n, m, rng, dim=None):

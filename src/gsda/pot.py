@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import KAPPA_EPS, SERIES_EPS
 from .engine import (_ROW_BLOCK, FitTrace, GsParams, Objective, descend, sample_rows,
                      sample_unit_ball)
 from .errors import (
@@ -189,36 +188,6 @@ def _check_excesses(lam, y):
     return y
 
 
-def _theta_of(sigma, kappa, c):
-    # below KAPPA_EPS the series in kappa replaces the exact form, which
-    # divides by kappa; it is evaluated only at those entries
-    logc = np.log(c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = sigma * np.expm1(-kappa * logc) / kappa
-    small = np.abs(kappa) < KAPPA_EPS
-    if small.any():
-        ks = kappa[small]
-        out[small] = sigma[small] * (-logc + 0.5 * ks * logc ** 2 - ks ** 2 * logc ** 3 / 6.0)
-    return out
-
-
-def _dtheta_dkappa(sigma, kappa, c):
-    # with x = -kappa*log c: sigma*log(c)^2*(x*e^x - expm1(x))/x^2, whose
-    # numerator cancels to a relative error of about 1e-16/|x|; below
-    # SERIES_EPS the series sum_j x^j (j+1)/(j+2)! replaces it
-    logc = np.log(c)
-    x = -kappa * logc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = sigma * (x * np.exp(x) - np.expm1(x)) / kappa ** 2
-    small = np.abs(x) < SERIES_EPS
-    if small.any():
-        xs = x[small]
-        out[small] = sigma[small] * logc ** 2 * (
-            0.5 + xs * (1.0 / 3.0 + xs * (0.125 + xs * (
-                1.0 / 30.0 + xs * (1.0 / 144.0 + xs / 840.0)))))
-    return out
-
-
 def functional_map(lam, spec):
     """Evaluate the chosen functional pair at lam, as two (n,) vectors.
 
@@ -230,11 +199,10 @@ def functional_map(lam, spec):
     if spec.pair == "var_es":
         if np.any(lam.kappa >= 1.0):
             raise FunctionalUndefined("expected shortfall needs kappa < 1 everywhere")
-        theta = _theta_of(sigma, lam.kappa, spec.c_values[0])
+        theta = _kernels.theta_of(sigma, lam.kappa, np.log(spec.c_values[0]))
         zeta = (theta + sigma) / (1.0 - lam.kappa)
         return theta, zeta
-    c1, c2 = spec.c_values
-    return _theta_of(sigma, lam.kappa, c1), _theta_of(sigma, lam.kappa, c2)
+    return tuple(_kernels.theta_of(sigma, lam.kappa, np.log(c)) for c in spec.c_values)
 
 
 def jacobian_blocks(lam, spec):
@@ -250,14 +218,14 @@ def jacobian_blocks(lam, spec):
     derivative is the functional itself; the pair decides only the
     kappa derivative of the second.
     """
-    sigma, kappa, c = lam.sigma, lam.kappa, spec.c_values
+    sigma, kappa, logc = lam.sigma, lam.kappa, np.log(spec.c_values)
     jac = np.empty((lam.n, 2, 2))
     jac[:, 0, 0], jac[:, 1, 0] = functional_map(lam, spec)
-    jac[:, 0, 1] = _dtheta_dkappa(sigma, kappa, c[0])
+    jac[:, 0, 1] = _kernels.dtheta_dkappa(sigma, kappa, logc[0])
     if spec.pair == "var_es":
         jac[:, 1, 1] = (jac[:, 0, 1] + jac[:, 1, 0]) / (1.0 - kappa)
     else:
-        jac[:, 1, 1] = _dtheta_dkappa(sigma, kappa, c[1])
+        jac[:, 1, 1] = _kernels.dtheta_dkappa(sigma, kappa, logc[1])
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     bad = np.abs(det) <= _DET_TOL
     if np.any(bad):
@@ -309,22 +277,21 @@ def _lift(inv, a):
     return (inv.transpose(1, 0, 2)[..., None] * a[:, None, :]).reshape(2 * n, 2 * r)
 
 
-def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
+def _theta_grad_rows(state, y, eps, m, rng, trace=None, scratch=None):
     """Base + per-sample log-likelihood gradients as coordinate rows.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
     the first m feasible draws, in draw order.  With B and M from the
-    :class:`~gsda.smoothing.CoordinateMap` ``coords``, the draws are
-    ``Q u`` for u in the 2r-ball, Q an orthonormal basis of
+    :class:`~gsda.smoothing.CoordinateMap` the state was built for, the
+    draws are ``Q u`` for u in the 2r-ball, Q an orthonormal basis of
     J^-1 blockdiag(B, B), and each row is ``g @ K`` for
     K = J^-1 blockdiag(M^T, M^T), 2r long.  The draws come from
     :func:`~gsda.engine.sample_rows`, which redraws infeasible ones,
     raises :class:`SamplingExhausted` past 10*m of them and adds the
     rejected draws to ``trace.rejected_draws`` when a trace is given.
-    Q, K and row 0 are the frame of ``state``, built for the same y and
-    ``coords`` once per iterate, however many estimates the iterate
-    takes.  A fit passes one :class:`~gsda._kernels.RowScratch` to every
-    call.
+    Q, K and row 0 are the frame of ``state``, built for the same y
+    once per iterate, however many estimates the iterate takes.  A fit
+    passes one :class:`~gsda._kernels.RowScratch` to every call.
     """
     lam = state.lam
     if scratch is None:
@@ -346,7 +313,7 @@ def _theta_grad_rows(state, y, eps, m, rng, coords, trace=None, scratch=None):
         return g[0] @ pullback[:n] + g[1] @ pullback[n:]
 
     return sample_rows(
-        base, m, eps, lambda k: sample_unit_ball(2 * coords.dim, k, rng), evaluate, trace)
+        base, m, eps, lambda k: sample_unit_ball(d, k, rng), evaluate, trace)
 
 
 def initial_lambda(y, spec):
@@ -430,7 +397,7 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     def estimate(eps):
         res = min_norm_point(GradientSet(
-            -_theta_grad_rows(state, y, eps, m, rng, coords, trace, scratch)))
+            -_theta_grad_rows(state, y, eps, m, rng, trace, scratch)))
         # -L c/||c||, L from the frame the rows were sampled in
         step = state.span @ (-res.point / res.norm) if res.norm else None
         return step, res.norm, "qp"

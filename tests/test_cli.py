@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -16,17 +17,13 @@ from gsda.errors import InvalidInput, ParseError
 
 
 def read_diagnostics(path):
-    out = {}
-    for line in path.read_text().splitlines():
-        key, _, value = line.partition("=")
-        out[key] = value
-    return out
+    # split at the last "=": a key may hold a factor label with "=", a value never does
+    return dict(line.rsplit("=", 1) for line in path.read_text().splitlines())
 
 
 def read_table(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     return header, rows
 
 
@@ -501,9 +498,13 @@ class TestErrorsAndConfig:
               "--output-dir", str(sim)])
         dup = tmp_path / "dup.csv"
         dup.write_text("y,w,w\n1,10,20\n2,11,21\n3,12,22\n")
+        broken = tmp_path / "broken.csv"
+        broken.write_text('y,g\n1,a\n2,b\n3,"line\nbreak"\n4,a\n')
         data = str(sim / "data.csv")
         for i, (argv, err) in enumerate([
                 (["--input", str(dup)], "line 1: column 'w' appears twice in the header"),
+                (["--input", str(broken), "--smoother", "g=cell_factor"],
+                 "line 4: label 'line\\nbreak' holds a line break"),
                 (["--input", data, "--smoother", "y=cell_factor"],
                  "covariate column 'y' not in input"),
                 (["--input", data, "--smoother", "w:y=cell_factor"],
@@ -678,7 +679,8 @@ class TestArtifactTables:
     def test_columns_write_the_bytes_of_the_per_cell_form(self, tmp_path):
         # a float64 array column is formatted in one pass; every other
         # column, and every cell before, goes through _fmt one by one
-        from gsda.cli import _fmt, _write_table
+        from gsda.cli import _write_table
+        from gsda.datasets import format_cell
         edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
                          0.1, -2.5e-7])
         single = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-45, 3.4e38, 0.1, -2.5e-7],
@@ -690,8 +692,47 @@ class TestArtifactTables:
         header = [f"c{i}" for i in range(len(columns))]
         _write_table(tmp_path / "t.csv", header, columns)
         want = ",".join(header) + "\n" + "".join(
-            ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+            ",".join(format_cell(v) for v in row) + "\n" for row in zip(*columns))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    def test_cells_and_names_with_commas_quotes_or_breaks_are_quoted(self, tmp_path):
+        from gsda.cli import _write_table
+        header = ["a,b", 'q"', "x"]
+        columns = [["1,2", 'say "hi"', "c\nd"], np.array([0.5, 1.0, -0.0]), ["p", "q r", "s\rt"]]
+        _write_table(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b'"a,b","q""",x\n"1,2",0.5,p\n"say ""hi""",1,q r\n"c\nd",-0,"s\rt"\n')
+        assert read_table(tmp_path / "t.csv") == (header, [
+            ["1,2", "0.5", "p"], ['say "hi"', "1", "q r"], ["c\nd", "-0", "s\rt"]])
+
+    def test_fit_with_commas_and_quotes_in_labels_and_names(self, tmp_path):
+        # every table parses into rows of its header's length, fitted.csv
+        # loads back to the input, and each label keeps one diagnostics line
+        from gsda.datasets import load_csv
+        rng = np.random.default_rng(5)
+        labels = np.array(["south", "north, upper", 'say "hi"', "a=b"])[np.arange(60) % 4]
+        w = rng.uniform(0.0, 1.0, 60)
+        y = w + rng.standard_normal(60)
+        data = tmp_path / "in.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([["y", "w,1", "site"], *zip(y, w, labels)])
+        out = tmp_path / "fit"
+        assert main(["fit-quantile", "--input", str(data), "--smoother", "w,1=linear",
+                     "--smoother", "site=cell_factor", "--max-iter", "40",
+                     "--output-dir", str(out)]) in (EXIT_OK, EXIT_NONCONVERGED)
+        for name in ("fitted.csv", "decomposition.csv", "trace.csv"):
+            header, rows = read_table(out / name)
+            assert rows and {len(row) for row in rows} == {len(header)}, name
+        assert read_table(out / "fitted.csv")[0] == ["y", "w,1", "site", "q0.9"]
+        assert read_table(out / "decomposition.csv")[0] \
+            == ["intercept", "component.w,1", "component.site"]
+        fitted = load_csv(out / "fitted.csv", "y", ["site"])
+        assert fitted.columns == ["w,1", "site", "q0.9"]
+        assert fitted.y.tolist() == y.tolist() and fitted.column("w,1").tolist() == w.tolist()
+        assert fitted.labels("site").tolist() == labels.tolist()
+        diag = read_diagnostics(out / "diagnostics.txt")
+        for label in set(labels):
+            assert 0.0 <= float(diag[f"coverage[site|{label}]"]) <= 1.0
 
 
 class TestParserPerTask:

@@ -1,5 +1,11 @@
+import csv
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsda.datasets import (
     Dataset,
@@ -87,6 +93,17 @@ class TestLoadCsv:
             load_csv(p)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, where", [
+        ('y,"g\nh"\n1,a\n2,b\n3,a\n', "line 1: column name 'g\\nh'"),
+        ('y,g\n1,a\n\n2,"b\r"\n3,"c\rd"\n', "line 5: label 'c\\rd'"),
+    ], ids=["name", "label"])
+    def test_line_break_in_a_name_or_label_raises_with_its_line(self, tmp_path, text, where):
+        # diagnostics.txt keeps one line per key: coverage[g|label] names a label
+        p = tmp_path / "d.csv"
+        p.write_text(text, newline="")
+        with pytest.raises(ParseError, match=f"^{re.escape(where)} holds a line break$"):
+            load_csv(p, factor_columns=["g"])
+
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,w\n1,0.1\n2,0.2\n3,0.3\n")
@@ -128,11 +145,48 @@ class TestRoundTrip:
         write_csv(data, a)
         write_csv(data, b)
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().count(b"\n") == 51 and b"\r" not in a.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.text(',"=:ab', min_size=1, max_size=5), min_size=3, max_size=3,
+                          unique=True),
+           labels=st.lists(st.text(',"=:ab ', min_size=1, max_size=5).map(str.strip)
+                           .filter(bool), min_size=3, max_size=8),
+           ys=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8,
+                       max_size=8))
+    def test_names_and_labels_with_commas_and_quotes(self, tmp_path_factory, names, labels,
+                                                     ys):
+        # the response, a numeric column and a factor, each named from
+        # , " = : a b; the labels may also hold inner spaces.  The bytes
+        # are the csv module's minimal quoting with \n line ends
+        n = len(labels)
+        y = np.array(ys[:n])
+        level_order = list(dict.fromkeys(labels))
+        codes = np.array([level_order.index(lab) for lab in labels], dtype=float)
+        data = Dataset(y, np.column_stack([y[::-1], codes]), names[1:],
+                       ["numeric", "factor"], {names[2]: level_order}, names[0])
+        path = tmp_path_factory.mktemp("round") / "d.csv"
+        write_csv(data, path)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [names, *zip((f"{v:.17g}" for v in y), (f"{v:.17g}" for v in y[::-1]), labels)])
+        assert path.read_bytes() == want.getvalue().encode()
+        back = load_csv(path, names[0], [names[2]])
+        assert back.columns == names[1:] and back.n_dropped == 0
+        assert np.array_equal(back.y, y) and np.array_equal(back.column(names[1]), y[::-1])
+        assert back.labels(names[2]).tolist() == labels
 
 
 class TestGpdSimulation:
     def test_median_at_fixed_u(self):
         assert gpd_inverse_cdf(0.5, 1.0, 0.0) == pytest.approx(np.log(2.0))
+        # scalars broadcast against u, and below |kappa| = 1e-8 the series
+        # keeps its kappa term: median sigma*(log 2 + kappa*log(2)^2/2)
+        u = np.full(3, 0.5)
+        assert gpd_inverse_cdf(u, 2.0, 0.0).tolist() == [2.0 * np.log(2.0)] * 3
+        for kappa in (-5e-9, 5e-9):
+            want = 2.0 * (np.log(2.0) + 0.5 * kappa * np.log(2.0) ** 2)
+            assert gpd_inverse_cdf(u, 2.0, kappa) == pytest.approx(want, rel=1e-15)
 
     def test_exponential_mean(self):
         data = simulate_gpd(100_000, 1.0, 0.0, seed=2)

@@ -677,6 +677,9 @@ class TestDescend:
         x, trace = self.run(lambda x, eps: (None, 1.0, "test"))
         assert x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
+        assert trace.final_f() == 1.0
+        trace.records = [r._replace(f=np.inf) for r in trace.records]
+        assert np.isnan(trace.final_f())  # no finite record
 
     @pytest.mark.parametrize("below", [True, False])
     def test_step_at_or_below_tau_is_never_searched(self, below):

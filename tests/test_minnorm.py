@@ -42,6 +42,15 @@ class TestMinNormPoint:
         assert np.allclose(res.point, [2.0, 0.0], atol=1e-9)
         assert res.norm == pytest.approx(2.0, abs=1e-10)
 
+    def test_affine_min_of_affinely_dependent_rows(self):
+        # the KKT system is singular, so solve raises and lstsq answers
+        q = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            u = minnorm._affine_min(q)
+        assert lstsq.call_count == 1
+        assert u.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(u @ q, [0.0, 1.0], atol=1e-12)
+
     def test_zero_vector_in_set(self):
         res = min_norm_point(mk([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]]))
         assert res.norm == pytest.approx(0.0, abs=1e-12)

@@ -196,7 +196,7 @@ class TestJacobianBlocks:
         mags = np.geomspace(1e-10, 1.0, 41)
         kappa = np.concatenate([-mags, mags[:-1]])  # var_es needs kappa < 1
         for c in (0.01, 0.1, 0.5, 0.9):
-            got = pot._dtheta_dkappa(np.full(kappa.size, 1.7), kappa, c)
+            got = _kernels.dtheta_dkappa(np.full(kappa.size, 1.7), kappa, np.log(c))
             logc = mp.log(mp.mpf(c))
             for k, g in zip(kappa, got):
                 x = -mp.mpf(k) * logc
@@ -226,7 +226,7 @@ def sampled_theta_grad(lam, y, eps, m, seed, coords=None):
     if coords is None:
         coords = AdditiveProjector(None, [], lam.n).coordinate_map()
     state = PotState.from_lambda(lam, VAR_ES, y, coords)
-    rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), coords)
+    rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed))
     return rows.mean(axis=0)
 
 
@@ -502,7 +502,8 @@ class TestTwoLevelOrder:
 
     def test_return_level_decreases_in_c(self):
         sigma, kappa = self.grid()
-        assert np.all(pot._theta_of(sigma, kappa, 0.02) > pot._theta_of(sigma, kappa, 0.1))
+        assert np.all(_kernels.theta_of(sigma, kappa, np.log(0.02))
+                      > _kernels.theta_of(sigma, kappa, np.log(0.1)))
 
     def test_levels_never_cross(self):
         spec = FunctionalSpec("var_var", (0.01, 0.002), 0.1)  # c = 0.1, 0.02
@@ -527,7 +528,7 @@ class TestQpSubspace:
                      np.full(y.size, 0.2))
         state = PotState.from_lambda(lam, VAR_ES, y, coords)
         n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
-        got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8), coords=coords)
+        got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8))
         u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
         span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
         points = np.vstack([np.zeros(2 * n), eps * u @ span.T])
@@ -550,10 +551,10 @@ class TestQpSubspace:
             widths.append(gset.vectors.shape)
             return real_wolfe(gset)
 
-        def estimate(state, yy, eps, m, rng, coords, *args):
+        def estimate(state, yy, eps, m, rng, *args):
             # the state carries its iterate's frame, so this Q is the fit's
             at[:] = [state.lam.as_vector(), eps, state.draws]
-            return real_estimate(state, yy, eps, m, rng, coords, *args)
+            return real_estimate(state, yy, eps, m, rng, *args)
 
         def ball(d, k, rng):
             w = real_ball(d, k, rng)

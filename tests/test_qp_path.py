@@ -93,8 +93,7 @@ class TestRowKernel:
         block = scratch.tmp[0].nbytes
         tracemalloc.start()
         try:
-            _theta_grad_rows(state, y, 1e-3, 64, np.random.default_rng(0), coords,
-                             None, scratch)
+            _theta_grad_rows(state, y, 1e-3, 64, np.random.default_rng(0), None, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -166,7 +165,7 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
         for eps in (1e-3, 0.1, 0.3):
             for m in (1, 31, 33, 90):
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a, coords)
+                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a)
                 want = outcome(theta_grad_rows_loop, state, y, eps, m, rng_b, coords)
                 # same draws consumed, so the fit's next iteration agrees too
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -207,7 +206,7 @@ def test_fit_steps_along_the_min_norm_point(monkeypatch):
         model = fit_pot_additive(y, W, VAR_ES, specs, gs)
         state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES, y, coords)
         rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
-                                             np.random.default_rng(seed), coords))
+                                             np.random.default_rng(seed)))
         c = min_norm_point(rows).point
         record = model.trace.records[0]
         assert (record.method, record.event) == ("qp", "step")
@@ -248,8 +247,7 @@ def test_rejected_draws_match_a_loop_over_single_draws():
                 want += infeasible_draws_one_at_a_time(
                     state, y, eps, m, np.random.default_rng(seed), coords)
                 try:
-                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed),
-                                     coords, trace)
+                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), trace)
                 except SamplingExhausted:
                     # the sampler has added its 10*m + 1 rejections
                     exhausted += 1

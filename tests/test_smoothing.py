@@ -60,6 +60,9 @@ class TestLocalLinear:
             proj = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0,
                                                                bandwidth=1.0)])
         assert np.allclose(proj.project(g).fitted, g.mean())
+        assert smoothing.rule_of_thumb_bandwidth(w) == 1.0
+        with pytest.warns(DegenerateDesignWarning):
+            assert effective_df(w, 0.5) == 1.0
 
     def test_linearity_in_response(self):
         rng = np.random.default_rng(0)
@@ -206,6 +209,11 @@ class TestCellFactor:
         fit = proj.project(np.array([1.0, 2.0, 4.0, 3.0]))
         assert np.array_equal(proj.predict(fit, np.array([[2.0], [0.0]])),
                               fit.fitted[[3, 0]])
+        # a 1-D W and W_new are the (n, 1) forms
+        flat = AdditiveProjector(np.array([0.0, 1.0, 1.0, 2.0]), [SmootherSpec("cell_factor", 0)])
+        flat_fit = flat.project(np.array([1.0, 2.0, 4.0, 3.0]))
+        assert np.array_equal(flat_fit.fitted, fit.fitted)
+        assert np.array_equal(flat.predict(flat_fit, np.array([2.0, 0.0])), fit.fitted[[3, 0]])
         with pytest.raises(InvalidInput):
             proj.predict(fit, np.array([[1.0], [code]]))
 
