@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -210,7 +210,8 @@ def _run_entries(gs, trace):
         ("max_iter", gs.max_iter), ("max_backtracks", gs.max_backtracks),
         ("kernel_path", _kernels.ACTIVE), ("converged", trace.converged),
         ("iterations", len(trace)), ("accepted_steps", len(trace.accepted)),
-        ("rejected_draws", trace.rejected_draws), ("backfit_sweeps", trace.backfit_sweeps),
+        ("rejected_draws", trace.rejected_draws), ("topups", trace.topups),
+        ("backfit_sweeps", trace.backfit_sweeps),
         ("projections_unconverged", trace.projections_unconverged),
     ]
 
@@ -469,12 +470,15 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=8)
 def build_parser(task=None):
     """The parser of every task, or of ``task`` alone when it names one.
 
     A run's first argument names its task, whose subparser is the only
     one it reads; any other run (help, no task, an unknown one) gets all
-    five, so its usage and error messages list every task.
+    five, so its usage and error messages list every task.  Each parser
+    is built once a process, which takes about a millisecond, and shared
+    by every later :func:`main` call: parsing leaves it as it was.
     """
     parser = _Parser(
         prog="gsda",

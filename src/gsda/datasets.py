@@ -84,7 +84,8 @@ def load_csv(path, response_column="y", factor_columns=()):
     Rows with a missing or unparseable numeric entry are dropped and
     counted; a row with the wrong number of fields, a header that names
     a column twice, or a column name or factor label holding a line
-    break raises :class:`ParseError` with its line number.  Factor
+    break raises :class:`ParseError` with its line number: the physical
+    line of the file the row starts on.  Factor
     columns keep their labels, coded in first-appearance order.
     """
     factor_columns = list(factor_columns)
@@ -113,7 +114,10 @@ def load_csv(path, response_column="y", factor_columns=()):
         y_list = []
         rows = []
         dropped = 0
-        for lineno, fields in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for fields in reader:
+            # the physical line the row starts on: a quoted cell may span lines
+            lineno, start = start, reader.line_num + 1
             if not fields:
                 continue
             if len(fields) != len(header):

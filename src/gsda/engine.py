@@ -12,7 +12,8 @@ One loop, :func:`descend`, runs this schedule for every problem and
 owns the iterate.  A problem supplies its objective and ``at(x, f)``,
 which the loop calls at the start and after each accepted step and
 which returns that iterate's sampled-gradient estimate, returning its
-step vector with the norm that gauges it; :func:`gsda_minimize`, the
+step vector with the norm that gauges it and, for an estimate from a
+first block of draws, how to complete it; :func:`gsda_minimize`, the
 quantile fitter and the POT fitter are three thin adapters around it.
 
 :func:`armijo_search` walks the steps 1, 1/2, ..., 2^-max_backtracks
@@ -27,14 +28,25 @@ go in blocks of ``_ROW_BLOCK``, then through one set of filters and
 shape checks.
 
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
-outside the domain and redraws them, up to 10*m rejections per
-estimate, and alone adds the rejections to ``trace.rejected_draws``.
-:func:`approx_subgradient` and the POT fitter build their m+1 gradient
-rows with it and reduce them to their min-norm point (:mod:`gsda.minnorm`:
+outside the domain and redraws them, up to 10*k rejections for k rows
+asked, and alone adds the rejections to ``trace.rejected_draws``.
+:func:`approx_subgradient` and the POT fitter build their gradient rows
+with it and reduce them to their min-norm point (:mod:`gsda.minnorm`:
 a closed-form face pass for at most 8 distinct rows in R^1 or R^2,
 Wolfe's algorithm otherwise; no other reduction stands in).  The
 pinball fitter's kink draw never leaves the domain and bypasses it; only
 that fitter reads ``GsParams.subgradient_mode``.
+
+Draws on demand: the m >= d+1 draws certify stationarity, that is, they
+decide when eps and tau shrink; a descent step needs far fewer.  So
+:func:`staged_estimate`, which both min-norm samplers go through,
+reduces the iterate's row and the first min(m, ``FIRST_DRAWS``) draws
+first.  A subset norm at most tau shrinks at once: the subset's hull
+lies inside the full sample's, so the full min-norm point is no longer.
+Otherwise :func:`descend` searches the subset's step, and only a failed
+search draws the other m - 8 rows behind the first block and decides
+again on all m+1 (``trace.topups`` counts those).  An estimate with
+m <= 8 is complete from the start, as are the pinball fitter's.
 """
 
 import math
@@ -52,6 +64,8 @@ SUBGRADIENT_MODES = ("qp", "average")
 # draws per evaluate call in sample_rows, and at most as many trial steps
 # per stacked ray call
 _ROW_BLOCK = 32
+# draws a min-norm estimate reduces before it draws the rest of its m
+FIRST_DRAWS = 8
 # point coordinates per stacked ray call: descend's block is
 # min(_ROW_BLOCK, _RAY_BUDGET // d) steps for points of dimension d
 _RAY_BUDGET = 9_600
@@ -61,14 +75,17 @@ _RAY_BUDGET = 9_600
 class GsParams:
     """Hyperparameters of the sampling descent loop.
 
-    ``m`` is the number of ball draws per estimate, besides the iterate.
-    ``None`` resolves at run time to d+1, where d is the dimension of the
-    space searched: the point's for :func:`gsda_minimize` and for the
-    quantile fitter's average mode (n), and the additive subspace's for
-    the quantile fitter's qp mode (r, the dimension of range(P)) and for
-    the POT fitter (2r).  An explicit m is honoured; one below d+1
-    raises :class:`SampleSizeWarning`, since the convergence theory of
-    gradient sampling assumes m >= d+1.
+    ``m`` is the most ball draws an estimate takes, besides the iterate:
+    a step comes from the first min(m, 8) (``FIRST_DRAWS``), and the
+    other m - 8 are drawn only to decide a shrink after that step fails
+    its search (module docstring); the quantile fitter draws all m at
+    once.  ``None`` resolves at run time to
+    d+1, where d is the dimension of the space searched: the point's for
+    :func:`gsda_minimize` and for the quantile fitter's average mode (n),
+    and the additive subspace's for the quantile fitter's qp mode (r,
+    the dimension of range(P)) and for the POT fitter (2r).  An explicit
+    m is honoured; one below d+1 raises :class:`SampleSizeWarning`,
+    since the convergence theory of gradient sampling assumes m >= d+1.
 
     Mode rule: only the quantile fitter reads ``subgradient_mode``.  It
     picks that fitter's reduction of the sampled rows, their min-norm
@@ -178,8 +195,10 @@ class FitTrace:
     the ball coordinates the pinball fitter drew per point over its
     iterations (n per iteration would be the whole n-ball).
     ``rejected_draws`` sums the infeasible draws :func:`sample_rows`
-    rejected, 10*m + 1 for each estimate that ended in
-    :class:`SamplingExhausted` included.
+    rejected, 10*k + 1 for each call for k rows that ended in
+    :class:`SamplingExhausted` included.  ``topups`` counts the
+    estimates that drew the rest of their m rows after their first
+    block's step failed its search (:func:`staged_estimate`).
     """
 
     records: list = field(default_factory=list)
@@ -191,6 +210,7 @@ class FitTrace:
     projections_unconverged: int = 0
     ball_coordinates: int = 0
     rejected_draws: int = 0
+    topups: int = 0
 
     COLUMNS = ("iter", "f", "gnorm", "eps", "tau", "t", "method", "backtracks", "event")
 
@@ -288,6 +308,27 @@ def sample_rows(first, m, eps, draw, evaluate, trace=None):
     return rows
 
 
+def staged_estimate(m, rows, reduce):
+    """An estimate from the first min(m, FIRST_DRAWS) draws, completed on demand.
+
+    ``rows(k)`` returns the iterate's gradient row and the rows of k new
+    ball draws (:func:`sample_rows`), and ``reduce(rows)`` the step
+    vector and gnorm of their min-norm point.  Returns :func:`descend`'s
+    ``(v, gnorm, "qp", rest)`` for the first block: rest is None when
+    m <= FIRST_DRAWS (the estimate is complete), otherwise ``rest()``
+    draws the other m - FIRST_DRAWS rows, keeps the first block as rows
+    0..FIRST_DRAWS ahead of them, and returns the complete estimate's
+    ``(v, gnorm, "qp", None)``.
+    """
+    k = min(m, FIRST_DRAWS)
+    first = rows(k)
+    v, gnorm = reduce(first)
+    if k == m:
+        return v, gnorm, "qp", None
+    return v, gnorm, "qp", lambda: (
+        *reduce(np.concatenate((first, rows(m - k)[1:]))), "qp", None)
+
+
 def _per_point(fn, xs, shape, what):
     """[fn(x) for x in xs], each result checked to be of ``shape`` before any stacking."""
     out = [fn(xt) for xt in xs]
@@ -299,14 +340,18 @@ def _per_point(fn, xs, shape, what):
 
 
 def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
-    """Sampled approximation of the generalized subgradient at x.
+    """The minimizer's sampled estimate at x, as :func:`descend` takes it.
 
     ``f`` and ``g0`` are the value and gradient at x, which the caller
     holds; x is not evaluated again.  A non-finite f, or a g0 that is
-    not a finite ``dim``-vector, raises :class:`InvalidInput`.  Draws m
+    not a finite ``dim``-vector, raises :class:`InvalidInput`.  Draws
     ball points, rejects any that land outside the domain (eval +inf or
     non-finite gradient) and redraws them through :func:`sample_rows`,
-    then reduces the m+1 gradients to their min-norm point.  A block of
+    and reduces the gradients to their min-norm point g: the first
+    min(m, FIRST_DRAWS) draws now and the rest on demand
+    (:func:`staged_estimate`).  Returns ``(v, gnorm, "qp", rest)`` with
+    the step v = -g/||g|| (None when g = 0) and gnorm = ||g||; rest is
+    None for m <= FIRST_DRAWS.  A block of
     k draws takes one ``eval`` and one ``grad`` call (on the finite-valued
     rows) when ``stacked``, one call a point otherwise; k values not of
     shape (k,), or gradients not (k, d), raise :class:`InvalidInput`.
@@ -344,8 +389,14 @@ def approx_subgradient(obj, x, eps, params, rng, trace=None, *, f, g0):
                                f"{xs.shape}, got {g.shape}")
         return g[np.isfinite(g).all(axis=1)]
 
-    return min_norm_point(GradientSet(sample_rows(
-        g0, m, eps, lambda k: sample_unit_ball(obj.dim, k, rng), evaluate, trace)))
+    def draw(k):
+        return sample_unit_ball(obj.dim, k, rng)
+
+    def reduce(rows):
+        res = min_norm_point(GradientSet(rows))
+        return (res.point / -res.norm if res.norm else None), res.norm
+
+    return staged_estimate(m, lambda k: sample_rows(g0, k, eps, draw, evaluate, trace), reduce)
 
 
 def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False, block=_ROW_BLOCK):
@@ -379,48 +430,61 @@ def descend(objective, x, f, at, params, trace, stacked=False):
     ``f`` its finite value at the start ``x``.  ``at(x, f)`` runs at the
     start and right after each accepted step's record, and returns the
     iterate's ``estimate(eps)``, which every iteration at that iterate
-    calls for ``(v, gnorm, method)``: the step vector v (None to shrink)
-    and gnorm, the norm of the sampled gradient estimate.  When gnorm is
-    at most tau, eps and tau shrink and v is ignored.  Otherwise
+    calls for ``(v, gnorm, method, rest)``: the step vector v (None to
+    shrink), gnorm, the norm of the sampled gradient estimate, and rest,
+    None for a complete estimate or a callable that completes one drawn
+    from a first block (:func:`staged_estimate`).  When gnorm is at most
+    tau, eps and tau shrink and v is ignored.  Otherwise
     :func:`armijo_search` looks along the ray t -> objective(x + t*v)
     for a step with the decrease beta*t*gnorm (stacked, when ``stacked``
-    says the objective maps a (k, d) stack to k values); a failed search
-    also shrinks.  A stacked search takes min(_ROW_BLOCK, _RAY_BUDGET // d)
-    steps a call, at least one, for x of length d, so a call's stack
-    holds at most _RAY_BUDGET values (one point, above that).  An
-    estimate that raises :class:`SamplingExhausted` shrinks too; its
-    sampler has counted the rejected draws.  A non-finite gnorm or v
-    raises :class:`NumericalFailure`.  Every iteration adds one record
-    to ``trace``.
+    says the objective maps a (k, d) stack to k values).  A failed
+    search calls ``rest()`` for the next ``(v, gnorm, method, rest)``,
+    decided as above, and adds one to ``trace.topups``; a failed search
+    on a complete estimate shrinks.  A stacked search takes
+    min(_ROW_BLOCK, _RAY_BUDGET // d) steps a call, at least one, for x
+    of length d, so a call's stack holds at most _RAY_BUDGET values (one
+    point, above that).  An estimate that raises
+    :class:`SamplingExhausted` shrinks too; its sampler has counted the
+    rejected draws.  A non-finite gnorm or v raises
+    :class:`NumericalFailure`.  Every iteration adds one record to
+    ``trace``, with the gnorm and method of the estimate that decided it.
     """
     eps, tau = params.eps0, params.tau0
+    eps_min, tau_min, beta, max_backtracks = (
+        params.eps_min, params.tau_min, params.beta, params.max_backtracks)
     block = max(1, min(_ROW_BLOCK, _RAY_BUDGET // max(x.size, 1)))
     estimate = at(x, f)
     for it in range(params.max_iter):
-        if eps <= params.eps_min and tau <= params.tau_min:
+        if eps <= eps_min and tau <= tau_min:
             trace.converged = True
             break
-        try:
-            v, gnorm, method = estimate(eps)
+        event, hit = "shrink", None
+        try:  # only the estimate and its rest draw, so only they raise it
+            v, gnorm, method, rest = estimate(eps)
+            while True:
+                if not math.isfinite(gnorm):  # a scalar: a tenth of np.isfinite's cost
+                    raise NumericalFailure(f"non-finite gradient norm at iteration {it}")
+                if v is None or gnorm <= tau:
+                    v = None
+                    break
+                # v @ v is finite only for a finite v; the elementwise test
+                # settles an overflow
+                if not math.isfinite(v @ v) and not np.isfinite(v).all():
+                    raise NumericalFailure(f"non-finite step vector at iteration {it}")
+                ray = ((lambda ts: objective(x + ts[:, None] * v)) if stacked
+                       else (lambda t: objective(x + t * v)))
+                hit = armijo_search(ray, f, gnorm, beta, max_backtracks, stacked, block)
+                if hit is not None or rest is None:
+                    break
+                trace.topups += 1
+                v, gnorm, method, rest = rest()
         except SamplingExhausted:
             gnorm, method, event, v = np.nan, "none", "sampling_exhausted", None
-        else:
-            if not math.isfinite(gnorm):  # a scalar: a tenth of np.isfinite's cost
-                raise NumericalFailure(f"non-finite gradient norm at iteration {it}")
-            event, v = "shrink", (v if gnorm > tau else None)
-        hit = None
-        if v is not None:
-            if not np.isfinite(v).all():
-                raise NumericalFailure(f"non-finite step vector at iteration {it}")
-            ray = ((lambda ts: objective(x + ts[:, None] * v)) if stacked
-                   else (lambda t: objective(x + t * v)))
-            hit = armijo_search(ray, f, gnorm, params.beta, params.max_backtracks,
-                                stacked, block)
         if hit is None:
             eps *= params.mu
             tau *= params.lam
-            backtracks = 0 if v is None else params.max_backtracks + 1
-            trace.add(it, f, gnorm, eps, tau, 0.0, method, backtracks, event)
+            trace.add(it, f, gnorm, eps, tau, 0.0, method,
+                      0 if v is None else max_backtracks + 1, event)
             continue
         t, backtracks, f = hit
         x = x + t * v
@@ -444,11 +508,7 @@ def gsda_minimize(obj, x0, params=None):
 
     def at(x, f):
         g0 = obj.grad(x)
-
-        def estimate(eps):
-            res = approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
-            return (-res.point / res.norm if res.norm else None), res.norm, "qp"
-        return estimate
+        return lambda eps: approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
 
     trace = FitTrace()
     x = descend(obj.eval, x, f, at, params, trace, stacked=obj.stacked)

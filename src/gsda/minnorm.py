@@ -45,15 +45,18 @@ class GradientSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        try:
-            v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        except ValueError as exc:
-            raise InvalidInput(f"gradient vectors must share one dimension: {exc}")
+        v = self.vectors
+        # a sampler's (s, d) float rows need no conversion, so they skip it
+        if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 2):
+            try:
+                v = np.atleast_2d(np.asarray(v, dtype=float))
+            except ValueError as exc:
+                raise InvalidInput(f"gradient vectors must share one dimension: {exc}")
+            object.__setattr__(self, "vectors", v)
         if v.size == 0 or v.shape[0] < 1:
             raise InvalidInput("gradient set must contain at least one vector")
         if not np.isfinite(v).all():
             raise InvalidInput("gradient set contains non-finite entries")
-        object.__setattr__(self, "vectors", v)
 
 
 @dataclass(frozen=True, eq=False)

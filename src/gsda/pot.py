@@ -16,19 +16,25 @@ the step can move in.  With the :class:`~gsda.smoothing.CoordinateMap`
 (P g = B (M g), B orthonormal n x r), that space is the range of
 L = J^-1 blockdiag(B, B) in (eta, kappa).  Each draw is eps*Q*u, with Q
 an orthonormal basis of range(L) and u uniform in the 2r-ball.  The
-sampled gradients become the (m+1) x 2r coordinate rows ``g @ K``, where
-K = J^-1 blockdiag(M^T, M^T) maps an (eta, kappa) gradient g straight
-to the coordinates of its projected functional-space halves, and
-the min-norm point of those rows is c.  The step is -L c/||c||, and
-||c|| = ||P g_hat|| is the stationarity and Armijo measure.  The default
-m is 2r+1, and an iteration costs O(m*n*r), not O(m*n^2).
+sampled gradients of the negative log-likelihood become the coordinate
+rows ``g @ K``, 2r long, where K = J^-1 blockdiag(M^T, M^T) maps an
+(eta, kappa) gradient g straight to the coordinates of its projected
+functional-space halves, and the min-norm point of those rows is c.
+The step is -L c/||c||, and ||c|| = ||P g_hat|| is the stationarity and
+Armijo measure.  The default m is 2r+1.  An estimate reduces the base
+row and the first min(m, 8) draws, and draws the other m - 8 only when
+that step fails its search (:func:`~gsda.engine.staged_estimate`), so a
+step iteration costs O(8*n*r) and one that tops up O(m*n*r), not
+O(m*n^2).
 
 L, Q, K and the gradient at the iterate depend only on the iterate, so
 :meth:`PotState.from_lambda` builds this frame with the state, once at
 the start and once after each accepted step, and every estimate at the
-iterate reuses it.  Draws are evaluated in blocks: one product turns
-the block's u (with a 1 appended) into its (eta, kappa) points against
-(eps*Q^T; x), and the GPD row kernel turns those into gradients.
+iterate reuses it.  The frame holds -K and the negated base row, so the
+rows come out as the objective's gradients with no pass to negate them.
+Draws are evaluated in blocks: one product turns the block's u (with a
+1 appended) into its (eta, kappa) points against (eps*Q^T; x), and the
+GPD row kernel turns those into gradients.
 
 The negative log-likelihood is a stacked objective, so the line search
 evaluates its trial steps as (k, 2n) stacks, k = min(32, 9600 // 2n)
@@ -41,7 +47,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import (_ROW_BLOCK, FitTrace, GsParams, Objective, descend, sample_rows,
-                     sample_unit_ball)
+                     sample_unit_ball, staged_estimate)
 from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
@@ -138,8 +144,9 @@ class PotState:
     :class:`~gsda.smoothing.CoordinateMap` (B, M) the state was built
     for: ``span`` is L = J^-1 blockdiag(B, B), which maps coordinates to
     (eta, kappa), ``draws`` is Q, an orthonormal basis of its range,
-    ``pullback`` is K = J^-1 blockdiag(M^T, M^T), and ``base`` is the
-    log-likelihood gradient at the iterate times K.
+    ``pullback`` is -K for K = J^-1 blockdiag(M^T, M^T), and ``base`` is
+    the log-likelihood gradient at the iterate times -K: the negative
+    log-likelihood's coordinate row.
     """
 
     lam: Lambda
@@ -152,9 +159,11 @@ class PotState:
     base: np.ndarray
 
     @classmethod
-    def from_lambda(cls, lam, spec, y, coords):
+    def from_lambda(cls, x, spec, y, coords):
+        """The state at the stacked (eta, kappa) vector x (``Lambda.as_vector``)."""
+        lam = Lambda.from_vector(x)
         jac, inv = jacobian_blocks(lam, spec)
-        span, pullback = _lift(inv, coords.basis), _lift(inv, coords.coef.T)
+        span, pullback = _lift(inv, coords.basis), _lift(-inv, coords.coef.T)
         # the functionals are J's eta column (jacobian_blocks)
         return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec,
                    span, np.linalg.qr(span)[0], pullback,
@@ -278,17 +287,18 @@ def _lift(inv, a):
 
 
 def _theta_grad_rows(state, y, eps, m, rng, trace=None, scratch=None):
-    """Base + per-sample log-likelihood gradients as coordinate rows.
+    """Base + per-sample negative log-likelihood gradients as coordinate rows.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
     the first m feasible draws, in draw order.  With B and M from the
     :class:`~gsda.smoothing.CoordinateMap` the state was built for, the
     draws are ``Q u`` for u in the 2r-ball, Q an orthonormal basis of
-    J^-1 blockdiag(B, B), and each row is ``g @ K`` for
-    K = J^-1 blockdiag(M^T, M^T), 2r long.  The draws come from
-    :func:`~gsda.engine.sample_rows`, which redraws infeasible ones,
-    raises :class:`SamplingExhausted` past 10*m of them and adds the
-    rejected draws to ``trace.rejected_draws`` when a trace is given.
+    J^-1 blockdiag(B, B), and each row is ``g @ K`` for the negative
+    log-likelihood's gradient g and K = J^-1 blockdiag(M^T, M^T), 2r
+    long.  The draws come from :func:`~gsda.engine.sample_rows`, which
+    redraws infeasible ones, raises :class:`SamplingExhausted` past 10*m
+    of them and adds the rejected draws to ``trace.rejected_draws`` when
+    a trace is given.
     Q, K and row 0 are the frame of ``state``, built for the same y
     once per iterate, however many estimates the iterate takes.  A fit
     passes one :class:`~gsda._kernels.RowScratch` to every call.
@@ -357,13 +367,15 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     Each iteration: build the Jacobian blocks at the current
     (eta, kappa); sample the negative-log-likelihood gradient as rows in
-    the coordinates of the additive space and reduce them to their
-    min-norm point c (module docstring); the estimate returns the step
-    -L c/||c||, the unit direction pulled back to (eta, kappa) by the
-    iterate's frame, and the descent loop Armijo-searches the negative
-    log-likelihood along it, rejecting any step that leaves the support.
-    eps and tau shrink whenever ||c|| drops below tau or no step is
-    accepted.
+    the coordinates of the additive space, at the iterate and at the
+    first min(m, 8) draws, and reduce them to their min-norm point c
+    (module docstring); the estimate returns the step -L c/||c||, the
+    unit direction pulled back to (eta, kappa) by the iterate's frame,
+    and the descent loop Armijo-searches the negative log-likelihood
+    along it, rejecting any step that leaves the support.  eps and tau
+    shrink whenever ||c|| drops below tau, or when no step is accepted
+    along the estimate from all m draws, which a failed search on the
+    first block draws.
 
     ``gs=None`` means ``GsParams()``; a ``subgradient_mode`` other than
     ``"qp"`` raises :class:`InvalidInput`.
@@ -392,15 +404,17 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     def at(x, f):
         nonlocal state
-        state = PotState.from_lambda(Lambda.from_vector(x), spec, y, coords)
+        state = PotState.from_lambda(x, spec, y, coords)
         return estimate
 
-    def estimate(eps):
-        res = min_norm_point(GradientSet(
-            -_theta_grad_rows(state, y, eps, m, rng, trace, scratch)))
+    def reduce(rows):
+        res = min_norm_point(GradientSet(rows))
         # -L c/||c||, L from the frame the rows were sampled in
-        step = state.span @ (-res.point / res.norm) if res.norm else None
-        return step, res.norm, "qp"
+        return (state.span @ (res.point / -res.norm) if res.norm else None), res.norm
+
+    def estimate(eps):
+        return staged_estimate(
+            m, lambda k: _theta_grad_rows(state, y, eps, k, rng, trace, scratch), reduce)
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
     # the last iterate descend asks for is the one it returns

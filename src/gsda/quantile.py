@@ -159,7 +159,9 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
             c, gnorm, method = _sampled_subgradient(
                 q, y, alpha, eps, m, gs.subgradient_mode, rng, coords, trace, base)
             cnorm = float(np.linalg.norm(c))
-            return (coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None), gnorm, method
+            # complete: both modes draw all m at once
+            step = coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
+            return step, gnorm, method, None
         return estimate
 
     def risk(q):

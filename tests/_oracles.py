@@ -209,7 +209,7 @@ def coordinate_row(inv, g, coords):
 
 
 def theta_grad_rows_loop(state, y, eps, m, rng, coords):
-    """POT coordinate rows, one draw at a time.
+    """POT coordinate rows of the negative log-likelihood, one draw at a time.
 
     Reference for ``gsda.pot._theta_grad_rows``: the same draws
     ``eps * Q u`` for u in the 2r-ball, the same support rule
@@ -224,7 +224,7 @@ def theta_grad_rows_loop(state, y, eps, m, rng, coords):
     lam, inv = state.lam, state.jac_inverses
     n = lam.n
     frame = draw_frame(inv, coords)
-    rows = [coordinate_row(inv, _kernels.gpd_grad(lam.eta, lam.kappa, y), coords)]
+    rows = [coordinate_row(inv, -_kernels.gpd_grad(lam.eta, lam.kappa, y), coords)]
     rejected = 0
     cap = 10 * m
     while len(rows) < m + 1:
@@ -239,7 +239,7 @@ def theta_grad_rows_loop(state, y, eps, m, rng, coords):
                     raise SamplingExhausted(
                         f"more than {cap} infeasible draws at eps={eps:g}")
                 continue
-            rows.append(coordinate_row(inv, _kernels.gpd_grad(pe, pk, y), coords))
+            rows.append(coordinate_row(inv, -_kernels.gpd_grad(pe, pk, y), coords))
     return np.array(rows)
 
 

@@ -231,9 +231,10 @@ class TestRunDiagnostics:
     def test_fits_share_one_diagnostics_block(self, tmp_path):
         # both fit tasks write the same keys in the same order between
         # their own head and tail entries; fit-quantile never rejects a draw
+        # and never tops up an estimate
         shared = ["n", "dropped_rows", "seed", *RUN_KEYS[:2], "subspace_dim",
                   *RUN_KEYS[2:], "converged", "iterations", "accepted_steps",
-                  "rejected_draws", "backfit_sweeps", "projections_unconverged"]
+                  "rejected_draws", "topups", "backfit_sweeps", "projections_unconverged"]
         for kind in ("hetero", "gpd"):
             main(["simulate", "--kind", kind, "--n", "40", "--seed", "1",
                   "--output-dir", str(tmp_path / kind)])
@@ -253,7 +254,7 @@ class TestRunDiagnostics:
             assert (keys[0], diags[task]["task"]) == ("task", task)
             start = keys.index("n")
             assert keys[start:start + len(shared)] == shared, task
-        assert diags["fit-quantile"]["rejected_draws"] == "0"
+        assert diags["fit-quantile"]["rejected_draws"] == diags["fit-quantile"]["topups"] == "0"
 
     def test_resolved_gs_options_are_gs_params_defaults(self):
         from dataclasses import astuple

@@ -70,6 +70,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="^line 4: expected 2 fields, found 3$"):
             load_csv(p)
 
+    def test_error_line_numbers_count_the_lines_a_quoted_cell_spans(self, tmp_path):
+        # the cell "0.3\n4" spans lines 4-5 (its row is dropped as unparseable),
+        # so the 3-field row is the file's line 7, not its sixth record
+        p = tmp_path / "d.csv"
+        p.write_text('y,w\n1,0.1\n2,0.2\n3,"0.3\n4"\n4,0.4\n5,0.5,9\n')
+        with pytest.raises(ParseError, match="^line 7: expected 2 fields, found 3$"):
+            load_csv(p)
+
     def test_factor_levels_first_appearance_order(self, tmp_path):
         p = tmp_path / "d.csv"
         days = ["Wed", "Mon", "Wed", "Tue", "Mon"]
@@ -95,7 +103,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("text, where", [
         ('y,"g\nh"\n1,a\n2,b\n3,a\n', "line 1: column name 'g\\nh'"),
-        ('y,g\n1,a\n\n2,"b\r"\n3,"c\rd"\n', "line 5: label 'c\\rd'"),
+        # a lone \r ends a physical line too: "b\r" ends on line 5, so the
+        # row of "c\rd" starts on line 6
+        ('y,g\n1,a\n\n2,"b\r"\n3,"c\rd"\n', "line 6: label 'c\\rd'"),
     ], ids=["name", "label"])
     def test_line_break_in_a_name_or_label_raises_with_its_line(self, tmp_path, text, where):
         # diagnostics.txt keeps one line per key: coverage[g|label] names a label

@@ -4,8 +4,13 @@ Whatever the draw, the driver must only accept steps that lower f by
 the Armijo margin, never grow eps or tau, move f only on steps, and
 report convergence only with a finite point and value.  It is checked
 through all three of its adapters: ``gsda_minimize`` and small
-quantile and POT fits in both subgradient modes.
+quantile and POT fits in both subgradient modes.  With m > 8 draws the
+minimizer and the POT fitter step from their first 8 and shrink only
+at a norm at most tau or after a complete estimate's failed search.
 """
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from gsda import (
     pinball_loss,
 )
 from gsda.datasets import gpd_inverse_cdf
+from gsda.errors import SampleSizeWarning
 from gsda.pot import initial_lambda
 
 
@@ -106,8 +112,29 @@ def check_trace(trace, f, gs):
     return f
 
 
+def check_shrinks(trace, gs, m):
+    """A shrink at a norm above tau follows a failed search on all m draws.
+
+    Only the minimizer and the POT fitter are held to it: the quantile
+    fitter's average mode may shrink on a vanishing projected step.
+    """
+    tau, failed = gs.tau0, 0
+    for rec in trace.records:
+        if rec.event == "shrink" and rec.backtracks:
+            assert rec.backtracks == gs.max_backtracks + 1
+            failed += 1
+        elif rec.event == "shrink":
+            assert rec.gnorm <= tau, "a shrink above tau without a failed search"
+        tau = rec.tau
+    if m > 8:  # each failed search on a first block of 8 draws topped up first
+        assert trace.topups >= failed
+    else:
+        assert trace.topups == 0
+
+
 def check_run(obj, x0, gs):
     x, trace = gsda_minimize(obj, x0, gs)
+    check_shrinks(trace, gs, trace.m)
     f = check_trace(trace, obj.eval(np.asarray(x0, dtype=float)), gs)
     assert obj.eval(x) == f, "reported f is not f at the returned x"
     if trace.converged:
@@ -228,3 +255,67 @@ def test_pot_fit_invariants(seed, n, covariate, beta):
         "reported f is not f at the returned (eta, kappa)"
     if model.trace.converged:
         assert all(np.all(np.isfinite(th)) for th in model.state.theta_pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(OBJECTIVES)), dim=st.integers(2, 4),
+       x0=st.lists(starts, min_size=4, max_size=4), seed=seeds, m=st.integers(9, 24))
+def test_descent_invariants_with_draws_on_demand(name, dim, x0, seed, m):
+    # m > 8: steps from the first 8 draws, the rest only before a shrink
+    obj = OBJECTIVES[name](dim)
+    x0 = np.array(x0[:obj.dim])
+    if "walled_l1" in name:
+        x0[0] = abs(x0[0])
+        x0 = off_the_slab(x0)
+    check_run(obj, x0, GsParams(seed=seed, m=m, max_iter=300))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, n=st.integers(20, 60), covariate=st.booleans(), beta=betas,
+       m=st.integers(9, 40))
+def test_pot_fit_invariants_with_draws_on_demand(seed, n, covariate, beta, m):
+    spec = FunctionalSpec("var_es", (0.01,), 0.1)
+    y = gpd_inverse_cdf(np.random.default_rng(seed % 1000).random(n), 2.0, 0.2)
+    _, W, specs = fit_inputs(seed % 1000, n, covariate)
+    gs = GsParams(seed=seed, beta=beta, max_iter=150, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)  # m below 2r+1
+        model = fit_pot_additive(y, W, spec, specs, gs)
+    check_shrinks(model.trace, gs, m)
+    check_trace(model.trace, negative_loglik_objective(y, spec).eval(
+        initial_lambda(y, spec).as_vector()), gs)
+
+
+def run_digest(x, trace):
+    """16 hex digits of a run's final point and trace records, bit for bit."""
+    h = hashlib.sha256(np.asarray(x, dtype=float).tobytes())
+    h.update(repr(record_bits(trace)).encode())
+    return h.hexdigest()[:16]
+
+
+# digests of runs drawn whole (m <= 8, and both pinball modes), taken
+# before estimates drew on demand: these runs must not move
+@pytest.mark.parametrize("make, x0, m, seed, want", [
+    (nonsmooth_rosenbrock, [-1.0, 1.0], None, 0, "84816b626e85ad79"),
+    (lambda: l1_norm(3), [1.0, -2.0, 0.5], 8, 1, "59250649eb064ff6"),
+    (lambda: walled_l1(2), [0.3, 0.5], None, 2, "b047498e3b79b640"),
+], ids=["nsrosenbrock", "l1-m8", "walled_l1"])
+def test_complete_minimizer_runs_are_unchanged(make, x0, m, seed, want):
+    x, trace = gsda_minimize(make(), x0, GsParams(m=m, seed=seed, max_iter=300))
+    assert trace.topups == 0 and run_digest(x, trace) == want
+
+
+@pytest.mark.parametrize("mode, covariate, want", [
+    ("average", False, "77b5ce01fca947e8"), ("qp", False, "30c32bbe2337ccff"),
+    ("average", True, "b59e39dac67d8061"), ("qp", True, "cdf1367cad71e85e"),
+])
+def test_quantile_fits_are_unchanged(mode, covariate, want):
+    rng = np.random.default_rng(7)
+    y = np.sin(3.0 * np.linspace(0, 1, 50)) + rng.standard_normal(50)
+    W, specs = None, []
+    if covariate:
+        W, specs = np.sort(rng.uniform(0, 1, 50))[:, None], [
+            SmootherSpec("local_linear", 0, target_df=4)]
+    model = fit_quantile_additive(y, W, 0.7, specs, GsParams(
+        seed=3, beta=1e-2, max_iter=150, subgradient_mode=mode))
+    assert model.trace.topups == 0 and run_digest(model.q, model.trace) == want

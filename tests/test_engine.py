@@ -17,7 +17,8 @@ from gsda import (
     sample_unit_ball,
     sum_of_squares,
 )
-from gsda.engine import descend, sample_rows
+from gsda.engine import FIRST_DRAWS, descend, sample_rows
+from gsda.minnorm import GradientSet, min_norm_point
 from gsda.errors import (
     InvalidInput,
     NumericalFailure,
@@ -89,22 +90,30 @@ class TestSampleUnitBall:
         assert np.mean(np.sum(u * u, axis=1)) == pytest.approx(n / (n + 2), abs=0.01)
 
 
+def min_norm_of(estimate):
+    """The min-norm point g of an estimate (v, gnorm, method, rest), v = -g/||g||."""
+    v, gnorm, _, _ = estimate
+    return -gnorm * v
+
+
 class TestApproxSubgradient:
     def test_smooth_function_recovers_gradient(self):
         obj = sum_of_squares([0.0, 0.0])
         x = np.array([1.0, 0.0])
-        res = approx_subgradient(obj, x, 1e-6,
-                                 GsParams(m=6), np.random.default_rng(0),
-                                 f=obj.eval(x), g0=obj.grad(x))
-        assert np.allclose(res.point, [2.0, 0.0], atol=1e-4)
+        point = min_norm_of(approx_subgradient(obj, x, 1e-6,
+                                               GsParams(m=6), np.random.default_rng(0),
+                                               f=obj.eval(x), g0=obj.grad(x)))
+        assert np.allclose(point, [2.0, 0.0], atol=1e-4)
 
     def test_abs_at_kink_qp_cancels(self):
         obj = l1_norm(1)
         x = np.array([0.0])
-        res = approx_subgradient(obj, x, 0.1,
-                                 GsParams(m=400), np.random.default_rng(0),
-                                 f=obj.eval(x), g0=obj.grad(x))
-        assert res.norm <= 1e-10  # both +1 and -1 present, hull contains 0
+        *_, rest = approx_subgradient(obj, x, 0.1,
+                                      GsParams(m=400), np.random.default_rng(0),
+                                      f=obj.eval(x), g0=obj.grad(x))
+        v, gnorm, method, more = rest()  # the complete estimate, all 400 draws
+        # both +1 and -1 present, hull contains 0
+        assert (v, method, more) == (None, "qp", None) and gnorm <= 1e-10
 
     def test_average_mode_rejected(self):
         # the minimizer reduces by Wolfe's point alone; no path ignores the mode
@@ -118,9 +127,10 @@ class TestApproxSubgradient:
 
     def test_abs_in_smooth_region(self):
         obj, x = l1_norm(1), np.array([1.0])
-        res = approx_subgradient(obj, x, 0.1, GsParams(m=20),
-                                 np.random.default_rng(0), f=obj.eval(x), g0=obj.grad(x))
-        assert res.point[0] == pytest.approx(1.0, abs=1e-14)
+        point = min_norm_of(approx_subgradient(obj, x, 0.1, GsParams(m=20),
+                                               np.random.default_rng(0), f=obj.eval(x),
+                                               g0=obj.grad(x)))
+        assert point[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_smooth_eps_error_bound(self):
         # for f = ||x||^2, grad is 2-Lipschitz, so the sampled approximation
@@ -130,9 +140,9 @@ class TestApproxSubgradient:
         for _ in range(20):
             x = rng.normal(size=3)
             eps = 1e-8
-            res = approx_subgradient(obj, x, eps, GsParams(m=8), rng,
-                                     f=obj.eval(x), g0=obj.grad(x))
-            assert np.linalg.norm(res.point - 2.0 * x) <= 10.0 * eps * 2.0
+            point = min_norm_of(approx_subgradient(obj, x, eps, GsParams(m=8), rng,
+                                                   f=obj.eval(x), g0=obj.grad(x)))
+            assert np.linalg.norm(point - 2.0 * x) <= 10.0 * eps * 2.0
 
     def test_sampling_exhausted_near_domain_wall(self):
         def f(x):
@@ -660,21 +670,21 @@ class TestDescend:
     @pytest.mark.parametrize("gnorm", [np.nan, np.inf])
     def test_non_finite_gradient_norm(self, gnorm):
         with pytest.raises(NumericalFailure, match="gradient norm"):
-            self.run(lambda x, eps: (np.ones(1), gnorm, "test"))
+            self.run(lambda x, eps: (np.ones(1), gnorm, "test", None))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_vector(self, bad):
         with pytest.raises(NumericalFailure, match="step vector"):
-            self.run(lambda x, eps: (np.array([bad]), 2.0, "test"))
+            self.run(lambda x, eps: (np.array([bad]), 2.0, "test", None))
 
     def test_failed_line_search_shrinks_with_every_backtrack(self):
-        x, trace = self.run(lambda x, eps: (-np.ones(1), 2.0, "test"),  # uphill
+        x, trace = self.run(lambda x, eps: (-np.ones(1), 2.0, "test", None),  # uphill
                             max_backtracks=7)
         assert x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 8, 0.0)}
 
     def test_no_direction_shrinks_without_a_line_search(self):
-        x, trace = self.run(lambda x, eps: (None, 1.0, "test"))
+        x, trace = self.run(lambda x, eps: (None, 1.0, "test", None))
         assert x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
         assert trace.final_f() == 1.0
@@ -695,7 +705,7 @@ class TestDescend:
         def estimate(x, eps):
             gnorm = 1e-9 if below else 1e-2 * 0.5 ** k[0]
             k[0] += 1
-            return np.ones(1), gnorm, "test"
+            return np.ones(1), gnorm, "test", None
 
         trace = FitTrace()
         x = descend(objective, np.zeros(1), 1.0, per_iterate(estimate), GsParams(max_iter=50),
@@ -714,7 +724,7 @@ class TestDescend:
             sizes.append(xs.shape[0])
             return xs.sum(axis=-1)
 
-        uphill = per_iterate(lambda x, eps: (np.ones(dim), 2.0, "test"))
+        uphill = per_iterate(lambda x, eps: (np.ones(dim), 2.0, "test", None))
         descend(objective, np.zeros(dim), 0.0, uphill, GsParams(max_iter=1), FitTrace(),
                 stacked=True)
         assert sizes == [block] * (31 // block) + [31 % block] * (31 % block > 0)
@@ -743,7 +753,7 @@ class TestDescend:
 
             def estimate(eps):
                 estimates.append(x)
-                return -0.3 * np.sign(g), float(np.abs(g[0])), "test"
+                return -0.3 * np.sign(g), float(np.abs(g[0])), "test", None
             return estimate
 
         trace = FitTrace()
@@ -765,12 +775,103 @@ class TestDescend:
         def at(x, f):
             if x[0] != 0.0:
                 raise SingularBlock("new iterate")
-            return lambda eps: (np.ones(1), 2.0, "test")
+            return lambda eps: (np.ones(1), 2.0, "test", None)
 
         trace = FitTrace()
         with pytest.raises(SingularBlock):
             descend(self.obj.eval, np.zeros(1), 1.0, at, GsParams(max_iter=50), trace)
         assert [(r.event, r.t, r.f) for r in trace.records] == [("step", 1.0, 0.0)]
+
+
+class TestDrawsOnDemand:
+    """A step comes from the first 8 draws; the other m - 8 only decide a shrink."""
+
+    def run(self, monkeypatch, obj, x, m, fail_first_search=False, seed=4):
+        """One iteration of the minimizer's descent.
+
+        Returns (sample_rows calls as (k, rows), the row sets reduced,
+        searches, rng, trace); a search is logged as the number of
+        sample_rows calls before it.
+        """
+        import gsda.engine as engine
+
+        calls, reduced, searches = [], [], []
+        real_rows, real_search, real_reduce = (
+            engine.sample_rows, engine.armijo_search, engine.min_norm_point)
+
+        def rows(first, k, *args):
+            calls.append((k, real_rows(first, k, *args)))
+            return calls[-1][1]
+
+        def reduce(gset):
+            reduced.append(gset.vectors)
+            return real_reduce(gset)
+
+        def search(*args):
+            searches.append(len(calls))
+            return None if fail_first_search and len(searches) == 1 else real_search(*args)
+
+        monkeypatch.setattr(engine, "sample_rows", rows)
+        monkeypatch.setattr(engine, "min_norm_point", reduce)
+        monkeypatch.setattr(engine, "armijo_search", search)
+        rng, params, trace = np.random.default_rng(seed), GsParams(m=m, max_iter=1), FitTrace()
+
+        def at(x, f):
+            g0 = obj.grad(x)
+            return lambda eps: approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
+
+        descend(obj.eval, x, obj.eval(x), at, params, trace, stacked=obj.stacked)
+        return calls, reduced, searches, rng, trace
+
+    @pytest.mark.parametrize("m", [9, 20, 40])
+    def test_subset_shrink_draws_nothing_more(self, monkeypatch, m):
+        # at x = 0.01 the 8 draws of the 0.1-ball fall on both sides of the
+        # kink of |x|, so the subset's hull holds 0: a shrink, decided by
+        # the subset alone, since the full hull holds it too
+        obj, x = l1_norm(1), np.array([0.01])
+        calls, reduced, searches, rng, trace = self.run(monkeypatch, obj, x, m)
+        (rec,) = trace.records
+        assert (rec.event, rec.backtracks) == ("shrink", 0) and rec.gnorm <= GsParams().tau0
+        assert [k for k, _ in calls] == [FIRST_DRAWS] and searches == []
+        assert [rows.shape for rows in reduced] == [(FIRST_DRAWS + 1, 1)]
+        assert trace.topups == 0
+        after_eight = np.random.default_rng(4)
+        sample_unit_ball(1, FIRST_DRAWS, after_eight)
+        assert rng.bit_generator.state == after_eight.bit_generator.state
+
+    @pytest.mark.parametrize("m", [9, 20, 40])
+    def test_failed_first_search_tops_up_the_rest(self, monkeypatch, m):
+        # a smooth bowl: the second search, on all m+1 rows, steps
+        obj, x = sum_of_squares([1.0, -1.0]), np.zeros(2)
+        calls, reduced, searches, rng, trace = self.run(
+            monkeypatch, obj, x, m, fail_first_search=True)
+        (k1, block), (k2, more) = calls
+        assert (k1, k2) == (FIRST_DRAWS, m - FIRST_DRAWS)
+        assert np.array_equal(block[0], obj.grad(x)) and block.shape == (FIRST_DRAWS + 1, 2)
+        # the complete estimate keeps the first block as rows 0..8, bitwise,
+        # and the m - 8 new draws behind it
+        first, full = reduced
+        assert first is block and full.shape == (m + 1, 2)
+        assert np.array_equal(full[:FIRST_DRAWS + 1], block)
+        assert np.array_equal(full[FIRST_DRAWS + 1:], more[1:])
+        assert searches == [1, 2] and trace.topups == 1
+        (rec,) = trace.records
+        assert rec.event == "step"
+        assert rec.gnorm == min_norm_point(GradientSet(full)).norm
+        exact = np.random.default_rng(4)  # the whole plane is the domain: no redraw
+        sample_unit_ball(2, FIRST_DRAWS, exact)
+        sample_unit_ball(2, m - FIRST_DRAWS, exact)
+        assert rng.bit_generator.state == exact.bit_generator.state
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_estimates_of_at_most_eight_draws_are_complete(self, monkeypatch, m):
+        # one draw of m, and a failed search shrinks with no second estimate
+        obj, x = sum_of_squares([1.0, -1.0]), np.zeros(2)
+        calls, reduced, searches, _, trace = self.run(
+            monkeypatch, obj, x, m, fail_first_search=True)
+        assert [k for k, _ in calls] == [m] and searches == [1] and len(reduced) == 1
+        assert [(r.event, r.backtracks) for r in trace.records] == [("shrink", 31)]
+        assert trace.topups == 0
 
 
 class TestGsParamsValidation:

@@ -20,6 +20,7 @@ from gsda import (
 from gsda import _kernels, pot
 from gsda.smoothing import AdditiveProjector
 from gsda.datasets import gpd_inverse_cdf
+from gsda.minnorm import GradientSet, min_norm_point
 from gsda.errors import (
     FunctionalUndefined,
     InfeasiblePoint,
@@ -221,13 +222,14 @@ def sampled_theta_grad(lam, y, eps, m, seed, coords=None):
     """Mean of the POT fitter's coordinate rows at lam (intercept-only by default).
 
     With one observation B = M = 1, so each row is the functional-space
-    gradient J^-T g itself.
+    gradient J^-T g itself.  The rows are the negative log-likelihood's,
+    so the mean is negated back to the log-likelihood's.
     """
     if coords is None:
         coords = AdditiveProjector(None, [], lam.n).coordinate_map()
-    state = PotState.from_lambda(lam, VAR_ES, y, coords)
+    state = PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords)
     rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed))
-    return rows.mean(axis=0)
+    return -rows.mean(axis=0)
 
 
 class TestApproxSubgradientTheta:
@@ -289,7 +291,7 @@ class TestApproxSubgradientTheta:
         y = gpd_inverse_cdf(rng.random(n), 1.5, 0.2)
         coords = AdditiveProjector(np.linspace(0.0, 1.0, n)[:, None],
                                    [SmootherSpec("linear", 0)]).coordinate_map()
-        state = PotState.from_lambda(lam, VAR_ES, y, coords)
+        state = PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords)
         a = sampled_theta_grad(lam, y, 1e-9, 9, 3, coords)
         b = per_sample_theta_grad(state, y, 1e-9, 9, np.random.default_rng(3), coords)
         assert np.max(np.abs(a - b)) <= 1e-6
@@ -522,11 +524,12 @@ class TestQpSubspace:
 
     def test_rows_are_projected_functional_rows(self):
         # g @ K is the coordinate pair (M h1, M h2) of the functional-space
-        # row h = J^-T g, for the draws Q u of the 2r-ball
+        # row h = J^-T g, for the draws Q u of the 2r-ball and the negative
+        # log-likelihood's gradient g
         y, W, specs, coords = self.design()
         lam = Lambda(np.log(2.0) + 0.1 * np.sin(np.arange(y.size)),
                      np.full(y.size, 0.2))
-        state = PotState.from_lambda(lam, VAR_ES, y, coords)
+        state = PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords)
         n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
         got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8))
         u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
@@ -534,7 +537,7 @@ class TestQpSubspace:
         points = np.vstack([np.zeros(2 * n), eps * u @ span.T])
         want = []
         for p in points:
-            g = gpd_loglik_grad(Lambda(lam.eta + p[:n], lam.kappa + p[n:]), y)
+            g = -gpd_loglik_grad(Lambda(lam.eta + p[:n], lam.kappa + p[n:]), y)
             h = dense_inverse(state.jac_inverses).T @ g
             want.append(np.concatenate([coords.coef @ h[:n], coords.coef @ h[n:]]))
         assert got.shape == (m + 1, 2 * r)
@@ -571,16 +574,77 @@ class TestQpSubspace:
         monkeypatch.setattr(_kernels, "gpd_grad_rows", grad_rows)
         model = fit_pot_additive(y, W, VAR_ES, specs,
                                  GsParams(subgradient_mode="qp", seed=3, max_iter=25))
-        assert model.trace.subspace_dim == 2 * r and model.trace.m == 2 * r + 1
-        assert set(widths) == {(2 * r + 2, 2 * r)}
+        assert model.trace.subspace_dim == 2 * r and model.trace.m == 2 * r + 1 > 8
+        # a first block of 8 draws, and all m+1 rows only after a topup
+        assert (9, 2 * r) in widths and set(widths) <= {(9, 2 * r), (2 * r + 2, 2 * r)}
+        assert widths.count((2 * r + 2, 2 * r)) == model.trace.topups
         assert len(draws) >= 25 and len(model.trace.accepted) > 0
         for x, eps, draw_basis, w, points in draws:
             # the perturbation eps*u: |u| <= 1 and u in range(J^-1 blockdiag(B, B))
             u = w @ draw_basis.T
             assert np.all(np.linalg.norm(u, axis=1) <= 1.0 + 1e-12)
-            state = PotState.from_lambda(Lambda.from_vector(x), VAR_ES, y, coords)
+            state = PotState.from_lambda(x, VAR_ES, y, coords)
             span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
             assert np.max(np.abs(u - (u @ span) @ span.T)) <= 1e-12
             # and the kernel is handed the points x + eps*u, to the rounding of x
             assert np.max(np.abs(np.vstack(points) - (x + eps * u))) <= (
                 1e-14 * (np.max(np.abs(x)) + eps))
+
+
+class TestDrawsOnDemand:
+    """A POT step comes from the first 8 draws; the other m - 8 only decide a shrink."""
+
+    def fit(self, monkeypatch, m, fail_first_search=False, **gs):
+        """One iteration of an intercept-only fit.
+
+        Returns (``_theta_grad_rows`` calls as (count, rows), the row sets
+        reduced, searches, trace); a search is logged as the number of
+        row calls before it.
+        """
+        import gsda.engine as engine
+
+        calls, reduced, searches = [], [], []
+        real_rows, real_reduce, real_search = (
+            pot._theta_grad_rows, pot.min_norm_point, engine.armijo_search)
+
+        def rows(state, yy, eps, k, *args):
+            calls.append((k, real_rows(state, yy, eps, k, *args)))
+            return calls[-1][1]
+
+        def reduce(gset):
+            reduced.append(gset.vectors)
+            return real_reduce(gset)
+
+        def search(*args):
+            searches.append(len(calls))
+            return None if fail_first_search and len(searches) == 1 else real_search(*args)
+
+        monkeypatch.setattr(pot, "_theta_grad_rows", rows)
+        monkeypatch.setattr(pot, "min_norm_point", reduce)
+        monkeypatch.setattr(engine, "armijo_search", search)
+        y = gpd_inverse_cdf(np.random.default_rng(3).random(80), 2.0, 0.2)
+        model = fit_pot_additive(y, None, VAR_ES, [], GsParams(m=m, max_iter=1, seed=5, **gs))
+        return calls, reduced, searches, model.trace
+
+    def test_subset_shrink_draws_nothing_more(self, monkeypatch):
+        # a tau0 above any gradient norm: the first block alone shrinks
+        calls, reduced, searches, trace = self.fit(monkeypatch, 40, tau0=1e6)
+        assert [k for k, _ in calls] == [8] and len(reduced) == 1 and searches == []
+        assert [r.event for r in trace.records] == ["shrink"] and trace.topups == 0
+
+    @pytest.mark.parametrize("m", [9, 40])
+    def test_failed_first_search_tops_up_the_rest(self, monkeypatch, m):
+        # the method-of-moments start is near the MLE: at eps0 = 0.1 the
+        # draws' hull holds 0, and at 1e-4 the norm is below 1e-2; a small
+        # radius and tau give a step to search
+        calls, reduced, searches, trace = self.fit(monkeypatch, m, fail_first_search=True,
+                                                   eps0=1e-4, tau0=1e-4)
+        (k1, block), (k2, more) = calls
+        first, full = reduced
+        assert (k1, k2) == (8, m - 8) and first is block
+        assert block.shape == (9, 2) and full.shape == (m + 1, 2)
+        assert np.array_equal(full[:9], block)  # rows 0..8 kept, bitwise
+        assert np.array_equal(full[9:], more[1:])
+        assert searches == [1, 2] and trace.topups == 1
+        (rec,) = trace.records
+        assert rec.event == "step" and rec.gnorm == min_norm_point(GradientSet(full)).norm

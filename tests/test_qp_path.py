@@ -22,7 +22,7 @@ from gsda import (
 )
 from gsda import _kernels
 from gsda.datasets import gpd_inverse_cdf
-from gsda.engine import sample_unit_ball
+from gsda.engine import FIRST_DRAWS, sample_unit_ball
 from gsda.errors import NumericalFailure, SamplingExhausted
 from gsda.minnorm import _distinct_rows
 from gsda.pot import (
@@ -88,7 +88,7 @@ class TestRowKernel:
 
         state, y, _ = pot_state(3, 2000, boundary=False)
         coords = AdditiveProjector(None, [], state.n).coordinate_map()
-        state = PotState.from_lambda(state.lam, VAR_ES, y, coords)
+        state = PotState.from_lambda(state.lam.as_vector(), VAR_ES, y, coords)
         scratch = _kernels.RowScratch(32, state.n)
         block = scratch.tmp[0].nbytes
         tracemalloc.start()
@@ -153,7 +153,7 @@ def pot_state(seed, n, boundary):
         projector = AdditiveProjector((np.arange(n) % 6.0)[:, None],
                                       [SmootherSpec("cell_factor", 0)])
     coords = projector.coordinate_map()
-    return PotState.from_lambda(lam, VAR_ES, y, coords), y, coords
+    return PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords), y, coords
 
 
 @pytest.mark.parametrize("boundary", [False, True])
@@ -183,9 +183,10 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
 
 
 def test_fit_steps_along_the_min_norm_point(monkeypatch):
-    # the fitter reduces its rows to their min-norm point c and steps along
-    # -J^-1 blockdiag(B, B) c, so one iteration of a fit lands on that point
-    # exactly; a failed solve raises, with no other reduction in its place
+    # the fitter reduces its first block of rows to their min-norm point c
+    # and steps along -J^-1 blockdiag(B, B) c, so one iteration of a fit
+    # lands on that point exactly; a failed solve raises, with no other
+    # reduction in its place
     import gsda.pot
 
     def wolfe_fails(rows):
@@ -204,12 +205,13 @@ def test_fit_steps_along_the_min_norm_point(monkeypatch):
                 fit_pot_additive(y, W, VAR_ES, specs, gs)
             continue
         model = fit_pot_additive(y, W, VAR_ES, specs, gs)
-        state = PotState.from_lambda(initial_lambda(y, VAR_ES), VAR_ES, y, coords)
-        rows = GradientSet(-_theta_grad_rows(state, y, gs.eps0, 2 * coords.dim + 1,
-                                             np.random.default_rng(seed)))
+        state = PotState.from_lambda(initial_lambda(y, VAR_ES).as_vector(), VAR_ES, y, coords)
+        assert 2 * coords.dim + 1 > FIRST_DRAWS
+        rows = GradientSet(_theta_grad_rows(state, y, gs.eps0, FIRST_DRAWS,
+                                            np.random.default_rng(seed)))
         c = min_norm_point(rows).point
         record = model.trace.records[0]
-        assert (record.method, record.event) == ("qp", "step")
+        assert (record.method, record.event, model.trace.topups) == ("qp", "step", 0)
         assert record.gnorm == np.linalg.norm(c)
         v = _lift(state.jac_inverses, coords.basis) @ (-c / record.gnorm)
         x = state.lam.as_vector() + record.t * v
