@@ -1,4 +1,4 @@
-"""Command-line interface: fit-quantile, fit-pot, simulate, gradcheck, minimize.
+"""Command-line interface: fit-quantile, fit-pot, simulate, minimize.
 
 Each option is declared once, as a row of ``_OPTIONS``: its parser and
 its default.  The hyperparameters' rows are the fields of
@@ -36,16 +36,8 @@ from .errors import (
     SamplingExhausted,
     SingularBlock,
 )
-from .pot import (
-    FunctionalSpec,
-    Lambda,
-    fit_pot_additive,
-    functional_map,
-    gpd_loglik_grad,
-    jacobian_blocks,
-    negative_loglik_objective,
-)
-from .quantile import fit_quantile_additive, pinball_grad, pinball_loss
+from .pot import FunctionalSpec, fit_pot_additive
+from .quantile import fit_quantile_additive
 from .smoothing import SmootherSpec
 
 EXIT_OK = 0
@@ -116,7 +108,6 @@ _OPTIONS = {
     "hours_per_day": (_count, 17),
     "objective": (_text, "nsrosenbrock"),
     "x0": (_point, (-1.0, 1.0)),
-    "points": (_count, 100),
 }
 
 # simulate kind -> (simulator, the options it reads, in argument order)
@@ -134,7 +125,6 @@ _READS = {
     "fit-quantile": ("input", "response", "smoother", "factor", "alpha", *_GS),
     "fit-pot": ("input", "response", "smoother", "factor", "levels", "exceed_prob", *_GS),
     "simulate": ("kind", *dict.fromkeys(key for _, reads in _KINDS.values() for key in reads)),
-    "gradcheck": ("alpha", "seed", "points"),
     "minimize": ("objective", "x0", *_GS),
 }
 
@@ -356,66 +346,6 @@ def _run_simulate(config, out):
     return EXIT_OK
 
 
-_FD_STEP = 1e-6
-
-
-def _central_diff(f, x):
-    steps = _FD_STEP * np.eye(x.size)
-    return np.array([(f(x + step) - f(x - step)) / (2.0 * _FD_STEP) for step in steps])
-
-
-def _rel_err(a, b):
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
-
-
-def _run_gradcheck(config, out):
-    """Compare analytic gradients with central differences; a failed check raises."""
-    rng = np.random.default_rng(config["seed"])
-    points = config["points"]
-    alpha = config["alpha"]
-    worst = {"pinball": 0.0, "gpd_loglik": 0.0, "jacobian": 0.0}
-
-    for _ in range(points):
-        n = int(rng.integers(2, 6))
-        y = rng.uniform(-3.0, 3.0, n)
-        q = y + rng.choice([-1.0, 1.0], n) * rng.uniform(1e-2, 2.0, n)  # kink-avoiding
-        fd = _central_diff(lambda v: pinball_loss(v, y, alpha), q)
-        worst["pinball"] = max(worst["pinball"], _rel_err(pinball_grad(q, y, alpha), fd))
-
-    spec = FunctionalSpec("var_es", (0.01,), 0.1)
-    for _ in range(points):
-        n = int(rng.integers(1, 5))
-        lam = Lambda(rng.uniform(-0.5, 1.5, n), rng.uniform(-0.25, 0.8, n))
-        v = lam.as_vector()
-        y = rng.uniform(0.05, 2.0, n) * lam.sigma
-        # the objective's gradient is -gpd_loglik_grad, so one key checks both
-        fd = _central_diff(negative_loglik_objective(y, spec).eval, v)
-        worst["gpd_loglik"] = max(worst["gpd_loglik"], _rel_err(gpd_loglik_grad(lam, y), -fd))
-
-        # each functional pair depends on its own (eta_i, kappa_i) alone, so
-        # moving every eta (or every kappa) at once differences a whole column
-        jac, _ = jacobian_blocks(lam, spec)
-        for which in range(2):
-            step = np.zeros(2 * n)
-            step[which * n:(which + 1) * n] = _FD_STEP
-            up = functional_map(Lambda.from_vector(v + step), spec)
-            dn = functional_map(Lambda.from_vector(v - step), spec)
-            for fidx in range(2):
-                worst["jacobian"] = max(worst["jacobian"], _rel_err(
-                    jac[:, fidx, which], (up[fidx] - dn[fidx]) / (2.0 * _FD_STEP)))
-
-    overall = max(worst.values())
-    passed = overall < 1e-4
-    entries = [("task", "gradcheck"), ("points", points), ("seed", config["seed"])]
-    entries += [(f"max_rel_err.{k}", v) for k, v in sorted(worst.items())]
-    entries += [("max_rel_err", overall), ("passed", passed)]
-    _write_diagnostics(os.path.join(out, "gradcheck.txt"), entries)
-    if not passed:
-        raise NumericalFailure(f"gradcheck: max relative error {overall:.3e} is not below 1e-4")
-    print(f"gradcheck: max relative error {overall:.3e} (PASS)")
-    return EXIT_OK
-
-
 # objective -> its Objective for a starting point of the given dimension
 _OBJECTIVES = {
     "nsrosenbrock": lambda dim: nonsmooth_rosenbrock(),
@@ -434,7 +364,8 @@ def _run_minimize(config, out):
     if x0.size != obj.dim:
         raise InvalidInput(f"objective {name!r} expects dimension {obj.dim}")
     gs = config.gs_params()
-    x, trace = gsda_minimize(obj, x0, gs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinite value
+        x, trace = gsda_minimize(obj, x0, gs)
     _write_trace(os.path.join(out, "trace.csv"), trace)
     entries = [
         ("task", "minimize"), ("objective", name), ("seed", config["seed"]),
@@ -453,10 +384,8 @@ _TASKS = {
     "fit-quantile": _run_fit_quantile,
     "fit-pot": _run_fit_pot,
     "simulate": _run_simulate,
-    "gradcheck": _run_gradcheck,
     "minimize": _run_minimize,
 }
-
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +404,8 @@ def build_parser(task=None):
     """The parser of every task, or of ``task`` alone when it names one.
 
     A run's first argument names its task, whose subparser is the only
-    one it reads; any other run (help, no task, an unknown one) gets all
-    five, so its usage and error messages list every task.  Each parser
+    one it reads; any other run (help, no task, an unknown one) gets
+    every task, so its usage and error messages list them all.  Each parser
     is built once a process, which takes about a millisecond, and shared
     by every later :func:`main` call: parsing leaves it as it was.
     """

@@ -103,7 +103,9 @@ class FunctionalSpec:
     ``levels`` holds one tail probability (``var_es``) or two
     (``var_var``); each is scaled by the threshold exceedance
     probability into c = level / exceed_prob, so a level must lie in
-    (0, exceed_prob] for c to lie in (0, 1].
+    (0, exceed_prob] for c to lie in (0, 1].  At c = 1 every return
+    level is 0, so :func:`fit_pot_additive` takes a level in
+    (0, exceed_prob) alone.
     """
 
     pair: str
@@ -378,7 +380,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     first block draws.
 
     ``gs=None`` means ``GsParams()``; a ``subgradient_mode`` other than
-    ``"qp"`` raises :class:`InvalidInput`.
+    ``"qp"`` raises :class:`InvalidInput`, and so does a scale factor
+    c = 1, whose Jacobian blocks are all singular.
 
     Returns a :class:`PotModel`; the reported functional vectors are
     recomputed exactly from the final (eta, kappa), and each is also
@@ -386,6 +389,8 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     """
     gs = gs if gs is not None else GsParams()
     gs.require_qp("the POT fitter")
+    if 1.0 in spec.c_values:
+        raise InvalidInput("the POT fitter needs tail levels in (0, exceed_prob)")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or not np.all(y > 0.0):
         raise InvalidInput("excesses must be a 1-d vector of positive values")

@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -60,7 +61,6 @@ TASK_FLAGS = {
     "fit-quantile": (*DATA_FLAGS, "--alpha", *GS_FLAGS),
     "fit-pot": (*DATA_FLAGS, "--levels", "--exceed-prob", *GS_FLAGS),
     "simulate": ("--kind", "--seed", "--n", "--sigma", "--kappa", "--days", "--hours-per-day"),
-    "gradcheck": ("--alpha", "--seed", "--points"),
     "minimize": ("--objective", "--x0", *GS_FLAGS),
 }
 
@@ -91,9 +91,10 @@ class TestOptionTable:
     def test_a_run_sees_its_task_reads_alone(self):
         from gsda.cli import build_parser, resolve_config
 
-        config = resolve_config(build_parser().parse_args(["gradcheck", "--points", "7"]))
-        assert config == {"task": "gradcheck", "output_dir": ".", "alpha": 0.9,
-                          "seed": 0, "points": 7}
+        config = resolve_config(build_parser().parse_args(["simulate", "--n", "7"]))
+        assert config == {"task": "simulate", "output_dir": ".", "kind": "gpd", "n": 7,
+                          "sigma": 2.0, "kappa": 0.2, "seed": 0, "days": 28,
+                          "hours_per_day": 17}
 
 
 class TestSimulateAndFitQuantile:
@@ -371,19 +372,16 @@ class TestMinimize:
         assert main(["minimize", "--objective", "mystery",
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
 
-
-class TestGradcheck:
-    def test_passes_and_reports(self, tmp_path):
-        out = tmp_path / "g"
-        assert main(["gradcheck", "--points", "40", "--seed", "1",
-                     "--output-dir", str(out)]) == EXIT_OK
-        diag = read_diagnostics(out / "gradcheck.txt")
-        assert float(diag["max_rel_err"]) < 1e-4
-        assert diag["passed"] == "true"
-        for key in ("max_rel_err.pinball", "max_rel_err.gpd_loglik",
-                    "max_rel_err.jacobian"):
-            assert key in diag
-        assert "max_rel_err.pot_objective" not in diag
+    @pytest.mark.parametrize("objective,x0", [("sumsq", "1e308,1e308"),
+                                              ("l1", "1e308,-1e308")])
+    def test_overflowing_start_is_one_error_line(self, tmp_path, capsys, objective, x0):
+        # the overflow to inf is the message; numpy warns nothing before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["minimize", "--objective", objective, f"--x0={x0}",
+                         "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: objective must be finite at x0\n"
 
 
 class TestExitCodes:
@@ -450,21 +448,6 @@ class TestExitCodes:
             assert captured.err == "numerical failure: forced\n", name
             assert "Traceback" not in captured.out + captured.err, name
 
-    def test_failed_gradcheck_exits_4(self, tmp_path, capsys, monkeypatch):
-        from gsda import cli
-
-        real = cli.pinball_grad
-        monkeypatch.setattr(cli, "pinball_grad", lambda q, y, alpha: real(q, y, alpha) + 1e-3)
-        out = tmp_path / "g"
-        assert main(["gradcheck", "--points", "5", "--seed", "2",
-                     "--output-dir", str(out)]) == EXIT_NUMERIC
-        diag = read_diagnostics(out / "gradcheck.txt")
-        assert diag["passed"] == "false"
-        assert float(diag["max_rel_err.pinball"]) >= 1e-4 > float(diag["max_rel_err.jacobian"])
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: gradcheck: ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.out
-
     def test_nonconvergence_exits_2(self, tmp_path):
         from gsda.cli import EXIT_NONCONVERGED
 
@@ -515,16 +498,25 @@ class TestErrorsAndConfig:
                 == EXIT_INPUT
             assert capsys.readouterr().err == f"error: {err}\n"
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp = 9\n")
-        assert main(["gradcheck", "--config", str(cfg),
+        assert main(["simulate", "--config", str(cfg),
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown config key 'warp'\n"
 
     def assert_input_error(self, capsys, argv):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "invalid choice" not in err, err  # an unknown task exits 3 too
+
+    def test_removed_gradcheck_task_is_unknown(self, tmp_path, capsys):
+        assert main(["gradcheck", "--points", "5", "--output-dir", str(tmp_path)]) \
+            == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: gsda: argument task: invalid choice: 'gradcheck'")
+        assert err.count("\n") == 1
 
     def test_bad_levels_number(self, tmp_path, capsys):
         self.assert_input_error(capsys, [
@@ -537,13 +529,13 @@ class TestErrorsAndConfig:
         for flag, value in (("--beta", "x"), ("--m", "1.5"), ("--seed", ""),
                             ("--mode", "fast"), ("--warp", "9")):
             self.assert_input_error(capsys, [
-                "gradcheck", flag, value, "--output-dir", str(tmp_path)])
+                "simulate", flag, value, "--output-dir", str(tmp_path)])
 
     def test_bad_number_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = x\n")
         self.assert_input_error(capsys, [
-            "gradcheck", "--config", str(cfg), "--output-dir", str(tmp_path)])
+            "simulate", "--config", str(cfg), "--output-dir", str(tmp_path)])
 
     def test_bad_smoother_bandwidth(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -629,15 +621,15 @@ class TestErrorsAndConfig:
              ["--alpha", "0.3", "--levels", "0.1", "--smoother", "x=linear",
               "--kind", "sales"]),
             (["minimize", "--max-iter", "3"], ["--input", data]),
-            (["gradcheck", "--points", "2"], ["--m", "5", "--mode", "average",
-                                              "--x0", "1,2"]),
-            (["gradcheck", "--points", "2"], ["--beta", "0.3"]),
+            (["simulate", "--kind", "gpd", "--n", "20"], ["--m", "5", "--mode", "average",
+                                                          "--x0", "1,2"]),
+            (["simulate", "--kind", "gpd", "--n", "20"], ["--beta", "0.3"]),
             (["simulate", "--kind", "gpd", "--n", "20"], ["--mode", "qp"]),
             (["simulate", "--kind", "gpd", "--n", "20"], ["--alpha", "0.5"]),
             (fit_quantile, ["--levels", "0.01"]),
             (fit_quantile, ["--x0", "1,2"]),
             (fit_pot, ["--alpha", "0.5"]),
-            (fit_pot, ["--points", "3"]),
+            (fit_pot, ["--kind", "sales"]),
         ]
         for i, (base, extra) in enumerate(cases):
             self.assert_input_error(capsys, base + extra
@@ -650,8 +642,8 @@ class TestErrorsAndConfig:
         for i, (task, line) in enumerate([
                 (["minimize", "--max-iter", "3"], "alpha = 0.3"),
                 (["minimize", "--max-iter", "3"], "smoother = w=linear"),
-                (["gradcheck", "--points", "2"], "mode = qp"),
-                (["gradcheck", "--points", "2"], "input = data.csv"),
+                (["simulate", "--kind", "hetero", "--n", "20"], "mode = qp"),
+                (["simulate", "--kind", "hetero", "--n", "20"], "input = data.csv"),
                 (["simulate", "--kind", "hetero", "--n", "20"], "max-iter = 9")]):
             cfg = tmp_path / f"run{i}.cfg"
             cfg.write_text(line + "\n")
@@ -753,7 +745,7 @@ class TestParserPerTask:
 
     @pytest.mark.parametrize("argv", [
         ["fit-pot", "--help"], ["minimize", "-h"], ["simulate", "--kind"],
-        ["gradcheck", "--points", "2", "--bogus", "1"], ["fit-quantile", "minimize"],
+        ["simulate", "--n", "2", "--bogus", "1"], ["fit-quantile", "minimize"],
         ["--help"], [], ["bogus"], ["--config", "x", "fit-pot"], ["minimize", "--x0", "1,2"]])
     def test_help_and_errors_match_the_full_parser(self, argv, capsys):
         from gsda.cli import build_parser

@@ -21,13 +21,14 @@ def test_all_lists_every_public_import():
 
 
 def _references(node, inside=frozenset()):
-    """Names and attributes used under node, less each def's uses of itself."""
+    """Names used under node, and ``module.name`` for each attribute of a
+    name, less each def's uses of itself."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         inside = inside | {node.name}
     if isinstance(node, ast.Name):
         found = {node.id}
-    elif isinstance(node, ast.Attribute):
-        found = {node.attr}
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        found = {f"{node.value.id}.{node.attr}"}
     else:
         found = set()
     found -= inside
@@ -37,7 +38,9 @@ def _references(node, inside=frozenset()):
 
 
 def test_every_export_is_used_or_documented():
-    # an export only tests call is a second implementation to keep in step
+    # an export only tests call is a second implementation to keep in step;
+    # a same-named attribute of another object (_kernels.pinball_loss for
+    # quantile.pinball_loss) is no use of it
     used = set()
     for path in (ROOT / "src" / "gsda").glob("*.py"):
         if path.name != "__init__.py":
@@ -45,7 +48,9 @@ def test_every_export_is_used_or_documented():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"\w+", section))
-    assert sorted(set(gsda.__all__) - used - documented) == []
+    unused = [name for name in gsda.__all__ if name not in used
+              and f"{getattr(gsda, name).__module__.rsplit('.', 1)[1]}.{name}" not in used]
+    assert sorted(set(unused) - documented) == []
 
 
 def test_import_and_projector_build_leave_scipy_unloaded():

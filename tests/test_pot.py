@@ -329,11 +329,21 @@ class TestNegativeLoglikObjective:
         assert obj.eval(const_lambda(1.0, 1.2, 2).as_vector()) == np.inf
 
     def test_grad_matches_fd(self):
-        y = np.array([0.8, 1.4])
-        obj = negative_loglik_objective(y, VAR_ES)
-        v = const_lambda(1.3, 0.15, 2).as_vector()
-        fd = central_diff(obj.eval, v)
-        assert np.max(np.abs(obj.grad(v) - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
+        # one fixed point, then 100 seeded ones: n in 1..4, eta ~ U(-0.5, 1.5),
+        # kappa ~ U(-0.25, 0.8), y = U(0.05, 2)*sigma; central differences
+        # agree to about 1e-9 here
+        rng = np.random.default_rng(0)
+        cases = [(np.array([0.8, 1.4]), const_lambda(1.3, 0.15, 2))]
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            lam = Lambda(rng.uniform(-0.5, 1.5, n), rng.uniform(-0.25, 0.8, n))
+            cases.append((rng.uniform(0.05, 2.0, n) * lam.sigma, lam))
+        for y, lam in cases:
+            obj = negative_loglik_objective(y, VAR_ES)
+            v = lam.as_vector()
+            fd = central_diff(obj.eval, v)
+            for grad in (obj.grad(v), -gpd_loglik_grad(lam, y)):
+                assert np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
 
     @pytest.mark.parametrize("spec", [VAR_ES, FunctionalSpec("var_var", (0.01, 0.002), 0.1)],
                              ids=["var_es", "var_var"])

@@ -5,7 +5,14 @@ prints that message."""
 import numpy as np
 import pytest
 
-from gsda import FunctionalSpec, SmootherSpec, gsda_minimize, l1_norm, sample_unit_ball
+from gsda import (
+    FunctionalSpec,
+    SmootherSpec,
+    fit_pot_additive,
+    gsda_minimize,
+    l1_norm,
+    sample_unit_ball,
+)
 from gsda.cli import EXIT_INPUT, main
 from gsda.datasets import (
     load_csv,
@@ -35,6 +42,12 @@ def fit_on_factor(tmp_path):
             "--factor", "g", "--smoother", "g=local_linear"]
 
 
+def fit_pot_at_exceed_prob(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("y\n0.5\n1.5\n0.9\n")
+    return ["fit-pot", "--input", str(path), "--levels", "0.1", "--exceed-prob", "0.1"]
+
+
 # (id, call of tmp_path, documented class or exit code, message)
 LIBRARY = [
     ("ball-n<1", lambda _: sample_unit_ball(0, 3, np.random.default_rng(0)),
@@ -51,6 +64,9 @@ LIBRARY = [
      InvalidInput, "eta and kappa must be finite"),
     ("spec-unknown-pair", lambda _: FunctionalSpec("es_es", (0.01,), 0.1),
      InvalidInput, "pair must be 'var_es' or 'var_var'"),
+    ("pot-level-at-exceed-prob", lambda _: fit_pot_additive(
+        [0.5, 1.5, 0.9], None, FunctionalSpec("var_var", (0.1, 0.05), 0.1), []),
+     InvalidInput, r"the POT fitter needs tail levels in \(0, exceed_prob\)"),
     ("loglik-grad-y-length",
      lambda _: gpd_loglik_grad(Lambda(np.zeros(3), np.full(3, 0.1)), [1.0, 2.0]),
      InvalidInput, "y must match the parameter length"),
@@ -96,6 +112,8 @@ COMMAND_LINE = [
      EXIT_INPUT, "fit-pot requires --input"),
     ("cli-numeric-smoother-on-factor", command_line(fit_on_factor),
      EXIT_INPUT, "local_linear smoother needs a numeric column, 'g' is a factor"),
+    ("cli-fit-pot-level-at-exceed-prob", command_line(fit_pot_at_exceed_prob),
+     EXIT_INPUT, "the POT fitter needs tail levels in (0, exceed_prob)"),
 ]
 
 
