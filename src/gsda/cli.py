@@ -12,13 +12,14 @@ input error.  A flag beats a config-file entry (flat ``key = value``
 text), which beats the default.  Every table a task writes goes through
 :func:`~gsda.datasets.write_table`, which load_csv reads back.  Exit codes:
 0 converged/success, 2 non-convergence, 3 input or configuration error,
-4 numerical failure.
+4 numerical failure.  A package warning prints as one ``warning:`` line.
 """
 
 import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields
 from functools import lru_cache, partial
 
@@ -456,19 +457,21 @@ def resolve_config(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        config = resolve_config(build_parser(argv[0] if argv else None).parse_args(argv))
-        os.makedirs(config["output_dir"], exist_ok=True)
-        return _TASKS[config["task"]](config, config["output_dir"])
-    except (InvalidInput, ParseError, MissingColumn, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NumericalFailure, SingularBlock, SamplingExhausted) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except GsdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with warnings.catch_warnings():  # a warning is one line; the caller's hooks come back
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = resolve_config(build_parser(argv[0] if argv else None).parse_args(argv))
+            os.makedirs(config["output_dir"], exist_ok=True)
+            return _TASKS[config["task"]](config, config["output_dir"])
+        except (InvalidInput, ParseError, MissingColumn, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (NumericalFailure, SingularBlock, SamplingExhausted) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except GsdaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

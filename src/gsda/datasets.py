@@ -82,11 +82,12 @@ def load_csv(path, response_column="y", factor_columns=()):
     """Read a headed CSV into a Dataset.
 
     Rows with a missing or unparseable numeric entry are dropped and
-    counted; a row with the wrong number of fields, a header that names
-    a column twice, or a column name or factor label holding a line
-    break raises :class:`ParseError` with its line number: the physical
-    line of the file the row starts on.  Factor
-    columns keep their labels, coded in first-appearance order.
+    counted; fewer than 3 rows left raise :class:`InvalidInput` naming
+    the column that dropped the most.  A row with the wrong number of
+    fields, a header that names a column twice, or a column name or
+    factor label holding a line break raises :class:`ParseError` with
+    its line number: the physical line of the file the row starts on.
+    Factor columns keep their labels, coded in first-appearance order.
     """
     factor_columns = list(factor_columns)
     with open(path, newline="") as fh:
@@ -113,7 +114,7 @@ def load_csv(path, response_column="y", factor_columns=()):
         cells = [(header.index(h), is_factor[h]) for h in covariates]
         y_list = []
         rows = []
-        dropped = 0
+        dropped = Counter()  # field index -> rows it dropped
         start = reader.line_num + 1
         for fields in reader:
             # the physical line the row starts on: a quoted cell may span lines
@@ -124,6 +125,7 @@ def load_csv(path, response_column="y", factor_columns=()):
                 raise ParseError(
                     f"expected {len(header)} fields, found {len(fields)}", line=lineno)
             try:
+                i = response
                 yv = _parse_float(fields[response].strip())
                 values = []
                 for i, factor in cells:
@@ -134,12 +136,14 @@ def load_csv(path, response_column="y", factor_columns=()):
                         raise ParseError(f"label {raw!r} holds a line break", line=lineno)
                     values.append(raw if factor else _parse_float(raw))
             except ValueError:
-                dropped += 1
+                dropped[i] += 1
                 continue
             y_list.append(yv)
             rows.append(values)
     if len(y_list) < 3:
-        raise InvalidInput(f"need at least 3 usable rows, found {len(y_list)}")
+        why = "".join(f"; column {header[i]!r} failed to parse in {count} rows (a label "
+                      "column must be read as a factor)" for i, count in dropped.most_common(1))
+        raise InvalidInput(f"need at least 3 usable rows, found {len(y_list)}{why}")
     y = np.array(y_list)
     W = np.empty((y.size, len(covariates)))
     kinds = []
@@ -155,7 +159,7 @@ def load_csv(path, response_column="y", factor_columns=()):
         else:
             W[:, j] = col
             kinds.append("numeric")
-    return Dataset(y, W, covariates, kinds, levels, response_column, dropped)
+    return Dataset(y, W, covariates, kinds, levels, response_column, dropped.total())
 
 
 def format_cell(value):

@@ -30,23 +30,23 @@ shape checks.
 One sampler, :func:`sample_rows`, draws the ball points, rejects those
 outside the domain and redraws them, up to 10*k rejections for k rows
 asked, and alone adds the rejections to ``trace.rejected_draws``.
-:func:`approx_subgradient` and the POT fitter build their gradient rows
-with it and reduce them to their min-norm point (:mod:`gsda.minnorm`:
-a closed-form face pass for at most 8 distinct rows in R^1 or R^2,
-Wolfe's algorithm otherwise; no other reduction stands in).  The
-pinball fitter's kink draw never leaves the domain and bypasses it; only
-that fitter reads ``GsParams.subgradient_mode``.
+:func:`approx_subgradient`, the POT fitter and the pinball fitter's qp
+mode build their rows with it and reduce them to their min-norm point
+(:mod:`gsda.minnorm`: a closed-form face pass for at most 8 distinct rows
+in R^1 or R^2, Wolfe's algorithm otherwise; no other reduction stands
+in).  A pinball draw never leaves the domain.  Average mode draws its
+kink coordinates alone; only that fitter reads ``subgradient_mode``.
 
 Draws on demand: the m >= d+1 draws certify stationarity, that is, they
 decide when eps and tau shrink; a descent step needs far fewer.  So
-:func:`staged_estimate`, which both min-norm samplers go through,
+:func:`staged_estimate`, which the minimizer and the POT fitter use,
 reduces the iterate's row and the first min(m, ``FIRST_DRAWS``) draws
 first.  A subset norm at most tau shrinks at once: the subset's hull
 lies inside the full sample's, so the full min-norm point is no longer.
 Otherwise :func:`descend` searches the subset's step, and only a failed
 search draws the other m - 8 rows behind the first block and decides
 again on all m+1 (``trace.topups`` counts those).  An estimate with
-m <= 8 is complete from the start, as are the pinball fitter's.
+m <= 8 is complete from the start, as is every pinball estimate.
 """
 
 import math
@@ -78,8 +78,8 @@ class GsParams:
     ``m`` is the most ball draws an estimate takes, besides the iterate:
     a step comes from the first min(m, 8) (``FIRST_DRAWS``), and the
     other m - 8 are drawn only to decide a shrink after that step fails
-    its search (module docstring); the quantile fitter draws all m at
-    once.  ``None`` resolves at run time to
+    its search (module docstring); both quantile estimates draw all m
+    at once.  ``None`` resolves at run time to
     d+1, where d is the dimension of the space searched: the point's for
     :func:`gsda_minimize` and for the quantile fitter's average mode (n),
     and the additive subspace's for the quantile fitter's qp mode (r,

@@ -1,12 +1,10 @@
 """Additive quantile regression by sampled-subgradient descent.
 
-The fitted vector of quantile values is updated along the negative of
-the sampled pinball subgradient after that subgradient has been
-smoothed onto the additive covariate space; an Armijo backtracking step
-on the pinball risk controls the move.  The sampling radius eps and the
-stationarity tolerance tau halve whenever the subgradient norm drops
-below tau or no acceptable step exists, and the run stops when both
-reach their floors.
+The vector of quantile values moves along the negative sampled pinball
+subgradient, smoothed onto the additive covariate space, by an Armijo
+step on the pinball risk.  The sampling radius eps and the tolerance
+tau halve whenever the subgradient norm drops below tau or no step is
+accepted, and the run stops when both reach their floors.
 
 The pinball gradient is ``-alpha`` or ``1 - alpha`` in each coordinate,
 by the sign of the residual y_i - q_i, so a sampled gradient can differ
@@ -19,19 +17,20 @@ The coordinates of A get the exact marginal law of a point uniform on
 the n-dimensional ball (see :func:`~gsda.engine.sample_unit_ball`), and
 every other coordinate keeps its base gradient.  The estimate g_hat is
 the average of the m+1 gradients, with its raw norm as the stationarity
-and Armijo measure.  The sampler returns c = M g_hat, in the projector's
+and Armijo measure.  In the projector's
 :class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B orthonormal
-n x r), and the step is -B c/||c||; ||c|| = ||P g_hat|| and a vanishing
-c shrinks.
+n x r) the step is -B c/||c|| for c = M g_hat = B^T P g_hat; a
+vanishing c shrinks.
 
 qp mode runs gradient sampling on the problem restricted to the additive
-space, in the same coordinates.  Each draw is eps*B*u with u
-uniform in the r-ball; it moves q_i by at most eps*||B_i||, so the kink
-set is {i : |y_i - q_i| <= 2*eps*||B_i||}.  The min-norm solve receives the
-(m+1) x r coordinate rows M g, its min-norm point c* = M g_hat gives the
+space, in the same coordinates.  Each draw is eps*B*u with u uniform in
+the r-ball, through :func:`~gsda.engine.sample_rows`; it moves q_i by at
+most eps*||B_i||, so the kink set is {i : |y_i - q_i| <= 2*eps*||B_i||}.
+The min-norm point c* of the (m+1) x r coordinate rows M g gives the
 step -B c*/||c*||, and ||c*|| = ||P g_hat|| is the stationarity and
-Armijo measure.  The default m is r+1.  An iteration costs O(m*a*r) for
-a = |A|, typically a few percent of n near the fit.
+Armijo measure.  Both modes draw all m at once, with no first block
+(:func:`~gsda.engine.staged_estimate`).  The default m is r+1.  An
+iteration costs O(m*a*r) for a = |A|, typically a few percent of n.
 
 No iteration calls :meth:`~gsda.smoothing.AdditiveProjector.project`:
 it runs once, for the final decomposition.
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .engine import FitTrace, GsParams, descend, sample_unit_ball
+from .engine import FitTrace, GsParams, descend, sample_rows, sample_unit_ball
 from .errors import InvalidInput
 from .minnorm import GradientSet, min_norm_point
 from .smoothing import AdditiveProjector
@@ -86,32 +85,15 @@ class QuantileModel:
     trace: FitTrace
 
 
-def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace, base):
-    """The step's coordinates from the pinball gradients over the eps-ball sample.
+def _sampled_subgradient(q, y, alpha, eps, m, rng, coords, trace, base):
+    """The average-mode estimate at q, as :func:`~gsda.engine.descend` takes it.
 
-    ``base`` is the pinball gradient at q, which the fitter takes once
-    per iterate.  Returns ``(c, gnorm, method)``, c an r-vector in the
-    :class:`~gsda.smoothing.CoordinateMap` ``coords``, and adds the ball
-    coordinates drawn per point (module docstring) to
-    ``trace.ball_coordinates``.  Average mode draws the a = |A| kink
-    coordinates of the n-ball; c is M g_hat for the mean g_hat of the
-    gradients, and gnorm is ||g_hat||.  qp mode draws the r-ball; c is
-    the min-norm point of the coordinate rows, and gnorm its norm.  With
-    A empty every sampled gradient is the base gradient and nothing is
-    drawn.
+    ``base`` is the pinball gradient at q, taken once per iterate.
+    Draws the a = |A| kink coordinates of the n-ball, none for A empty,
+    and adds a to ``trace.ball_coordinates``.  Returns
+    ``(-B c/||c||, ||g_hat||, "average", None)`` for the mean g_hat of
+    the m+1 gradients and c = M g_hat; the step is None for ||c|| < 1e-15.
     """
-    if mode == "qp":
-        B, M = coords.basis, coords.coef
-        kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps * coords.row_norms)
-        rows = np.empty((m + 1, coords.dim))
-        rows[:] = M @ base
-        if kink.size:
-            u = sample_unit_ball(coords.dim, m, rng)
-            moved = _kernels.pinball_grad(q[kink] + eps * (u @ B[kink].T), y[kink], alpha)
-            rows[1:] += (moved - base[kink]) @ M[:, kink].T
-        res = min_norm_point(GradientSet(rows))
-        trace.ball_coordinates += coords.dim if kink.size else 0
-        return res.point, res.norm, "qp"
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
     g = base.copy()
     if kink.size:
@@ -119,7 +101,33 @@ def _sampled_subgradient(q, y, alpha, eps, m, mode, rng, coords, trace, base):
         sampled = _kernels.pinball_sampled_grad_sum(q[kink], y[kink], alpha, eps, u)
         g[kink] = (base[kink] + sampled) / (m + 1)
     trace.ball_coordinates += kink.size
-    return coords.coef @ g, float(np.linalg.norm(g)), "average"
+    c = coords.coef @ g
+    cnorm = float(np.linalg.norm(c))
+    step = coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
+    return step, float(np.linalg.norm(g)), "average", None
+
+
+def _min_norm_estimate(q, y, alpha, eps, m, rng, coords, trace, base):
+    """The qp-mode estimate at q: the min-norm point c of the coordinate rows.
+
+    Row 0 is M base; :func:`~gsda.engine.sample_rows` adds the rows of m
+    r-ball draws, each evaluated on the kink set A alone, and adds r to
+    ``trace.ball_coordinates``.  With A empty nothing is drawn and the
+    solve gets row 0.  Returns ``(-B c/||c||, ||c||, "qp", None)``.
+    """
+    B, M = coords.basis, coords.coef
+    rows = first = M @ base
+    kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps * coords.row_norms)
+    if kink.size:
+        def evaluate(u):
+            moved = _kernels.pinball_grad(q[kink] + eps * (u @ B[kink].T), y[kink], alpha)
+            return first + (moved - base[kink]) @ M[:, kink].T
+
+        rows = sample_rows(first, m, eps, lambda k: sample_unit_ball(coords.dim, k, rng),
+                           evaluate, trace)
+        trace.ball_coordinates += coords.dim
+    res = min_norm_point(GradientSet(rows))
+    return (B @ (res.point / -res.norm) if res.norm else None), res.norm, "qp", None
 
 
 def fit_quantile_additive(y, W, alpha, specs, gs=None):
@@ -132,10 +140,8 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
         a zero-column matrix fits the intercept-only model
     alpha : quantile level in (0, 1)
     specs : one SmootherSpec per covariate column
-    gs : GsParams; defaults to the standard parameters with the plain
-        averaged subgradient (the min-norm mode is available via
-        ``subgradient_mode="qp"``, which searches the r coordinates of the
-        additive space; see the module docstring)
+    gs : GsParams; None means the defaults in average mode (qp mode
+        searches the r coordinates of the additive space; module docstring)
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
@@ -152,17 +158,11 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     m = gs.resolve_m(n if average else coords.dim)
     rng = np.random.default_rng(gs.seed)
 
+    estimate = _sampled_subgradient if average else _min_norm_estimate
+
     def at(q, f):
         base = _kernels.pinball_grad(q, y, alpha)
-
-        def estimate(eps):
-            c, gnorm, method = _sampled_subgradient(
-                q, y, alpha, eps, m, gs.subgradient_mode, rng, coords, trace, base)
-            cnorm = float(np.linalg.norm(c))
-            # complete: both modes draw all m at once
-            step = coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
-            return step, gnorm, method, None
-        return estimate
+        return lambda eps: estimate(q, y, alpha, eps, m, rng, coords, trace, base)
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)

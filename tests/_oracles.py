@@ -350,7 +350,7 @@ def pinball_subgradient_full_ball(q, y, alpha, eps, m, rng):
 def pinball_coordinate_rows(q, y, alpha, eps, u, coords):
     """qp-mode coordinate rows M g at q and at q + eps*B*u, every coordinate evaluated.
 
-    Reference for ``gsda.quantile._sampled_subgradient`` in qp mode,
+    Reference for the qp-mode estimate ``gsda.quantile._min_norm_estimate``,
     which evaluates only the kink coordinates.
     """
     return pinball_rows_full_ball(q, y, alpha, eps, u @ coords.basis.T) @ coords.coef.T

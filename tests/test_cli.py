@@ -339,6 +339,14 @@ class TestFitPot:
 
 
 class TestMinimize:
+    def test_a_package_warning_is_one_stderr_line(self, tmp_path, capsys):
+        # m below d+1 warns; the CLI prints the message alone, not the
+        # warning's source file and line
+        assert main(["minimize", "--m", "1", "--max-iter", "20",
+                     "--output-dir", str(tmp_path)]) in (EXIT_OK, EXIT_NONCONVERGED)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: sampling size m=1"), err
+
     @pytest.mark.parametrize("objective,x0,bound", [
         ("nsrosenbrock", "-1,1", 1e-6), ("l1", "3,-4,0.5", 1e-4), ("sumsq", "3,-4", 1e-8)])
     def test_objectives_converge(self, tmp_path, objective, x0, bound):
@@ -505,11 +513,12 @@ class TestErrorsAndConfig:
                      "--output-dir", str(tmp_path)]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: unknown config key 'warp'\n"
 
-    def assert_input_error(self, capsys, argv):
+    def assert_input_error(self, capsys, argv, message=None):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "invalid choice" not in err, err  # an unknown task exits 3 too
+        assert message is None or err == f"error: {message}\n", err
 
     def test_removed_gradcheck_task_is_unknown(self, tmp_path, capsys):
         assert main(["gradcheck", "--points", "5", "--output-dir", str(tmp_path)]) \
@@ -525,17 +534,23 @@ class TestErrorsAndConfig:
 
     def test_bad_flag_values(self, tmp_path, capsys):
         # usage errors exit 3, not argparse's exit 2, which reads as
-        # non-convergence
-        for flag, value in (("--beta", "x"), ("--m", "1.5"), ("--seed", ""),
-                            ("--mode", "fast"), ("--warp", "9")):
+        # non-convergence; minimize reads every hyperparameter, so each
+        # value reaches its own parser
+        for flag, value, message in (
+                ("--beta", "x", "beta: 'x' is not a valid number"),
+                ("--m", "1.5", "m: '1.5' is not a valid number"),
+                ("--seed", "", "seed: '' is not a valid number"),
+                ("--mode", "fast", "subgradient_mode must be one of ('qp', 'average')"),
+                ("--warp", "9", "gsda: unrecognized arguments: --warp 9")):
             self.assert_input_error(capsys, [
-                "simulate", flag, value, "--output-dir", str(tmp_path)])
+                "minimize", flag, value, "--output-dir", str(tmp_path)], message)
 
     def test_bad_number_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = x\n")
         self.assert_input_error(capsys, [
-            "simulate", "--config", str(cfg), "--output-dir", str(tmp_path)])
+            "minimize", "--config", str(cfg), "--output-dir", str(tmp_path)],
+            "beta: 'x' is not a valid number")
 
     def test_bad_smoother_bandwidth(self, tmp_path, capsys):
         sim = tmp_path / "sim"

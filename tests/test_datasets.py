@@ -129,6 +129,22 @@ class TestLoadCsv:
         with pytest.raises(InvalidInput):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, found, column, count", [
+        # a label column read as numbers drops every row
+        ("y,site,t\n1,alpha,0\n2,beta,1\n3,alpha,2\n", 0, "site", 3),
+        # a bad response after a bad label is the response's, not the label's
+        ("y,site,t\n1,a,0\nx,1,1\nz,2,2\n4,5,6\n", 1, "y", 2),
+    ], ids=["label-column", "response-after-label"])
+    def test_too_few_rows_names_the_column_that_dropped_most(self, tmp_path, text, found,
+                                                             column, count):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInput) as info:
+            load_csv(p)
+        assert str(info.value) == (
+            f"need at least 3 usable rows, found {found}; column {column!r} failed to "
+            f"parse in {count} rows (a label column must be read as a factor)")
+
 
 class TestRoundTrip:
     def test_bit_exact_floats(self, tmp_path):

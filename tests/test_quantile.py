@@ -114,10 +114,12 @@ def residual_design(units, seed):
 
 
 def kink_path(monkeypatch, q, y, alpha, u_full):
-    """The average-mode subgradient on the kink columns of one full-ball draw.
+    """The average-mode estimate on the kink columns of one full-ball draw.
 
     The patched sampler checks that the fitter asks for exactly the
-    columns |y - q| <= 2*EPS of the n-dimensional ball.
+    columns |y - q| <= 2*EPS of the n-dimensional ball.  Returns
+    ``(g_hat, gnorm, method)``: in the identity coordinate map the step
+    is -g_hat/||g_hat|| and gnorm is ||g_hat||.
     """
     n, m = q.size, u_full.shape[0]
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * EPS)
@@ -127,13 +129,12 @@ def kink_path(monkeypatch, q, y, alpha, u_full):
         return u_full[:, kink].copy()
 
     monkeypatch.setattr(quantile, "sample_unit_ball", sampler)
-    # in the identity coordinate map the step's coordinates are g_hat itself
     trace = FitTrace()
-    out = quantile._sampled_subgradient(q, y, alpha, EPS, m, "average", None,
-                                        CoordinateMap(np.eye(n), np.eye(n)), trace,
-                                        pinball_grad(q, y, alpha))
-    assert trace.ball_coordinates == kink.size
-    return out
+    v, gnorm, method, rest = quantile._sampled_subgradient(
+        q, y, alpha, EPS, m, None, CoordinateMap(np.eye(n), np.eye(n)), trace,
+        pinball_grad(q, y, alpha))
+    assert trace.ball_coordinates == kink.size and rest is None
+    return -v * gnorm, gnorm, method
 
 
 class TestKinkCoordinates:
@@ -178,12 +179,15 @@ class TestKinkCoordinates:
         base = pinball_grad(q, y, 0.7)
         for coords in (AdditiveProjector(None, [], n).coordinate_map(),
                        CoordinateMap(np.eye(n), np.eye(n))):
-            for mode in ("qp", "average"):
+            c = coords.coef @ base
+            cnorm = np.linalg.norm(c)
+            want = (coords.basis @ (-c / cnorm)).tobytes()
+            for estimate, norm in ((quantile._min_norm_estimate, cnorm),
+                                   (quantile._sampled_subgradient, np.linalg.norm(base))):
                 trace = FitTrace()
-                c, gnorm, _ = quantile._sampled_subgradient(
-                    q, y, 0.7, EPS, n + 1, mode, rng, coords, trace, base)
+                v, gnorm, _, _ = estimate(q, y, 0.7, EPS, n + 1, rng, coords, trace, base)
                 assert trace.ball_coordinates == 0
-                assert c.tobytes() == (coords.coef @ base).tobytes()
+                assert v.tobytes() == want and gnorm == norm
         assert rng.bit_generator.state == state
 
     def test_fit_counts_drawn_coordinates(self, monkeypatch):
@@ -334,11 +338,13 @@ class TestAverageModeDirection:
         sampled, descend = quantile._sampled_subgradient, quantile.descend
         identity = CoordinateMap(np.eye(80), np.eye(80))
 
-        def spy_sampled(q, yy, alpha, eps, m, mode, rng, coords, trace, base):
-            # g_hat from the same draws, as the coordinates of the identity map
-            estimates.append(sampled(q, yy, alpha, eps, m, mode, copy.deepcopy(rng),
-                                     identity, FitTrace(), base)[0])
-            return sampled(q, yy, alpha, eps, m, mode, rng, coords, trace, base)
+        def spy_sampled(q, yy, alpha, eps, m, rng, coords, trace, base):
+            # g_hat from the same draws: in the identity map the step is
+            # -g_hat/||g_hat|| and gnorm ||g_hat||
+            v, gnorm, _, _ = sampled(q, yy, alpha, eps, m, copy.deepcopy(rng),
+                                     identity, FitTrace(), base)
+            estimates.append(-v * gnorm)
+            return sampled(q, yy, alpha, eps, m, rng, coords, trace, base)
 
         def spy_descend(objective, x, f, at, *args, **kwargs):
             def spy_at(q, fq):
@@ -408,7 +414,7 @@ class TestQpMode:
         proj = AdditiveProjector(W, specs)
         coords, q = proj.coordinate_map(), proj.project(y).fitted
         r = coords.dim
-        drawn, seen = [], []
+        drawn, seen, solved = [], [], []
         real_ball, real_wolfe = quantile.sample_unit_ball, quantile.min_norm_point
 
         def ball(*args, **kwargs):
@@ -417,7 +423,8 @@ class TestQpMode:
 
         def wolfe(gset):
             seen.append(gset.vectors.copy())
-            return real_wolfe(gset)
+            solved.append(real_wolfe(gset))
+            return solved[-1]
 
         monkeypatch.setattr(quantile, "sample_unit_ball", ball)
         monkeypatch.setattr(quantile, "min_norm_point", wolfe)
@@ -426,27 +433,31 @@ class TestQpMode:
             rng = np.random.default_rng(4)
             drawn.clear()
             seen.clear()
+            solved.clear()
             trace = FitTrace()
-            g, gnorm, method = quantile._sampled_subgradient(
-                q, y, 0.8, eps, r + 1, "qp", rng, coords, trace, pinball_grad(q, y, 0.8))
-            (u,), (rows,) = drawn, seen
+            v, gnorm, method, rest = quantile._min_norm_estimate(
+                q, y, 0.8, eps, r + 1, rng, coords, trace, pinball_grad(q, y, 0.8))
+            (u,), (rows,), (res,) = drawn, seen, solved
+            assert method == "qp" and rest is None
             assert u.shape == (r + 1, r) and trace.ball_coordinates == r
             want = pinball_coordinate_rows(q, y, 0.8, eps, u, coords)
             assert rows.shape == want.shape == (r + 2, r)
             assert np.max(np.abs(rows - want)) <= 1e-12
-            assert g.shape == (r,) and gnorm == pytest.approx(np.linalg.norm(g))
+            assert gnorm == res.norm == pytest.approx(np.linalg.norm(res.point))
+            assert v.tobytes() == (coords.basis @ (res.point / -res.norm)).tobytes()
             flipped += int(np.any(rows[1:] != rows[0]))
         assert flipped == 3
 
     def test_draws_handed_to_the_kernel_lie_in_the_subspace(self, monkeypatch):
         # each sampled point the kernel sees is q + eps*B*u, |u| <= 1, on
-        # the kink coordinates, and Wolfe's rows are r long
+        # the kink coordinates, and Wolfe gets m+1 rows r long whenever the
+        # kink set is non-empty
         y, W, specs = one_smoother_design(120, 5)
         coords = AdditiveProjector(W, specs).coordinate_map()
         B, r = coords.basis, coords.dim
         draws, calls, widths, current = [], [], [], []
         real_ball, real_grad = quantile.sample_unit_ball, _kernels.pinball_grad
-        real_estimate, real_wolfe = quantile._sampled_subgradient, quantile.min_norm_point
+        real_estimate, real_wolfe = quantile._min_norm_estimate, quantile.min_norm_point
 
         def ball(*args, **kwargs):
             draws.append(real_ball(*args, **kwargs))
@@ -462,17 +473,20 @@ class TestQpMode:
             return real_estimate(q, *args)
 
         def wolfe(gset):
-            widths.append(gset.vectors.shape)
+            q, eps = current[-1]
+            kink = np.abs(y - q) <= 2.0 * eps * coords.row_norms
+            widths.append((gset.vectors.shape, bool(kink.any())))
             return real_wolfe(gset)
 
         monkeypatch.setattr(quantile, "sample_unit_ball", ball)
         monkeypatch.setattr(_kernels, "pinball_grad", grad)
-        monkeypatch.setattr(quantile, "_sampled_subgradient", estimate)
+        monkeypatch.setattr(quantile, "_min_norm_estimate", estimate)
         monkeypatch.setattr(quantile, "min_norm_point", wolfe)
         model = fit_quantile_additive(y, W, 0.7, specs,
                                       GsParams(seed=2, subgradient_mode="qp", max_iter=60))
         assert model.trace.subspace_dim == r and model.trace.m == r + 1 < y.size
-        assert set(widths) == {(r + 2, r)}
+        # (solve shape, kink set non-empty): every estimate of this fit draws
+        assert set(widths) == {((r + 2, r), True)}
         assert len(calls) == len(draws) > 10
         for q, eps, points, yk, u in calls:
             assert u.shape == (r + 1, r) and np.all(np.linalg.norm(u, axis=1) <= 1.0)
