@@ -11,8 +11,9 @@ run's settings all come from these tables, and any other option is an
 input error.  A flag beats a config-file entry (flat ``key = value``
 text), which beats the default.  Every table a task writes goes through
 :func:`~gsda.datasets.write_table`, which load_csv reads back.  Exit codes:
-0 converged/success, 2 non-convergence, 3 input or configuration error,
-4 numerical failure.  A package warning prints as one ``warning:`` line.
+0 converged/success, 2 non-convergence, 3 input or configuration error
+(a fit's objective not finite at its start included), 4 numerical
+failure.  A package warning prints as one ``warning:`` line.
 """
 
 import argparse
@@ -309,9 +310,10 @@ def _run_fit_pot(config, out):
     if config["exceed_prob"] is None:
         raise InvalidInput("fit-pot requires --exceed-prob (threshold exceedance "
                            "probability supplied at ingestion)")
-    levels = config["levels"]
-    if not levels:
-        raise InvalidInput("fit-pot requires --levels with one or two tail levels")
+    levels = config["levels"] or []
+    if not levels or len(levels) > 2:
+        raise InvalidInput("fit-pot requires --levels with one or two tail levels, "
+                           f"got {len(levels)}")
     pair = "var_es" if len(levels) == 1 else "var_var"
     fspec = FunctionalSpec(pair, tuple(levels), config["exceed_prob"])
     data, W, specs, names, _ = _load_fit_input(config)

@@ -230,9 +230,6 @@ class FitTrace:
     def accepted(self):
         return [r for r in self.records if r.event == "step"]
 
-    def accepted_f(self):
-        return np.array([r.f for r in self.accepted])
-
     def final_f(self):
         for r in reversed(self.records):
             if np.isfinite(r.f):
@@ -423,11 +420,12 @@ def armijo_search(phi, f, slope, beta, max_backtracks, stacked=False, block=_ROW
     return None
 
 
-def descend(objective, x, f, at, params, trace, stacked=False):
+def descend(objective, x, at, params, trace, stacked=False):
     """The sampling descent loop shared by every problem; returns the last x.
 
-    ``objective(x)`` is the value to decrease (+inf off the domain) and
-    ``f`` its finite value at the start ``x``.  ``at(x, f)`` runs at the
+    ``objective(x)`` is the value to decrease (+inf off the domain); its
+    value f at the start ``x`` must be finite, or :class:`InvalidInput`
+    is raised, so every record's f is finite.  ``at(x, f)`` runs at the
     start and right after each accepted step's record, and returns the
     iterate's ``estimate(eps)``, which every iteration at that iterate
     calls for ``(v, gnorm, method, rest)``: the step vector v (None to
@@ -453,6 +451,9 @@ def descend(objective, x, f, at, params, trace, stacked=False):
     eps_min, tau_min, beta, max_backtracks = (
         params.eps_min, params.tau_min, params.beta, params.max_backtracks)
     block = max(1, min(_ROW_BLOCK, _RAY_BUDGET // max(x.size, 1)))
+    f = objective(x)
+    if not np.isfinite(f):
+        raise InvalidInput("objective must be finite at x0")
     estimate = at(x, f)
     for it in range(params.max_iter):
         if eps <= eps_min and tau <= tau_min:
@@ -501,9 +502,6 @@ def gsda_minimize(obj, x0, params=None):
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.dim,):
         raise InvalidInput(f"x0 must have shape ({obj.dim},)")
-    f = obj.eval(x)
-    if not np.isfinite(f):
-        raise InvalidInput("objective must be finite at x0")
     rng = np.random.default_rng(params.seed)
 
     def at(x, f):
@@ -511,7 +509,7 @@ def gsda_minimize(obj, x0, params=None):
         return lambda eps: approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
 
     trace = FitTrace()
-    x = descend(obj.eval, x, f, at, params, trace, stacked=obj.stacked)
+    x = descend(obj.eval, x, at, params, trace, stacked=obj.stacked)
     return x, trace
 
 

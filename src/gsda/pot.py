@@ -52,7 +52,6 @@ from .errors import (
     FunctionalUndefined,
     InfeasiblePoint,
     InvalidInput,
-    NumericalFailure,
     SingularBlock,
 )
 from .minnorm import GradientSet, min_norm_point
@@ -170,10 +169,6 @@ class PotState:
         return cls(lam, (jac[:, 0, 0].copy(), jac[:, 1, 0].copy()), inv, spec,
                    span, np.linalg.qr(span)[0], pullback,
                    _kernels.gpd_grad(lam.eta, lam.kappa, y) @ pullback)
-
-    @property
-    def n(self):
-        return self.lam.n
 
 
 def gpd_loglik(lam, y):
@@ -329,7 +324,7 @@ def _theta_grad_rows(state, y, eps, m, rng, trace=None, scratch=None):
 
 
 def initial_lambda(y, spec):
-    """Constant starting point from method-of-moments GPD estimates.
+    """Constant starting point from GPD estimates by the method of moments.
 
     kappa_hat = (1 - mean^2/var)/2 and sigma_hat = mean*(mean^2/var+1)/2,
     with kappa_hat clamped to [-0.4, 0.9] and, if needed, raised so the
@@ -401,9 +396,6 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
     objective = negative_loglik_objective(y, spec)
 
     x0 = initial_lambda(y, spec).as_vector()
-    f = objective.eval(x0)
-    if not np.isfinite(f):
-        raise NumericalFailure("method-of-moments start is infeasible")
     scratch = _kernels.RowScratch(_ROW_BLOCK, y.size)
     state = None
 
@@ -423,7 +415,7 @@ def fit_pot_additive(y, W, spec, specs, gs=None):
 
     trace = FitTrace(m=m, subspace_dim=2 * coords.dim)
     # the last iterate descend asks for is the one it returns
-    descend(objective.eval, x0, f, at, gs, trace, stacked=True)
+    descend(objective.eval, x0, at, gs, trace, stacked=True)
     decomps = tuple(trace.record_projection(projector.project(th))
                     for th in state.theta_pair)
     return PotModel(state, projector, decomps, trace)

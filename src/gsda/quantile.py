@@ -169,7 +169,7 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
 
     q = np.full(n, float(np.quantile(y, alpha)))
     trace = FitTrace(m=m, subspace_dim=None if average else coords.dim)
-    q = descend(risk, q, risk(q), at, gs, trace, stacked=True)
+    q = descend(risk, q, at, gs, trace, stacked=True)
 
     # report the additive decomposition of the final iterate; its fitted
     # values are the model's quantile vector, so q and its decomposition

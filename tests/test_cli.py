@@ -337,6 +337,40 @@ class TestFitPot:
                      "--exceed-prob", "0.1",
                      "--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
 
+    def test_more_than_two_levels_is_an_input_error(self, tmp_path, capsys):
+        assert main(["fit-pot", "--input", str(tmp_path / "data.csv"),
+                     "--levels", "0.01,0.02,0.03", "--exceed-prob", "0.1",
+                     "--output-dir", str(tmp_path / "x")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: fit-pot requires --levels with one or two tail levels, got 3\n")
+
+
+class TestInfiniteStart:
+    """A fit whose objective is not finite at its start exits 3 and writes no fit."""
+
+    def run(self, tmp_path, capsys, task, rows, *options):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(line + "\n" for line in rows))
+        out = tmp_path / "fit"
+        code = main([task, "--input", str(data), *options, "--output-dir", str(out)])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == EXIT_INPUT
+        assert errors == ["error: objective must be finite at x0"]
+        assert not (out / "diagnostics.txt").exists()
+
+    def test_overflowing_pinball_risk(self, tmp_path, capsys):
+        # the 0.9-quantile start is 1e308, and y - q overflows for y = -1e308
+        rows = ["y,w", "1e308,1", "-1e308,2", "1e308,3", "2,4", "-1e308,5", "3,6"]
+        self.run(tmp_path, capsys, "fit-quantile", rows, "--max-iter", "200")
+
+    def test_method_of_moments_start_with_no_likelihood(self, tmp_path, capsys):
+        # subnormal excesses: 1/sigma overflows at the moment estimates'
+        # scale, so the start's log-likelihood is -inf
+        rows = ["y", *(f"{k}e-310" for k in range(1, 6))]
+        self.run(tmp_path, capsys, "fit-pot", rows, "--levels", "0.01",
+                 "--exceed-prob", "0.1")
+
 
 class TestMinimize:
     def test_a_package_warning_is_one_stderr_line(self, tmp_path, capsys):

@@ -593,7 +593,7 @@ class TestGsdaMinimize:
     def test_descent_and_schedule_invariants(self):
         _, trace = gsda_minimize(nonsmooth_rosenbrock(), [-1.0, 1.0],
                                  GsParams(seed=3))
-        f_acc = trace.accepted_f()
+        f_acc = [r.f for r in trace.accepted]
         assert np.all(np.diff(f_acc) < 0.0)
         # sufficient decrease as tested by the line search
         prev_f = nonsmooth_rosenbrock().eval(np.array([-1.0, 1.0]))
@@ -663,9 +663,19 @@ class TestDescend:
 
     def run(self, estimate, **kwargs):
         trace = FitTrace()
-        x = descend(self.obj.eval, np.zeros(1), 1.0, per_iterate(estimate),
+        x = descend(self.obj.eval, np.zeros(1), per_iterate(estimate),
                     GsParams(max_iter=50, **kwargs), trace)
         return x, trace
+
+    @pytest.mark.parametrize("f0", [np.inf, np.nan])
+    def test_non_finite_start_is_rejected_before_any_estimate(self, f0):
+        def at(x, f):
+            raise AssertionError("at ran at a non-finite start")
+
+        trace = FitTrace()
+        with pytest.raises(InvalidInput, match="finite at x0"):
+            descend(lambda x: f0, np.zeros(1), at, GsParams(), trace)
+        assert len(trace) == 0
 
     @pytest.mark.parametrize("gnorm", [np.nan, np.inf])
     def test_non_finite_gradient_norm(self, gnorm):
@@ -694,8 +704,8 @@ class TestDescend:
     @pytest.mark.parametrize("below", [True, False])
     def test_step_at_or_below_tau_is_never_searched(self, below):
         # the step x + 1 reaches the minimum, yet a gnorm at most tau
-        # shrinks without one objective call; tau halves each shrink, so
-        # 1e-2 * 0.5**k is tau itself at iteration k
+        # shrinks without one objective call past the start's; tau halves
+        # each shrink, so 1e-2 * 0.5**k is tau itself at iteration k
         calls, k = [], [0]
 
         def objective(x):
@@ -708,9 +718,8 @@ class TestDescend:
             return np.ones(1), gnorm, "test", None
 
         trace = FitTrace()
-        x = descend(objective, np.zeros(1), 1.0, per_iterate(estimate), GsParams(max_iter=50),
-                    trace)
-        assert calls == [] and x.tolist() == [0.0] and trace.converged
+        x = descend(objective, np.zeros(1), per_iterate(estimate), GsParams(max_iter=50), trace)
+        assert len(calls) == 1 and x.tolist() == [0.0] and trace.converged
         assert {(r.event, r.backtracks, r.t) for r in trace.records} == {("shrink", 0, 0.0)}
 
     @pytest.mark.parametrize("dim, block", [(2, 32), (300, 32), (600, 16), (4000, 2),
@@ -721,11 +730,12 @@ class TestDescend:
         sizes = []
 
         def objective(xs):
-            sizes.append(xs.shape[0])
+            if xs.ndim == 2:  # a block of the ray, not the start point
+                sizes.append(xs.shape[0])
             return xs.sum(axis=-1)
 
         uphill = per_iterate(lambda x, eps: (np.ones(dim), 2.0, "test", None))
-        descend(objective, np.zeros(dim), 0.0, uphill, GsParams(max_iter=1), FitTrace(),
+        descend(objective, np.zeros(dim), uphill, GsParams(max_iter=1), FitTrace(),
                 stacked=True)
         assert sizes == [block] * (31 // block) + [31 % block] * (31 % block > 0)
 
@@ -737,8 +747,7 @@ class TestDescend:
             return sample_rows(np.zeros(1), m, eps, draw, keep_positive, trace)
 
         trace = FitTrace()
-        descend(self.obj.eval, np.zeros(1), 1.0, per_iterate(estimate), GsParams(max_iter=1),
-                trace)
+        descend(self.obj.eval, np.zeros(1), per_iterate(estimate), GsParams(max_iter=1), trace)
         assert [r.event for r in trace.records] == ["sampling_exhausted"]
         assert trace.rejected_draws == 10 * m + 1
 
@@ -757,7 +766,7 @@ class TestDescend:
             return estimate
 
         trace = FitTrace()
-        x = descend(self.obj.eval, np.zeros(1), 1.0, at, GsParams(max_iter=200), trace)
+        x = descend(self.obj.eval, np.zeros(1), at, GsParams(max_iter=200), trace)
         steps = [i for i, r in enumerate(trace.records) if r.event == "step"]
         assert len(steps) >= 3 and len(trace) - len(steps) >= 3
         # once at the start, then right after each step's record and never on a shrink
@@ -779,7 +788,7 @@ class TestDescend:
 
         trace = FitTrace()
         with pytest.raises(SingularBlock):
-            descend(self.obj.eval, np.zeros(1), 1.0, at, GsParams(max_iter=50), trace)
+            descend(self.obj.eval, np.zeros(1), at, GsParams(max_iter=50), trace)
         assert [(r.event, r.t, r.f) for r in trace.records] == [("step", 1.0, 0.0)]
 
 
@@ -820,7 +829,7 @@ class TestDrawsOnDemand:
             g0 = obj.grad(x)
             return lambda eps: approx_subgradient(obj, x, eps, params, rng, trace, f=f, g0=g0)
 
-        descend(obj.eval, x, obj.eval(x), at, params, trace, stacked=obj.stacked)
+        descend(obj.eval, x, at, params, trace, stacked=obj.stacked)
         return calls, reduced, searches, rng, trace
 
     @pytest.mark.parametrize("m", [9, 20, 40])

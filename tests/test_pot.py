@@ -431,7 +431,7 @@ class TestFitConstantModel:
         rng = np.random.default_rng(12)
         y = gpd_inverse_cdf(rng.random(300), 1.0, 0.1)
         model = fit_pot_additive(y, None, VAR_ES, [], GsParams(seed=1, beta=1e-3))
-        f_acc = model.trace.accepted_f()  # negative log-likelihood
+        f_acc = [r.f for r in model.trace.accepted]  # negative log-likelihood
         assert np.all(np.diff(f_acc) < 0.0)
         assert np.all(np.isfinite([r.f for r in model.trace.records]))
         assert np.isfinite(gpd_loglik(model.state.lam, y))

@@ -87,9 +87,9 @@ class TestRowKernel:
         import tracemalloc
 
         state, y, _ = pot_state(3, 2000, boundary=False)
-        coords = AdditiveProjector(None, [], state.n).coordinate_map()
+        coords = AdditiveProjector(None, [], state.lam.n).coordinate_map()
         state = PotState.from_lambda(state.lam.as_vector(), VAR_ES, y, coords)
-        scratch = _kernels.RowScratch(32, state.n)
+        scratch = _kernels.RowScratch(32, state.lam.n)
         block = scratch.tmp[0].nbytes
         tracemalloc.start()
         try:
@@ -224,7 +224,7 @@ def infeasible_draws_one_at_a_time(state, y, eps, m, rng, coords):
     Replays the sampler's draws eps*Q*u one at a time and stops at the
     draw that takes the rejections past 10*m.
     """
-    lam, n = state.lam, state.n
+    lam, n = state.lam, state.lam.n
     frame = draw_frame(state.jac_inverses, coords)
     got, rejected = 0, 0
     while got < m:

@@ -257,7 +257,7 @@ class TestAdditiveFit:
 
     def test_trace_descent_and_schedules(self, hetero_model):
         _, _, model = hetero_model
-        f_acc = model.trace.accepted_f()
+        f_acc = [r.f for r in model.trace.accepted]
         assert len(f_acc) > 0 and np.all(np.diff(f_acc) < 0.0)
         assert np.all(np.diff([r.eps for r in model.trace.records]) <= 0.0)
         assert np.all(np.diff([r.tau for r in model.trace.records]) <= 0.0)
@@ -346,7 +346,7 @@ class TestAverageModeDirection:
             estimates.append(-v * gnorm)
             return sampled(q, yy, alpha, eps, m, rng, coords, trace, base)
 
-        def spy_descend(objective, x, f, at, *args, **kwargs):
+        def spy_descend(objective, x, at, *args, **kwargs):
             def spy_at(q, fq):
                 estimate = at(q, fq)
 
@@ -356,7 +356,7 @@ class TestAverageModeDirection:
                         pairs.append((estimates[-1], out[0]))
                     return out
                 return record
-            return descend(objective, x, f, spy_at, *args, **kwargs)
+            return descend(objective, x, spy_at, *args, **kwargs)
 
         monkeypatch.setattr(quantile, "_sampled_subgradient", spy_sampled)
         monkeypatch.setattr(quantile, "descend", spy_descend)
@@ -518,6 +518,13 @@ class TestValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             fit_quantile_additive(np.array([1.0, np.nan, 2.0]), None, 0.5, [])
+
+    def test_rejects_an_overflowing_start(self):
+        # finite responses whose pinball risk overflows at the starting
+        # quantile: the descent refuses to start rather than converge at inf
+        y = np.array([1e308, -1e308, 1e308, 2.0, -1e308, 3.0])
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="finite at x0"):
+            fit_quantile_additive(y, None, 0.9, [])
 
     def test_rejects_two_dimensional_y(self):
         with pytest.raises(InvalidInput, match="1-d"):

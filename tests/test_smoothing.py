@@ -561,7 +561,7 @@ class TestCoordinateMap:
             maps.append(coordinate_map(self))
             return maps[-1]
 
-        def spy_descend(objective, x, f, at, *args, **kwargs):
+        def spy_descend(objective, x, at, *args, **kwargs):
             def spy_at(q, fq):
                 estimate = at(q, fq)
 
@@ -570,7 +570,7 @@ class TestCoordinateMap:
                     steps.append(out[0])
                     return out
                 return record
-            return descend(objective, x, f, spy_at, *args, **kwargs)
+            return descend(objective, x, spy_at, *args, **kwargs)
 
         monkeypatch.setattr(AdditiveProjector, "coordinate_map", spy_map)
         monkeypatch.setattr(quantile, "descend", spy_descend)
