@@ -367,8 +367,7 @@ def _run_minimize(config, out):
     if x0.size != obj.dim:
         raise InvalidInput(f"objective {name!r} expects dimension {obj.dim}")
     gs = config.gs_params()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinite value
-        x, trace = gsda_minimize(obj, x0, gs)
+    x, trace = gsda_minimize(obj, x0, gs)
     _write_trace(os.path.join(out, "trace.csv"), trace)
     entries = [
         ("task", "minimize"), ("objective", name), ("seed", config["seed"]),
@@ -464,7 +463,8 @@ def main(argv=None):
         try:
             config = resolve_config(build_parser(argv[0] if argv else None).parse_args(argv))
             os.makedirs(config["output_dir"], exist_ok=True)
-            return _TASKS[config["task"]](config, config["output_dir"])
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinite value
+                return _TASKS[config["task"]](config, config["output_dir"])
         except (InvalidInput, ParseError, MissingColumn, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

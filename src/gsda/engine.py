@@ -32,8 +32,8 @@ outside the domain and redraws them, up to 10*k rejections for k rows
 asked, and alone adds the rejections to ``trace.rejected_draws``.
 :func:`approx_subgradient`, the POT fitter and the pinball fitter's qp
 mode build their rows with it and reduce them to their min-norm point
-(:mod:`gsda.minnorm`: a closed-form face pass for at most 8 distinct rows
-in R^1 or R^2, Wolfe's algorithm otherwise; no other reduction stands
+(:mod:`gsda.minnorm`: a convex-hull pass in R^1 or R^2, whatever the
+row count, Wolfe's algorithm in R^3 and up; no other reduction stands
 in).  A pinball draw never leaves the domain.  Average mode draws its
 kink coordinates alone; only that fitter reads ``subgradient_mode``.
 

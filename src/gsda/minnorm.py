@@ -4,27 +4,16 @@ This is the sub-problem that turns a bundle of sampled gradients into a
 descent direction: project the origin onto conv{g_0, ..., g_m}, i.e.
 min ||Z r|| subject to r >= 0, sum(r) = 1.  :func:`min_norm_point` drops
 duplicate rows and hands the distinct ones to one of two exact solvers:
-
-- at most ``_FEW`` = 8 rows in R^1 or R^2: :func:`_plane_faces`.  The planar
-  hull is a union of triangles, and a triangle's least point lies on an
-  edge unless the triangle holds the origin, so the least of every edge
-  projection and every origin-holding triangle's point is the minimizer.
-  Its O(N^3) candidates are scored in plain float arithmetic: on random
-  planar sets (medians, one process, calls interleaved, 2-core Xeon) that
-  took 8-18 us for N = 2 to 4, the sizes the default m gives, against
-  28-35 us for the same pass over numpy arrays and 51-85 us for Wolfe;
-  at N = 8 it took 79 us, against 69 and 133;
-- every other set, so every set in R^3 and up: Wolfe's min-norm-point
-  algorithm, an active-set method run on all distinct rows (the hull of
-  all points equals the hull of its vertices).
-
-Both solve on rows scaled exactly into one range, so a failure is a solver
-bug and raises :class:`NumericalFailure`; no other reduction stands in.
+:func:`_plane_hull`, a convex-hull pass, for any count of rows in R^1 or
+R^2 (on random planar sets: 11 us at 4 rows, 18 at 9, 135 at 121, against
+65, 69 and 70 us for Wolfe; minimum of 7, calls interleaved, one 2-core
+Xeon core), and Wolfe's active-set algorithm in R^3 and up.  Both solve
+on rows scaled exactly into one range, so a failure is a solver bug and
+raises :class:`NumericalFailure`; no other reduction stands in.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +24,6 @@ _DROP_TOL = 1e-12
 # point, relative to max_j ||z_j||^2 + ||g||^2
 _KKT_TOL = 1e-10
 _ZERO = np.zeros(1)
-_FEW = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +43,8 @@ class GradientSet:
             object.__setattr__(self, "vectors", v)
         if v.size == 0 or v.shape[0] < 1:
             raise InvalidInput("gradient set must contain at least one vector")
-        if not np.isfinite(v).all():
+        # a finite sum has finite terms, so one pass clears every finite set
+        if not math.isfinite(v.sum()) and not np.isfinite(v).all():
             raise InvalidInput("gradient set contains non-finite entries")
 
 
@@ -89,13 +78,12 @@ def min_norm_point(grad_set):
         return MinNormResult(uniq[0], weights, math.sqrt(uniq[0].dot(uniq[0])))
     shift = math.frexp(np.abs(uniq).max())[1]
     q = np.ldexp(uniq, -shift)
-    if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
-        w_uniq = _plane_faces(q)
+    if uniq.shape[1] <= 2:
+        w_uniq = _plane_hull(q)
         point = w_uniq @ uniq
     else:
         x, w_uniq = _wolfe(q, cap=100 * count)
         point = np.ldexp(x, shift)
-
     weights[first] = w_uniq
     weights /= weights.sum()
     # the point may not exceed the nearer of two feasible points, the
@@ -129,21 +117,34 @@ def _distinct_rows(z):
     return order[first]
 
 
-def _plane_faces(q):
-    """Weights of the exact min-norm point over 2 to ``_FEW`` distinct rows q.
+def _plane_hull(q):
+    """Weights of the exact min-norm point over 2 or more distinct rows q.
 
-    The rows, in R^1 or R^2 and scaled so that no product under- or overflows,
-    are points (x, y); every edge's clipped projection (vertices are its ends)
-    and every origin-holding triangle's barycentric point are scored, in edge
-    then triangle order, and the first least wins.  Python floats, not numpy
-    arrays: on a few rows numpy's per-call overhead outweighs the arithmetic.
+    The rows, in R^1 or R^2, lexicographically sorted and scaled so that no
+    product under- or overflows, are points (x, y).  The least of every
+    hull edge's clipped projection of the origin and, where the hull holds
+    the origin, a fan triangle's barycentric point wins.  In Python floats:
+    on tens of rows numpy's per-call overhead outweighs the arithmetic.
     """
     x = q[:, 0].tolist()
     y = q[:, 1].tolist() if q.shape[1] == 2 else [0.0] * len(x)
-    count = len(x)
+
+    def cross(a, b):  # a x b: > 0 where the origin is left of a -> b
+        return x[a] * y[b] - y[a] * x[b]
+    def turn(o, a, b):  # (a - o) x (b - o): > 0 where o -> a -> b turns left
+        return (x[a] - x[o]) * (y[b] - y[o]) - (y[a] - y[o]) * (x[b] - x[o])
+
+    ring = []  # the hull's vertices, counter-clockwise from row 0
+    for order in (range(len(x)), range(len(x) - 1, -1, -1)):
+        chain = []  # the lower chain, then the upper: strict left turns only
+        for c in order:
+            while len(chain) > 1 and turn(chain[-2], chain[-1], c) <= 0.0:
+                chain.pop()
+            chain.append(c)
+        ring += chain[:-1]
     best, hit = math.inf, None
-    cross = [[x[a] * y[b] - y[a] * x[b] for b in range(count)] for a in range(count)]
-    for a, b in combinations(range(count), 2):
+    inside = len(ring) > 2  # and the origin is left of every edge
+    for a, b in zip(ring, ring[1:] + ring[:1]):
         dx, dy = x[b] - x[a], y[b] - y[a]
         dd = dx * dx + dy * dy
         # t = clip(-a.(b - a) / |b - a|^2, 0, 1), and 0 where |b - a|^2 underflows
@@ -152,26 +153,25 @@ def _plane_faces(q):
         score = px * px + py * py
         if score < best:
             best, hit = score, ((a, b), (1.0 - t, t))
-    for a, b, c in combinations(range(count), 3):
+        inside = inside and cross(a, b) > 0.0
+    if inside:
+        # the fan's diagonals from row 0 pass the origin once
+        k = next(k for k in range(1, len(ring) - 1) if cross(0, ring[k + 1]) <= 0.0)
+        a, b, c = 0, ring[k], ring[k + 1]
         # the origin's barycentric coordinates are the cross products of the
-        # other two vertices over their sum, det; the triangle holds the origin
-        # where det is not 0 and no cross product has the opposite sign
-        la, lb, lc = cross[b][c], cross[c][a], cross[a][b]
+        # other two vertices over their sum, det: all >= 0 here, and det > 0
+        la, lb, lc = cross(b, c), cross(c, a), cross(a, b)
         det = la + lb + lc
-        if not (det > 0.0 and la >= 0.0 and lb >= 0.0 and lc >= 0.0
-                or det < 0.0 and la <= 0.0 and lb <= 0.0 and lc <= 0.0):
-            continue
         la, lb, lc = la / det, lb / det, lc / det
         px = la * x[a] + lb * x[b] + lc * x[c]
         py = la * y[a] + lb * y[b] + lc * y[c]
-        score = px * px + py * py
-        if score < best:
+        if px * px + py * py < best:
             # one step of iterative refinement against nearly collinear vertices:
             # take off the residual's barycentric coordinates, less their constant part
             fix = [((x[op] - x[nx]) * py - (y[op] - y[nx]) * px) / det
                    for nx, op in ((b, c), (c, a), (a, b))]
-            best, hit = score, ((a, b, c), [max(v - f, 0.0) for v, f in zip((la, lb, lc), fix)])
-    w = np.zeros(count)
+            hit = ((a, b, c), [max(v - f, 0.0) for v, f in zip((la, lb, lc), fix)])
+    w = np.zeros(len(x))
     w[list(hit[0])] = hit[1]
     return w
 

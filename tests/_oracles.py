@@ -293,12 +293,12 @@ def min_norm_point_unique(z):
 
     The distinct rows go, in ``np.unique(axis=0)`` order and scaled by the
     power of two that brings their largest entry into [1/2, 1), to the
-    exact solver ``min_norm_point`` picks for them (the planar face pass
-    for at most ``_FEW`` rows in R^1 or R^2, Wolfe otherwise), and the
+    exact solver ``min_norm_point`` picks for them (the planar hull for
+    rows in R^1 or R^2, Wolfe in R^3 and up), and the
     point is mapped back as it maps it; weights go to each distinct row's
     first occurrence.
     """
-    from gsda.minnorm import _FEW, _plane_faces, _wolfe
+    from gsda.minnorm import _plane_hull, _wolfe
 
     z = np.asarray(z, dtype=float)
     count = z.shape[0]
@@ -309,8 +309,8 @@ def min_norm_point_unique(z):
         return uniq[0].copy(), weights
     shift = np.frexp(np.abs(uniq).max())[1]
     scaled = np.ldexp(uniq, -shift)
-    if uniq.shape[0] <= _FEW and uniq.shape[1] <= 2:
-        w_uniq = _plane_faces(scaled)
+    if uniq.shape[1] <= 2:
+        w_uniq = _plane_hull(scaled)
         point = w_uniq @ uniq
     else:
         x, w_uniq = _wolfe(scaled, cap=100 * count)
@@ -357,11 +357,14 @@ def pinball_coordinate_rows(q, y, alpha, eps, u, coords):
 
 
 def plane_faces_vectorized(q):
-    """``gsda.minnorm._plane_faces`` over numpy arrays: weights over distinct rows q.
+    """Exact planar min-norm weights over distinct rows q, from every face at once.
 
-    The same candidates, every edge's clipped projection and every
-    origin-holding triangle's barycentric point, scored at once as
-    complex arrays; the least wins, refined as the package refines it.
+    The planar hull is a union of triangles, and a triangle's least point
+    lies on an edge unless the triangle holds the origin, so the least of
+    every edge's clipped projection and every origin-holding triangle's
+    barycentric point is the minimizer.  All O(N^3) candidates are scored
+    at once as complex arrays; the least wins, refined as the package
+    refines a triangle's point.
     """
     from itertools import combinations
 

@@ -353,10 +353,9 @@ class TestInfiniteStart:
         data.write_text("".join(line + "\n" for line in rows))
         out = tmp_path / "fit"
         code = main([task, "--input", str(data), *options, "--output-dir", str(out)])
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
         assert code == EXIT_INPUT
-        assert errors == ["error: objective must be finite at x0"]
+        # the error alone: numpy's overflow warnings are ignored for every task
+        assert capsys.readouterr().err == "error: objective must be finite at x0\n"
         assert not (out / "diagnostics.txt").exists()
 
     def test_overflowing_pinball_risk(self, tmp_path, capsys):

@@ -294,9 +294,12 @@ def run_digest(x, trace):
 
 
 # digests of runs drawn whole (m <= 8, and both pinball modes), taken
-# before estimates drew on demand: these runs must not move
+# before estimates drew on demand: these runs must not move.  The planar
+# hull re-pinned nsrosenbrock and intercept-only qp, whose min-norm points
+# round differently: the same events, the same final qp fit, and a
+# Rosenbrock end point 2e-6 nearer (1, 1)
 @pytest.mark.parametrize("make, x0, m, seed, want", [
-    (nonsmooth_rosenbrock, [-1.0, 1.0], None, 0, "84816b626e85ad79"),
+    (nonsmooth_rosenbrock, [-1.0, 1.0], None, 0, "82f6e879e784ef97"),
     (lambda: l1_norm(3), [1.0, -2.0, 0.5], 8, 1, "59250649eb064ff6"),
     (lambda: walled_l1(2), [0.3, 0.5], None, 2, "b047498e3b79b640"),
 ], ids=["nsrosenbrock", "l1-m8", "walled_l1"])
@@ -306,7 +309,7 @@ def test_complete_minimizer_runs_are_unchanged(make, x0, m, seed, want):
 
 
 @pytest.mark.parametrize("mode, covariate, want", [
-    ("average", False, "77b5ce01fca947e8"), ("qp", False, "30c32bbe2337ccff"),
+    ("average", False, "77b5ce01fca947e8"), ("qp", False, "bc2c4c4a5a23e029"),
     ("average", True, "b59e39dac67d8061"), ("qp", True, "cdf1367cad71e85e"),
 ])
 def test_quantile_fits_are_unchanged(mode, covariate, want):

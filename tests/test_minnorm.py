@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gsda import GradientSet, min_norm_point
 from gsda import minnorm
 from gsda.errors import InvalidInput, NumericalFailure
-from gsda.minnorm import _FEW, _distinct_rows, _plane_faces, _wolfe
+from gsda.minnorm import _distinct_rows, _plane_hull, _wolfe
 
 from _oracles import bary_min_norm, plane_faces_vectorized
 
@@ -59,9 +59,17 @@ class TestMinNormPoint:
         with pytest.raises(InvalidInput):
             GradientSet(np.empty((0, 2)))
         with pytest.raises(InvalidInput):
-            GradientSet(np.array([[1.0, np.nan]]))
-        with pytest.raises(InvalidInput):
             GradientSet([[1.0, 2.0], [1.0]])  # mismatched dimensions
+        # the check sums the rows first; an overflowing sum is numpy's to
+        # report (the command line ignores it), and the entries decide
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = np.array([[1e308, 1.0], [1e308, -1.0]])
+            assert GradientSet(big).vectors is big
+            for bad in (np.inf, np.nan):
+                with pytest.raises(InvalidInput):
+                    GradientSet(np.array([[1.0, bad]]))
+            with pytest.raises(InvalidInput):
+                GradientSet(np.array([[np.inf, 1.0], [-np.inf, 1.0]]))
 
     def test_duplicate_heavy_set(self):
         rows = [[1.0]] * 40 + [[-1.0]] * 25
@@ -141,7 +149,7 @@ def test_planar_solve_scales_exactly(seed):
     # a power-of-two scale rounds nothing, so the point and weights scale
     # bit for bit, far past where squares and cross products underflow
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=(int(rng.integers(2, _FEW + 1)), int(rng.integers(1, 3))))
+    z = rng.normal(size=(int(rng.integers(2, 25)), int(rng.integers(1, 3))))
     ref = min_norm_point(GradientSet(z))
     for s in (2.0 ** -560, 2.0 ** 500):
         got = min_norm_point(GradientSet(s * z))
@@ -157,10 +165,10 @@ COORD = st.one_of(st.sampled_from([-10.0, 10.0, 0.0, -0.0, 1.0]),
 
 @st.composite
 def planar_sets(draw):
-    """At most _FEW distinct rows in R^1 or R^2, drawn with repeats."""
+    """At most 24 distinct rows in R^1 or R^2, drawn with repeats."""
     d = draw(st.integers(1, 2))
     pool = np.array(draw(st.lists(st.lists(COORD, min_size=d, max_size=d),
-                                  min_size=1, max_size=_FEW)))
+                                  min_size=1, max_size=24)))
     pool *= np.array(draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-150, 6.4e-224]),
                                    min_size=len(pool), max_size=len(pool))))[:, None]
     kind = draw(st.sampled_from(["plain", "zero row", "origin on an edge"]))
@@ -168,7 +176,7 @@ def planar_sets(draw):
         pool[0] = 0.0
     elif kind == "origin on an edge" and len(pool) >= 2:
         pool[1] = -draw(st.sampled_from([0.5, 1.0, 3.0])) * pool[0]
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=2 * _FEW))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=48))
     return pool[picks]
 
 
@@ -194,27 +202,43 @@ def test_planar_solve_is_exact(z):
 @settings(max_examples=400, deadline=None)
 @given(planar_sets())
 def test_planar_pass_matches_the_vectorized_pass(z):
-    # the float pass and the complex-array pass score the same candidates;
-    # their rounding differs, so on rows scaled below 1 the points agree to
-    # a few units in the last place, and either may win a tie
+    # the hull scores a subset of the vectorized pass's candidates (every
+    # edge and every origin-holding triangle) that holds the minimizer; their
+    # rounding differs, so on rows scaled below 1 the points agree to a few
+    # units in the last place, and either may win a tie
     uniq = z[_distinct_rows(z)]
     if uniq.shape[0] < 2:
         return
     q = np.ldexp(uniq, -np.frexp(np.abs(uniq).max())[1])
-    got, want = _plane_faces(q) @ q, plane_faces_vectorized(q) @ q
+    got, want = _plane_hull(q) @ q, plane_faces_vectorized(q) @ q
     tol = 4.0 * np.finfo(float).eps
     assert abs(np.linalg.norm(got) - np.linalg.norm(want)) <= tol
     assert np.linalg.norm(got - want) <= tol
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(_FEW + 1, 2), (2 * _FEW, 1), (3, 3), (_FEW, 4)]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(3, 3), (8, 4)]))
 def test_larger_sets_reach_wolfe(seed, shape):
-    # more than _FEW distinct rows, or rows in R^3 and up
+    # rows in R^3 and up
     z = np.random.default_rng(seed).normal(size=shape)
     with mock.patch.object(minnorm, "_wolfe", wraps=_wolfe) as wolfe:
         min_norm_point(GradientSet(z))
     assert wolfe.call_count == 1
+
+
+@pytest.mark.parametrize("count", [9, 24, 121])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_planar_sets_of_any_count_skip_wolfe(count, d, shift):
+    # the hull takes every planar set: about the origin (which it holds)
+    # and shifted off it, where the minimizer lies on an edge
+    z = np.random.default_rng(count).normal(size=(count, d)) + shift
+    with mock.patch.object(minnorm, "_wolfe", wraps=_wolfe) as wolfe:
+        res = min_norm_point(GradientSet(z))
+    assert wolfe.call_count == 0
+    point, _ = _wolfe(z[_distinct_rows(z)], cap=100 * count)
+    assert res.norm <= np.linalg.norm(point) + 1e-12 * np.abs(z).max()
+    assert (res.norm <= 1e-15) == (shift == 0.0)
 
 
 class TestScaleEquivariance:
