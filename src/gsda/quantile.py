@@ -17,13 +17,15 @@ The coordinates of A get the exact marginal law of a point uniform on
 the n-dimensional ball (see :func:`~gsda.engine.sample_unit_ball`), and
 every other coordinate keeps its base gradient.  The estimate g_hat is
 the average of the m+1 gradients, with its raw norm as the stationarity
-and Armijo measure.  In the projector's
-:class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B orthonormal
-n x r) the step is -B c/||c|| for c = M g_hat = B^T P g_hat; a
-vanishing c shrinks.
+and Armijo measure.  The step is -P g_hat/||P g_hat||, with P g_hat
+taken through the projector's factors P = U A
+(:meth:`~gsda.smoothing.AdditiveProjector.apply`); a vanishing P g_hat
+shrinks.
 
 qp mode runs gradient sampling on the problem restricted to the additive
-space, in the same coordinates.  Each draw is eps*B*u with u uniform in
+space, in the coordinates of the projector's
+:class:`~gsda.smoothing.CoordinateMap` (P g = B (M g), B orthonormal
+n x r).  Each draw is eps*B*u with u uniform in
 the r-ball, through :func:`~gsda.engine.sample_rows`; it moves q_i by at
 most eps*||B_i||, so the kink set is {i : |y_i - q_i| <= 2*eps*||B_i||}.
 The min-norm point c* of the (m+1) x r coordinate rows M g gives the
@@ -85,14 +87,15 @@ class QuantileModel:
     trace: FitTrace
 
 
-def _sampled_subgradient(q, y, alpha, eps, m, rng, coords, trace, base):
+def _sampled_subgradient(q, y, alpha, eps, m, rng, apply_p, trace, base):
     """The average-mode estimate at q, as :func:`~gsda.engine.descend` takes it.
 
-    ``base`` is the pinball gradient at q, taken once per iterate.
-    Draws the a = |A| kink coordinates of the n-ball, none for A empty,
-    and adds a to ``trace.ball_coordinates``.  Returns
-    ``(-B c/||c||, ||g_hat||, "average", None)`` for the mean g_hat of
-    the m+1 gradients and c = M g_hat; the step is None for ||c|| < 1e-15.
+    ``base`` is the pinball gradient at q, taken once per iterate, and
+    ``apply_p`` maps a vector g to P g.  Draws the a = |A| kink
+    coordinates of the n-ball, none for A empty, and adds a to
+    ``trace.ball_coordinates``.  Returns
+    ``(-P g_hat/||P g_hat||, ||g_hat||, "average", None)`` for the mean
+    g_hat of the m+1 gradients; the step is None for ||P g_hat|| < 1e-15.
     """
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * eps)
     g = base.copy()
@@ -101,9 +104,9 @@ def _sampled_subgradient(q, y, alpha, eps, m, rng, coords, trace, base):
         sampled = _kernels.pinball_sampled_grad_sum(q[kink], y[kink], alpha, eps, u)
         g[kink] = (base[kink] + sampled) / (m + 1)
     trace.ball_coordinates += kink.size
-    c = coords.coef @ g
-    cnorm = float(np.linalg.norm(c))
-    step = coords.basis @ (-c / cnorm) if cnorm >= 1e-15 else None
+    p = apply_p(g)
+    pnorm = float(np.linalg.norm(p))
+    step = p / -pnorm if pnorm >= 1e-15 else None
     return step, float(np.linalg.norm(g)), "average", None
 
 
@@ -153,22 +156,23 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
     if n < projector.k + 2:
         raise InvalidInput("need at least k+2 observations")
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
-    average = gs.subgradient_mode == "average"
-    coords = projector.coordinate_map()
-    m = gs.resolve_m(n if average else coords.dim)
+    if gs.subgradient_mode == "average":
+        estimate, space, dim = _sampled_subgradient, projector.apply, None
+    else:
+        estimate, space = _min_norm_estimate, projector.coordinate_map()
+        dim = space.dim
+    m = gs.resolve_m(n if dim is None else dim)
     rng = np.random.default_rng(gs.seed)
-
-    estimate = _sampled_subgradient if average else _min_norm_estimate
 
     def at(q, f):
         base = _kernels.pinball_grad(q, y, alpha)
-        return lambda eps: estimate(q, y, alpha, eps, m, rng, coords, trace, base)
+        return lambda eps: estimate(q, y, alpha, eps, m, rng, space, trace, base)
 
     def risk(q):
         return _kernels.pinball_loss(q, y, alpha)
 
     q = np.full(n, float(np.quantile(y, alpha)))
-    trace = FitTrace(m=m, subspace_dim=None if average else coords.dim)
+    trace = FitTrace(m=m, subspace_dim=dim)
     q = descend(risk, q, at, gs, trace, stacked=True)
 
     # report the additive decomposition of the final iterate; its fitted

@@ -31,17 +31,24 @@ point, and a second sweep runs only when the first still moved a
 component by ``BACKFIT_TOL``.  With no covariate P is the mean.
 
 Building a local_linear factor costs O(n^2 r) time with one transient
-n x n hat, whose rows are built a block at a time (``ll_weights``), so
-that besides the hat the build holds O(n (LL_BLOCK + r)) memory;
-``effective_df`` takes the trace from the same row blocks and forms no
-hat.  The factors and the map take O(n sum r_j) memory, and a
-projection O(n sum r_j) time.
+n x n hat, whose rows are built a block at a time (``ll_weights``,
+blocks of ``_kernels.ll_block(n)`` rows), so that besides the hat the
+build holds O(n (block + r)) memory; ``effective_df`` takes the trace
+from the same row blocks and forms no hat.  Every factor of a design
+of n rows starts from the same Gaussian sketch block, which is kept
+for the last n it was drawn for (``_first_sketch``).  The factors and the map take O(n sum r_j)
+memory, and a projection O(n sum r_j) time.
 
 The projection is one linear map P with range spanned by the intercept
-and the centred factors ``C u_j``.  The projector builds its
+and the centred factors ``C u_j``.  The projector forms its factors
+P = U A at build time, ``U = [1, C u_1, ..., C u_k]`` and A the
+matching coefficient rows, and :meth:`~AdditiveProjector.apply` takes
+P g from them, as the quantile fitter's average mode steps.  Its
 :meth:`~AdditiveProjector.coordinate_map` ``P g = B (M g)``, with B an
 orthonormal basis of range(P) (n x r, r = 1 + sum r_j up to rank) and
-M = B^T P (r x n); every fitter steps in those r coordinates.
+M = B^T P (r x n), takes an SVD of U.  With a covariate it is built on
+the first call, by the fitters that sample in those r coordinates (qp
+mode and POT); an intercept-only projector builds it at once.
 """
 
 import functools
@@ -203,6 +210,21 @@ def bandwidth_for_df(w, target_df):
 # component smoothers as linear operators
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _first_sketch(n):
+    """The range finder's first Gaussian block for an n x n hat, read-only.
+
+    Returns the (n, _PROBES + min(_SKETCH_FIRST, n)) block that
+    ``default_rng(0)`` draws first, and the generator's state after it.
+    Every local_linear factor of a design of n rows starts from the same
+    block, so it is kept for the last n it was drawn for.
+    """
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((n, _PROBES + min(_SKETCH_FIRST, n)))
+    omega.flags.writeable = False
+    return omega, rng.bit_generator.state
+
+
 def _range_basis(hat):
     """An orthonormal (n, k) basis Q of the numerical range of a square hat.
 
@@ -226,15 +248,19 @@ def _range_basis(hat):
     normalized block is orthogonalized once more and normalized again.
     Without that, Q Q^T is no projector and the probe check can pass
     while Q misses part of the range.  The fixed seed gives a design the
-    same basis.
+    same basis: the first block comes from :func:`_first_sketch`, and
+    later blocks from ``default_rng(0)`` set to the state after it, so
+    Omega is the one stream a fresh generator draws.
     """
     n = hat.shape[0]
-    rng = np.random.default_rng(0)
+    omega, state = _first_sketch(n)
     bound = 1e-13 * np.linalg.norm(hat) / (10.0 * np.sqrt(2.0 / np.pi))
-    sketch = hat @ rng.standard_normal((n, _PROBES + min(_SKETCH_FIRST, n)))
+    sketch = hat @ omega
     probe = sketch[:, :_PROBES]
     q, _ = np.linalg.qr(sketch[:, _PROBES:])
     probe -= q @ (q.T @ probe)
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
     while q.shape[1] < n and np.linalg.norm(probe, axis=0).max() > bound:
         block = hat @ rng.standard_normal((n, min(q.shape[1] // 3, n - q.shape[1])))
         for _ in range(2):
@@ -326,8 +352,11 @@ def _build_smoother(column, spec):
 class AdditiveProjector:
     """The projection step: smooth a vector onto the additive space.
 
-    Built once per design matrix, with its coordinate map; ``project``
-    then backfits a vector at matrix-vector cost.
+    Built once per design matrix, with the factors ``P = U A``;
+    :meth:`apply` takes P g from them at matrix-vector cost, and
+    ``project`` backfits a vector.  The orthonormal
+    :meth:`coordinate_map` is built on its first call, or with the
+    projector when it is intercept-only.
     """
 
     def __init__(self, W, specs, n=None):
@@ -335,7 +364,7 @@ class AdditiveProjector:
 
         ``n`` is the number of observations the projector will serve;
         when given, W must have exactly that many rows.  An intercept-only
-        projector needs it for :meth:`coordinate_map`, built here.
+        projector needs it for :meth:`apply` and :meth:`coordinate_map`.
         """
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
@@ -356,7 +385,11 @@ class AdditiveProjector:
                           for s in self._ordered]
         if k:
             self._build_coefficient_map()
-        self._coords = None if self.n is None else self._build_coordinate_map()
+        self._factors = None if self.n is None else self._build_factors()
+        # intercept only: U is one column, whose SVD costs about what the
+        # factors do, so the map is built with them
+        self._coords = (self._build_coordinate_map()
+                        if self.k == 0 and self._factors is not None else None)
 
     @property
     def k(self):
@@ -383,26 +416,44 @@ class AdditiveProjector:
         rcond = system.shape[0] * np.finfo(float).eps
         self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
 
-    def coordinate_map(self):
-        """The :class:`CoordinateMap` of P, built with the projector."""
-        if self._coords is None:
-            raise InvalidInput("an intercept-only projector needs n for coordinates")
-        return self._coords
-
-    def _build_coordinate_map(self):
-        """Factor P as ``B (M g)``.
+    def _build_factors(self):
+        """Factor P as ``U A``.
 
         P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``,
-        so P = U A for ``U = [1, C u_1, ..., C u_k]`` and A the matching
-        (1 + sum r_j, n) coefficient rows.  An SVD of U, truncated where
-        ``matrix_rank`` would (centred ``linear`` and ``cell_factor``
-        columns are dependent), gives ``U = B S V^T``; then M = S V^T A.
+        so P = U A for ``U = [1, C u_1, ..., C u_k]`` (n, 1 + sum r_j) and
+        A the matching coefficient rows ``[1/n; coef - row means]``.
         """
         n = self.n
         maps, centred = (self.coef, self._centred) if self.k else (np.zeros((0, n)), [])
         U = np.hstack([np.ones((n, 1)), *centred])
         A = np.vstack([np.full((1, n), 1.0 / n),
                        maps - maps.mean(axis=1, keepdims=True)])
+        return U, A
+
+    def _require_factors(self):
+        if self._factors is None:
+            raise InvalidInput("an intercept-only projector needs n for coordinates")
+        return self._factors
+
+    def apply(self, g):
+        """P g as ``U (A g)``: the fixed point ``project`` sweeps to, unchecked."""
+        U, A = self._require_factors()
+        return U @ (A @ g)
+
+    def coordinate_map(self):
+        """The :class:`CoordinateMap` of P, built once and kept (see the class)."""
+        if self._coords is None:
+            self._coords = self._build_coordinate_map()
+        return self._coords
+
+    def _build_coordinate_map(self):
+        """Factor P as ``B (M g)``.
+
+        An SVD of U, truncated where ``matrix_rank`` would (centred
+        ``linear`` and ``cell_factor`` columns are dependent), gives
+        ``U = B S V^T``; then M = S V^T A.
+        """
+        U, A = self._require_factors()
         b, s, vt = np.linalg.svd(U, full_matrices=False)
         r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
         return CoordinateMap(np.ascontiguousarray(b[:, :r]), (s[:r, None] * vt[:r]) @ A)

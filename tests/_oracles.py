@@ -8,8 +8,9 @@ are the package's earlier, slower forms of a batched, deduplicated,
 accelerated or kink-only path, kept so the fast path can be held
 bitwise equal to them (the POT coordinate rows: to rounding, since the
 loop projects each row separately; the planar face pass: to rounding,
-since its numpy form multiplies complex arrays): they reuse the
-package's scalar kernels, sampler, smoothers and min-norm solvers.  ``per_sample_theta_grad`` is the
+since its numpy form multiplies complex arrays; the pinball kernels
+and the range finder: bitwise): they reuse the package's scalar
+kernels, sampler, smoothers and min-norm solvers.  ``per_sample_theta_grad`` is the
 unsimplified POT gradient (a Jacobian at every sample), which the
 package's single-Jacobian pullback must approach as eps -> 0.
 """
@@ -394,3 +395,44 @@ def plane_faces_vectorized(q):
         fix = ((v[opp[:, k]] - v[nxt[:, k]]).conj() * resid).imag / det[k]
         w[tri[:, k]] = np.maximum(lam[:, k] - fix, 0.0)
     return w
+
+
+def pinball_loss_where(q, y, alpha):
+    """``gsda._kernels.pinball_loss`` as both branches evaluated, then chosen."""
+    r = y - q
+    loss = np.where(r > 0.0, alpha * r, (alpha - 1.0) * r)
+    return np.sum(loss, axis=-1) if q.ndim > y.ndim else float(np.sum(loss))
+
+
+def pinball_sampled_grad_sum_masked(q, y, alpha, eps, u):
+    """``gsda._kernels.pinball_sampled_grad_sum`` filling its residual buffer by mask."""
+    buf = np.multiply(eps, u)
+    buf += q
+    np.subtract(y, buf, out=buf)
+    above = buf > 0.0
+    buf.fill(1.0 - alpha)
+    buf[above] = -alpha
+    return buf.sum(axis=0)
+
+
+def range_basis_one_stream(hat):
+    """``gsda.smoothing._range_basis`` drawing every block from one fresh generator."""
+    from gsda.smoothing import _PROBES, _SKETCH_FIRST
+
+    n = hat.shape[0]
+    rng = np.random.default_rng(0)
+    bound = 1e-13 * np.linalg.norm(hat) / (10.0 * np.sqrt(2.0 / np.pi))
+    sketch = hat @ rng.standard_normal((n, _PROBES + min(_SKETCH_FIRST, n)))
+    probe = sketch[:, :_PROBES]
+    q, _ = np.linalg.qr(sketch[:, _PROBES:])
+    probe -= q @ (q.T @ probe)
+    while q.shape[1] < n and np.linalg.norm(probe, axis=0).max() > bound:
+        block = hat @ rng.standard_normal((n, min(q.shape[1] // 3, n - q.shape[1])))
+        for _ in range(2):
+            block -= q @ (q.T @ block)
+        block, _ = np.linalg.qr(block)
+        block -= q @ (q.T @ block)
+        block, _ = np.linalg.qr(block)
+        q = np.hstack([q, block])
+        probe -= block @ (block.T @ probe)
+    return q

@@ -297,7 +297,9 @@ def run_digest(x, trace):
 # before estimates drew on demand: these runs must not move.  The planar
 # hull re-pinned nsrosenbrock and intercept-only qp, whose min-norm points
 # round differently: the same events, the same final qp fit, and a
-# Rosenbrock end point 2e-6 nearer (1, 1)
+# Rosenbrock end point 2e-6 nearer (1, 1).  Average mode's step from the
+# factors P = U A, not the orthonormal B, re-pinned the covariate average
+# fit: the same 88 events, q within 1.1e-15 relative
 @pytest.mark.parametrize("make, x0, m, seed, want", [
     (nonsmooth_rosenbrock, [-1.0, 1.0], None, 0, "82f6e879e784ef97"),
     (lambda: l1_norm(3), [1.0, -2.0, 0.5], 8, 1, "59250649eb064ff6"),
@@ -310,7 +312,7 @@ def test_complete_minimizer_runs_are_unchanged(make, x0, m, seed, want):
 
 @pytest.mark.parametrize("mode, covariate, want", [
     ("average", False, "77b5ce01fca947e8"), ("qp", False, "bc2c4c4a5a23e029"),
-    ("average", True, "b59e39dac67d8061"), ("qp", True, "cdf1367cad71e85e"),
+    ("average", True, "75109f0be8c985cf"), ("qp", True, "cdf1367cad71e85e"),
 ])
 def test_quantile_fits_are_unchanged(mode, covariate, want):
     rng = np.random.default_rng(7)

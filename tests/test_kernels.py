@@ -6,7 +6,7 @@ import pytest
 from gsda import _kernels
 from gsda._kernels import KAPPA_EPS
 
-from _oracles import gpd_loglik_ref
+from _oracles import gpd_loglik_ref, pinball_loss_where, pinball_sampled_grad_sum_masked
 
 
 @pytest.fixture
@@ -123,14 +123,14 @@ def test_ll_weights_rows_are_local_linear(rng):
 
 
 def test_ll_weights_peaks_at_one_hat_and_row_blocks():
-    # the (targets, n) output, and per block of LL_BLOCK rows the offsets
-    # and the kernel; everything else the kernel keeps is O(LL_BLOCK)
+    # the (targets, n) output, and per block of ll_block(n) rows the
+    # offsets and the kernel; everything else the kernel keeps is O(block)
     import tracemalloc
 
     n = 1000
     w = np.random.default_rng(7).uniform(size=n)
     hat = 8 * n * n
-    block = 8 * _kernels.LL_BLOCK * n
+    block = 8 * _kernels.ll_block(n) * n
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -139,3 +139,53 @@ def test_ll_weights_peaks_at_one_hat_and_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= hat + 3 * block
+
+
+@pytest.mark.parametrize("n, size", [(300, 64), (1200, 54), (3000, 21)])
+def test_rows_are_bitwise_the_same_in_any_block(monkeypatch, n, size):
+    # the rule's blocks (a ragged last one at each n) against blocks of
+    # one row: n = 3000 checks the trace's diagonal, which forms no hat
+    assert _kernels.ll_block(n) == size and n % size
+    w = np.random.default_rng(n).uniform(size=n)
+    build = _kernels.ll_diagonal if n == 3000 else lambda w, bw: _kernels.ll_weights(w, bw, w)
+    for bw in (0.05, 1e-4):  # 1e-4 takes the local-constant fallback rows
+        blocked = build(w, bw)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "ll_block", lambda n: 1)
+            single = build(w, bw)
+        assert blocked.tobytes() == single.tobytes()
+
+
+def test_block_rule_fills_512k_between_16_and_64_rows():
+    assert [_kernels.ll_block(n) for n in (2, 1024, 1025, 2048, 4000, 4097, 10**4)] \
+        == [64, 64, 63, 32, 16, 16, 16]
+
+
+def _tied(rng, q, y):
+    """y with about a third of its entries set exactly to q's (r = 0)."""
+    tie = rng.random(y.shape) < 0.3
+    y[tie] = q[tie]
+    return y
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.37])
+def test_pinball_kernels_are_the_old_formulas_bitwise(rng, alpha):
+    # the fewer-pass forms against both-branch and masked-fill forms, on
+    # dyadic inputs whose residuals tie exactly at 0
+    for n, m in ((1, 1), (7, 3), (300, 301)):
+        q = rng.integers(-512, 512, n) / 64.0
+        y = _tied(rng, q, rng.integers(-512, 512, n) / 64.0)
+        assert (y == q).any() or n == 1
+        assert _kernels.pinball_loss(q, y, alpha) == pinball_loss_where(q, y, alpha)
+        stack = q + rng.integers(-8, 9, (5, n)) / 8.0
+        stack[:, ::2] = y[::2]  # ties in every row of the stack
+        assert _kernels.pinball_loss(stack, y, alpha).tobytes() \
+            == pinball_loss_where(stack, y, alpha).tobytes()
+        eps = 0.125
+        u = rng.integers(-64, 65, (m, n)) / 64.0
+        y = q + eps * u[rng.integers(0, m, n), np.arange(n)]  # a tie per column
+        y[::3] += 0.25
+        u[0, 0] = np.nan  # a NaN residual takes the 1 - alpha branch
+        got = _kernels.pinball_sampled_grad_sum(q, y, alpha, eps, u)
+        want = pinball_sampled_grad_sum_masked(q, y, alpha, eps, u)
+        assert got.tobytes() == want.tobytes()

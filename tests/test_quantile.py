@@ -113,13 +113,17 @@ def residual_design(units, seed):
     return q, q + EPS * np.asarray(units, dtype=float)
 
 
+def identity(g):
+    return g
+
+
 def kink_path(monkeypatch, q, y, alpha, u_full):
     """The average-mode estimate on the kink columns of one full-ball draw.
 
     The patched sampler checks that the fitter asks for exactly the
     columns |y - q| <= 2*EPS of the n-dimensional ball.  Returns
-    ``(g_hat, gnorm, method)``: in the identity coordinate map the step
-    is -g_hat/||g_hat|| and gnorm is ||g_hat||.
+    ``(g_hat, gnorm, method)``: with P the identity the step is
+    -g_hat/||g_hat|| and gnorm is ||g_hat||.
     """
     n, m = q.size, u_full.shape[0]
     kink = np.flatnonzero(np.abs(y - q) <= 2.0 * EPS)
@@ -131,8 +135,7 @@ def kink_path(monkeypatch, q, y, alpha, u_full):
     monkeypatch.setattr(quantile, "sample_unit_ball", sampler)
     trace = FitTrace()
     v, gnorm, method, rest = quantile._sampled_subgradient(
-        q, y, alpha, EPS, m, None, CoordinateMap(np.eye(n), np.eye(n)), trace,
-        pinball_grad(q, y, alpha))
+        q, y, alpha, EPS, m, None, identity, trace, pinball_grad(q, y, alpha))
     assert trace.ball_coordinates == kink.size and rest is None
     return -v * gnorm, gnorm, method
 
@@ -177,17 +180,22 @@ class TestKinkCoordinates:
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         base = pinball_grad(q, y, 0.7)
-        for coords in (AdditiveProjector(None, [], n).coordinate_map(),
-                       CoordinateMap(np.eye(n), np.eye(n))):
+        projector = AdditiveProjector(None, [], n)
+        cases = []
+        for coords in (projector.coordinate_map(), CoordinateMap(np.eye(n), np.eye(n))):
             c = coords.coef @ base
             cnorm = np.linalg.norm(c)
-            want = (coords.basis @ (-c / cnorm)).tobytes()
-            for estimate, norm in ((quantile._min_norm_estimate, cnorm),
-                                   (quantile._sampled_subgradient, np.linalg.norm(base))):
-                trace = FitTrace()
-                v, gnorm, _, _ = estimate(q, y, 0.7, EPS, n + 1, rng, coords, trace, base)
-                assert trace.ball_coordinates == 0
-                assert v.tobytes() == want and gnorm == norm
+            cases.append((quantile._min_norm_estimate, coords,
+                          coords.basis @ (-c / cnorm), cnorm))
+        for apply_p in (projector.apply, identity):
+            p = apply_p(base)
+            cases.append((quantile._sampled_subgradient, apply_p,
+                          p / -np.linalg.norm(p), np.linalg.norm(base)))
+        for estimate, space, want, norm in cases:
+            trace = FitTrace()
+            v, gnorm, _, _ = estimate(q, y, 0.7, EPS, n + 1, rng, space, trace, base)
+            assert trace.ball_coordinates == 0
+            assert v.tobytes() == want.tobytes() and gnorm == norm
         assert rng.bit_generator.state == state
 
     def test_fit_counts_drawn_coordinates(self, monkeypatch):
@@ -289,34 +297,36 @@ class TestAdditiveFit:
             predict_quantile(model, np.array([[w.max() + 5.0]]))
 
 
+def concurvity_design():
+    rng = np.random.default_rng(41)
+    w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
+    W = np.column_stack([w1, w1 + 0.6 * rng.standard_normal(80)])
+    y = np.sin(w1) + rng.standard_normal(80)
+    return y, W, [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+
+
 class TestProjectionCounters:
     def test_trace_sums_sweeps_and_unconverged(self, monkeypatch, projection_calls):
         import gsda.smoothing as smoothing_mod
 
-        rng = np.random.default_rng(41)
-        w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
-        W = np.column_stack([w1, w1 + 0.6 * rng.standard_normal(80)])
-        y = np.sin(w1) + rng.standard_normal(80)
-        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        y, W, specs = concurvity_design()
         gs = GsParams(subgradient_mode="average", max_iter=30, seed=2)
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
-        # steps move in coordinates, so only the final decomposition projects
+        # steps never backfit, so only the final decomposition projects
         assert len(projection_calls) == 1
         assert {c for c, _ in projection_calls} == {1}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
-        # with the coefficient map zeroed once the coordinate map is built,
-        # two sweeps from zero leave the final concurvity decomposition
-        # unconverged
-        build = smoothing_mod.AdditiveProjector._build_coordinate_map
+        # with the coefficient map zeroed once the projector is built (its
+        # factors P = U A already formed), two sweeps from zero leave the
+        # final concurvity decomposition unconverged
+        build = smoothing_mod.AdditiveProjector.__init__
 
-        def zeroed(self):
-            coords = build(self)
+        def zeroed(self, *args):
+            build(self, *args)
             self.coef[:] = 0.0
-            return coords
 
-        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "_build_coordinate_map",
-                            zeroed)
+        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "__init__", zeroed)
         projection_calls.clear()
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
         assert len(projection_calls) == 1
@@ -326,25 +336,49 @@ class TestProjectionCounters:
             == sum(not ok for _, ok in projection_calls) > 0
 
 
+def coefficient_solve(projector, g):
+    """P g as ``project`` takes it from its coefficient map, before any sweep."""
+    resid = g - g.mean()
+    c = np.split(projector.coef @ resid, projector._splits)
+    return g.mean() + sum(u @ cj for u, cj in zip(projector._centred, c))
+
+
 class TestAverageModeDirection:
+    def test_step_is_the_coefficient_solve_of_the_estimate(self):
+        # the step is -P g_hat/||P g_hat|| from the factors P = U A, and
+        # gnorm is ||g_hat||, with g_hat read off the same draws with P = I
+        y, W, specs = concurvity_design()
+        projector = AdditiveProjector(W, specs, y.size)
+        q = projector.project(y).fitted
+        checked = 0
+        for eps, alpha, seed in ((0.05, 0.9, 0), (0.3, 0.5, 1), (1.0, 0.2, 2)):
+            base = pinball_grad(q, y, alpha)
+            rng = np.random.default_rng(seed)
+            v, gnorm, method, _ = quantile._sampled_subgradient(
+                q, y, alpha, eps, y.size + 1, copy.deepcopy(rng), projector.apply,
+                FitTrace(), base)
+            u, unorm, _, _ = quantile._sampled_subgradient(
+                q, y, alpha, eps, y.size + 1, rng, identity, FitTrace(), base)
+            g = -u * unorm
+            p = coefficient_solve(projector, g)
+            assert method == "average" and gnorm == unorm
+            assert np.max(np.abs(v + p / np.linalg.norm(p))) <= 1e-12
+            checked += int(np.any(g != base))
+        assert checked == 3
+
     def test_is_the_normalized_projection_of_the_estimate(self, monkeypatch):
-        # B(-c/||c||) with c = M g_hat is -P g_hat/||P g_hat||, without a backfit
-        rng = np.random.default_rng(41)
-        w1 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
-        W = np.column_stack([w1, w1 + 0.6 * rng.standard_normal(80)])
-        y = np.sin(w1) + rng.standard_normal(80)
-        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        # the step of a fit is -P g_hat/||P g_hat||, without a backfit
+        y, W, specs = concurvity_design()
         estimates, pairs = [], []
         sampled, descend = quantile._sampled_subgradient, quantile.descend
-        identity = CoordinateMap(np.eye(80), np.eye(80))
 
-        def spy_sampled(q, yy, alpha, eps, m, rng, coords, trace, base):
-            # g_hat from the same draws: in the identity map the step is
+        def spy_sampled(q, yy, alpha, eps, m, rng, apply_p, trace, base):
+            # g_hat from the same draws: with P = I the step is
             # -g_hat/||g_hat|| and gnorm ||g_hat||
             v, gnorm, _, _ = sampled(q, yy, alpha, eps, m, copy.deepcopy(rng),
                                      identity, FitTrace(), base)
             estimates.append(-v * gnorm)
-            return sampled(q, yy, alpha, eps, m, rng, coords, trace, base)
+            return sampled(q, yy, alpha, eps, m, rng, apply_p, trace, base)
 
         def spy_descend(objective, x, at, *args, **kwargs):
             def spy_at(q, fq):

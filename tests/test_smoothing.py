@@ -8,7 +8,7 @@ from gsda import _kernels, smoothing
 from gsda.datasets import simulate_gpd_sites
 from gsda.errors import DegenerateDesignWarning, InvalidInput, NumericalFailure
 
-from _oracles import backfit_fixed_point, backfit_loop, backfit_sweep
+from _oracles import backfit_fixed_point, backfit_loop, backfit_sweep, range_basis_one_stream
 
 
 def kernel_fit_reference(w, g, bandwidth, targets):
@@ -95,6 +95,25 @@ class TestLocalLinear:
         q = smoothing._range_basis(hat)
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2) <= 1e-13
 
+    @pytest.mark.parametrize("bandwidth", [lambda w: bandwidth_for_df(w, 40.0),
+                                           lambda w: 1e-4], ids=["df40", "near_identity"])
+    def test_cached_sketch_gives_the_factors_of_a_fresh_generator(self, monkeypatch,
+                                                                  bandwidth):
+        # both designs take blocks after the first, which must continue the
+        # stream the cached first block was drawn from
+        w = np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 300))
+        spec = SmootherSpec("local_linear", 0, bandwidth=bandwidth(w))
+        smoothing._first_sketch.cache_clear()
+        built = [AdditiveProjector(w[:, None], [spec]).smoothers[0] for _ in range(2)]
+        assert smoothing._first_sketch.cache_info().hits >= 1
+        assert not smoothing._first_sketch(w.size)[0].flags.writeable
+        monkeypatch.setattr(smoothing, "_range_basis", range_basis_one_stream)
+        want = AdditiveProjector(w[:, None], [spec]).smoothers[0]
+        assert want.u.shape[1] > smoothing._SKETCH_FIRST
+        for sm in built:
+            assert sm.u.tobytes() == want.u.tobytes()
+            assert sm.vt.tobytes() == want.vt.tobytes()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInput):
             AdditiveProjector(np.array([[1.0]]), [SmootherSpec("local_linear", 0,
@@ -150,13 +169,13 @@ class TestEffectiveDf:
         assert len(seen) == len(set(seen)) >= 6
 
     def test_trace_peaks_at_row_blocks(self):
-        # the diagonal comes from LL_BLOCK rows at a time, and no n x n hat
-        # is formed: three (LL_BLOCK, n) scratch arrays and O(n) more
+        # the diagonal comes from ll_block(n) rows at a time, and no n x n
+        # hat is formed: three (block, n) scratch arrays and O(n) more
         import tracemalloc
 
         n = 1000
         w = np.random.default_rng(7).uniform(size=n)
-        block = 8 * _kernels.LL_BLOCK * n
+        block = 8 * _kernels.ll_block(n) * n
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -530,7 +549,9 @@ class TestCoordinateMap:
         assert np.array_equal(coords.row_norms, np.linalg.norm(B, axis=1))
         rng = np.random.default_rng(21)
         for g in (_pinball_like(rng, size), rng.normal(size=size)):
-            assert np.max(np.abs(B @ (M @ g) - proj.project(g).fitted)) <= 1e-10
+            fitted = proj.project(g).fitted
+            assert np.max(np.abs(B @ (M @ g) - fitted)) <= 1e-10
+            assert np.max(np.abs(proj.apply(g) - fitted)) <= 1e-10
 
     def test_rank_counts_independent_directions(self):
         # intercept, one centred slope, and levels - 1 centred cell effects
@@ -546,20 +567,18 @@ class TestCoordinateMap:
     def test_intercept_only_needs_n(self):
         with pytest.raises(InvalidInput):
             AdditiveProjector(None, []).coordinate_map()
+        with pytest.raises(InvalidInput):
+            AdditiveProjector(None, []).apply(np.zeros(3))
 
     @pytest.mark.parametrize("mode", ["average", "qp"])
     def test_fits_step_through_it_without_projecting(self, monkeypatch, projection_calls,
                                                      mode):
-        # every quantile step is B times a unit coordinate vector; only the
-        # final decomposition calls project
+        # every quantile step is a unit vector in range(P) = range(B); only
+        # the final decomposition calls project
         from gsda import GsParams, fit_quantile_additive, quantile
 
-        maps, steps = [], []
-        coordinate_map, descend = AdditiveProjector.coordinate_map, quantile.descend
-
-        def spy_map(self):
-            maps.append(coordinate_map(self))
-            return maps[-1]
+        steps = []
+        descend = quantile.descend
 
         def spy_descend(objective, x, at, *args, **kwargs):
             def spy_at(q, fq):
@@ -572,18 +591,56 @@ class TestCoordinateMap:
                 return record
             return descend(objective, x, spy_at, *args, **kwargs)
 
-        monkeypatch.setattr(AdditiveProjector, "coordinate_map", spy_map)
         monkeypatch.setattr(quantile, "descend", spy_descend)
-        rng = np.random.default_rng(23)
-        w1 = rng.uniform(size=60)
-        W = np.column_stack([w1, w1 + 0.3 * rng.normal(size=60)])
-        specs = [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
+        y, W, specs = _correlated_pair()
         gs = GsParams(subgradient_mode=mode, max_iter=15, seed=0)
-        fit_quantile_additive(rng.normal(size=60), W, 0.5, specs, gs)
-        assert len(maps) == 1 and len(projection_calls) == 1
-        B = maps[0].basis
+        model = fit_quantile_additive(y, W, 0.5, specs, gs)
+        assert len(projection_calls) == 1
+        B = model.projector.coordinate_map().basis
         steps = [v for v in steps if v is not None]
         assert len(steps) >= 5
         for v in steps:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert np.max(np.abs(v - B @ (B.T @ v))) <= 1e-12
+
+    @pytest.mark.parametrize("fit", ["average", "qp", "pot"])
+    def test_built_once_and_only_for_the_fits_that_step_in_it(self, monkeypatch, fit):
+        # average mode steps along P g = U (A g) from the factors built with
+        # the projector; qp mode and the POT fitter take the orthonormal map,
+        # which a projector with covariates builds on the first call
+        from gsda import GsParams, fit_pot_additive, fit_quantile_additive
+        from gsda.datasets import gpd_inverse_cdf
+        from gsda.pot import FunctionalSpec
+
+        built = []
+        build = AdditiveProjector._build_coordinate_map
+
+        def spy(self):
+            built.append(self)
+            return build(self)
+
+        monkeypatch.setattr(AdditiveProjector, "_build_coordinate_map", spy)
+        y, W, specs = _correlated_pair()
+        gs = GsParams(subgradient_mode="qp" if fit == "pot" else fit, max_iter=15, seed=0)
+        if fit == "pot":
+            y = gpd_inverse_cdf(np.random.default_rng(7).random(y.size), 2.0, 0.2)
+            model = fit_pot_additive(y, W, FunctionalSpec("var_es", (0.01,), 0.1), specs, gs)
+        else:
+            model = fit_quantile_additive(y, W, 0.5, specs, gs)
+        assert built == ([] if fit == "average" else [model.projector])
+        assert model.projector.coordinate_map() is model.projector.coordinate_map()
+        assert len(built) == 1
+        # an intercept-only U is one column: its map is built with it
+        built.clear()
+        projector = AdditiveProjector(None, [], y.size)
+        assert built == [projector] and projector.coordinate_map().dim == 1
+        assert built == [projector]
+
+
+def _correlated_pair():
+    """(y, W, specs): two correlated local_linear covariates, n = 60."""
+    rng = np.random.default_rng(23)
+    w1 = rng.uniform(size=60)
+    W = np.column_stack([w1, w1 + 0.3 * rng.normal(size=60)])
+    y = rng.normal(size=60)
+    return y, W, [SmootherSpec("local_linear", 0), SmootherSpec("local_linear", 1)]
