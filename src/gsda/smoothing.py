@@ -24,11 +24,15 @@ the fixed point of a Gauss-Seidel sweep: each component becomes the
 centred smooth of its partial residual, the response less every other
 component.  That fixed point is solved once at build time, in the
 factor bases (a system of size sum r_j, the identity for one
-covariate), for a coefficient map from residual to components.
-``project`` applies the map and then sweeps, at most twice: the sweep
-supplies the partial residuals ``predict`` needs and confirms the fixed
-point, and a second sweep runs only when the first still moved a
-component by ``BACKFIT_TOL``.  With no covariate P is the mean.
+covariate), and the projection P is built from it once, as factors
+``P = U A``: ``U = [1, C u_1, ..., C u_k]``, C the centring, and A the
+matching coefficient rows.  ``apply`` takes P g = U (A g), as the
+quantile fitter's average mode steps.  ``project`` reads the same
+factors, each component ``C u_j`` times its rows of ``A g``, and then
+sweeps, at most twice: the sweep supplies the partial residuals
+``predict`` needs and confirms the fixed point, and a second sweep runs
+only when the first still moved a component by ``BACKFIT_TOL``.  With
+no covariate P is the mean.
 
 Building a local_linear factor costs O(n^2 r) time with one transient
 n x n hat, whose rows are built a block at a time (``ll_weights``,
@@ -36,18 +40,14 @@ blocks of ``_kernels.ll_block(n)`` rows), so that besides the hat the
 build holds O(n (block + r)) memory; ``effective_df`` takes the trace
 from the same row blocks and forms no hat.  Every factor of a design
 of n rows starts from the same Gaussian sketch block, which is kept
-for the last n it was drawn for (``_first_sketch``).  The factors and the map take O(n sum r_j)
-memory, and a projection O(n sum r_j) time.
+for the last n it was drawn for (``_first_sketch``).  U and A take
+O(n sum r_j) memory, and a projection O(n sum r_j) time.
 
-The projection is one linear map P with range spanned by the intercept
-and the centred factors ``C u_j``.  The projector forms its factors
-P = U A at build time, ``U = [1, C u_1, ..., C u_k]`` and A the
-matching coefficient rows, and :meth:`~AdditiveProjector.apply` takes
-P g from them, as the quantile fitter's average mode steps.  Its
-:meth:`~AdditiveProjector.coordinate_map` ``P g = B (M g)``, with B an
-orthonormal basis of range(P) (n x r, r = 1 + sum r_j up to rank) and
-M = B^T P (r x n), takes an SVD of U.  With a covariate it is built on
-the first call, by the fitters that sample in those r coordinates (qp
+The range of P is spanned by the intercept and the centred factors
+``C u_j``.  :meth:`~AdditiveProjector.coordinate_map` reads U and A too:
+``P g = B (M g)``, with B an orthonormal basis of range(P) (n x r,
+r = 1 + sum r_j up to rank) from an SVD of U and M = B^T P (r x n).
+With a covariate it is built on the first call, by the fitters that sample in those r coordinates (qp
 mode and POT); an intercept-only projector builds it at once.
 """
 
@@ -354,7 +354,7 @@ class AdditiveProjector:
 
     Built once per design matrix, with the factors ``P = U A``;
     :meth:`apply` takes P g from them at matrix-vector cost, and
-    ``project`` backfits a vector.  The orthonormal
+    ``project`` reads them and then sweeps.  The orthonormal
     :meth:`coordinate_map` is built on its first call, or with the
     projector when it is intercept-only.
     """
@@ -362,29 +362,29 @@ class AdditiveProjector:
     def __init__(self, W, specs, n=None):
         """Check W and build one smoother per column.
 
-        ``n`` is the number of observations the projector will serve;
-        when given, W must have exactly that many rows.  An intercept-only
-        projector needs it for :meth:`apply` and :meth:`coordinate_map`.
+        ``n`` is the number of observations the projector will serve.  A
+        W that is given sets it, and must have exactly ``n`` rows when
+        both are given; with ``W=None`` (intercept only) ``n`` is needed
+        for :meth:`apply` and :meth:`coordinate_map`.
         """
+        if W is not None and n is not None and len(W) != n:
+            raise InvalidInput("W must have one row per observation")
+        n = n if W is None else len(W)
         W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
             W = W[:, None]
         k = len(specs)
         if k != W.shape[1] and not (k == 0 and W.size == 0):
             raise InvalidInput("need exactly one smoother spec per covariate column")
-        if k > 0 and n is not None and W.shape[0] != n:
-            raise InvalidInput("W must have one row per observation")
         _check_finite(W)
         self._ordered = sorted(specs, key=lambda s: s.covariate_index)
         if [s.covariate_index for s in self._ordered] != list(range(k)):
             raise InvalidInput("smoother specs must cover each covariate exactly once")
         if k > 0 and W.shape[0] < k + 1:
             raise InvalidInput("need at least k+1 observations for k covariates")
-        self.n = W.shape[0] if k > 0 else n
+        self.n = n
         self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
                           for s in self._ordered]
-        if k:
-            self._build_coefficient_map()
         self._factors = None if self.n is None else self._build_factors()
         # intercept only: U is one column, whose SVD costs about what the
         # factors do, so the map is built with them
@@ -395,37 +395,33 @@ class AdditiveProjector:
     def k(self):
         return len(self.smoothers)
 
-    def _build_coefficient_map(self):
-        """Solve the backfitting fixed point once, in the smoothers' factor bases.
+    def _build_factors(self):
+        """Factor P as ``U A``, solving the backfitting fixed point once.
 
         With ``S_j = u_j vt_j`` and ``C`` the centring, every component
         is ``f_j = C u_j c_j`` for ``c_j = vt_j`` applied to its partial
         residual, so the fixed point solves the reduced system
         ``c_j + sum_{l != j} vt_j C u_l c_l = vt_j resid`` of size
-        ``sum_j r_j``.  Its pseudo-inverse solution map ``coef`` (one of
-        the fixed points when the system is singular, as for identical
-        covariates) turns a residual into every ``c_j`` at once.
-        """
-        self._centred = [sm.u - sm.u.mean(axis=0) for sm in self.smoothers]
-        vt = np.vstack([sm.vt for sm in self.smoothers])
-        system = vt @ np.hstack(self._centred)
-        self._splits = np.cumsum([u.shape[1] for u in self._centred])[:-1]
-        for rows in np.split(np.arange(system.shape[0]), self._splits):
-            system[np.ix_(rows, rows)] = 0.0
-        system += np.eye(system.shape[0])
-        rcond = system.shape[0] * np.finfo(float).eps
-        self.coef = np.linalg.pinv(system, rcond=rcond) @ vt
-
-    def _build_factors(self):
-        """Factor P as ``U A``.
-
-        P g is ``mean(g) + sum_j C u_j c_j`` with ``c = coef @ (g - mean g)``,
-        so P = U A for ``U = [1, C u_1, ..., C u_k]`` (n, 1 + sum r_j) and
-        A the matching coefficient rows ``[1/n; coef - row means]``.
+        ``sum_j r_j``.  Its pseudo-inverse solution map (one of the fixed
+        points when the system is singular, as for identical covariates)
+        turns a residual into every ``c_j`` at once, and P g is
+        ``mean(g) + sum_j C u_j c_j``: so U is ``[1, C u_1, ..., C u_k]``
+        (n, 1 + sum r_j), A is ``[1/n; map - row means]``, and
+        ``_blocks`` holds each component's columns of U.
         """
         n = self.n
-        maps, centred = (self.coef, self._centred) if self.k else (np.zeros((0, n)), [])
-        U = np.hstack([np.ones((n, 1)), *centred])
+        U = np.hstack([np.ones((n, 1))] + [sm.u - sm.u.mean(axis=0) for sm in self.smoothers])
+        ends = np.cumsum([1] + [sm.u.shape[1] for sm in self.smoothers])
+        self._blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        maps = np.zeros((0, n))
+        if self.k:
+            vt = np.vstack([sm.vt for sm in self.smoothers])
+            system = vt @ U[:, 1:]
+            for a, b in zip(ends[:-1] - 1, ends[1:] - 1):  # the system has no intercept row
+                system[a:b, a:b] = 0.0
+            system += np.eye(system.shape[0])
+            rcond = system.shape[0] * np.finfo(float).eps
+            maps = np.linalg.pinv(system, rcond=rcond) @ vt
         A = np.vstack([np.full((1, n), 1.0 / n),
                        maps - maps.mean(axis=1, keepdims=True)])
         return U, A
@@ -470,8 +466,9 @@ class AdditiveProjector:
         resid = g - intercept
         if self.k == 0:
             return AdditiveFit(intercept, [], np.full(g.size, intercept))
-        c = np.split(self.coef @ resid, self._splits)
-        comps = np.array([u @ cj for u, cj in zip(self._centred, c)])
+        U, A = self._factors
+        c = A @ g
+        comps = np.array([U[:, block] @ c[block] for block in self._blocks])
         total = comps.sum(axis=0)
         for cycles in (1, 2):
             targets, centers, delta = self._sweep(resid, comps, total)

@@ -9,6 +9,7 @@ from gsda import (
     FunctionalSpec,
     SmootherSpec,
     fit_pot_additive,
+    fit_quantile_additive,
     gsda_minimize,
     l1_norm,
     sample_unit_ball,
@@ -81,6 +82,14 @@ LIBRARY = [
     ("spec-count", lambda _: AdditiveProjector(
         np.column_stack([GRID, GRID]), [SmootherSpec("linear")], 10),
      InvalidInput, "need exactly one smoother spec per covariate column"),
+    ("zero-column-W-rows", lambda _: AdditiveProjector(np.zeros((5, 0)), [], 7),
+     InvalidInput, "W must have one row per observation"),
+    ("quantile-zero-column-W-rows", lambda _: fit_quantile_additive(
+        np.arange(20.0), np.zeros((5, 0)), 0.5, []),
+     InvalidInput, "W must have one row per observation"),
+    ("pot-zero-column-W-rows", lambda _: fit_pot_additive(
+        np.arange(1.0, 21.0), np.zeros((5, 0)), VAR_ES, []),
+     InvalidInput, "W must have one row per observation"),
     ("load-csv-empty", empty_csv, ParseError, "empty file"),
     ("simulate-gpd-n", lambda _: simulate_gpd(0, 1.0, 0.1, 0),
      InvalidInput, "n must be >= 1"),

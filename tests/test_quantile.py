@@ -317,16 +317,16 @@ class TestProjectionCounters:
         assert {c for c, _ in projection_calls} == {1}
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged == 0
-        # with the coefficient map zeroed once the projector is built (its
-        # factors P = U A already formed), two sweeps from zero leave the
-        # final concurvity decomposition unconverged
-        build = smoothing_mod.AdditiveProjector.__init__
+        # with A's component rows zeroed for the final projection only
+        # (every step has read P = U A intact), its two sweeps start from
+        # zero and leave the concurvity decomposition unconverged
+        project = smoothing_mod.AdditiveProjector.project  # the counting spy
 
-        def zeroed(self, *args):
-            build(self, *args)
-            self.coef[:] = 0.0
+        def from_zero(self, g):
+            self._factors[1][1:] = 0.0
+            return project(self, g)
 
-        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "__init__", zeroed)
+        monkeypatch.setattr(smoothing_mod.AdditiveProjector, "project", from_zero)
         projection_calls.clear()
         model = fit_quantile_additive(y, W, 0.9, specs, gs)
         assert len(projection_calls) == 1
@@ -334,13 +334,6 @@ class TestProjectionCounters:
         assert model.trace.backfit_sweeps == sum(c for c, _ in projection_calls)
         assert model.trace.projections_unconverged \
             == sum(not ok for _, ok in projection_calls) > 0
-
-
-def coefficient_solve(projector, g):
-    """P g as ``project`` takes it from its coefficient map, before any sweep."""
-    resid = g - g.mean()
-    c = np.split(projector.coef @ resid, projector._splits)
-    return g.mean() + sum(u @ cj for u, cj in zip(projector._centred, c))
 
 
 class TestAverageModeDirection:
@@ -360,7 +353,7 @@ class TestAverageModeDirection:
             u, unorm, _, _ = quantile._sampled_subgradient(
                 q, y, alpha, eps, y.size + 1, rng, identity, FitTrace(), base)
             g = -u * unorm
-            p = coefficient_solve(projector, g)
+            p = projector.apply(g)
             assert method == "average" and gnorm == unorm
             assert np.max(np.abs(v + p / np.linalg.norm(p))) <= 1e-12
             checked += int(np.any(g != base))

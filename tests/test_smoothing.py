@@ -328,15 +328,24 @@ class TestAdditiveProject:
         assert fit.intercept == pytest.approx(3.0)
         assert np.allclose(fit.fitted, 3.0)
 
+    def test_zero_column_design_sets_n(self):
+        # a W with no columns still counts the observations
+        g = np.array([1.0, 2.0, 6.0, 0.0, 1.0])
+        proj = AdditiveProjector(np.zeros((5, 0)), [])
+        assert proj.n == 5
+        assert np.allclose(proj.apply(g), 2.0)
+        assert proj.coordinate_map().dim == 1
+
     def test_zeroed_map_sets_nonconvergence_flag(self):
-        # from zero, two sweeps on a near-collinear design stay far from
-        # the fixed point, and the flag says so
+        # with A's component rows zeroed, two sweeps from zero on a
+        # near-collinear design stay far from the fixed point, and the flag
+        # says so
         rng = np.random.default_rng(8)
         w = rng.uniform(size=(60, 2))
         W = np.column_stack([w[:, 0], w[:, 0] + 0.01 * w[:, 1]])  # near-collinear
         proj = AdditiveProjector(W, [SmootherSpec("local_linear", 0),
                                      SmootherSpec("local_linear", 1)])
-        proj.coef[:] = 0.0
+        proj._factors[1][1:] = 0.0  # A's component rows
         fit = proj.project(rng.normal(size=60))
         assert not fit.converged
         assert fit.cycles == 2
@@ -436,7 +445,7 @@ class TestBackfitSolve:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_sweeps_never_exceed_the_cap(self, monkeypatch, k):
-        # with the coefficient map zeroed, project sweeps from zero on k
+        # with A's component rows zeroed, project sweeps from zero on k
         # correlated covariates, where the plain loop needs more than two
         # sweeps; project stops at two
         rng = np.random.default_rng(15)
@@ -447,7 +456,7 @@ class TestBackfitSolve:
         proj = AdditiveProjector(W, [SmootherSpec("local_linear", j) for j in range(k)])
         g = _pinball_like(rng, n)
         assert backfit_loop(proj, g).cycles > 2
-        proj.coef[:] = 0.0
+        proj._factors[1][1:] = 0.0  # A's component rows
         applied = _count_applies(monkeypatch, proj)
         fit = proj.project(g)
         assert fit.cycles == 2 and not fit.converged
