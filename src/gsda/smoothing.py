@@ -47,8 +47,9 @@ The range of P is spanned by the intercept and the centred factors
 ``C u_j``.  :meth:`~AdditiveProjector.coordinate_map` reads U and A too:
 ``P g = B (M g)``, with B an orthonormal basis of range(P) (n x r,
 r = 1 + sum r_j up to rank) from an SVD of U and M = B^T P (r x n).
-With a covariate it is built on the first call, by the fitters that sample in those r coordinates (qp
-mode and POT); an intercept-only projector builds it at once.
+With a covariate it is built on the first call, by the fitters that
+sample in those r coordinates (qp mode and POT); an intercept-only
+projector builds it at once.
 """
 
 import functools
