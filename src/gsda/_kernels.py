@@ -211,7 +211,7 @@ class RowScratch:
         self.tmp = np.empty((3, k, n))
 
 
-def gpd_grad_rows(eta, kappa, y, scratch=None):
+def gpd_grad_rows(eta, kappa, y, scratch):
     """GPD gradients at k points (eta[i], kappa[i]), for the feasible ones.
 
     ``eta`` and ``kappa`` are (k, n).  Returns ``(grads, feasible)``:
@@ -219,15 +219,13 @@ def gpd_grad_rows(eta, kappa, y, scratch=None):
     and ``grads`` is the (2, feasible.sum(), n) stack of the d/d eta and
     d/d kappa halves, in the order of the points; ``grads[:, j]``
     stacked is what :func:`gpd_grad` gives at the j-th feasible point.
-    Given a :class:`RowScratch`, the work and ``grads`` live in it, so
-    ``grads`` is valid until its next use.  A block takes 13 elementwise
-    passes over contiguous (k, n) arrays, 5 for z = y*exp(-eta),
-    kz = kappa*z and a = 1 + kz and 8 for the two halves; the support
-    and series tests are reductions of a and kappa.
+    The work and ``grads`` live in ``scratch``, a :class:`RowScratch`
+    of at least k rows, so ``grads`` is valid until its next use.  A
+    block takes 13 elementwise passes over contiguous (k, n) arrays, 5
+    for z = y*exp(-eta), kz = kappa*z and a = 1 + kz and 8 for the two
+    halves; the support and series tests are reductions of a and kappa.
     """
-    k, n = eta.shape
-    if scratch is None:
-        scratch = RowScratch(k, n)
+    k = eta.shape[0]
     z, kz, a = scratch.tmp[:, :k]
     with np.errstate(all="ignore"):
         np.negative(eta, out=z)

@@ -283,7 +283,7 @@ def _lift(inv, a):
     return (inv.transpose(1, 0, 2)[..., None] * a[:, None, :]).reshape(2 * n, 2 * r)
 
 
-def _theta_grad_rows(state, y, eps, m, rng, trace=None, scratch=None):
+def _theta_grad_rows(state, y, eps, m, rng, trace, scratch):
     """Base + per-sample negative log-likelihood gradients as coordinate rows.
 
     Row 0 is the gradient at the iterate; rows 1..m are the gradients at
@@ -297,12 +297,11 @@ def _theta_grad_rows(state, y, eps, m, rng, trace=None, scratch=None):
     of them and adds the rejected draws to ``trace.rejected_draws`` when
     a trace is given.
     Q, K and row 0 are the frame of ``state``, built for the same y
-    once per iterate, however many estimates the iterate takes.  A fit
-    passes one :class:`~gsda._kernels.RowScratch` to every call.
+    once per iterate, however many estimates the iterate takes.  The
+    kernel works in ``scratch``, the :class:`~gsda._kernels.RowScratch`
+    of ``_ROW_BLOCK`` rows that a fit passes to every call.
     """
     lam = state.lam
-    if scratch is None:
-        scratch = _kernels.RowScratch(_ROW_BLOCK, lam.n)
     draws, pullback, base = state.draws, state.pullback, state.base
     # one product gives the (eta, kappa) blocks of the points x + eps*Q u:
     # u, extended by a 1, against (eps*Q^T; x) split into its two blocks

@@ -24,15 +24,15 @@ the fixed point of a Gauss-Seidel sweep: each component becomes the
 centred smooth of its partial residual, the response less every other
 component.  That fixed point is solved once at build time, in the
 factor bases (a system of size sum r_j, the identity for one
-covariate), and the projection P is built from it once, as factors
-``P = U A``: ``U = [1, C u_1, ..., C u_k]``, C the centring, and A the
-matching coefficient rows.  ``apply`` takes P g = U (A g), as the
+covariate), and the projection P is built from it with the projector,
+as factors ``P = U A``: ``U = [1, C u_1, ..., C u_k]``, C the centring,
+and A the matching coefficient rows; with no covariate the design is
+(n, 0) and P is the mean.  ``apply`` takes P g = U (A g), as the
 quantile fitter's average mode steps.  ``project`` reads the same
 factors, each component ``C u_j`` times its rows of ``A g``, and then
 sweeps, at most twice: the sweep supplies the partial residuals
 ``predict`` needs and confirms the fixed point, and a second sweep runs
-only when the first still moved a component by ``BACKFIT_TOL``.  With
-no covariate P is the mean.
+only when the first still moved a component by ``BACKFIT_TOL``.
 
 Building a local_linear factor costs O(n^2 r) time with one transient
 n x n hat, whose rows are built a block at a time (``ll_weights``,
@@ -361,36 +361,37 @@ class AdditiveProjector:
     """
 
     def __init__(self, W, specs, n=None):
-        """Check W and build one smoother per column.
+        """Check W, build one smoother per column and factor P.
 
-        ``n`` is the number of observations the projector will serve.  A
-        W that is given sets it, and must have exactly ``n`` rows when
-        both are given; with ``W=None`` (intercept only) ``n`` is needed
-        for :meth:`apply` and :meth:`coordinate_map`.
+        ``n`` is the number of observations served: the rows of a given
+        W, which a given ``n`` must match, or ``n`` itself for ``W=None``
+        (intercept only).  A missing n or fewer than one observation
+        raises :class:`InvalidInput`.
         """
         if W is not None and n is not None and len(W) != n:
             raise InvalidInput("W must have one row per observation")
         n = n if W is None else len(W)
-        W = np.zeros((0, 0)) if W is None else np.asarray(W, dtype=float)
+        if n is None or n < 1:
+            raise InvalidInput("need at least one observation (give n when W is None)")
+        W = np.zeros((n, 0)) if W is None else np.asarray(W, dtype=float)
         if W.ndim == 1:
             W = W[:, None]
         k = len(specs)
-        if k != W.shape[1] and not (k == 0 and W.size == 0):
+        if k != W.shape[1]:
             raise InvalidInput("need exactly one smoother spec per covariate column")
         _check_finite(W)
         self._ordered = sorted(specs, key=lambda s: s.covariate_index)
         if [s.covariate_index for s in self._ordered] != list(range(k)):
             raise InvalidInput("smoother specs must cover each covariate exactly once")
-        if k > 0 and W.shape[0] < k + 1:
+        if n < k + 1:
             raise InvalidInput("need at least k+1 observations for k covariates")
         self.n = n
         self.smoothers = [_build_smoother(W[:, s.covariate_index], s)
                           for s in self._ordered]
-        self._factors = None if self.n is None else self._build_factors()
+        self._factors, self._blocks = self._build_factors()
         # intercept only: U is one column, whose SVD costs about what the
         # factors do, so the map is built with them
-        self._coords = (self._build_coordinate_map()
-                        if self.k == 0 and self._factors is not None else None)
+        self._coords = self._build_coordinate_map() if k == 0 else None
 
     @property
     def k(self):
@@ -407,13 +408,12 @@ class AdditiveProjector:
         points when the system is singular, as for identical covariates)
         turns a residual into every ``c_j`` at once, and P g is
         ``mean(g) + sum_j C u_j c_j``: so U is ``[1, C u_1, ..., C u_k]``
-        (n, 1 + sum r_j), A is ``[1/n; map - row means]``, and
-        ``_blocks`` holds each component's columns of U.
+        (n, 1 + sum r_j) and A is ``[1/n; map - row means]``.  Returns
+        ``(U, A)`` and each component's columns of U, as slices.
         """
         n = self.n
         U = np.hstack([np.ones((n, 1))] + [sm.u - sm.u.mean(axis=0) for sm in self.smoothers])
         ends = np.cumsum([1] + [sm.u.shape[1] for sm in self.smoothers])
-        self._blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         maps = np.zeros((0, n))
         if self.k:
             vt = np.vstack([sm.vt for sm in self.smoothers])
@@ -425,16 +425,11 @@ class AdditiveProjector:
             maps = np.linalg.pinv(system, rcond=rcond) @ vt
         A = np.vstack([np.full((1, n), 1.0 / n),
                        maps - maps.mean(axis=1, keepdims=True)])
-        return U, A
-
-    def _require_factors(self):
-        if self._factors is None:
-            raise InvalidInput("an intercept-only projector needs n for coordinates")
-        return self._factors
+        return (U, A), [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
     def apply(self, g):
         """P g as ``U (A g)``: the fixed point ``project`` sweeps to, unchecked."""
-        U, A = self._require_factors()
+        U, A = self._factors
         return U @ (A @ g)
 
     def coordinate_map(self):
@@ -450,7 +445,7 @@ class AdditiveProjector:
         ``linear`` and ``cell_factor`` columns are dependent), gives
         ``U = B S V^T``; then M = S V^T A.
         """
-        U, A = self._require_factors()
+        U, A = self._factors
         b, s, vt = np.linalg.svd(U, full_matrices=False)
         r = int(np.count_nonzero(s > s[0] * max(U.shape) * np.finfo(float).eps))
         return CoordinateMap(np.ascontiguousarray(b[:, :r]), (s[:r, None] * vt[:r]) @ A)

@@ -92,7 +92,8 @@ class TestGpdGradRows:
         kappa[:2] = [0.0, 4e-9]  # series entries
         y = rng.uniform(0.05, 3.0, n) * np.exp(eta)
         u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
-        grads, feasible = _kernels.gpd_grad_rows(eta + eps * u[:, :n], kappa + eps * u[:, n:], y)
+        grads, feasible = _kernels.gpd_grad_rows(eta + eps * u[:, :n], kappa + eps * u[:, n:], y,
+                                                 _kernels.RowScratch(m, n))
         points = [(eta + eps * r[:n], kappa + eps * r[n:]) for r in u]
         expect = [np.isfinite(_kernels.gpd_loglik(e, k, y)) for e, k in points]
         assert feasible.tolist() == expect
@@ -107,7 +108,8 @@ class TestGpdGradRows:
         u = np.array([[-1.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, 0.1], [0.0, -1.0, 0.0, 0.0]])
         points = np.array([0.0, 0.0, 0.2, 0.2]) + 800.0 * u
         with np.errstate(over="ignore"):
-            grads, feasible = _kernels.gpd_grad_rows(points[:, :2], points[:, 2:], y)
+            grads, feasible = _kernels.gpd_grad_rows(points[:, :2], points[:, 2:], y,
+                                                     _kernels.RowScratch(3, 2))
         assert feasible.tolist() == [False, True, False]
         assert grads.shape == (2, 1, 2) and np.all(np.isfinite(grads))
 

@@ -295,6 +295,14 @@ def test_every_finite_set_is_solved(z):
     assert res.norm <= min(row_norms.min(), np.linalg.norm(z.mean(axis=0))) + slack
 
 
+def test_wolfe_iteration_cap_raises():
+    # the unit vectors of R^3 take a minor cycle for each of the two
+    # vertices added to the first: one cycle is allowed, two are needed
+    assert np.allclose(_wolfe(np.eye(3), cap=2)[0], 1.0 / 3.0)
+    with pytest.raises(NumericalFailure, match="min-norm iteration cap exceeded"):
+        _wolfe(np.eye(3), cap=1)
+
+
 def test_a_non_minimal_wolfe_point_raises(monkeypatch):
     # a solver that stops at the longest vertex fails the feasible-norm check
     def longest_vertex(p, cap):

@@ -20,6 +20,7 @@ from gsda import (
 from gsda import _kernels, pot
 from gsda.smoothing import AdditiveProjector
 from gsda.datasets import gpd_inverse_cdf
+from gsda.engine import _ROW_BLOCK
 from gsda.minnorm import GradientSet, min_norm_point
 from gsda.errors import (
     FunctionalUndefined,
@@ -228,7 +229,8 @@ def sampled_theta_grad(lam, y, eps, m, seed, coords=None):
     if coords is None:
         coords = AdditiveProjector(None, [], lam.n).coordinate_map()
     state = PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords)
-    rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed))
+    rows = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), None,
+                                _kernels.RowScratch(_ROW_BLOCK, y.size))
     return -rows.mean(axis=0)
 
 
@@ -541,7 +543,8 @@ class TestQpSubspace:
                      np.full(y.size, 0.2))
         state = PotState.from_lambda(lam.as_vector(), VAR_ES, y, coords)
         n, r, m, eps = y.size, coords.dim, 2 * coords.dim + 1, 1e-3
-        got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8))
+        got = pot._theta_grad_rows(state, y, eps, m, np.random.default_rng(8), None,
+                                   _kernels.RowScratch(_ROW_BLOCK, n))
         u = pot.sample_unit_ball(2 * r, m, np.random.default_rng(8))
         span, _ = np.linalg.qr(dense_inverse(state.jac_inverses) @ blockdiag(coords.basis))
         points = np.vstack([np.zeros(2 * n), eps * u @ span.T])

@@ -65,6 +65,10 @@ LIBRARY = [
      InvalidInput, "eta and kappa must be finite"),
     ("spec-unknown-pair", lambda _: FunctionalSpec("es_es", (0.01,), 0.1),
      InvalidInput, "pair must be 'var_es' or 'var_var'"),
+    ("spec-var_var-one-level", lambda _: FunctionalSpec("var_var", (0.01,), 0.1),
+     InvalidInput, r"var_var needs exactly 2 level\(s\)"),
+    ("spec-var_es-two-levels", lambda _: FunctionalSpec("var_es", (0.01, 0.02), 0.1),
+     InvalidInput, r"var_es needs exactly 1 level\(s\)"),
     ("pot-level-at-exceed-prob", lambda _: fit_pot_additive(
         [0.5, 1.5, 0.9], None, FunctionalSpec("var_var", (0.1, 0.05), 0.1), []),
      InvalidInput, r"the POT fitter needs tail levels in \(0, exceed_prob\)"),
@@ -90,6 +94,16 @@ LIBRARY = [
     ("pot-zero-column-W-rows", lambda _: fit_pot_additive(
         np.arange(1.0, 21.0), np.zeros((5, 0)), VAR_ES, []),
      InvalidInput, "W must have one row per observation"),
+    ("projector-no-n", lambda _: AdditiveProjector(None, []),
+     InvalidInput, r"need at least one observation \(give n when W is None\)"),
+    ("projector-n-0", lambda _: AdditiveProjector(None, [], 0),
+     InvalidInput, "need at least one observation"),
+    ("projector-W-no-rows", lambda _: AdditiveProjector(np.zeros((0, 0)), []),
+     InvalidInput, "need at least one observation"),
+    ("quantile-empty-y", lambda _: fit_quantile_additive(np.array([]), None, 0.5, []),
+     InvalidInput, "need at least one observation"),
+    ("pot-empty-y", lambda _: fit_pot_additive(np.array([]), None, VAR_ES, []),
+     InvalidInput, "need at least one observation"),
     ("load-csv-empty", empty_csv, ParseError, "empty file"),
     ("simulate-gpd-n", lambda _: simulate_gpd(0, 1.0, 0.1, 0),
      InvalidInput, "n must be >= 1"),

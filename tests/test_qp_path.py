@@ -22,7 +22,7 @@ from gsda import (
 )
 from gsda import _kernels
 from gsda.datasets import gpd_inverse_cdf
-from gsda.engine import FIRST_DRAWS, sample_unit_ball
+from gsda.engine import _ROW_BLOCK, FIRST_DRAWS, sample_unit_ball
 from gsda.errors import NumericalFailure, SamplingExhausted
 from gsda.minnorm import _distinct_rows
 from gsda.pot import (
@@ -57,7 +57,7 @@ class TestRowKernel:
         # test and would give a nan row; the kernel must reject it
         u = np.array([[-0.9, 0.0], [0.0, 0.05], [0.3, -0.01]])
         grads, feasible = _kernels.gpd_grad_rows(-705.0 + 10.0 * u[:, :1], 0.2 + 10.0 * u[:, 1:],
-                                                 np.array([1.0]))
+                                                 np.array([1.0]), _kernels.RowScratch(3, 1))
         assert feasible.tolist() == [False, True, True]
         assert grads.shape == (2, 2, 1) and np.all(np.isfinite(grads))
 
@@ -72,7 +72,7 @@ class TestRowKernel:
         scratch = _kernels.RowScratch(m, n)  # reused: no stale entries leak
         for eps in (0.4, 1e-10):  # infeasible draws; series entries kept
             etas, kappas = eta + eps * u[:, :n], kappa + eps * u[:, n:]
-            for work in (None, scratch):
+            for work in (_kernels.RowScratch(m, n), scratch):  # fresh, then reused
                 grads, feasible = _kernels.gpd_grad_rows(etas, kappas, y, work)
                 expect = [_kernels.gpd_grad(e, k, y)
                           for e, k in zip(etas[feasible], kappas[feasible])]
@@ -165,7 +165,8 @@ def test_theta_grad_rows_match_per_row_loop(boundary):
         for eps in (1e-3, 0.1, 0.3):
             for m in (1, 31, 33, 90):
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a)
+                got = outcome(_theta_grad_rows, state, y, eps, m, rng_a, None,
+                              _kernels.RowScratch(_ROW_BLOCK, n))
                 want = outcome(theta_grad_rows_loop, state, y, eps, m, rng_b, coords)
                 # same draws consumed, so the fit's next iteration agrees too
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -208,7 +209,8 @@ def test_fit_steps_along_the_min_norm_point(monkeypatch):
         state = PotState.from_lambda(initial_lambda(y, VAR_ES).as_vector(), VAR_ES, y, coords)
         assert 2 * coords.dim + 1 > FIRST_DRAWS
         rows = GradientSet(_theta_grad_rows(state, y, gs.eps0, FIRST_DRAWS,
-                                            np.random.default_rng(seed)))
+                                            np.random.default_rng(seed), None,
+                                            _kernels.RowScratch(_ROW_BLOCK, n)))
         c = min_norm_point(rows).point
         record = model.trace.records[0]
         assert (record.method, record.event, model.trace.topups) == ("qp", "step", 0)
@@ -249,7 +251,8 @@ def test_rejected_draws_match_a_loop_over_single_draws():
                 want += infeasible_draws_one_at_a_time(
                     state, y, eps, m, np.random.default_rng(seed), coords)
                 try:
-                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), trace)
+                    _theta_grad_rows(state, y, eps, m, np.random.default_rng(seed), trace,
+                                     _kernels.RowScratch(_ROW_BLOCK, y.size))
                 except SamplingExhausted:
                     # the sampler has added its 10*m + 1 rejections
                     exhausted += 1

@@ -146,6 +146,15 @@ class TestEffectiveDf:
                     for i in range(100))
         assert trace == pytest.approx(effective_df(w, bw), abs=1e-8)
 
+    def test_bisection_cap_returns_the_last_bracket(self, monkeypatch):
+        # with no tolerance only an exact df is accepted, and no midpoint
+        # hits 7.5 exactly on this design: after DF_MAX_ITER bisections the
+        # bracket's midpoint is returned, its df still on target
+        monkeypatch.setattr(smoothing, "DF_TOL", 0.0)
+        w = np.linspace(0.0, 1.0, 100)
+        miss = abs(effective_df(w, bandwidth_for_df(w, 7.5)) - 7.5)
+        assert 0.0 < miss <= 0.05
+
     @pytest.mark.parametrize("design, target_df, want", [
         ("sites_time", 10.0, "0x1.7e28f2fb451bcp-5"),
         ("uniform_400", 5.0, "0x1.c1749e0ec89dcp-4"),
@@ -324,7 +333,7 @@ class TestAdditiveProject:
 
     def test_intercept_only(self):
         g = np.array([1.0, 2.0, 6.0])
-        fit = AdditiveProjector(None, []).project(g)
+        fit = AdditiveProjector(None, [], g.size).project(g)
         assert fit.intercept == pytest.approx(3.0)
         assert np.allclose(fit.fitted, 3.0)
 
@@ -505,8 +514,8 @@ class TestSmallKBitwise:
             assert fit.cycles == 1
 
     def test_intercept_only_equals_plain_loop(self):
-        proj = AdditiveProjector(None, [])
         g = np.random.default_rng(18).normal(size=25)
+        proj = AdditiveProjector(None, [], g.size)
         assert _bits(proj.project(g)) == _bits(backfit_loop(proj, g))
 
 
@@ -574,10 +583,9 @@ class TestCoordinateMap:
         assert ranks == [2, 3, 4]
 
     def test_intercept_only_needs_n(self):
-        with pytest.raises(InvalidInput):
-            AdditiveProjector(None, []).coordinate_map()
-        with pytest.raises(InvalidInput):
-            AdditiveProjector(None, []).apply(np.zeros(3))
+        # construction raises: no projector without its factors exists
+        with pytest.raises(InvalidInput, match="need at least one observation"):
+            AdditiveProjector(None, [])
 
     @pytest.mark.parametrize("mode", ["average", "qp"])
     def test_fits_step_through_it_without_projecting(self, monkeypatch, projection_calls,
