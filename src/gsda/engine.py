@@ -81,9 +81,9 @@ class GsParams:
     its search (module docstring); both quantile estimates draw all m
     at once.  ``None`` resolves at run time to
     d+1, where d is the dimension of the space searched: the point's for
-    :func:`gsda_minimize` and for the quantile fitter's average mode (n),
-    and the additive subspace's for the quantile fitter's qp mode (r,
-    the dimension of range(P)) and for the POT fitter (2r).  An explicit
+    :func:`gsda_minimize`, and the additive subspace's for the quantile
+    fitter (r, the dimension of range(P), in qp mode; the 1 + sum r_j
+    columns spanning it in average mode) and the POT fitter (2r).  An explicit
     m is honoured; one below d+1 raises :class:`SampleSizeWarning`,
     since the convergence theory of gradient sampling assumes m >= d+1.
 

@@ -31,8 +31,16 @@ most eps*||B_i||, so the kink set is {i : |y_i - q_i| <= 2*eps*||B_i||}.
 The min-norm point c* of the (m+1) x r coordinate rows M g gives the
 step -B c*/||c*||, and ||c*|| = ||P g_hat|| is the stationarity and
 Armijo measure.  Both modes draw all m at once, with no first block
-(:func:`~gsda.engine.staged_estimate`).  The default m is r+1.  An
-iteration costs O(m*a*r) for a = |A|, typically a few percent of n.
+(:func:`~gsda.engine.staged_estimate`).
+
+The default m is d+1 for d the dimension of the space the step lives
+in: r in qp mode, and in average mode the 1 + sum_j r_j columns of the
+projector's factor U, which span range(P) and are counted without the
+coordinate map's SVD (:attr:`~gsda.smoothing.AdditiveProjector.factor_dim`).
+The average g_hat is a Monte-Carlo estimate of the ball-smoothed
+gradient, whose m sets only its variance, so m need not grow with n.
+An iteration costs O(m*a*r) in qp mode and O(m*a + n*d) in average
+mode, for a = |A|, typically a few percent of n.
 
 No iteration calls :meth:`~gsda.smoothing.AdditiveProjector.project`:
 it runs once, for the final decomposition.
@@ -153,15 +161,13 @@ def fit_quantile_additive(y, W, alpha, specs, gs=None):
         raise InvalidInput("alpha must lie in (0, 1)")
     n = y.size
     projector = AdditiveProjector(W, specs, n)
-    if n < projector.k + 2:
-        raise InvalidInput("need at least k+2 observations")
     gs = gs if gs is not None else GsParams(subgradient_mode="average")
     if gs.subgradient_mode == "average":
         estimate, space, dim = _sampled_subgradient, projector.apply, None
     else:
         estimate, space = _min_norm_estimate, projector.coordinate_map()
         dim = space.dim
-    m = gs.resolve_m(n if dim is None else dim)
+    m = gs.resolve_m(projector.factor_dim if dim is None else dim)
     rng = np.random.default_rng(gs.seed)
 
     def at(q, f):

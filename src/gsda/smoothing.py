@@ -397,6 +397,11 @@ class AdditiveProjector:
     def k(self):
         return len(self.smoothers)
 
+    @property
+    def factor_dim(self):
+        """The columns of U, 1 + sum_j r_j: range(P) lies in their span."""
+        return self._factors[0].shape[1]
+
     def _build_factors(self):
         """Factor P as ``U A``, solving the backfitting fixed point once.
 

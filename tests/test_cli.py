@@ -149,7 +149,8 @@ class TestRunDiagnostics:
     """diagnostics.txt names the resolved settings a fit ran with."""
 
     def test_fit_quantile(self, tmp_path):
-        from gsda import _kernels
+        from gsda import AdditiveProjector, SmootherSpec, _kernels
+        from gsda.datasets import load_csv
 
         sim = tmp_path / "sim"
         main(["simulate", "--kind", "hetero", "--n", "80", "--seed", "1",
@@ -163,7 +164,11 @@ class TestRunDiagnostics:
                      "--output-dir", str(out)])
         assert code in (EXIT_OK, EXIT_NONCONVERGED)
         diag = read_diagnostics(out / "diagnostics.txt")
-        want = {"subgradient_mode": "average", "m": 81, "beta": 0.1, "mu": 0.25,
+        # average mode's default m is 1 + sum r_j + 1, the columns of U plus one
+        w = load_csv(sim / "data.csv").column("w")
+        d = AdditiveProjector(w[:, None], [SmootherSpec("local_linear", 0)]).factor_dim
+        assert 1 < d < 80
+        want = {"subgradient_mode": "average", "m": d + 1, "beta": 0.1, "mu": 0.25,
                 "lambda": 0.4, "eps0": 0.1, "tau0": 0.01, "eps_min": 1e-5,
                 "tau_min": 1e-6, "max_iter": 150, "max_backtracks": 30,
                 "kernel_path": _kernels.ACTIVE}

@@ -310,11 +310,19 @@ def test_complete_minimizer_runs_are_unchanged(make, x0, m, seed, want):
     assert trace.topups == 0 and run_digest(x, trace) == want
 
 
-@pytest.mark.parametrize("mode, covariate, want", [
-    ("average", False, "77b5ce01fca947e8"), ("qp", False, "bc2c4c4a5a23e029"),
-    ("average", True, "75109f0be8c985cf"), ("qp", True, "cdf1367cad71e85e"),
-])
-def test_quantile_fits_are_unchanged(mode, covariate, want):
+# average mode's default m is 1 + sum r_j + 1, no longer n+1: its rows
+# given m=51 (n+1) are the old default fits, bitwise, and its m=None rows
+# pin the new default
+QUANTILE_RUNS = [
+    ("average", False, 51, "77b5ce01fca947e8"), ("qp", False, None, "bc2c4c4a5a23e029"),
+    ("average", True, 51, "75109f0be8c985cf"), ("qp", True, None, "cdf1367cad71e85e"),
+    ("average", False, None, "b5c654ffa7f36d96"), ("average", True, None, "6ffd3650da09a7a7"),
+]
+
+
+@pytest.mark.parametrize("mode, covariate, m, want", QUANTILE_RUNS,
+                         ids=[f"{mode}-{cov}-{want}" for mode, cov, _, want in QUANTILE_RUNS])
+def test_quantile_fits_are_unchanged(mode, covariate, m, want):
     rng = np.random.default_rng(7)
     y = np.sin(3.0 * np.linspace(0, 1, 50)) + rng.standard_normal(50)
     W, specs = None, []
@@ -322,5 +330,5 @@ def test_quantile_fits_are_unchanged(mode, covariate, want):
         W, specs = np.sort(rng.uniform(0, 1, 50))[:, None], [
             SmootherSpec("local_linear", 0, target_df=4)]
     model = fit_quantile_additive(y, W, 0.7, specs, GsParams(
-        seed=3, beta=1e-2, max_iter=150, subgradient_mode=mode))
+        seed=3, beta=1e-2, max_iter=150, subgradient_mode=mode, m=m))
     assert model.trace.topups == 0 and run_digest(model.q, model.trace) == want

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from unittest import mock
 
 import numpy as np
@@ -301,6 +303,50 @@ def test_wolfe_iteration_cap_raises():
     assert np.allclose(_wolfe(np.eye(3), cap=2)[0], 1.0 / 3.0)
     with pytest.raises(NumericalFailure, match="min-norm iteration cap exceeded"):
         _wolfe(np.eye(3), cap=1)
+
+
+def test_wolfe_drops_a_weight_landing_on_the_drop_tolerance(monkeypatch):
+    # a weight falling exactly to _DROP_TOL survives the zeroing of
+    # weights below it, so the minor cycle drops the smallest weight by
+    # hand (w[u.argmin()] = 0).  No natural set lands there: a first run
+    # records the weights of its affine solves, and the tolerance is set
+    # to the weight its third solve gives a vertex whose weight falls
+    p = np.random.default_rng(7).normal(size=(12, 4)) + [1.0, 0.3, 0.0, 0.0]
+    solves = []
+    affine_min = minnorm._affine_min
+
+    def spy(q):
+        solves.append(affine_min(q))
+        return solves[-1]
+
+    monkeypatch.setattr(minnorm, "_affine_min", spy)
+    want, _ = _wolfe(p, cap=1200)
+    assert all((u > minnorm._DROP_TOL).all() for u in solves[:3])
+    monkeypatch.setattr(minnorm, "_DROP_TOL", solves[2][:-1].min())
+
+    lines, start = inspect.getsourcelines(_wolfe)
+    drop = start + next(i for i, text in enumerate(lines) if "w[u.argmin()] = 0.0" in text)
+    hits = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not _wolfe.__code__:
+            return None
+        if event == "line" and frame.f_lineno == drop:
+            hits.append(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        x, w = _wolfe(p, cap=1200)
+    finally:
+        sys.settrace(None)
+    assert hits
+    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(w @ p, x, atol=1e-12)
+    # Wolfe's stop: resid <= _KKT_TOL * (largest squared row norm + ||x||^2)
+    xx = x @ x
+    assert xx - (p @ x).min() <= minnorm._KKT_TOL * ((p * p).sum(axis=1).max() + xx)
+    assert np.allclose(x, want, atol=1e-6)
 
 
 def test_a_non_minimal_wolfe_point_raises(monkeypatch):

@@ -456,6 +456,12 @@ class TestFitValidation:
         with pytest.raises(InvalidInput, match="subgradient_mode must be 'qp'"):
             fit_pot_additive(y, None, VAR_ES, [], GsParams(subgradient_mode="average"))
 
+    def test_fits_one_row_more_than_covariates(self):
+        # n = k+1, as in the quantile fitter: the projector's bound is the only one
+        model = fit_pot_additive(np.array([1.0, 2.5]), np.array([[0.0], [1.0]]), VAR_ES,
+                                 [SmootherSpec("linear", 0)])
+        assert model.trace.converged
+
     def test_rejects_nonfinite_covariate(self):
         y = gpd_inverse_cdf(np.random.default_rng(6).random(50), 2.0, 0.2)
         w = np.linspace(0.0, 1.0, 50)

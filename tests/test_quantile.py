@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from gsda import (
 )
 from gsda import _kernels, quantile
 from gsda.engine import sample_unit_ball
-from gsda.errors import ExtrapolationWarning, InvalidInput
+from gsda.errors import ExtrapolationWarning, InvalidInput, SampleSizeWarning
 from gsda.smoothing import AdditiveProjector, CoordinateMap
 
 from _oracles import (
@@ -212,9 +214,53 @@ class TestKinkCoordinates:
         model = fit_quantile_additive(
             y, None, 0.8, [], GsParams(seed=1, subgradient_mode="average"))
         assert model.trace.ball_coordinates == sum(drawn) > 0
-        assert model.trace.m == 61
+        assert model.trace.m == 2  # the intercept's one column of U, plus one
         # far fewer than n coordinates per iteration once q is near y
         assert model.trace.ball_coordinates < 0.5 * 60 * len(model.trace)
+
+
+class TestAverageModeSampleSize:
+    """Average mode's default m is d+1 for the d = 1 + sum r_j columns of U."""
+
+    @staticmethod
+    def drawn_m(monkeypatch, y, W, specs, gs):
+        seen = []
+        real = quantile.sample_unit_ball
+
+        def spy(a, m, rng, dim=None):
+            seen.append(m)
+            return real(a, m, rng, dim=dim)
+
+        monkeypatch.setattr(quantile, "sample_unit_ball", spy)
+        model = fit_quantile_additive(y, W, 0.9, specs, gs)
+        assert seen and model.trace.m == seen[0]
+        return set(seen), model.projector.factor_dim
+
+    def test_two_smoothers_draw_one_more_than_the_columns_of_u(self, monkeypatch):
+        y, W, specs = concurvity_design()
+        seen, d = self.drawn_m(monkeypatch, y, W, specs,
+                               GsParams(subgradient_mode="average", max_iter=30, seed=2))
+        assert d == 1 + sum(sm.u.shape[1] for sm in AdditiveProjector(W, specs).smoothers)
+        assert seen == {d + 1} and d + 1 < y.size
+
+    def test_m_does_not_grow_with_n(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        w = rng.uniform(0.0, 1.0, 3000)
+        y = w + rng.standard_normal(3000)
+        seen, d = self.drawn_m(monkeypatch, y, w[:, None], [SmootherSpec("linear", 0)],
+                               GsParams(subgradient_mode="average", max_iter=20, seed=1))
+        assert seen == {4} and d == 3
+
+    def test_warns_below_the_default_only(self):
+        y, W, specs = concurvity_design()
+        d = AdditiveProjector(W, specs).factor_dim
+        gs = GsParams(subgradient_mode="average", max_iter=5, seed=2)
+        with pytest.warns(SampleSizeWarning, match=f"dimension\\+1={d + 1}"):
+            fit_quantile_additive(y, W, 0.9, specs, dataclasses.replace(gs, m=d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SampleSizeWarning)
+            for m in (None, d + 1):
+                fit_quantile_additive(y, W, 0.9, specs, dataclasses.replace(gs, m=m))
 
 
 def intercept_only_fit(y, alpha, seed):
@@ -537,10 +583,19 @@ class TestQpMode:
 
 class TestValidation:
     def test_needs_enough_rows(self):
-        with pytest.raises(InvalidInput):
-            fit_quantile_additive(np.array([1.0, 2.0]),
-                                  np.array([[0.0], [1.0]]), 0.5,
+        with pytest.raises(InvalidInput, match="k\\+1 observations"):
+            fit_quantile_additive(np.array([1.0]), np.array([[0.0]]), 0.5,
                                   [SmootherSpec("linear", 0)])
+
+    @pytest.mark.parametrize("kind", ["linear", "local_linear"])
+    @pytest.mark.parametrize("mode", ["average", "qp"])
+    def test_fits_one_row_more_than_covariates(self, mode, kind):
+        # the projector's n >= k+1 is the fitter's only row bound
+        y = np.array([1.0, 2.5])
+        model = fit_quantile_additive(y, np.array([[0.0], [1.0]]), 0.5,
+                                      [SmootherSpec(kind, 0)], GsParams(subgradient_mode=mode))
+        assert model.trace.converged
+        assert np.allclose(model.q, y, atol=1e-6)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):

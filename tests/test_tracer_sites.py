@@ -34,3 +34,28 @@ def test_traced_fit_hits_every_site_of_its_workload(tmp_path, name):
     # the plain repeat, on the same input (pot-qp's in a fresh directory)
     plain = w.make_input(0, 0, str(tmp_path / "plain"))
     assert w.check(plain, w.fit(plain)) == outcome
+
+
+def test_tracer_credits_the_m_each_pinball_draw_receives(monkeypatch, tmp_path):
+    # the tracer credits quantile._sampled_subgradient's args[4] as the
+    # estimate's feasible draws: it must be the m its sample_unit_ball call draws
+    from gsda import quantile
+
+    w = workloads.WORKLOADS["quantile-additive"]
+    inp = w.make_input(0, 0, str(tmp_path))
+    credited, pairs = [], []
+    real_estimate, real_ball = quantile._sampled_subgradient, quantile.sample_unit_ball
+
+    def estimate(*args):
+        credited.append(args[4])
+        return real_estimate(*args)
+
+    def ball(a, m, rng, dim=None):
+        pairs.append((credited[-1], m))
+        return real_ball(a, m, rng, dim=dim)
+
+    monkeypatch.setattr(quantile, "_sampled_subgradient", estimate)
+    monkeypatch.setattr(quantile, "sample_unit_ball", ball)
+    model = w.fit(inp)
+    assert pairs and all(c == m for c, m in pairs)
+    assert set(credited) == {model.trace.m}
